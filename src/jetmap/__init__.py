@@ -19,14 +19,12 @@ from .monoidx import (
 )
 from .jet import (
     Jet,
-    add,
     constant,
     jet_from_dict,
     jet_to_dict,
     polyval_on_jets,
     power,
     prod,
-    scale,
     state_about,
     variable,
 )

@@ -171,6 +171,11 @@ def cmd_expand(args) -> int:
     payload["config"] = {k: cfg[k] for k in sorted(cfg) if k != "out"}
     endpoint = ", ".join(repr(v) for v in tmap.design_endpoint)
     print(f"design endpoint after one period: ({endpoint})")
+    steps = "; ".join(
+        f"{s.accepted} accepted, {s.rejected} rejected, h in [{s.h_min:.3g}, {s.h_max:.3g}]"
+        for s in tmap.diagnostics
+    )
+    print(f"integration steps: {steps}")
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if cfg["out"]:
         _write_text(cfg["out"], text)

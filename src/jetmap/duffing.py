@@ -154,7 +154,7 @@ class ExactStroboscopicMap:
 
     def __call__(self, point: Sequence[float]) -> np.ndarray:
         system = duffing_rhs(self.params)
-        state, _ = integrate(
+        state, _, _ = integrate(
             system, tuple(point), 0.0, self.params.period, adaptive(self.tol)
         )
         return np.array(state, dtype=np.float64)

@@ -48,6 +48,8 @@ class Jet:
     # -- helpers ---------------------------------------------------------
 
     def _check_companion(self, other: "Jet") -> None:
+        if self.table is other.table:
+            return
         if not self.table.same_shape(other.table):
             raise TableMismatchError(
                 f"cannot combine jets over (m={self.table.m}, p={self.table.p}) "
@@ -74,33 +76,40 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             self._check_companion(other)
-            return Jet(self.table, self.coeffs + other.coeffs)
+            return _new(self.table, self.coeffs + other.coeffs)
         if isinstance(other, _SCALARS):
             out = self.coeffs.copy()
             out[0] += other
-            return Jet(self.table, out)
+            return _new(self.table, out)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.table, -self.coeffs)
+        return _new(self.table, -self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, (Jet,) + _SCALARS):
-            return self + (-other)
+        if isinstance(other, Jet):
+            self._check_companion(other)
+            return _new(self.table, self.coeffs - other.coeffs)
+        if isinstance(other, _SCALARS):
+            out = self.coeffs.copy()
+            out[0] -= other
+            return _new(self.table, out)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _SCALARS):
-            return (-self) + other
+            out = -self.coeffs
+            out[0] += other
+            return _new(self.table, out)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             return prod(self, other)
         if isinstance(other, _SCALARS):
-            return Jet(self.table, self.coeffs * float(other))
+            return _new(self.table, self.coeffs * float(other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -136,6 +145,24 @@ class Jet:
         out = np.zeros(t.L)
         out[dst] = mult * self.coeffs[src]
         return Jet(t, out)
+
+
+def _new(table: MonomialTable, coeffs: np.ndarray) -> Jet:
+    """Jet over a float64 (L,) buffer the caller hands over: frozen, not copied.
+
+    The ring operations build their results here; they guarantee dtype and
+    shape, so the checks of ``Jet.__init__`` are skipped.
+    """
+    coeffs.setflags(write=False)
+    u = object.__new__(Jet)
+    _set_table(u, table)
+    _set_coeffs(u, coeffs)
+    return u
+
+
+# slot setters, bypassing Jet.__setattr__
+_set_table = Jet.table.__set__
+_set_coeffs = Jet.coeffs.__set__
 
 
 def monomial_values(table: MonomialTable, x: np.ndarray) -> np.ndarray:
@@ -199,20 +226,12 @@ def state_about(table: MonomialTable, center: Sequence[float]) -> tuple[Jet, ...
 # -- named operations (operator sugar above delegates here) -----------------
 
 
-def add(u: Jet, v: Jet) -> Jet:
-    return u + v
-
-
-def scale(c: float, u: Jet) -> Jet:
-    return u * c
-
-
 def prod(u: Jet, v: Jet) -> Jet:
     """Truncated product via the precomputed box tables."""
     u._check_companion(v)
     t = u.table
     terms = u.coeffs[t.flat_box] * v.coeffs[t.flat_box_rev]
-    return Jet(t, np.add.reduceat(terms, t.seg_starts))
+    return _new(t, np.add.reduceat(terms, t.seg_starts))
 
 
 def power(u: Jet, n: int) -> Jet:

@@ -1,10 +1,18 @@
 """Runge-Kutta integration generic over scalar and jet-valued states.
 
-The marching code never inspects its state components beyond the arithmetic
-the right side itself uses (+, scalar *), so the same :func:`rk4` and
-:func:`rkf45` propagate plain floats and :class:`~jetmap.jet.Jet` components
-alike.  Integrating a state of jets initialized as ``center + x_a`` yields
-the Taylor expansion of the flow about ``center``.
+:func:`rk4` and :func:`rkf45` march one float64 array: ``(m,)`` for a state
+of m floats, ``(m, L)`` for a state of m :class:`~jetmap.jet.Jet` rows over
+one shared table.  The caller's tuple is packed into it once at entry and
+unpacked once at exit, into floats or into jets that each own a frozen copy
+of their row.  Stage combinations, the finiteness tests and the error norm
+are then single numpy expressions over every coefficient of every component,
+so one marching code serves both kinds of state.
+
+The right side receives a tuple: Python floats for a scalar state, read-only
+``Jet`` views of the stage rows for a jet state.  It returns the m
+derivatives as Jets or floats (on a jet state a float is a constant row), or
+as one ``(m, L)`` array.  Integrating a state of jets initialized as
+``center + x_a`` yields the Taylor expansion of the flow about ``center``.
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jet import Jet
+from .jet import Jet, _new as _new_jet
+from .monoidx import TableMismatchError
 
 State = tuple  # components are floats or Jets
 
@@ -38,9 +47,10 @@ class OdeSystem:
     """Right-hand side of an autonomous-size first-order system.
 
     ``rhs(state, t)`` receives a tuple of ``dim`` components and returns the
-    ``dim`` derivatives.  It must be polynomial in the state components (with
-    arbitrary time-dependent scalar coefficients) so that the same callable
-    works on floats and on jets.  Lifted parameters, if any, occupy the
+    ``dim`` derivatives (see the module docstring for their types).  It must
+    be polynomial in the state components (with arbitrary time-dependent
+    scalar coefficients) so that the same callable works on floats and on
+    jets.  Lifted parameters, if any, occupy the
     trailing ``n_params`` slots and have identically zero derivatives.
     """
 
@@ -75,8 +85,8 @@ class IntegratorConfig:
     ``h`` is the step in fixed mode and the initial trial step in adaptive
     mode (default: the whole interval, so a quadrature-exact problem is done
     in one accepted step).  ``tol`` bounds the per-step error estimate, taken
-    as the max absolute 4th/5th-order difference over every coefficient of
-    every state component.
+    as the max absolute 4th/5th-order difference over the whole state array:
+    every coefficient of every component, for jet and scalar states alike.
     """
 
     mode: str = "adaptive"
@@ -125,51 +135,96 @@ class StepStats:
         self.h_max = max(self.h_max, h)
 
 
-# -- generic state arithmetic -----------------------------------------------
+# -- the array state ------------------------------------------------------------
 
 
-def _axpy(state: State, c: float, incr: Sequence) -> State:
-    return tuple(z + c * k for z, k in zip(state, incr))
+class _Layout:
+    """How a state tuple maps onto one flat float64 array.
+
+    A scalar state of m floats is the (m,) array itself.  A jet state is the
+    (m, L) array of coefficient rows over one shared table, flattened; floats
+    among its components become constant rows.
+    """
+
+    def __init__(self, state0: Sequence):
+        self.m = len(state0)
+        self.table = next((z.table for z in state0 if isinstance(z, Jet)), None)
+        self.shape = (self.m,) if self.table is None else (self.m, self.table.L)
+
+    def pack(self, state: Sequence) -> np.ndarray:
+        """The flat array of a state; jets over other tables are refused here."""
+        if self.table is None:
+            return np.array(state, dtype=np.float64)
+        y = np.empty(self.shape)
+        self.store(y, state)
+        return y.reshape(-1)
+
+    def unpack(self, y: np.ndarray) -> State:
+        """The caller's tuple: floats, or jets that each own a frozen copy."""
+        if self.table is None:
+            return tuple(y.tolist())
+        return tuple(_new_jet(self.table, row.copy()) for row in y.reshape(self.shape))
+
+    def view(self, y: np.ndarray) -> State:
+        """The right side's tuple: floats, or read-only jet views of y's rows."""
+        if self.table is None:
+            return tuple(y.tolist())
+        return tuple(_new_jet(self.table, row) for row in y.reshape(self.shape))
+
+    def store(self, dst: np.ndarray, values) -> None:
+        """Write state or right-side values (jets, floats, or one array) into dst."""
+        if isinstance(values, np.ndarray):
+            if values.shape != dst.shape:
+                raise ValueError(f"expected an array of shape {dst.shape}, got {values.shape}")
+            dst[...] = values
+            return
+        if self.table is None:
+            dst[...] = values
+            return
+        if len(values) != self.m:
+            raise ValueError(f"got {len(values)} components, expected {self.m}")
+        table = self.table
+        for row, z in zip(dst, values):
+            if isinstance(z, Jet):
+                if z.table is not table and not table.same_shape(z.table):
+                    raise TableMismatchError(
+                        f"cannot combine a jet over (m={z.table.m}, p={z.table.p}) "
+                        f"with a state over (m={table.m}, p={table.p})"
+                    )
+                row[...] = z.coeffs
+            else:
+                row[...] = 0.0
+                row[0] = z
 
 
-def _combination(state: State, weights: Sequence[float], stages: Sequence) -> State:
-    out = list(state)
-    for w, ks in zip(weights, stages):
-        if w == 0.0:
-            continue
-        out = [z + w * k for z, k in zip(out, ks)]
-    return tuple(out)
+def _stages(
+    system: OdeSystem,
+    layout: _Layout,
+    y: np.ndarray,
+    t: float,
+    h: float,
+    a: np.ndarray,
+    c: Sequence[float],
+    k: np.ndarray,
+) -> None:
+    """Fill k[i] with f(y + h sum_j a[i, j] k[j], t + c[i] h), stage by stage."""
+    ha = h * a
+    stage_rows = k.reshape(len(c), *layout.shape)
+    for i, ci in enumerate(c):
+        arg = y + ha[i, :i] @ k[:i] if i else y
+        layout.store(stage_rows[i], system.rhs(layout.view(arg), t + ci * h))
 
 
-def _is_finite(component) -> bool:
-    if isinstance(component, Jet):
-        return bool(np.isfinite(component.coeffs).all())
-    return math.isfinite(component)
-
-
-def state_is_finite(state: State) -> bool:
-    return all(_is_finite(z) for z in state)
-
-
-def _max_abs_combination(weights: Sequence[float], stages: Sequence) -> float:
-    """max |sum_i w_i k_i| over all coefficients of all components."""
-    worst = 0.0
-    n_components = len(stages[0])
-    for a in range(n_components):
-        acc = None
-        for w, ks in zip(weights, stages):
-            if w == 0.0:
-                continue
-            term = w * ks[a]
-            acc = term if acc is None else acc + term
-        if isinstance(acc, Jet):
-            worst = max(worst, float(np.max(np.abs(acc.coeffs))))
-        else:
-            worst = max(worst, abs(acc))
-    return worst
+def _error_norm(weights: np.ndarray, k: np.ndarray) -> float:
+    """max |sum_i w_i k_i| over every coefficient of every component."""
+    return float(np.abs(weights @ k).max())
 
 
 # -- fixed-step RK4 ----------------------------------------------------------
+
+_RK4_C = (0.0, 1 / 2, 1 / 2, 1.0)
+_RK4_A = np.diag([1 / 2, 1 / 2, 1.0], k=-1)
+_RK4_B = np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6])
 
 
 def rk4(
@@ -179,41 +234,40 @@ def rk4(
     if cfg.mode != "fixed":
         raise ValueError("rk4 requires a fixed-mode config")
     h = cfg.h
-    state = tuple(state0)
+    layout = _Layout(state0)
+    y = layout.pack(state0)
+    k = np.empty((4, y.size))
     t = t0
-    for i in range(1, cfg.ns + 1):
-        try:
-            ka = tuple(h * f for f in system.rhs(state, t))
-            kb = tuple(h * f for f in system.rhs(_axpy(state, 0.5, ka), t + h / 2))
-            kc = tuple(h * f for f in system.rhs(_axpy(state, 0.5, kb), t + h / 2))
-            kd = tuple(h * f for f in system.rhs(_axpy(state, 1.0, kc), t + h))
-        except OverflowError as err:
-            raise DivergenceError(f"float overflow during step {i} (t={t})", i, t) from err
-        state = tuple(
-            z + (a + 2 * b + 2 * c + d) / 6.0
-            for z, a, b, c, d in zip(state, ka, kb, kc, kd)
-        )
-        t = t0 + i * h
-        if not state_is_finite(state):
-            raise DivergenceError(f"non-finite state after step {i} (t={t})", i, t)
-    return state, t
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, cfg.ns + 1):
+            try:
+                _stages(system, layout, y, t, h, _RK4_A, _RK4_C, k)
+            except OverflowError as err:
+                raise DivergenceError(f"float overflow during step {i} (t={t})", i, t) from err
+            y = y + (h * _RK4_B) @ k
+            t = t0 + i * h
+            if not np.isfinite(y).all():
+                raise DivergenceError(f"non-finite state after step {i} (t={t})", i, t)
+    return layout.unpack(y), t
 
 
 # -- adaptive Runge-Kutta-Fehlberg 4(5) ---------------------------------------
 
 # classical Fehlberg tableau
 _RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-_RKF_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+_RKF_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 4, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 32, 9 / 32, 0.0, 0.0, 0.0, 0.0],
+        [1932 / 2197, -7200 / 2197, 7296 / 2197, 0.0, 0.0, 0.0],
+        [439 / 216, -8.0, 3680 / 513, -845 / 4104, 0.0, 0.0],
+        [-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40, 0.0],
+    ]
 )
-_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-_RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RKF_DB = tuple(b4 - b5 for b4, b5 in zip(_RKF_B4, _RKF_B5))
+_RKF_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
+_RKF_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
+_RKF_DB = _RKF_B4 - _RKF_B5
 
 
 def rkf45(
@@ -239,61 +293,60 @@ def rkf45(
     h_min = cfg.h_min_frac * span
     h = min(cfg.h if cfg.h is not None else span, span)
     stats = StepStats()
-    state = tuple(state0)
+    layout = _Layout(state0)
+    y = layout.pack(state0)
+    k = np.empty((6, y.size))
     t = t0
 
-    while t < tf:
-        h = min(h, tf - t)
-        last_step = h >= (tf - t)
+    # overflow shows up as non-finite stages or state, handled below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < tf:
+            h = min(h, tf - t)
+            last_step = h >= (tf - t)
 
-        try:
-            stages = []
-            for i in range(6):
-                arg = state
-                for coeff, ks in zip(_RKF_A[i], stages):
-                    arg = _axpy(arg, h * coeff, ks)
-                stages.append(tuple(system.rhs(arg, t + _RKF_C[i] * h)))
-            finite = all(state_is_finite(ks) for ks in stages)
-        except OverflowError:
-            finite = False
-        err = _max_abs_combination([h * w for w in _RKF_DB], stages) if finite else math.inf
+            try:
+                _stages(system, layout, y, t, h, _RKF_A, _RKF_C, k)
+                finite = bool(np.isfinite(k).all())
+            except OverflowError:
+                finite = False
+            err = _error_norm(h * _RKF_DB, k) if finite else math.inf
 
-        if finite and err <= cfg.tol:
-            # local extrapolation: march the fifth-order solution while the
-            # fourth/fifth difference controls the step
-            state = _combination(state, [h * w for w in _RKF_B5], stages)
-            if not state_is_finite(state):
-                raise DivergenceError(f"non-finite state near t={t}", stats.accepted, t)
-            stats.record(h)
-            t = tf if last_step else t + h
-        else:
-            stats.rejected += 1
+            if finite and err <= cfg.tol:
+                # local extrapolation: march the fifth-order solution while the
+                # fourth/fifth difference controls the step
+                y = y + (h * _RKF_B5) @ k
+                if not np.isfinite(y).all():
+                    raise DivergenceError(f"non-finite state near t={t}", stats.accepted, t)
+                stats.record(h)
+                t = tf if last_step else t + h
+            else:
+                stats.rejected += 1
 
-        if err > 0.0:
-            factor = cfg.safety * (cfg.tol / err) ** 0.2 if math.isfinite(err) else cfg.min_shrink
-            h *= min(max(factor, cfg.min_shrink), cfg.max_grow)
-        else:
-            h *= cfg.max_grow
+            if err > 0.0:
+                factor = cfg.safety * (cfg.tol / err) ** 0.2 if math.isfinite(err) else cfg.min_shrink
+                h *= min(max(factor, cfg.min_shrink), cfg.max_grow)
+            else:
+                h *= cfg.max_grow
 
-        if t < tf and h < h_min:
-            if not finite:
-                raise DivergenceError(
-                    f"step collapsed below {h_min} at t={t} chasing non-finite stages",
-                    stats.accepted,
-                    t,
+            if t < tf and h < h_min:
+                if not finite:
+                    raise DivergenceError(
+                        f"step collapsed below {h_min} at t={t} chasing non-finite stages",
+                        stats.accepted,
+                        t,
+                    )
+                raise StiffnessError(
+                    f"step size {h} fell below minimum {h_min} at t={t} "
+                    f"({stats.accepted} accepted, {stats.rejected} rejected)"
                 )
-            raise StiffnessError(
-                f"step size {h} fell below minimum {h_min} at t={t} "
-                f"({stats.accepted} accepted, {stats.rejected} rejected)"
-            )
-        if stats.accepted + stats.rejected > cfg.max_steps:
-            # a tolerance beneath the round-off floor of the error estimate
-            # stalls instead of underflowing h; cap the work done
-            raise StiffnessError(
-                f"exceeded {cfg.max_steps} steps at t={t} of {tf}; the "
-                f"tolerance {cfg.tol} appears unattainable for this state"
-            )
-    return state, t, stats
+            if stats.accepted + stats.rejected > cfg.max_steps:
+                # a tolerance beneath the round-off floor of the error estimate
+                # stalls instead of underflowing h; cap the work done
+                raise StiffnessError(
+                    f"exceeded {cfg.max_steps} steps at t={t} of {tf}; the "
+                    f"tolerance {cfg.tol} appears unattainable for this state"
+                )
+    return layout.unpack(y), t, stats
 
 
 def integrate(
@@ -302,9 +355,12 @@ def integrate(
     t0: float,
     tf: float,
     cfg: IntegratorConfig,
-) -> tuple[State, float]:
-    """Dispatch on cfg.mode; fixed mode derives ns*h from the config alone."""
+) -> tuple[State, float, StepStats]:
+    """Dispatch on cfg.mode; fixed mode derives ns*h from the config alone.
+
+    The step statistics of a fixed-mode run are its ns steps of size h.
+    """
     if cfg.mode == "fixed":
-        return rk4(system, state0, t0, cfg)
-    state, t, _ = rkf45(system, state0, t0, tf, cfg)
-    return state, t
+        state, t = rk4(system, state0, t0, cfg)
+        return state, t, StepStats(accepted=cfg.ns, h_min=cfg.h, h_max=cfg.h)
+    return rkf45(system, state0, t0, tf, cfg)

@@ -19,13 +19,13 @@ for the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .jet import Jet, constant, monomial_values, state_about
-from .jetode import IntegratorConfig, OdeSystem, integrate
+from .jetode import IntegratorConfig, OdeSystem, StepStats, integrate
 from .monoidx import MonomialTable, rank
 
 
@@ -70,7 +70,9 @@ class TaylorMap:
     ``rows[a]`` is the jet of the final value of variable ``a + 1`` as a
     polynomial in the initial deviations; its constant term is the design
     endpoint.  Trailing ``n_params`` variables are lifted parameters whose
-    rows are exact identities.
+    rows are exact identities.  ``diagnostics`` holds the step statistics of
+    each integration that built the map (empty for a map read from a file
+    that has none).
     """
 
     table: MonomialTable
@@ -80,6 +82,7 @@ class TaylorMap:
     design_endpoint: tuple[float, ...]
     rows: tuple[Jet, ...]
     n_params: int = 0
+    diagnostics: tuple[StepStats, ...] = ()
 
     def __post_init__(self):
         if len(self.rows) != self.table.m:
@@ -156,6 +159,7 @@ def taylor_map_to_dict(tmap: TaylorMap, suppress_zeros: bool = False) -> dict:
         "expansion_point": list(tmap.expansion_point),
         "design_endpoint": list(tmap.design_endpoint),
         "rows": rows,
+        "diagnostics": [asdict(stats) for stats in tmap.diagnostics],
     }
 
 
@@ -184,6 +188,7 @@ def taylor_map_from_dict(data: dict, table: MonomialTable | None = None) -> Tayl
         design_endpoint=tuple(data["design_endpoint"]),
         rows=tuple(rows),
         n_params=int(data["n_params"]),
+        diagnostics=tuple(StepStats(**stats) for stats in data.get("diagnostics", ())),
     )
 
 
@@ -204,7 +209,7 @@ def forward_solve(
     if len(zd0) != system.dim:
         raise ValueError(f"expected {system.dim} initial values, got {len(zd0)}")
     state0 = state_about(table, zd0)
-    state, _ = integrate(system, state0, t_i, t_f, cfg)
+    state, _, stats = integrate(system, state0, t_i, t_f, cfg)
     rows = tuple(state)
     endpoint = tuple(float(row.coeffs[0]) for row in rows)
     return TaylorMap(
@@ -215,6 +220,7 @@ def forward_solve(
         design_endpoint=endpoint,
         rows=rows,
         n_params=system.n_params,
+        diagnostics=(stats,),
     )
 
 
@@ -310,7 +316,7 @@ def backward_solve(
     if table.m != system.dim:
         raise ValueError(f"table has m={table.m}, system has dim={system.dim}")
     scalar_state0 = tuple(float(v) for v in zd0)
-    endpoint_state, _ = integrate(system, scalar_state0, t_i, t_f, cfg)
+    endpoint_state, _, design_stats = integrate(system, scalar_state0, t_i, t_f, cfg)
     endpoint = tuple(float(v) for v in endpoint_state)
 
     ctab = c_coefficients(table.m, table.p, table)
@@ -326,12 +332,12 @@ def backward_solve(
         ctab.contraction_matrix(g, amat)
         dh = h @ amat.T  # -(d/dtbar) h, negated once more by ds = -dtbar
         dh[:, 0] = -fvals
-        return tuple(Jet(table, dh[a]) for a in range(table.m))
+        return dh
 
     reversed_system = OdeSystem(dim=table.m, rhs=reversed_rhs)
     # final conditions: identity coefficients on top of the design endpoint
     state0 = state_about(table, endpoint)
-    state, _ = integrate(reversed_system, state0, 0.0, span, cfg)
+    state, _, coeff_stats = integrate(reversed_system, state0, 0.0, span, cfg)
 
     rows = []
     for a, component in enumerate(state):
@@ -346,6 +352,7 @@ def backward_solve(
         design_endpoint=endpoint,
         rows=tuple(rows),
         n_params=system.n_params,
+        diagnostics=(design_stats, coeff_stats),
     )
 
 

@@ -76,6 +76,8 @@ def test_expand_published_constants(tmp_path, rk4_expand_config, capsys):
     assert run_cli(["expand", "--config", rk4_expand_config, "--out", out]) == 0
     printed = capsys.readouterr().out
     assert "design endpoint" in printed
+    # the fixed-step build's step counts, also written into the map
+    assert "integration steps: 100 accepted, 0 rejected" in printed
     data = json.loads(out.read_text())
     consts = [row["coeffs"][0]["value"] for row in data["rows"]]
     assert consts[0] == pytest.approx(-0.0493158, abs=1e-6)
@@ -83,6 +85,7 @@ def test_expand_published_constants(tmp_path, rk4_expand_config, capsys):
     assert consts[2] == 0.5
     assert data["config"]["order"] == 3
     assert data["p"] == 3 and data["m_dynamical"] == 2 and data["n_params"] == 1
+    assert [d["accepted"] for d in data["diagnostics"]] == [100]
 
 
 def test_expand_method_cross_check(tmp_path):

@@ -53,7 +53,7 @@ def test_coordinatewise_combination(t12):
     w = 0.1 * u + 0.2 * v
     assert np.allclose(w.coeffs, [0.9, 1.2, 1.5], rtol=0, atol=1e-15)
     assert (u + jt.constant(t12, 0.0)) == u
-    assert jt.scale(1.0, u) == u
+    assert u * 1.0 == u
     assert (u - v).coeffs == pytest.approx([-3, -3, -3])
     assert (1.0 - u).coeffs == pytest.approx([0, -2, -3])
 

@@ -1,6 +1,7 @@
 """Integrator tests: published runs, convergence order, scalar/jet consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from jetmap import jet as jt
 from jetmap import jetode as ode
 from jetmap import monoidx as mi
+from jetmap import vareq as vq
 
 
 def decay_system():
@@ -157,13 +159,16 @@ def test_rkf45_jet_matches_fixed_step_map():
 def test_rkf45_error_norm_spans_all_jet_coefficients():
     # the step-control norm is the max over every coefficient of every
     # component, not just the orbit part
+    # (stages are rows of the flat state array, as rkf45 holds them)
     table = mi.build_table(1, 2)
     big_tail = jt.Jet(table, [1e-15, 0.0, 7.0])
     small = jt.Jet(table, [2e-15, 0.0, 0.0])
-    norm = ode._max_abs_combination([0.5, 2.0], [(big_tail,), (small,)])
+    stages = np.stack([big_tail.coeffs, small.coeffs])
+    norm = ode._error_norm(np.array([0.5, 2.0]), stages)
     assert norm == pytest.approx(3.5)
-    # scalar states use plain absolute value through the same helper
-    assert ode._max_abs_combination([0.5, 2.0], [(-1.0,), (0.25,)]) == pytest.approx(0.0)
+    # scalar states use plain absolute value through the same expression
+    scalar_stages = np.array([[-1.0], [0.25]])
+    assert ode._error_norm(np.array([0.5, 2.0]), scalar_stages) == pytest.approx(0.0)
 
 
 def test_rkf45_jet_run_tracks_scalar_run():
@@ -186,8 +191,8 @@ def test_design_orbit_rides_along_fixed_step():
     # scalar run to relative rounding
     cfg = ode.fixed_step(0.02, 50)
     table = mi.build_table(2, 3)
-    scalar_state, _ = ode.integrate(pair_system(), (1.0, 2.0), 0.0, 1.0, cfg)
-    jet_state, _ = ode.integrate(
+    scalar_state, _, _ = ode.integrate(pair_system(), (1.0, 2.0), 0.0, 1.0, cfg)
+    jet_state, _, _ = ode.integrate(
         pair_system(), jt.state_about(table, [1.0, 2.0]), 0.0, 1.0, cfg
     )
     for scalar, jet in zip(scalar_state, jet_state):
@@ -198,8 +203,8 @@ def test_design_orbit_rides_along_adaptive():
     # adaptive runs choose their own steps; both land on the closed form
     cfg = ode.adaptive(1e-12)
     table = mi.build_table(2, 3)
-    scalar_state, _ = ode.integrate(pair_system(), (1.0, 2.0), 0.0, 1.0, cfg)
-    jet_state, _ = ode.integrate(
+    scalar_state, _, _ = ode.integrate(pair_system(), (1.0, 2.0), 0.0, 1.0, cfg)
+    jet_state, _, _ = ode.integrate(
         pair_system(), jt.state_about(table, [1.0, 2.0]), 0.0, 1.0, cfg
     )
     for scalar, jet, exact in zip(scalar_state, jet_state, (0.5, 8.0)):
@@ -243,3 +248,131 @@ def test_time_dependent_scalar_coefficients_enter_jets():
     expected0 = math.exp(-2.0) * (0.5 + 0.5) + (math.sin(2.0) - math.cos(2.0)) / 2
     assert z.coeffs[0] == pytest.approx(expected0, abs=1e-10)
     assert z.coeffs[1] == pytest.approx(math.exp(-2.0), abs=1e-10)
+
+
+# -- the array state -------------------------------------------------------------
+
+
+def tuple_step(rhs, state, t, h, a, b, c):
+    """One explicit Runge-Kutta step in per-component tuple arithmetic."""
+    stages = []
+    for i, ci in enumerate(c):
+        arg = state
+        for aij, k in zip(a[i], stages):
+            arg = tuple(z + (h * aij) * kz for z, kz in zip(arg, k))
+        stages.append(tuple(rhs(arg, t + ci * h)))
+    for bi, k in zip(b, stages):
+        state = tuple(z + (h * bi) * kz for z, kz in zip(state, k))
+    return state
+
+
+@pytest.mark.parametrize("jets", [False, True])
+def test_array_steps_match_tuple_arithmetic(jets):
+    # the array state only reorders float sums: one step of each method
+    # agrees with the tuple reference to a few ulps of the coefficients
+    table = mi.build_table(2, 3)
+    state0 = jt.state_about(table, [1.0, 2.0]) if jets else (1.0, 2.0)
+    rhs = pair_system().rhs
+    rk4_tableau = (
+        [[], [0.5], [0.0, 0.5], [0.0, 0.0, 1.0]],
+        [1 / 6, 1 / 3, 1 / 3, 1 / 6],
+        [0.0, 0.5, 0.5, 1.0],
+    )
+    got_rk4, _ = ode.rk4(pair_system(), state0, 0.0, ode.fixed_step(0.1, 1))
+    # a loose tolerance accepts the first, whole-span step
+    got_rkf, _, stats = ode.rkf45(pair_system(), state0, 0.0, 0.1, ode.adaptive(1.0))
+    assert (stats.accepted, stats.rejected) == (1, 0)
+    rkf_tableau = ([row[:i] for i, row in enumerate(ode._RKF_A)], ode._RKF_B5, ode._RKF_C)
+    for got, tableau in ((got_rk4, rk4_tableau), (got_rkf, rkf_tableau)):
+        want = tuple_step(rhs, state0, 0.0, 0.1, *tableau)
+        for g, w in zip(got, want):
+            g, w = np.atleast_1d(getattr(g, "coeffs", g)), np.atleast_1d(getattr(w, "coeffs", w))
+            assert np.max(np.abs(g - w) / (1.0 + np.abs(w))) <= 1e-14
+
+
+@pytest.mark.parametrize("march", ["rk4", "rkf45"])
+def test_returned_jets_are_frozen_and_own_their_buffers(march):
+    table = mi.build_table(2, 3)
+    seen = []
+
+    def rhs(s, t):
+        seen.extend(s)
+        return pair_system().rhs(s, t)
+
+    system = ode.OdeSystem(dim=2, rhs=rhs)
+    state0 = jt.state_about(table, [1.0, 2.0])
+    if march == "rk4":
+        state, _ = ode.rk4(system, state0, 0.0, ode.fixed_step(0.1, 5))
+    else:
+        state, _, _ = ode.rkf45(system, state0, 0.0, 0.5, ode.adaptive(1e-10))
+    assert all(type(z) is jt.Jet for z in seen)
+    assert not any(z.coeffs.flags.writeable for z in seen)
+    for z in state:
+        assert type(z) is jt.Jet
+        assert not z.coeffs.flags.writeable
+        assert z.coeffs.flags.owndata
+        assert not any(np.shares_memory(z.coeffs, v.coeffs) for v in seen)
+    assert not np.shares_memory(state[0].coeffs, state[1].coeffs)
+    # the initial jets are left as they were
+    assert state0 == jt.state_about(table, [1.0, 2.0])
+
+
+def test_float_component_on_jet_state_is_a_constant_row():
+    # z1' = 1 written as a plain float, z2' = z1: z1 = x1 + t, z2 = x2 + t x1 + t^2/2
+    table = mi.build_table(2, 2)
+    system = ode.OdeSystem(dim=2, rhs=lambda s, t: (1.0, s[0]))
+    (z1, z2), _ = ode.rk4(system, jt.state_about(table, [0.0, 0.0]), 0.0, ode.fixed_step(0.1, 10))
+    # ranks: 1, z1, z2, z1^2, z1 z2, z2^2
+    assert z1.coeffs == pytest.approx([1.0, 1.0, 0, 0, 0, 0], abs=1e-14)
+    assert z2.coeffs == pytest.approx([0.5, 1.0, 1.0, 0, 0, 0], abs=1e-14)
+
+
+@pytest.mark.parametrize("march", ["rk4", "rkf45"])
+def test_jets_over_different_tables_refused_before_first_step(march):
+    calls = []
+    system = ode.OdeSystem(dim=2, rhs=lambda s, t: calls.append(t) or (s[0], s[1]))
+    state0 = (jt.variable(mi.build_table(2, 2), 1), jt.variable(mi.build_table(2, 3), 2))
+    with pytest.raises(mi.TableMismatchError):
+        if march == "rk4":
+            ode.rk4(system, state0, 0.0, ode.fixed_step(0.1, 5))
+        else:
+            ode.rkf45(system, state0, 0.0, 1.0, ode.adaptive(1e-10))
+    assert calls == []
+
+
+def test_blow_up_ends_in_numeric_error_without_warnings():
+    # z' = z^2 from z0 = 1 blows up at t = 1; overflow inside the state array
+    # must surface as the integrator's error, not as a numpy warning
+    blow_up = ode.OdeSystem(dim=1, rhs=lambda s, t: (s[0] ** 2,))
+    jets = jt.state_about(mi.build_table(1, 4), [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ode.DivergenceError, ode.StiffnessError)):
+            ode.rkf45(blow_up, (1.0,), 0.0, 2.0, ode.adaptive(1e-10))
+        with pytest.raises(ode.DivergenceError):
+            ode.rk4(blow_up, jets, 0.0, ode.fixed_step(0.5, 100))
+
+
+def test_backward_route_array_right_side_matches_forward(monkeypatch):
+    system = pair_system()
+    table = mi.build_table(2, 3)
+    cfg = ode.adaptive(1e-12)
+    returned = []
+    rkf45 = ode.rkf45
+
+    def recording_rkf45(sys_, *args):
+        def rhs(s, t):
+            out = sys_.rhs(s, t)
+            returned.append(type(out))
+            return out
+
+        return rkf45(ode.OdeSystem(dim=sys_.dim, rhs=rhs), *args)
+
+    monkeypatch.setattr(ode, "rkf45", recording_rkf45)
+    bwd = vq.backward_solve(system, [1.0, 2.0], 0.0, 1.0, table, cfg)
+    monkeypatch.undo()
+    fwd = vq.forward_solve(system, [1.0, 2.0], 0.0, 1.0, table, cfg)
+    # the design run returns floats, the coefficient run whole arrays
+    assert np.ndarray in returned and tuple in returned
+    for a in range(2):
+        assert np.max(np.abs(fwd.rows[a].coeffs - bwd.rows[a].coeffs)) < 1e-8

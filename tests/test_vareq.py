@@ -447,3 +447,34 @@ def test_taylor_map_serialization_round_trip():
     assert back.design_endpoint == tmap.design_endpoint
     sparse = vq.taylor_map_to_dict(tmap, suppress_zeros=True)
     assert vq.taylor_map_from_dict(sparse).rows[2] == tmap.rows[2]
+
+
+def test_map_diagnostics_record_step_stats():
+    system = ode.OdeSystem(dim=2, rhs=lambda s, t: (-(s[0] ** 2), 2.0 * (s[0] * s[1])))
+    table = mi.build_table(2, 2)
+    cfg = ode.adaptive(1e-12)
+    fwd = vq.forward_solve(system, [1.0, 2.0], 0.0, 1.0, table, cfg)
+    bwd = vq.backward_solve(system, [1.0, 2.0], 0.0, 1.0, table, cfg)
+    # one integration forward; the design run and the coefficient run backward
+    assert len(fwd.diagnostics) == 1 and len(bwd.diagnostics) == 2
+    for stats in fwd.diagnostics + bwd.diagnostics:
+        assert stats.accepted > 0 and stats.rejected >= 0
+        assert 0.0 < stats.h_min <= stats.h_max <= 1.0
+    fixed = vq.forward_solve(system, [1.0, 2.0], 0.0, 1.0, table, ode.fixed_step(0.1, 10))
+    assert fixed.diagnostics == (ode.StepStats(accepted=10, rejected=0, h_min=0.1, h_max=0.1),)
+
+
+def test_map_diagnostics_serialized_and_optional():
+    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=2, tol=1e-10)
+    data = vq.taylor_map_to_dict(tmap)
+    (stats,) = tmap.diagnostics
+    assert data["diagnostics"] == [
+        {"accepted": stats.accepted, "rejected": stats.rejected,
+         "h_min": stats.h_min, "h_max": stats.h_max}
+    ]
+    assert vq.taylor_map_from_dict(data).diagnostics == tmap.diagnostics
+    # maps written before the field existed still load
+    del data["diagnostics"]
+    old = vq.taylor_map_from_dict(data)
+    assert old.diagnostics == ()
+    assert np.array_equal(old.coefficient_matrix(), tmap.coefficient_matrix())
