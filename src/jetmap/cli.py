@@ -209,8 +209,8 @@ _SCAN_DEFAULTS = {
     "seed_policy": "continue",
     "tol": 1e-12,
     "escape_radius": duf.DEFAULT_ESCAPE_RADIUS,
-    # order-8 coefficients here reach ~5e11, so 1e-9 is the practical
-    # absolute per-step tolerance for the map build
+    # step control weighs each coefficient's error by 1 + |c|, so 1e-9 holds
+    # the order-8 coefficients (up to ~5e11) to 1e-9 relative
     "map": {"expansion": _DEFAULT_EXPANSION, "order": 8, "tol": 1e-9, "method": "forward"},
     "map_file": None,
     "threads": 1,

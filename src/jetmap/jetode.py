@@ -8,6 +8,13 @@ of their row.  Stage combinations, the finiteness tests and the error norm
 are then single numpy expressions over every coefficient of every component,
 so one marching code serves both kinds of state.
 
+Adaptive step control weighs each entry's error by ``1 + |value|``: absolute
+for entries below one, relative above.  The degree-d coefficients of a
+transfer map grow roughly geometrically with d (past 5e11 at degree 8 for
+the Duffing map), so an absolute bound over them would ask for accuracy far
+beneath float64 round-off of the large entries, while the mixed weight asks
+every entry for ``tol`` in its own scale.
+
 The right side receives a tuple: Python floats for a scalar state, read-only
 ``Jet`` views of the stage rows for a jet state.  It returns the m
 derivatives as Jets or floats (on a jet state a float is a constant row), or
@@ -84,9 +91,11 @@ class IntegratorConfig:
 
     ``h`` is the step in fixed mode and the initial trial step in adaptive
     mode (default: the whole interval, so a quadrature-exact problem is done
-    in one accepted step).  ``tol`` bounds the per-step error estimate, taken
-    as the max absolute 4th/5th-order difference over the whole state array:
-    every coefficient of every component, for jet and scalar states alike.
+    in one accepted step).  ``tol`` bounds the per-step error estimate, the
+    4th/5th-order difference over the whole state array (every coefficient of
+    every component, for jet and scalar states alike), each entry weighed by
+    ``1 + max(|y|, |y5|)``: ``tol`` serves as both the absolute and the
+    relative tolerance (see :func:`_error_norm`).
     """
 
     mode: str = "adaptive"
@@ -215,9 +224,21 @@ def _stages(
         layout.store(stage_rows[i], system.rhs(layout.view(arg), t + ci * h))
 
 
-def _error_norm(weights: np.ndarray, k: np.ndarray) -> float:
-    """max |sum_i w_i k_i| over every coefficient of every component."""
-    return float(np.abs(weights @ k).max())
+def _error_norm(
+    weights: np.ndarray, k: np.ndarray, y: np.ndarray, y5: np.ndarray
+) -> float:
+    """Mixed absolute/relative size of the error estimate ``sum_i w_i k_i``.
+
+    The max over every coefficient of every component of
+    ``|sum_i w_i k_i| / (1 + max(|y|, |y5|))``, where y is the state at the
+    start of the step and y5 the candidate it is compared against: the
+    standard ``atol + rtol |y|`` weights (Hairer, Norsett & Wanner, *Solving
+    ODEs I*, II.4) with atol = rtol, so a single ``tol`` serves both.  A NaN
+    from overflowing entries counts as an infinite error.
+    """
+    scale = 1.0 + np.maximum(np.abs(y), np.abs(y5))
+    err = float((np.abs(weights @ k) / scale).max())
+    return math.inf if math.isnan(err) else err
 
 
 # -- fixed-step RK4 ----------------------------------------------------------
@@ -279,10 +300,11 @@ def rkf45(
 ) -> tuple[State, float, StepStats]:
     """Adaptive Fehlberg 4(5) pair from t0 to tf (tf > t0).
 
-    A step is accepted when the max-abs difference between the embedded
-    fourth- and fifth-order results is at most ``cfg.tol``; the fifth-order
-    solution is the one propagated.  The final step is clamped so that
-    integration ends at exactly ``tf``.
+    A step is accepted when the difference between the embedded fourth- and
+    fifth-order results, each entry weighed by ``1 + max(|y|, |y5|)``
+    (:func:`_error_norm`), is at most ``cfg.tol``; the fifth-order candidate
+    y5 is the one propagated.  The final step is clamped so that integration
+    ends at exactly ``tf``.
     """
     if cfg.mode != "adaptive":
         raise ValueError("rkf45 requires an adaptive-mode config")
@@ -309,12 +331,16 @@ def rkf45(
                 finite = bool(np.isfinite(k).all())
             except OverflowError:
                 finite = False
-            err = _error_norm(h * _RKF_DB, k) if finite else math.inf
-
-            if finite and err <= cfg.tol:
+            if finite:
                 # local extrapolation: march the fifth-order solution while the
                 # fourth/fifth difference controls the step
-                y = y + (h * _RKF_B5) @ k
+                y5 = y + (h * _RKF_B5) @ k
+                err = _error_norm(h * _RKF_DB, k, y, y5)
+            else:
+                err = math.inf
+
+            if err <= cfg.tol:
+                y = y5
                 if not np.isfinite(y).all():
                     raise DivergenceError(f"non-finite state near t={t}", stats.accepted, t)
                 stats.record(h)

@@ -345,6 +345,7 @@ def test_scan_single_steady_state_small_driving():
     assert result.periods() == [1, 1, 1, 1]
 
 
+@pytest.mark.slow
 def test_scan_small_driving_polynomial_map_agrees():
     # the polynomial map about the small-driving steady state finds the same
     # attractor as the exact map
@@ -359,6 +360,7 @@ def test_scan_small_driving_polynomial_map_agrees():
     assert np.max(np.abs(poly_samples - exact_samples[-1])) < 1e-6
 
 
+@pytest.mark.slow
 def test_scan_hysteresis_up_vs_down():
     # two saddle-node bifurcations bracket a bistable band: sweeping up stays
     # on the large-amplitude branch, sweeping down on the small one
@@ -417,6 +419,7 @@ def test_attractor_sample_polynomial_strange_attractor(m8_map):
     assert duf.detect_period(samples, tol=1e-6, max_period=64) is None
 
 
+@pytest.mark.slow
 def test_attractor_sample_exact_strange_attractor():
     samples = duf.attractor_sample(
         "exact",

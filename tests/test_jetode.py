@@ -158,17 +158,45 @@ def test_rkf45_jet_matches_fixed_step_map():
 
 def test_rkf45_error_norm_spans_all_jet_coefficients():
     # the step-control norm is the max over every coefficient of every
-    # component, not just the orbit part
+    # component, not just the orbit part; on a zero state every weight is 1
     # (stages are rows of the flat state array, as rkf45 holds them)
     table = mi.build_table(1, 2)
     big_tail = jt.Jet(table, [1e-15, 0.0, 7.0])
     small = jt.Jet(table, [2e-15, 0.0, 0.0])
     stages = np.stack([big_tail.coeffs, small.coeffs])
-    norm = ode._error_norm(np.array([0.5, 2.0]), stages)
+    zero = np.zeros(table.L)
+    norm = ode._error_norm(np.array([0.5, 2.0]), stages, zero, zero)
     assert norm == pytest.approx(3.5)
     # scalar states use plain absolute value through the same expression
     scalar_stages = np.array([[-1.0], [0.25]])
-    assert ode._error_norm(np.array([0.5, 2.0]), scalar_stages) == pytest.approx(0.0)
+    zero = np.zeros(1)
+    assert ode._error_norm(np.array([0.5, 2.0]), scalar_stages, zero, zero) == pytest.approx(0.0)
+
+
+def test_rkf45_error_norm_is_relative_on_large_coefficients():
+    # a difference of 1e-3 on a coefficient of 1e6 is a relative error of 1e-9,
+    # while the same difference on a coefficient near 0 counts in full
+    weights = np.array([1.0])
+    diff = np.array([[0.0, 1e-3]])
+    y = np.array([0.0, 1e6])
+    assert ode._error_norm(weights, diff, y, y) == pytest.approx(1e-9, rel=1e-5)
+    assert ode._error_norm(weights, diff[:, ::-1], y, y) == pytest.approx(1e-3)
+
+
+def test_rkf45_error_norm_weight_is_the_larger_of_y_and_y5():
+    weights = np.array([1.0])
+    diff = np.array([[1.0]])
+    small, large = np.array([1.0]), np.array([-9.0])
+    assert ode._error_norm(weights, diff, small, large) == pytest.approx(0.1)
+    assert ode._error_norm(weights, diff, large, small) == pytest.approx(0.1)
+    assert ode._error_norm(weights, diff, small, small) == pytest.approx(0.5)
+
+
+def test_rkf45_error_norm_overflow_is_an_infinite_error():
+    weights = np.array([1.0])
+    with np.errstate(invalid="ignore"):
+        norm = ode._error_norm(weights, np.array([[np.inf]]), np.zeros(1), np.array([np.inf]))
+    assert norm == math.inf
 
 
 def test_rkf45_jet_run_tracks_scalar_run():
@@ -351,6 +379,21 @@ def test_blow_up_ends_in_numeric_error_without_warnings():
             ode.rkf45(blow_up, (1.0,), 0.0, 2.0, ode.adaptive(1e-10))
         with pytest.raises(ode.DivergenceError):
             ode.rk4(blow_up, jets, 0.0, ode.fixed_step(0.5, 100))
+
+
+def test_jet_blow_up_stops_within_step_budget():
+    # coefficients of the order-2 jet grow like (1 - t)^-3 towards the blow-up
+    # at t = 1; relative step control gives up there as fast as a scalar run
+    calls = [0]
+
+    def rhs(s, t):
+        calls[0] += 1
+        return (s[0] * s[0],)
+
+    state = jt.state_about(mi.build_table(1, 2), [1.0])
+    with pytest.raises((ode.DivergenceError, ode.StiffnessError)):
+        ode.rkf45(ode.OdeSystem(dim=1, rhs=rhs), state, 0.0, 2.0, ode.adaptive(1e-10))
+    assert calls[0] <= 30_000
 
 
 def test_backward_route_array_right_side_matches_forward(monkeypatch):

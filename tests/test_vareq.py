@@ -11,6 +11,8 @@ from jetmap import jetode as ode
 from jetmap import monoidx as mi
 from jetmap import vareq as vq
 
+from conftest import FP_OMEGA, FP_P, FP_Q
+
 
 @pytest.fixture(scope="module")
 def t33():
@@ -92,6 +94,32 @@ def test_expand_rhs_forcing_matches_sympy_oracle(t33):
         exponents = t33.unrank(r)
         expected = float(poly.coeff_monomial(z[0] ** exponents[0] * z[1] ** exponents[1] * z[2] ** exponents[2]))
         assert g[1, r - 1] == pytest.approx(expected, abs=1e-12)
+
+
+def test_expand_rhs_with_identity_rows_matches_and_shares_no_buffer(t33):
+    system = duf.duffing_scaled_rhs(0.1, 1.5, sigma=0.5)
+    identity = vq.identity_rows(t33)
+    before = identity.copy()
+    seen = []
+
+    def keeping_rhs(state, t):
+        seen.append(state)
+        return system.rhs(state, t)
+
+    keeping = ode.OdeSystem(dim=3, rhs=keeping_rhs)
+    for zd in ((0.3, 0.4, 0.5), (-1.0, 2.0, 0.25)):
+        fvals, g = vq.expand_rhs(system, zd, 0.7, t33)
+        fvals_i, g_i = vq.expand_rhs(keeping, zd, 0.7, t33, identity)
+        assert np.array_equal(fvals, fvals_i) and np.array_equal(g, g_i)
+    # the cached rows are never written, and jets handed to the right side
+    # stay as they were handed over, on buffers of their own
+    assert np.array_equal(identity, before)
+    for state, zd in zip(seen, ((0.3, 0.4, 0.5), (-1.0, 2.0, 0.25))):
+        for a, z in enumerate(state):
+            assert z == jt.state_about(t33, zd)[a]
+            assert not z.coeffs.flags.writeable
+            assert not np.shares_memory(z.coeffs, identity)
+    assert not np.shares_memory(seen[0][0].coeffs, seen[1][0].coeffs)
 
 
 # -- C coefficients -----------------------------------------------------------------
@@ -304,6 +332,21 @@ def test_backward_matches_forward_duffing():
     for tmap in (fwd, bwd):
         assert np.max(np.abs(tmap.rows[0].coeffs - DUFFING_P3_ROW1)) < 5e-4
         assert np.max(np.abs(tmap.rows[1].coeffs - DUFFING_P3_ROW2)) < 5e-4
+
+
+def test_forward_backward_duffing_published_point_order3():
+    # the published unstable fixed point, where order-3 coefficients reach
+    # 1.7e4: the routes agree to 1e-6 mixed-relative at tol 1e-9, and relative
+    # step control builds the forward map in under 1,000 attempted steps
+    z1, z2 = duf.to_scaled(FP_Q, FP_P, FP_OMEGA)
+    expansion = (z1, z2, 1.0 / FP_OMEGA)
+    fwd = duf.stroboscopic_taylor_map(0.1, 25.0, expansion, p=3, tol=1e-9)
+    bwd = duf.stroboscopic_taylor_map(0.1, 25.0, expansion, p=3, tol=1e-9, method="backward")
+    c_fwd, c_bwd = fwd.coefficient_matrix(), bwd.coefficient_matrix()
+    assert np.max(np.abs(c_fwd)) > 1e4
+    assert np.max(np.abs(c_fwd - c_bwd) / (1.0 + np.abs(c_bwd))) < 1e-6
+    (stats,) = fwd.diagnostics
+    assert stats.accepted + stats.rejected < 1000
 
 
 def test_backward_parameter_row_is_exact_identity():
