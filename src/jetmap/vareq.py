@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jet import Jet, _new as _new_jet, constant, monomial_values, state_about, variable
+from .jet import Jet, _new as _new_jet, constant, monomial_values, state_about
 from .jetode import IntegratorConfig, OdeSystem, StepStats, integrate
 from .monoidx import MonomialTable, rank
 
@@ -32,33 +32,23 @@ from .monoidx import MonomialTable, rank
 # -- expansion of the right side ---------------------------------------------
 
 
-def identity_rows(table: MonomialTable) -> np.ndarray:
-    """The (m, L) coefficient rows of the bare variables x_1 .. x_m."""
-    return np.stack([variable(table, a + 1).coeffs for a in range(table.m)])
-
-
 def expand_rhs(
-    system: OdeSystem,
-    zd: Sequence[float],
-    t: float,
-    table: MonomialTable,
-    identity: np.ndarray | None = None,
+    system: OdeSystem, zd: Sequence[float], t: float, table: MonomialTable
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split f(zd + zeta, t) into the design value and the forcing terms.
 
     Returns ``(fvals, g)`` where ``fvals[a] = f_a(zd, t)`` and ``g[a, r-1]``
     is the coefficient of the rank-r monomial in the deviation expansion of
     ``f_a`` (column 0, the constant, is zeroed: forcing terms have degree
-    one or more).  A caller expanding many times over one table passes
-    ``identity_rows(table)`` once as ``identity``; it is only read, and the
-    right side gets jets over a fresh copy with ``zd`` in the constant column.
+    one or more).
     """
     if len(zd) != system.dim or table.m != system.dim:
         raise ValueError(
             f"system dim {system.dim}, table m {table.m}, design point "
             f"length {len(zd)} must all agree"
         )
-    coeffs = identity_rows(table) if identity is None else identity.copy()
+    # the jets zd_a + x_a; x_a has rank a + 1 (MonomialTable.variable_rank)
+    coeffs = np.eye(table.m, table.L, k=1)
     coeffs[:, 0] = zd
     jets = system.rhs(tuple(_new_jet(table, row) for row in coeffs), t)
     g = np.empty((system.dim, table.L))
@@ -332,10 +322,11 @@ def backward_solve(
     for the coefficients are linear, with right side assembled from the
     C-coefficient contraction of the current forcing terms.
 
-    The forward design run takes ``cfg.tol / 100``.  Every coefficient
-    inherits its endpoint error through the next degree's coefficients, which
-    its own error norm cannot see; the forward route's orbit rides in the jet
-    state and gets that accuracy from the coefficients' step sequence.
+    The forward design run takes ``cfg.tol * _DESIGN_TOL_FACTOR``.  Every
+    coefficient inherits its endpoint error through the next degree's
+    coefficients, which its own error norm cannot see; the forward route's
+    orbit rides in the jet state and gets that accuracy from the
+    coefficients' step sequence.
     """
     if table.m != system.dim:
         raise ValueError(f"table has m={table.m}, system has dim={system.dim}")
@@ -345,7 +336,6 @@ def backward_solve(
     endpoint = tuple(float(v) for v in endpoint_state)
 
     ctab = c_coefficients(table.m, table.p, table)
-    identity = identity_rows(table)
     amat = np.empty((table.L, table.L))
     span = t_f - t_i
 
@@ -354,7 +344,7 @@ def backward_solve(
         tbar = t_f - s
         h = np.stack([component.coeffs for component in state])
         zd = h[:, 0]
-        fvals, g = expand_rhs(system, zd, tbar, table, identity)
+        fvals, g = expand_rhs(system, zd, tbar, table)
         ctab.contraction_matrix(g, amat)
         dh = h @ amat.T  # -(d/dtbar) h, negated once more by ds = -dtbar
         dh[:, 0] = -fvals

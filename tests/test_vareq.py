@@ -96,10 +96,9 @@ def test_expand_rhs_forcing_matches_sympy_oracle(t33):
         assert g[1, r - 1] == pytest.approx(expected, abs=1e-12)
 
 
-def test_expand_rhs_with_identity_rows_matches_and_shares_no_buffer(t33):
+def test_expand_rhs_hands_each_call_read_only_jets_of_its_own(t33):
     system = duf.duffing_scaled_rhs(0.1, 1.5, sigma=0.5)
-    identity = vq.identity_rows(t33)
-    before = identity.copy()
+    points = ((0.3, 0.4, 0.5), (-1.0, 2.0, 0.25))
     seen = []
 
     def keeping_rhs(state, t):
@@ -107,19 +106,18 @@ def test_expand_rhs_with_identity_rows_matches_and_shares_no_buffer(t33):
         return system.rhs(state, t)
 
     keeping = ode.OdeSystem(dim=3, rhs=keeping_rhs)
-    for zd in ((0.3, 0.4, 0.5), (-1.0, 2.0, 0.25)):
-        fvals, g = vq.expand_rhs(system, zd, 0.7, t33)
-        fvals_i, g_i = vq.expand_rhs(keeping, zd, 0.7, t33, identity)
-        assert np.array_equal(fvals, fvals_i) and np.array_equal(g, g_i)
-    # the cached rows are never written, and jets handed to the right side
-    # stay as they were handed over, on buffers of their own
-    assert np.array_equal(identity, before)
-    for state, zd in zip(seen, ((0.3, 0.4, 0.5), (-1.0, 2.0, 0.25))):
+    for zd in points:
+        vq.expand_rhs(keeping, zd, 0.7, t33)
+    # the jets handed to the right side stay as they were handed over, on
+    # buffers that no other jet of this or a later call shares
+    for state, zd in zip(seen, points):
         for a, z in enumerate(state):
             assert z == jt.state_about(t33, zd)[a]
             assert not z.coeffs.flags.writeable
-            assert not np.shares_memory(z.coeffs, identity)
-    assert not np.shares_memory(seen[0][0].coeffs, seen[1][0].coeffs)
+    jets = [z for state in seen for z in state]
+    for i, u in enumerate(jets):
+        for v in jets[i + 1:]:
+            assert not np.shares_memory(u.coeffs, v.coeffs)
 
 
 # -- C coefficients -----------------------------------------------------------------
