@@ -213,7 +213,6 @@ _SCAN_DEFAULTS = {
     # the order-8 coefficients (up to ~5e11) to 1e-9 relative
     "map": {"expansion": _DEFAULT_EXPANSION, "order": 8, "tol": 1e-9, "method": "forward"},
     "map_file": None,
-    "threads": 1,
     "out": None,
 }
 
@@ -274,7 +273,6 @@ def cmd_scan(args) -> int:
         "record": args.record,
         "seed_policy": args.seed_policy,
         "tol": args.tol,
-        "threads": args.threads,
         "out": args.out,
     }
     cfg = _merge(_load_config(args.config, "scan"), _SCAN_DEFAULTS, overrides)
@@ -292,7 +290,6 @@ def cmd_scan(args) -> int:
         seed=cfg["seed"],
         tol=float(cfg["tol"]),
         escape_radius=float(cfg["escape_radius"]),
-        threads=int(cfg["threads"]),
     )
     lines = _config_header_lines("scan", {k: cfg[k] for k in sorted(cfg) if k != "out"})
     lines.append("omega,index,q,p")
@@ -314,7 +311,7 @@ def cmd_scan(args) -> int:
 
 
 _ATTRACT_DEFAULTS = dict(_SCAN_DEFAULTS)
-for key in ("omega_start", "omega_stop", "omega_step", "seed_policy", "record", "threads"):
+for key in ("omega_start", "omega_stop", "omega_step", "seed_policy", "record"):
     _ATTRACT_DEFAULTS.pop(key)
 _ATTRACT_DEFAULTS.update({"omega": 1.2902, "count": 10_000})
 
@@ -412,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--transient", type=int)
     p_scan.add_argument("--record", type=int)
     p_scan.add_argument("--seed-policy", dest="seed_policy", choices=["continue", "fixed"])
-    p_scan.add_argument("--threads", type=int)
     p_scan.set_defaults(fn=cmd_scan)
 
     p_attract = sub.add_parser(

@@ -16,6 +16,7 @@ integrated map or the polynomial approximation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -239,6 +240,26 @@ class _Poly2Map:
         return self.rows @ g - self.offset
 
 
+def _orbit(step, state, transient: int, record: int, escape_radius: float):
+    """Apply ``step`` ``transient + record`` times from ``state``.
+
+    Returns the (record, 2) post-transient iterates and the final state.
+    Raises :class:`EscapeError` at the first iterate that is not finite or
+    lies outside the ball of the given radius: the comparison is false for
+    NaN, and ``hypot`` is inf when either component is inf.  Capping the
+    radius at the largest float keeps an infinite radius from passing inf.
+    """
+    radius = min(escape_radius, sys.float_info.max)
+    out = np.empty((record, 2))
+    for i in range(transient + record):
+        state = step(state)
+        if not np.hypot(state[0], state[1]) <= radius:
+            raise EscapeError(f"orbit escaped at iterate {i + 1}", i + 1)
+        if i >= transient:
+            out[i - transient] = state
+    return out, state
+
+
 def iterate_map(
     tmap: TaylorMap,
     zeta0: Sequence[float],
@@ -258,15 +279,8 @@ def iterate_map(
         raise ValueError(f"expected a 2-component deviation, got shape {zeta.shape}")
     if float(np.hypot(zeta[0], zeta[1])) > escape_radius:
         raise EscapeError("starting deviation is outside the trust region", 0)
-    poly = _Poly2Map(tmap, dsigma)
-    out = np.empty((n + 1, 2))
-    out[0] = zeta
-    for i in range(1, n + 1):
-        zeta = poly.step(zeta)
-        if not np.all(np.isfinite(zeta)) or np.hypot(zeta[0], zeta[1]) > escape_radius:
-            raise EscapeError(f"orbit escaped at iterate {i}", i)
-        out[i] = zeta
-    return out
+    iterates, _ = _orbit(_Poly2Map(tmap, dsigma).step, zeta, 0, n, escape_radius)
+    return np.vstack([zeta, iterates])
 
 
 # -- fixed points -------------------------------------------------------------------
@@ -290,19 +304,15 @@ def _poly_map_and_jacobian(tmap: TaylorMap, dsigma: float):
     return apply_map, jacobian
 
 
-def _exact_map_and_jacobian(exact: ExactStroboscopicMap, fd_step: float = 1e-6):
-    def apply_map(point: np.ndarray) -> np.ndarray:
-        return exact(point)
-
-    def jacobian_of(fn, point: np.ndarray) -> np.ndarray:
-        cols = []
-        for b in range(2):
-            bump = np.zeros(2)
-            bump[b] = fd_step
-            cols.append((fn(point + bump) - fn(point - bump)) / (2 * fd_step))
-        return np.stack(cols, axis=1)
-
-    return apply_map, jacobian_of
+def _central_difference_jacobian(fn, point: np.ndarray) -> np.ndarray:
+    """2 x 2 Jacobian of ``fn`` at ``point`` by central differences."""
+    fd_step = 1e-6
+    cols = []
+    for b in range(2):
+        bump = np.zeros(2)
+        bump[b] = fd_step
+        cols.append((fn(point + bump) - fn(point - bump)) / (2 * fd_step))
+    return np.stack(cols, axis=1)
 
 
 def fixed_point_newton(
@@ -340,16 +350,14 @@ def fixed_point_newton(
             return x_cur - x0, jac
 
     else:
-        apply_map, jacobian_of = _exact_map_and_jacobian(map_source)
-
         def k_fold(x0):
             x_cur = x0
             for _ in range(k):
-                x_cur = apply_map(x_cur)
+                x_cur = map_source(x_cur)
             return x_cur
 
         def residual_and_jacobian(x0):
-            return k_fold(x0) - x0, jacobian_of(k_fold, x0)
+            return k_fold(x0) - x0, _central_difference_jacobian(k_fold, x0)
 
     for _ in range(max_iter):
         f, jac_k = residual_and_jacobian(x)
@@ -400,26 +408,12 @@ class ScanResult:
 
 def _run_exact(beta, eps, omega, state, transient, record, tol, escape_radius):
     exact = ExactStroboscopicMap(DuffingParams(beta, eps, omega), tol)
-    out = np.empty((record, 2))
-    for i in range(transient + record):
-        state = exact(state)
-        if not np.all(np.isfinite(state)) or np.hypot(state[0], state[1]) > escape_radius:
-            raise EscapeError(f"orbit escaped at iterate {i + 1}", i + 1)
-        if i >= transient:
-            out[i - transient] = state
-    return out, state
+    return _orbit(exact, state, transient, record, escape_radius)
 
 
 def _run_poly(tmap, omega, zeta, transient, record, escape_radius):
     dsigma = 1.0 / omega - tmap.expansion_point[2]
-    poly = _Poly2Map(tmap, dsigma)
-    out = np.empty((record, 2))
-    for i in range(transient + record):
-        zeta = poly.step(zeta)
-        if not np.all(np.isfinite(zeta)) or np.hypot(zeta[0], zeta[1]) > escape_radius:
-            raise EscapeError(f"orbit escaped at iterate {i + 1}", i + 1)
-        if i >= transient:
-            out[i - transient] = zeta
+    out, zeta = _orbit(_Poly2Map(tmap, dsigma).step, zeta, transient, record, escape_radius)
     # report in the physical (q, p) frame of this omega
     qp = np.empty_like(out)
     qp[:, 0] = omega * (tmap.expansion_point[0] + out[:, 0])
@@ -438,7 +432,6 @@ def feigenbaum_scan(
     seed: Sequence[float] | None = None,
     tol: float = 1e-12,
     escape_radius: float = DEFAULT_ESCAPE_RADIUS,
-    threads: int = 1,
 ) -> ScanResult:
     """Steady-state (q, p) samples over a monotonic omega grid.
 
@@ -447,9 +440,9 @@ def feigenbaum_scan(
     polynomial, shifting the parameter deviation per omega).  Under the
     default continuation policy each omega is seeded with the previous
     omega's final state, which follows attractor branches and exposes
-    hysteresis; ``"fixed"`` reseeds every omega identically and may run
-    omegas in parallel.  A diverging omega yields an empty sample row and
-    the scan continues from the configured seed.
+    hysteresis; ``"fixed"`` reseeds every omega identically.  Omegas run
+    one after another.  A diverging omega yields an empty sample row and the
+    scan continues from the configured seed.
     """
     omegas = np.asarray(list(omega_grid), dtype=np.float64)
     if omegas.size == 0:
@@ -474,35 +467,19 @@ def feigenbaum_scan(
             return _run_exact(beta, eps, omega, np.asarray(state), transient, record, tol, escape_radius)
         return _run_poly(map_source, omega, np.asarray(state), transient, record, escape_radius)
 
-    samples: list = [None] * omegas.size
+    samples: list = []
     failures: list = []
-
-    if seed_policy == "fixed" and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def job(i):
-            try:
-                return i, run_one(omegas[i], seed)[0], None
-            except EscapeError as err:
-                return i, np.empty((0, 2)), str(err)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, block, failure in pool.map(job, range(omegas.size)):
-                samples[i] = block
-                if failure is not None:
-                    failures.append((float(omegas[i]), failure))
-    else:
-        state = seed
-        for i, omega in enumerate(omegas):
-            try:
-                block, final = run_one(omega, state)
-                samples[i] = block
-                if seed_policy == "continue":
-                    state = tuple(final)
-            except EscapeError as err:
-                samples[i] = np.empty((0, 2))
-                failures.append((float(omega), str(err)))
-                state = seed  # restart the continuation from the configured seed
+    state = seed
+    for omega in omegas:
+        try:
+            block, final = run_one(omega, state)
+            samples.append(block)
+            if seed_policy == "continue":
+                state = tuple(final)
+        except EscapeError as err:
+            samples.append(np.empty((0, 2)))
+            failures.append((float(omega), str(err)))
+            state = seed  # restart the continuation from the configured seed
 
     return ScanResult(
         omegas=omegas,

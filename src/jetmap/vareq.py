@@ -24,7 +24,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jet import Jet, _new as _new_jet, constant, monomial_values, state_about
+from .jet import (
+    Jet,
+    _new as _new_jet,
+    constant,
+    jet_from_dict,
+    jet_to_dict,
+    monomial_values,
+    state_about,
+)
 from .jetode import IntegratorConfig, OdeSystem, StepStats, integrate
 from .monoidx import MonomialTable, rank
 
@@ -139,20 +147,10 @@ class TaylorMap:
 
 def taylor_map_to_dict(tmap: TaylorMap, suppress_zeros: bool = False) -> dict:
     """JSON-ready description of a TaylorMap."""
-    rows = []
-    for a, row in enumerate(tmap.rows):
-        entries = []
-        for i, value in enumerate(row.coeffs):
-            if suppress_zeros and value == 0.0:
-                continue
-            entries.append(
-                {
-                    "r": i + 1,
-                    "exponents": [int(j) for j in tmap.table.exponents[i]],
-                    "value": float(value),
-                }
-            )
-        rows.append({"var": a + 1, "coeffs": entries})
+    rows = [
+        {"var": a + 1, "coeffs": jet_to_dict(row, suppress_zeros)["coeffs"]}
+        for a, row in enumerate(tmap.rows)
+    ]
     return {
         "m_dynamical": tmap.m_dynamical,
         "n_params": tmap.n_params,
@@ -177,12 +175,10 @@ def taylor_map_from_dict(data: dict, table: MonomialTable | None = None) -> Tayl
             f"table (m={table.m}, p={table.p}) does not match serialized map "
             f"(m={m}, p={data['p']})"
         )
-    rows = []
-    for row_data in data["rows"]:
-        coeffs = np.zeros(table.L)
-        for entry in row_data["coeffs"]:
-            coeffs[entry["r"] - 1] = entry["value"]
-        rows.append(Jet(table, coeffs))
+    rows = [
+        jet_from_dict(table, {"m": table.m, "p": table.p, "coeffs": row["coeffs"]})
+        for row in data["rows"]
+    ]
     return TaylorMap(
         table=table,
         t_i=float(data["t_i"]),

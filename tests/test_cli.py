@@ -218,6 +218,14 @@ def test_scan_empty_grid(tmp_path, small_map_file):
     assert run_cli(["scan", "--config", path, "--out", tmp_path / "x.csv"]) == cli.EXIT_CONFIG
 
 
+def test_scan_threads_key_is_refused(tmp_path, small_map_file):
+    # scans run serially; a config that still sets threads is a config error
+    cfg = {"scan": {"map_file": str(small_map_file), "threads": 1}}
+    path = tmp_path / "threads.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["scan", "--config", path, "--out", tmp_path / "x.csv"]) == cli.EXIT_CONFIG
+
+
 def test_scan_all_rows_diverge_exit_code(tmp_path, small_map_file):
     # omega far outside the map's parameter trust region: every row escapes
     out = tmp_path / "div.csv"

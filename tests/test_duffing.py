@@ -182,6 +182,48 @@ def test_iterate_map_matches_direct_row_evaluation():
         assert np.max(np.abs(traj[i] - state)) < 1e-12
 
 
+def _toy_overflow_map(nan: bool):
+    """TaylorMap with zeta1 -> 1e308 dsigma zeta1^2 (minus 1e308 dsigma zeta1^3
+    when ``nan``) and zeta2 -> zeta2, about sigma = 0.5.  From zeta1 = 2 at
+    omega = 1 (dsigma = 0.5) one step gives inf, or inf - inf = NaN; at
+    omega = 2 (dsigma = 0) the orbit falls to the origin and stays."""
+    table = mi.build_table(3, 4)
+    rows = np.zeros((3, table.L))
+    rows[0, mi.rank((2, 0, 1)) - 1] = 1e308
+    if nan:
+        rows[0, mi.rank((3, 0, 1)) - 1] = -1e308
+    rows[1, table.variable_rank(2) - 1] = 1.0
+    rows[2, 0] = 0.5
+    rows[2, table.variable_rank(3) - 1] = 1.0
+    return vq.TaylorMap(
+        table=table,
+        t_i=0.0,
+        t_f=duf.TWO_PI,
+        expansion_point=(0.0, 0.0, 0.5),
+        design_endpoint=(0.0, 0.0, 0.5),
+        rows=tuple(Jet(table, row) for row in rows),
+        n_params=1,
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("radius", [10.0, math.inf])
+def test_non_finite_iterate_escapes(nan, radius):
+    # a non-finite iterate escapes at once, even with no finite radius
+    tmap = _toy_overflow_map(nan)
+    with pytest.raises(duf.EscapeError) as info:
+        duf.iterate_map(tmap, (2.0, 0.0), 0.5, 5, escape_radius=radius)
+    assert info.value.step == 1
+    result = duf.feigenbaum_scan(
+        tmap, 0.1, 1.5, [1.0, 2.0], transient=3, record=4, seed=(2.0, 0.0),
+        escape_radius=radius,
+    )
+    assert result.failures == [(1.0, "orbit escaped at iterate 1")]
+    assert result.samples[0].shape == (0, 2)
+    assert np.array_equal(result.samples[1], np.zeros((4, 2)))
+
+
 def test_iterate_map_escape():
     tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, tol=1e-10)
     with pytest.raises(duf.EscapeError) as info:
@@ -392,14 +434,37 @@ def test_scan_divergent_rows_recorded_and_scan_continues(m8_map):
     assert result.samples[2].shape == (16, 2)
 
 
-def test_scan_fixed_seed_threads_match_serial(m8_map):
+def test_scan_fixed_seed_omegas_are_independent(m8_map):
+    # under a fixed seed no omega sees another's final state: each row equals
+    # a one-omega scan, and the order of the grid does not matter
     tmap, _ = m8_map
     grid = [1.270, 1.275, 1.280]
     kwargs = dict(transient=300, record=8, seed_policy="fixed")
-    serial = duf.feigenbaum_scan(tmap, 0.1, 25.0, grid, **kwargs)
-    threaded = duf.feigenbaum_scan(tmap, 0.1, 25.0, grid, threads=3, **kwargs)
-    for a, b in zip(serial.samples, threaded.samples):
-        assert np.array_equal(a, b)
+    forward = duf.feigenbaum_scan(tmap, 0.1, 25.0, grid, **kwargs)
+    backward = duf.feigenbaum_scan(tmap, 0.1, 25.0, grid[::-1], **kwargs)
+    for i, omega in enumerate(grid):
+        alone = duf.feigenbaum_scan(tmap, 0.1, 25.0, [omega], **kwargs)
+        assert forward.samples[i].shape == (8, 2)
+        assert np.array_equal(forward.samples[i], alone.samples[0])
+        assert np.array_equal(forward.samples[i], backward.samples[-1 - i])
+
+
+def test_iterate_map_tail_matches_one_omega_scan(m8_map):
+    tmap, _ = m8_map
+    omega, seed, transient, record = 1.27, (0.01, -0.02), 200, 16
+    dsigma = 1.0 / omega - tmap.expansion_point[2]
+    traj = duf.iterate_map(tmap, seed, dsigma, transient + record)
+    scan = duf.feigenbaum_scan(
+        tmap, 0.1, 25.0, [omega], transient=transient, record=record, seed=seed
+    )
+    tail = traj[-record:]
+    qp = np.column_stack(
+        [
+            omega * (tmap.expansion_point[0] + tail[:, 0]),
+            omega**2 * (tmap.expansion_point[1] + tail[:, 1]),
+        ]
+    )
+    assert np.array_equal(qp, scan.samples[0])
 
 
 def test_attractor_sample_stable_regime():
