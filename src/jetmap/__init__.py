@@ -46,20 +46,16 @@ from .vareq import (
     backward_solve,
     c_coefficients,
     expand_rhs,
-    fix_parameters,
     forward_solve,
-    forward_variational_rhs,
     lift_parameters,
     taylor_map_from_dict,
     taylor_map_to_dict,
-    two_var_oracle_rhs,
 )
 from .duffing import (
     DuffingParams,
     EscapeError,
     ExactStroboscopicMap,
     NewtonConvergenceError,
-    PhasePoint,
     ScanResult,
     SingularJacobianError,
     attractor_sample,

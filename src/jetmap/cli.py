@@ -306,6 +306,16 @@ def cmd_scan(args) -> int:
             "\n".join(f"{omega!r},{message}" for omega, message in result.failures) + "\n",
         )
         print(f"{len(result.failures)} omega value(s) diverged; see {sidecar}")
+    sampled = sum(1 for block in result.samples if len(block))
+    # an escaped omega stepped up to its escape either way
+    uncut = sum(
+        result.transient + result.record if len(block) else applied
+        for block, applied in zip(result.samples, result.applications)
+    )
+    print(
+        f"map applications: {sum(result.applications)} ({uncut} without cycle cuts); "
+        f"{sum(result.cycles)} of {sampled} sampled omegas closed on a cycle"
+    )
     print(f"wrote {rows_written} rows for {result.omegas.size} omega values to {cfg['out']}")
     return EXIT_OK if rows_written else EXIT_NUMERIC
 

@@ -90,31 +90,6 @@ def to_qp(z1: float, z2: float, omega: float) -> tuple[float, float]:
     return omega * z1, omega**2 * z2
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A phase-space point tagged with its frame ('qp' or 'scaled')."""
-
-    x1: float
-    x2: float
-    frame: str = "qp"
-
-    def __post_init__(self):
-        if self.frame not in ("qp", "scaled"):
-            raise ValueError(f"frame must be 'qp' or 'scaled', got {self.frame!r}")
-
-    def as_qp(self, omega: float) -> "PhasePoint":
-        if self.frame == "qp":
-            return self
-        q, p = to_qp(self.x1, self.x2, omega)
-        return PhasePoint(q, p, "qp")
-
-    def as_scaled(self, omega: float) -> "PhasePoint":
-        if self.frame == "scaled":
-            return self
-        z1, z2 = to_scaled(self.x1, self.x2, omega)
-        return PhasePoint(z1, z2, "scaled")
-
-
 # -- right sides ----------------------------------------------------------------
 
 
@@ -243,21 +218,36 @@ class _Poly2Map:
 def _orbit(step, state, transient: int, record: int, escape_radius: float):
     """Apply ``step`` ``transient + record`` times from ``state``.
 
-    Returns the (record, 2) post-transient iterates and the final state.
+    Returns the (record, 2) post-transient iterates, the final state, the
+    number of times ``step`` ran, and whether the orbit closed on a cycle.
     Raises :class:`EscapeError` at the first iterate that is not finite or
     lies outside the ball of the given radius: the comparison is false for
     NaN, and ``hypot`` is inf when either component is inf.  Capping the
     radius at the largest float keeps an infinite radius from passing inf.
+
+    ``step`` must be a pure function of the state's bytes.  Each iterate is
+    keyed by its bytes (so 0.0 and -0.0 stay apart), and once iterate i
+    repeats iterate j the orbit has period i - j from j on: stepping stops
+    and the remaining iterates are copied off that cycle, bit for bit what
+    further steps would give.
     """
     radius = min(escape_radius, sys.float_info.max)
-    out = np.empty((record, 2))
-    for i in range(transient + record):
+    n = transient + record
+    traj = np.empty((n, 2))
+    seen: dict = {}
+    applied, closed = n, False
+    for i in range(n):
         state = step(state)
-        if not np.hypot(state[0], state[1]) <= radius:
+        if not math.hypot(state[0], state[1]) <= radius:
             raise EscapeError(f"orbit escaped at iterate {i + 1}", i + 1)
-        if i >= transient:
-            out[i - transient] = state
-    return out, state
+        traj[i] = state
+        j = seen.setdefault(traj[i].tobytes(), i)
+        if j < i:
+            traj[i + 1 :] = traj[j + (np.arange(i + 1, n) - j) % (i - j)]
+            state = traj[n - 1].copy()
+            applied, closed = i + 1, True
+            break
+    return traj[transient:].copy(), state, applied, closed
 
 
 def iterate_map(
@@ -272,14 +262,16 @@ def iterate_map(
     Returns the (n + 1, 2) trajectory starting at ``zeta0``; the parameter
     deviation ``dsigma`` is held fixed.  Raises :class:`EscapeError` when an
     iterate leaves the ball of the given radius (the polynomial is no longer
-    trustworthy outside its convergence region).
+    trustworthy outside its convergence region); a start outside the ball,
+    or not finite, raises at step 0.  Once an iterate repeats an earlier one bit for bit, the rest of
+    the trajectory is copied off that cycle instead of stepped.
     """
     zeta = np.asarray(zeta0, dtype=np.float64)
     if zeta.shape != (2,):
         raise ValueError(f"expected a 2-component deviation, got shape {zeta.shape}")
-    if float(np.hypot(zeta[0], zeta[1])) > escape_radius:
+    if not math.hypot(zeta[0], zeta[1]) <= min(escape_radius, sys.float_info.max):
         raise EscapeError("starting deviation is outside the trust region", 0)
-    iterates, _ = _orbit(_Poly2Map(tmap, dsigma).step, zeta, 0, n, escape_radius)
+    iterates = _orbit(_Poly2Map(tmap, dsigma).step, zeta, 0, n, escape_radius)[0]
     return np.vstack([zeta, iterates])
 
 
@@ -386,6 +378,9 @@ class ScanResult:
 
     ``samples[i]`` is a (record, 2) array of consecutive post-transient
     (q, p) iterates for ``omegas[i]``; rows that diverged are empty arrays.
+    ``applications[i]`` counts the map applications made for ``omegas[i]``
+    (up to the escape for a diverged row), and ``cycles[i]`` says whether
+    its orbit closed on a cycle, which cut the stepping short.
     """
 
     omegas: np.ndarray
@@ -398,6 +393,8 @@ class ScanResult:
     seed_policy: str
     seed: tuple
     failures: list = field(default_factory=list)
+    applications: list = field(default_factory=list)
+    cycles: list = field(default_factory=list)
 
     def periods(self, tol: float = PERIOD_CLUSTER_TOL, max_period: int = 64) -> list:
         return [
@@ -413,12 +410,14 @@ def _run_exact(beta, eps, omega, state, transient, record, tol, escape_radius):
 
 def _run_poly(tmap, omega, zeta, transient, record, escape_radius):
     dsigma = 1.0 / omega - tmap.expansion_point[2]
-    out, zeta = _orbit(_Poly2Map(tmap, dsigma).step, zeta, transient, record, escape_radius)
+    out, zeta, applied, closed = _orbit(
+        _Poly2Map(tmap, dsigma).step, zeta, transient, record, escape_radius
+    )
     # report in the physical (q, p) frame of this omega
     qp = np.empty_like(out)
     qp[:, 0] = omega * (tmap.expansion_point[0] + out[:, 0])
     qp[:, 1] = omega**2 * (tmap.expansion_point[1] + out[:, 1])
-    return qp, zeta
+    return qp, zeta, applied, closed
 
 
 def feigenbaum_scan(
@@ -442,7 +441,9 @@ def feigenbaum_scan(
     omega's final state, which follows attractor branches and exposes
     hysteresis; ``"fixed"`` reseeds every omega identically.  Omegas run
     one after another.  A diverging omega yields an empty sample row and the
-    scan continues from the configured seed.
+    scan continues from the configured seed.  An orbit that repeats an
+    iterate bit for bit stops stepping and reads its remaining iterates off
+    the cycle; the samples are the same as if it had stepped on.
     """
     omegas = np.asarray(list(omega_grid), dtype=np.float64)
     if omegas.size == 0:
@@ -469,17 +470,22 @@ def feigenbaum_scan(
 
     samples: list = []
     failures: list = []
+    applications: list = []
+    cycles: list = []
     state = seed
     for omega in omegas:
         try:
-            block, final = run_one(omega, state)
+            block, final, applied, closed = run_one(omega, state)
             samples.append(block)
             if seed_policy == "continue":
                 state = tuple(final)
         except EscapeError as err:
             samples.append(np.empty((0, 2)))
             failures.append((float(omega), str(err)))
+            applied, closed = err.step, False
             state = seed  # restart the continuation from the configured seed
+        applications.append(applied)
+        cycles.append(closed)
 
     return ScanResult(
         omegas=omegas,
@@ -492,6 +498,8 @@ def feigenbaum_scan(
         seed_policy=seed_policy,
         seed=seed,
         failures=failures,
+        applications=applications,
+        cycles=cycles,
     )
 
 

@@ -225,7 +225,6 @@ def test_criterion_08_liouville_invariant():
     report(8, f"degree-1 determinant matches exp(-4 pi beta sigma) within {worst:.2e} ({wall:.1f} s)")
 
 
-@pytest.mark.slow
 def test_criterion_09_qualitative_dynamics(m8_map):
     tmap, build_seconds = m8_map
     t0 = time.time()

@@ -206,6 +206,46 @@ def test_scan_taylor_source_writes_rows(tmp_path, small_map_file):
     assert out.read_text() == out2.read_text()
 
 
+def test_scan_reports_map_applications(tmp_path, small_map_file, capsys):
+    # the stdout line totals what feigenbaum_scan records for the same scan;
+    # omega 1.2 lies outside the map's parameter trust region and escapes;
+    # 2.0 reaches its fixed point to the bit within the 154 iterates, 1.6 not
+    from jetmap import duffing as duf
+    from jetmap import vareq as vq
+
+    out = tmp_path / "scan.csv"
+    transient, record = 150, 4
+    cfg = {
+        "scan": {
+            "source": "taylor", "beta": 0.1, "eps": 0.15, "omega_start": 1.2,
+            "omega_stop": 2.0, "omega_step": 0.4, "transient": transient,
+            "record": record, "seed_policy": "fixed", "map_file": str(small_map_file),
+        }
+    }
+    path = tmp_path / "scan_config.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["scan", "--config", path, "--out", out]) == 0
+    printed = capsys.readouterr().out.splitlines()
+
+    tmap = vq.taylor_map_from_dict(json.loads(small_map_file.read_text()))
+    result = duf.feigenbaum_scan(
+        tmap, 0.1, 0.15, cli._omega_grid(cfg["scan"]), transient=transient,
+        record=record, seed_policy="fixed",
+    )
+    # "<omega>,orbit escaped at iterate <n>" per escaped omega
+    escaped = [int(line.rsplit(" ", 1)[1])
+               for line in out.with_name(out.name + ".failures").read_text().splitlines()]
+    sampled = len(result.omegas) - len(escaped)
+    assert len(escaped) == 1 and sampled == 2
+    assert result.cycles == [False, False, True]
+    uncut = sampled * (transient + record) + sum(escaped)
+    assert sum(result.applications) < uncut
+    assert (
+        f"map applications: {sum(result.applications)} ({uncut} without cycle cuts); "
+        f"{sum(result.cycles)} of {sampled} sampled omegas closed on a cycle"
+    ) in printed
+
+
 def test_scan_empty_grid(tmp_path, small_map_file):
     cfg = {
         "scan": {

@@ -1,6 +1,7 @@
 """Duffing application tests: frames, maps, fixed points, sweeps, attractors."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from jetmap import vareq as vq
 from jetmap.jet import Jet, state_about
 
 from conftest import FP_OMEGA, FP_P, FP_Q
+from oracles import PhasePoint
 
 
 # -- parameters and frames -------------------------------------------------------
@@ -42,14 +44,14 @@ def test_frame_round_trip_random():
 
 
 def test_phase_point_tags():
-    point = duf.PhasePoint(0.6, 1.6, "qp")
+    point = PhasePoint(0.6, 1.6, "qp")
     scaled = point.as_scaled(2.0)
     assert scaled.frame == "scaled"
     assert (scaled.x1, scaled.x2) == (0.3, 0.4)
-    assert scaled.as_qp(2.0) == duf.PhasePoint(0.6, 1.6, "qp")
+    assert scaled.as_qp(2.0) == PhasePoint(0.6, 1.6, "qp")
     assert point.as_qp(2.0) is point
     with pytest.raises(ValueError):
-        duf.PhasePoint(0.0, 0.0, "polar")
+        PhasePoint(0.0, 0.0, "polar")
 
 
 # -- right sides ------------------------------------------------------------------
@@ -233,6 +235,146 @@ def test_iterate_map_escape():
         duf.iterate_map(tmap, (20.0, 0.0), 0.0, 1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "start, radius",
+    [((math.nan, 0.0), 10.0), ((0.0, math.nan), math.inf), ((math.inf, 0.0), 10.0),
+     ((-math.inf, 0.0), math.inf), ((8.0, 8.0), 10.0)],
+)
+def test_iterate_map_refuses_start_outside_trust_region(start, radius):
+    # a NaN start, or an inf start under an infinite radius, is refused before
+    # any step (no overflow warning) instead of escaping at iterate 1
+    with pytest.raises(duf.EscapeError) as info:
+        duf.iterate_map(_toy_identity_map(), start, 0.0, 5, escape_radius=radius)
+    assert info.value.step == 0
+    assert str(info.value) == "starting deviation is outside the trust region"
+
+
+# -- cycle cuts -----------------------------------------------------------------------
+
+
+def _stepped_orbit(step, state, transient, record, escape_radius):
+    """The orbit loop with no cycle cut: every iterate is stepped."""
+    radius = min(escape_radius, sys.float_info.max)
+    out = np.empty((record, 2))
+    for i in range(transient + record):
+        state = step(state)
+        if not np.hypot(state[0], state[1]) <= radius:
+            raise duf.EscapeError(f"orbit escaped at iterate {i + 1}", i + 1)
+        if i >= transient:
+            out[i - transient] = state
+    return out, state
+
+
+def _assert_cut_is_exact(step, state, transient, record, escape_radius=10.0):
+    """Run ``duf._orbit`` and the stepped oracle from ``state``; the samples,
+    the final state (sign bits included) and any escape must agree.  Returns
+    the kernel's final state, map applications and cycle flag."""
+    try:
+        want = _stepped_orbit(step, state, transient, record, escape_radius)
+    except duf.EscapeError as err:
+        with pytest.raises(duf.EscapeError) as info:
+            duf._orbit(step, state, transient, record, escape_radius)
+        assert (info.value.step, str(info.value)) == (err.step, str(err))
+        return None
+    out, final, applied, closed = duf._orbit(step, state, transient, record, escape_radius)
+    for got, ref in ((out, want[0]), (np.asarray(final), np.asarray(want[1]))):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    return final, applied, closed
+
+
+class _Counted:
+    """A step function that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return self.fn(z)
+
+
+def test_cycle_cut_rotation_record_window_mid_cycle():
+    # a quarter turn of exactly representable values has period 4; iterate 5
+    # repeats iterate 1, and 1001 transient steps start the window mid-cycle
+    rotate = _Counted(lambda z: np.array([-z[1], z[0]]))
+    _, applied, closed = _assert_cut_is_exact(rotate, np.array([0.75, -0.5]), 1001, 7)
+    assert (applied, closed) == (5, True)
+    rotate.calls = 0
+    duf._orbit(rotate, np.array([0.75, -0.5]), 1001, 7, 10.0)
+    assert rotate.calls == 5
+
+
+def test_cycle_cut_fixed_point_after_three_steps():
+    def descend(z):
+        return np.array([max(z[0] - 1.0, 0.0), z[1]])
+
+    # iterate 3 is the fixed point and iterate 4 repeats it: an orbit of at
+    # least four iterates closes there, a shorter one steps to its end
+    for transient, record, expected in (
+        (2, 5, (4, True)), (0, 9, (4, True)), (6, 1, (4, True)), (1, 3, (4, True)),
+        (1, 2, (3, False)),
+    ):
+        _, applied, closed = _assert_cut_is_exact(descend, np.array([3.0, 0.25]), transient, record)
+        assert (applied, closed) == expected
+
+
+def test_cycle_cut_keeps_the_sign_of_zero():
+    # (0.0, 1.0) and (-0.0, 1.0) compare equal but are different states
+    def flip(z):
+        return np.array([-z[0], z[1]])
+
+    final, applied, closed = _assert_cut_is_exact(flip, np.array([0.0, 1.0]), 4, 5)
+    assert (applied, closed) == (3, True)
+    assert np.signbit(final[0])  # iterate 9 is -0.0
+
+
+def test_cycle_cut_escape_before_any_repeat():
+    def double(z):
+        return 2.0 * z
+
+    assert _assert_cut_is_exact(double, np.array([0.1, 0.0]), 5, 5) is None
+    with pytest.raises(duf.EscapeError) as info:
+        duf._orbit(double, np.array([0.1, 0.0]), 5, 5, 10.0)
+    assert info.value.step == 7
+
+
+def test_cycle_cut_polynomial_map_with_continuation(m8_map):
+    # continuation from 1.27 (period 2) to 1.285 (period 4) through the
+    # doubling; each omega starts from the previous omega's final state
+    tmap, _ = m8_map
+    zeta, closed_at = np.zeros(2), []
+    for omega in np.linspace(1.27, 1.285, 16):
+        dsigma = 1.0 / omega - tmap.expansion_point[2]
+        step = duf._Poly2Map(tmap, dsigma).step
+        zeta, applied, closed = _assert_cut_is_exact(step, zeta, 2000, 128)
+        if closed:
+            closed_at.append(omega)
+    assert closed_at[0] == 1.27 and closed_at[-1] == 1.285
+    assert len(closed_at) >= 12
+
+
+def test_cycle_cut_exact_map_closes():
+    exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 1.5, 1.5), tol=1e-5)
+    _, applied, closed = _assert_cut_is_exact(exact, np.zeros(2), 300, 16)
+    assert (applied, closed) == (99, True)
+
+
+def test_scan_counts_map_applications_and_cycles():
+    # the identity repeats its first iterate at the second; an omega that
+    # escapes counts the applications up to its escape
+    result = duf.feigenbaum_scan(_toy_identity_map(), 0.1, 1.5, [1.0, 2.0], transient=3, record=4)
+    assert result.applications == [2, 2] and result.cycles == [True, True]
+    with np.errstate(over="ignore"):
+        result = duf.feigenbaum_scan(
+            _toy_overflow_map(False), 0.1, 1.5, [1.0, 2.0], transient=3, record=4,
+            seed=(2.0, 0.0),
+        )
+    assert result.applications == [1, 2] and result.cycles == [False, True]
+
+
 # -- fixed points ---------------------------------------------------------------------
 
 
@@ -387,7 +529,6 @@ def test_scan_single_steady_state_small_driving():
     assert result.periods() == [1, 1, 1, 1]
 
 
-@pytest.mark.slow
 def test_scan_small_driving_polynomial_map_agrees():
     # the polynomial map about the small-driving steady state finds the same
     # attractor as the exact map
@@ -402,7 +543,6 @@ def test_scan_small_driving_polynomial_map_agrees():
     assert np.max(np.abs(poly_samples - exact_samples[-1])) < 1e-6
 
 
-@pytest.mark.slow
 def test_scan_hysteresis_up_vs_down():
     # two saddle-node bifurcations bracket a bistable band: sweeping up stays
     # on the large-amplitude branch, sweeping down on the small one

@@ -12,6 +12,7 @@ from jetmap import monoidx as mi
 from jetmap import vareq as vq
 
 from conftest import FP_OMEGA, FP_P, FP_Q
+from oracles import fix_parameters, forward_variational_rhs, two_var_oracle_rhs
 
 
 @pytest.fixture(scope="module")
@@ -205,13 +206,13 @@ def test_c_coefficients_degree_law(m, p):
 def test_two_var_oracle_trivial_and_units():
     zeros = np.zeros((2, 5))
     ones = np.ones((2, 5))
-    assert np.all(vq.two_var_oracle_rhs(zeros, ones, "forward") == 0.0)
-    forward = vq.two_var_oracle_rhs(ones, ones, "forward")
+    assert np.all(two_var_oracle_rhs(zeros, ones, "forward") == 0.0)
+    forward = two_var_oracle_rhs(ones, ones, "forward")
     assert forward[0, 0] == pytest.approx(2.0)
-    backward = vq.two_var_oracle_rhs(ones, ones, "backward")
+    backward = two_var_oracle_rhs(ones, ones, "backward")
     assert backward[0, 2] == pytest.approx(-5.0)
     with pytest.raises(ValueError):
-        vq.two_var_oracle_rhs(ones, ones, "sideways")
+        two_var_oracle_rhs(ones, ones, "sideways")
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -229,7 +230,7 @@ def test_backward_contraction_matches_oracle(seed):
     amat = np.empty((6, 6))
     ctab.contraction_matrix(g, amat)
     generic = -(h @ amat.T)[:, 1:]
-    oracle = vq.two_var_oracle_rhs(g15, h15, "backward")
+    oracle = two_var_oracle_rhs(g15, h15, "backward")
     assert np.max(np.abs(generic - oracle)) < 1e-13
 
 
@@ -243,8 +244,8 @@ def test_forward_composition_matches_oracle(seed):
     h = np.zeros((2, 6))
     g[:, 1:] = g15
     h[:, 1:] = h15
-    generic = vq.forward_variational_rhs(g, h, table)[:, 1:]
-    oracle = vq.two_var_oracle_rhs(g15, h15, "forward")
+    generic = forward_variational_rhs(g, h, table)[:, 1:]
+    oracle = two_var_oracle_rhs(g15, h15, "forward")
     assert np.max(np.abs(generic - oracle)) < 1e-13
 
 
@@ -436,7 +437,7 @@ def test_lifted_map_restricts_to_unlifted_map():
     cfg = ode.adaptive(1e-12)
     full = vq.forward_solve(lifted, [0.3, 0.4, 0.5], 0.0, duf.TWO_PI, table3, cfg)
     plain = vq.forward_solve(
-        vq.fix_parameters(lifted), [0.3, 0.4], 0.0, duf.TWO_PI, table2, cfg
+        fix_parameters(lifted), [0.3, 0.4], 0.0, duf.TWO_PI, table2, cfg
     )
     # coefficients with zero sigma-exponent must coincide with the 2-variable map
     for a in range(2):
