@@ -123,7 +123,12 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
 
 @dataclass(frozen=True)
 class ExactStroboscopicMap:
-    """One-period transfer map of the (q, p) system by direct integration."""
+    """One-period transfer map of the (q, p) system by direct integration.
+
+    Calling the map integrates one scalar orbit, the path scans take.
+    :meth:`linearize` integrates the order-1 variational equations instead
+    and also returns the map's exact Jacobian, the path Newton takes.
+    """
 
     params: DuffingParams
     tol: float = 1e-12
@@ -134,6 +139,23 @@ class ExactStroboscopicMap:
             system, tuple(point), 0.0, self.params.period, adaptive(self.tol)
         )
         return np.array(state, dtype=np.float64)
+
+    def linearize(self, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """The image of ``point`` and the 2 x 2 Jacobian of the map there.
+
+        One jet integration of ``point + (x1, x2)`` over a period, at order
+        1: the degree-1 coefficients solve the variational equations, so the
+        Jacobian carries the integrator's error and no differencing step.
+        """
+        tmap = forward_solve(
+            duffing_rhs(self.params),
+            point,
+            0.0,
+            self.params.period,
+            build_table(2, 1),
+            adaptive(self.tol),
+        )
+        return np.array(tmap.design_endpoint), tmap.linear_matrix()
 
 
 # -- polynomial map construction ---------------------------------------------------
@@ -278,35 +300,6 @@ def iterate_map(
 # -- fixed points -------------------------------------------------------------------
 
 
-def _poly_map_and_jacobian(tmap: TaylorMap, dsigma: float):
-    table = tmap.table
-    partials = [[tmap.rows[a].partial(b + 1) for b in range(2)] for a in range(2)]
-
-    def apply_map(zeta: np.ndarray) -> np.ndarray:
-        full = np.array([zeta[0], zeta[1], dsigma])
-        final = tmap.final_state(full)
-        return final[:2] - np.asarray(tmap.expansion_point[:2])
-
-    def jacobian(zeta: np.ndarray) -> np.ndarray:
-        full = np.array([zeta[0], zeta[1], dsigma])
-        return np.array(
-            [[partials[a][b].evaluate(full) for b in range(2)] for a in range(2)]
-        )
-
-    return apply_map, jacobian
-
-
-def _central_difference_jacobian(fn, point: np.ndarray) -> np.ndarray:
-    """2 x 2 Jacobian of ``fn`` at ``point`` by central differences."""
-    fd_step = 1e-6
-    cols = []
-    for b in range(2):
-        bump = np.zeros(2)
-        bump[b] = fd_step
-        cols.append((fn(point + bump) - fn(point - bump)) / (2 * fd_step))
-    return np.stack(cols, axis=1)
-
-
 def fixed_point_newton(
     map_source: TaylorMap | ExactStroboscopicMap,
     guess: Sequence[float],
@@ -317,11 +310,13 @@ def fixed_point_newton(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton refinement of a period-k point of the stroboscopic map.
 
-    For a :class:`TaylorMap` the iteration runs in deviation coordinates and
-    the Jacobian comes from differentiating the polynomial rows; for an
-    :class:`ExactStroboscopicMap` it runs in (q, p) with a central-difference
-    Jacobian.  Returns the refined point and the eigenvalues of the k-fold
-    Jacobian (the stability multipliers).
+    Each iteration chains k applications of a step ``x -> (F(x), DF(x))``.
+    For a :class:`TaylorMap` the iteration runs in deviation coordinates
+    (``dsigma`` fixed) and the Jacobian differentiates the polynomial rows;
+    for an :class:`ExactStroboscopicMap` it runs in (q, p) and each step is
+    one order-1 jet integration (:meth:`ExactStroboscopicMap.linearize`).
+    Returns the refined point and the eigenvalues of the k-fold Jacobian
+    (the stability multipliers).
     """
     if k < 1:
         raise ValueError(f"period must be >= 1, got {k}")
@@ -329,30 +324,22 @@ def fixed_point_newton(
     if x.shape != (2,):
         raise ValueError(f"expected a 2-component guess, got shape {x.shape}")
 
-    polynomial = isinstance(map_source, TaylorMap)
-    if polynomial:
-        apply_map, jacobian = _poly_map_and_jacobian(map_source, dsigma)
+    if isinstance(map_source, TaylorMap):
+        offset = np.asarray(map_source.expansion_point[:2])
 
-        def residual_and_jacobian(x0):
-            x_cur = x0
-            jac = np.eye(2)
-            for _ in range(k):
-                jac = jacobian(x_cur) @ jac
-                x_cur = apply_map(x_cur)
-            return x_cur - x0, jac
+        def step(zeta):
+            full = np.array([zeta[0], zeta[1], dsigma])
+            return map_source.final_state(full)[:2] - offset, map_source.jacobian(full)[:2, :2]
 
     else:
-        def k_fold(x0):
-            x_cur = x0
-            for _ in range(k):
-                x_cur = map_source(x_cur)
-            return x_cur
-
-        def residual_and_jacobian(x0):
-            return k_fold(x0) - x0, _central_difference_jacobian(k_fold, x0)
+        step = map_source.linearize
 
     for _ in range(max_iter):
-        f, jac_k = residual_and_jacobian(x)
+        x_cur, jac_k = x, np.eye(2)
+        for _ in range(k):
+            x_cur, jac = step(x_cur)
+            jac_k = jac @ jac_k
+        f = x_cur - x
         if np.max(np.abs(f)) <= tol:
             return x, np.linalg.eigvals(jac_k)
         newton_matrix = jac_k - np.eye(2)

@@ -269,12 +269,12 @@ def check_c_table(tol: float) -> CheckResult:
     table = mi.build_table(2, 2)
     ctab = vq.c_coefficients(2, 2, table)
     expected = {(r + 1, b, rp + 1, rpp + 1): v for r, b, rp, rpp, v in published}
-    ok = ctab.entries == expected
+    entries = ctab.entries
     return _result(
         "c-coefficients-2var",
         "structural",
-        ok,
-        f"{len(ctab.entries)} entries",
+        entries == expected,
+        f"{len(entries)} entries",
         f"{len(expected)} published entries",
     )
 

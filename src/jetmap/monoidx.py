@@ -6,8 +6,8 @@ each degree block descending lexicographic order of the exponent vectors.
 The constant monomial therefore always has rank 1 and the variable ``z_a``
 has rank ``a + 1``.
 
-Ranks are 1-based throughout the public API.  Each table also carries, for
-every rank ``k``, the *box* ``B_k``: the ascending list of ranks whose
+Ranks are 1-based throughout the public API.  Each table also carries, in
+flat arrays, for every rank ``k`` the *box* ``B_k``: the ascending list of ranks whose
 exponent vectors divide the exponent vector of ``k`` componentwise, together
 with its reverse ``Brev_k``.  The two lists are complementary pair by pair
 (``exponents(B_k[i]) + exponents(Brev_k[i]) = exponents(k)``), which turns
@@ -82,9 +82,13 @@ class MonomialTable:
         exponents: (L, m) integer array; row ``r - 1`` holds the exponent
             vector of rank ``r``.
         degrees: (L,) integer array of total degrees.
-        box: per rank k (0-based list index k-1), ascending 1-based ranks r
-            with exponents(r) <= exponents(k) componentwise.
-        box_rev: reverse of each box row.
+        flat_box: every box, concatenated in rank order, as 0-based ranks;
+            the box of rank k holds the ranks r, ascending, with
+            exponents(r) <= exponents(k) componentwise.
+        flat_box_rev: the same segments, each reversed.
+        seg_starts: (L,) offset of each rank's segment in the flat arrays.
+
+    :func:`box` and :func:`box_rev` read one rank's segment as 1-based ranks.
     """
 
     m: int
@@ -92,9 +96,6 @@ class MonomialTable:
     L: int
     exponents: np.ndarray
     degrees: np.ndarray
-    box: tuple[np.ndarray, ...]
-    box_rev: tuple[np.ndarray, ...]
-    # 0-based flattened box pairs and segment starts, for product kernels
     flat_box: np.ndarray
     flat_box_rev: np.ndarray
     seg_starts: np.ndarray
@@ -142,20 +143,13 @@ def build_table(m: int, p: int, max_entries: int = MAX_TABLE_ENTRIES) -> Monomia
     exponents = np.array(rows, dtype=np.int64)
     degrees = exponents.sum(axis=1)
 
-    box = []
-    box_rev = []
-    for k in range(L):
-        mask = np.all(exponents <= exponents[k], axis=1)
-        ranks = np.flatnonzero(mask) + 1  # ascending by construction
-        box.append(ranks)
-        box_rev.append(ranks[::-1].copy())
-
-    flat_box = np.concatenate(box) - 1
-    flat_box_rev = np.concatenate(box_rev) - 1
+    box = [np.flatnonzero(np.all(exponents <= exponents[k], axis=1)) for k in range(L)]
+    flat_box = np.concatenate(box)  # each segment ascending by construction
+    flat_box_rev = np.concatenate([b[::-1] for b in box])
     sizes = np.array([b.size for b in box])
     seg_starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
 
-    for arr in (exponents, degrees, flat_box, flat_box_rev, seg_starts, *box, *box_rev):
+    for arr in (exponents, degrees, flat_box, flat_box_rev, seg_starts):
         arr.setflags(write=False)
 
     return MonomialTable(
@@ -164,8 +158,6 @@ def build_table(m: int, p: int, max_entries: int = MAX_TABLE_ENTRIES) -> Monomia
         L=L,
         exponents=exponents,
         degrees=degrees,
-        box=tuple(box),
-        box_rev=tuple(box_rev),
         flat_box=flat_box,
         flat_box_rev=flat_box_rev,
         seg_starts=seg_starts,
@@ -177,15 +169,19 @@ def unrank(table: MonomialTable, r: int) -> tuple[int, ...]:
     return table.unrank(r)
 
 
-def box(table: MonomialTable, k: int) -> np.ndarray:
-    """Ascending ranks of the componentwise divisors of monomial k."""
+def _segment(table: MonomialTable, flat: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= table.L:
         raise IndexError(f"rank {k} outside [1, {table.L}]")
-    return table.box[k - 1]
+    start = table.seg_starts[k - 1]
+    stop = table.seg_starts[k] if k < table.L else flat.size
+    return flat[start:stop] + 1
+
+
+def box(table: MonomialTable, k: int) -> np.ndarray:
+    """Ascending ranks of the componentwise divisors of monomial k."""
+    return _segment(table, table.flat_box, k)
 
 
 def box_rev(table: MonomialTable, k: int) -> np.ndarray:
     """The k-th box in reverse order (complementary labels)."""
-    if not 1 <= k <= table.L:
-        raise IndexError(f"rank {k} outside [1, {table.L}]")
-    return table.box_rev[k - 1]
+    return _segment(table, table.flat_box_rev, k)

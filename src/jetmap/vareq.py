@@ -231,26 +231,31 @@ class CCoefficientTable:
 
     ``[(d/d zeta_b) G_{r'}] G_{r''} = sum_r C^r_{b r' r''} G_r`` with all
     ranks in jet labeling (constant = rank 1, so every stored rank is >= 2).
-    Flat index arrays (0-based) back the time-stepping contraction.
+    Entry i is held in flat arrays as 0-based indices ``idx_r[i]``,
+    ``idx_b[i]``, ``idx_rp[i]``, ``idx_rpp[i]`` and the float ``values[i]``;
+    ``idx_out[i] = idx_r[i] * L + idx_rp[i]`` is its cell in the (L, L)
+    contraction matrix.  :attr:`entries` reads them as a dict.
     """
 
     m: int
     p: int
-    entries: dict
     idx_r: np.ndarray
     idx_b: np.ndarray
     idx_rp: np.ndarray
     idx_rpp: np.ndarray
+    idx_out: np.ndarray
     values: np.ndarray
+
+    @property
+    def entries(self) -> dict[tuple[int, int, int, int], int]:
+        """``{(r, b, r', r''): C}`` in 1-based ranks and variable index."""
+        keys = np.stack([self.idx_r, self.idx_b, self.idx_rp, self.idx_rpp], axis=1) + 1
+        return {tuple(k): int(v) for k, v in zip(keys.tolist(), self.values)}
 
     def contraction_matrix(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
         """A[r, r'] = sum_{b, r''} C^r_{b r' r''} g[b, r''], written into out."""
-        out[:] = 0.0
-        np.add.at(
-            out,
-            (self.idx_r, self.idx_rp),
-            self.values * g[self.idx_b, self.idx_rpp],
-        )
+        terms = self.values * g[self.idx_b, self.idx_rpp]
+        out[:] = np.bincount(self.idx_out, weights=terms, minlength=out.size).reshape(out.shape)
         return out
 
 
@@ -258,7 +263,6 @@ def c_coefficients(m: int, p: int, table: MonomialTable) -> CCoefficientTable:
     """Enumerate all nonzero C^r_{b r' r''} for degree(r) <= p."""
     if table.m != m or table.p != p:
         raise ValueError(f"table is (m={table.m}, p={table.p}), asked for ({m}, {p})")
-    entries: dict[tuple[int, int, int, int], int] = {}
     idx_r, idx_b, idx_rp, idx_rpp, values = [], [], [], [], []
     for b in range(1, m + 1):
         for ip in range(1, table.L):  # r' = ip + 1, degree >= 1
@@ -272,22 +276,21 @@ def c_coefficients(m: int, p: int, table: MonomialTable) -> CCoefficientTable:
                 if d_lowered + int(table.degrees[ipp]) > p:
                     continue
                 target = lowered + table.exponents[ipp]
-                r = rank(target.tolist())
-                value = int(jp[b - 1])
-                entries[(r, b, ip + 1, ipp + 1)] = value
-                idx_r.append(r - 1)
+                idx_r.append(rank(target.tolist()) - 1)
                 idx_b.append(b - 1)
                 idx_rp.append(ip)
                 idx_rpp.append(ipp)
-                values.append(float(value))
+                values.append(float(jp[b - 1]))
+    idx_r = np.array(idx_r, dtype=np.intp)
+    idx_rp = np.array(idx_rp, dtype=np.intp)
     return CCoefficientTable(
         m=m,
         p=p,
-        entries=entries,
-        idx_r=np.array(idx_r, dtype=np.intp),
+        idx_r=idx_r,
         idx_b=np.array(idx_b, dtype=np.intp),
-        idx_rp=np.array(idx_rp, dtype=np.intp),
+        idx_rp=idx_rp,
         idx_rpp=np.array(idx_rpp, dtype=np.intp),
+        idx_out=idx_r * table.L + idx_rp,
         values=np.array(values),
     )
 

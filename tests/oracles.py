@@ -1,9 +1,10 @@
 """Test oracles: independent versions of what the package computes.
 
 The hand-written two-variable coefficient equations, the generic forward
-coefficient derivatives by jet composition, a parameter-freezing wrapper for
-lifted systems, and a frame-tagged phase point.  None of them is used by the
-package itself.
+coefficient derivatives by jet composition, the C-contraction by
+``np.add.at``, a central-difference Jacobian, a parameter-freezing wrapper
+for lifted systems, and a frame-tagged phase point.  None of them is used by
+the package itself.
 """
 
 from dataclasses import dataclass
@@ -106,6 +107,38 @@ def forward_variational_rhs(
             out[a] += g[a, i] * composed.coeffs
     out[:, 0] = 0.0
     return out
+
+
+def contraction_matrix_add_at(ctab, g: np.ndarray, L: int) -> np.ndarray:
+    """A[r, r'] = sum_{b, r''} C^r_{b r' r''} g[b, r''], one entry at a time.
+
+    Scatters the C-table's flat entries into a zeroed (L, L) array with
+    ``np.add.at``, which adds in entry order, the order the package's
+    ``CCoefficientTable.contraction_matrix`` must reproduce bit for bit.
+    """
+    out = np.zeros((L, L))
+    np.add.at(out, (ctab.idx_r, ctab.idx_rp), ctab.values * g[ctab.idx_b, ctab.idx_rpp])
+    return out
+
+
+# -- Jacobians --------------------------------------------------------------------
+
+
+def central_difference_jacobian(fn, point) -> np.ndarray:
+    """2 x 2 Jacobian of ``fn`` at ``point`` by central differences.
+
+    Truncation error is O(step^2), and an error e in ``fn`` adds up to
+    e / step: at this 1e-6 step, a map integrated at tol 1e-12 gives a
+    Jacobian good to about 1e-6.
+    """
+    step = 1e-6
+    point = np.asarray(point, dtype=np.float64)
+    cols = []
+    for b in range(2):
+        bump = np.zeros(2)
+        bump[b] = step
+        cols.append((fn(point + bump) - fn(point - bump)) / (2 * step))
+    return np.stack(cols, axis=1)
 
 
 # -- parameter lifting -----------------------------------------------------------

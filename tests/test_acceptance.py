@@ -1,7 +1,8 @@
 """Acceptance suite: one test per exit criterion, each printing PASS/FAIL.
 
 Run as ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Criteria 9 and 10 exercise the full epsilon=25 dynamics and dominate
+lines.  Criteria 1-5 and 10 run the published goldens through the same
+checks as ``jetmap verify``.  Criteria 9 and 10 exercise the full epsilon=25 dynamics and dominate
 the runtime; everything here stays inside the stated budgets.
 """
 
@@ -12,13 +13,10 @@ import numpy as np
 import pytest
 
 from jetmap import duffing as duf
-from jetmap import jet as jt
 from jetmap import jetode as ode
 from jetmap import monoidx as mi
 from jetmap import vareq as vq
-from jetmap.golden import DUFFING_P3_ROW1, DUFFING_P3_ROW2
-
-from conftest import FP_OMEGA, FP_P, FP_Q
+from jetmap.golden import run_checks
 
 
 def report(number, text):
@@ -31,87 +29,42 @@ def elapsed_guard(t0, budget, label):
     return wall
 
 
-def test_criterion_01_labeling_goldens():
+def assert_golden(names, budget, label):
+    """Run the named ``jetmap verify`` checks; each must pass within budget."""
     t0 = time.time()
-    assert mi.rank((0, 0, 0)) == 1
-    assert mi.rank((2, 0, 1)) == 13
-    assert mi.rank((1, 2, 1)) == 28
-    assert mi.table_size(3, 4) == 35
-    table = mi.build_table(3, 4)
-    assert table.unrank(17) == (0, 3, 0)
-    assert list(mi.box(table, 8)) == [1, 3, 8]
-    assert list(mi.box_rev(table, 8)) == [8, 3, 1]
-    wall = elapsed_guard(t0, 1.0, "labeling goldens")
-    report(1, f"labeling goldens exact ({wall:.3f} s)")
+    results = run_checks(names=names)
+    assert sorted(r.name for r in results) == sorted(names)
+    for r in results:
+        assert r.ok, f"{r.name}: observed {r.observed}, expected {r.expected}"
+    wall = elapsed_guard(t0, budget, label)
+    return results, wall
+
+
+def test_criterion_01_labeling_goldens():
+    names = ["rank-formula", "table-size", "gamma-row-17", "box-tables"]
+    _, wall = assert_golden(names, 1.0, "labeling goldens")
+    report(1, f"labeling goldens exact: {', '.join(names)} ({wall:.3f} s)")
 
 
 def test_criterion_02_algebra_goldens():
-    t0 = time.time()
-    t12 = mi.build_table(1, 2)
-    z = jt.variable(t12, 1)
-    combo = 2.0 * jt.constant(t12, 1.0) + 3.0 * jt.prod(z, z)
-    assert np.max(np.abs(combo.coeffs - [2, 0, 3])) <= 1e-14
-
-    shifted = jt.constant(t12, 4.0) + z
-    one_var = jt.polyval_on_jets(lambda u: 1 + 2 * u + 3 * u * u, [shifted])
-    assert np.max(np.abs(one_var.coeffs - [57, 26, 3])) <= 1e-14
-
-    t22 = mi.build_table(2, 2)
-    g = jt.constant(t22, 7.0) + jt.variable(t22, 1)
-    h = jt.constant(t22, 8.0) + jt.variable(t22, 2)
-    two_var = jt.polyval_on_jets(
-        lambda z1, z2: 1 + 2 * z1 + 3 * z2 + 4 * z1 * z1 + 5 * z1 * z2 + 6 * z2 * z2,
-        [g, h],
-    )
-    assert np.max(np.abs(two_var.coeffs - [899, 98, 134, 4, 5, 6])) <= 1e-14
-    wall = elapsed_guard(t0, 1.0, "algebra goldens")
-    report(2, f"algebra goldens exact to 1e-14 ({wall:.3f} s)")
+    names = ["replacement-rule", "taylor-rule-1var", "taylor-rule-2var"]
+    _, wall = assert_golden(names, 1.0, "algebra goldens")
+    report(2, f"algebra goldens exact to 1e-14: {', '.join(names)} ({wall:.3f} s)")
 
 
 def test_criterion_03_jet_rk4_golden():
-    t0 = time.time()
-    table = mi.build_table(1, 5)
-    system = ode.OdeSystem(dim=1, rhs=lambda s, t: (-2.0 * t * s[0] ** 2,))
-    (z,), _ = ode.rk4(system, jt.state_about(table, [1.0]), 0.0, ode.fixed_step(0.01, 100))
-    expected = [0.5, 0.25, -0.125, 0.0625, -0.03125, 0.015625]
-    worst = np.max(np.abs(z.coeffs - expected))
-    assert worst <= 1e-6
-    wall = elapsed_guard(t0, 1.0, "jet RK4 golden")
-    report(3, f"single-variable jet RK4 within {worst:.2e} of the series ({wall:.3f} s)")
+    (result,), wall = assert_golden(["rk4-jet-1var"], 1.0, "jet RK4 golden")
+    report(3, f"single-variable jet RK4 within 1e-6 of the series: {result.observed} ({wall:.3f} s)")
 
 
 def test_criterion_04_two_variable_jet_rk4_golden():
-    t0 = time.time()
-    table = mi.build_table(2, 3)
-    system = ode.OdeSystem(dim=2, rhs=lambda s, t: (-(s[0] ** 2), 2.0 * (s[0] * s[1])))
-    (z1, z2), _ = ode.rk4(system, jt.state_about(table, [1.0, 2.0]), 0.0, ode.fixed_step(0.01, 100))
-    expected2 = np.array([8.0, 8, 4, 2, 4, 0, 0, 1, 0, 0])
-    residual = abs(z2.coeffs[6])
-    assert residual <= 5e-7
-    others = np.abs(z2.coeffs - expected2)
-    others[6] = 0.0
-    assert others.max() <= 1e-6
-    wall = elapsed_guard(t0, 1.0, "two-variable jet RK4")
-    report(4, f"row-2 pyramid matches, truncation residual {residual:.2e} <= 5e-7 ({wall:.3f} s)")
+    (result,), wall = assert_golden(["rk4-jet-2var"], 1.0, "two-variable jet RK4")
+    report(4, f"row-2 pyramid matches, truncation residual <= 5e-7: {result.observed} ({wall:.3f} s)")
 
 
 def test_criterion_05_duffing_map_golden():
-    t0 = time.time()
-    tmap = duf.stroboscopic_taylor_map(
-        0.1, 1.5, (0.3, 0.4, 0.5), p=3, cfg=ode.fixed_step(duf.TWO_PI / 100, 100)
-    )
-    worst = max(
-        np.max(np.abs(tmap.rows[0].coeffs - DUFFING_P3_ROW1)),
-        np.max(np.abs(tmap.rows[1].coeffs - DUFFING_P3_ROW2)),
-    )
-    assert worst <= 1e-4
-    const_err = max(
-        abs(tmap.rows[0].coeffs[0] - -0.0493158),
-        abs(tmap.rows[1].coeffs[0] - 0.439713),
-    )
-    assert const_err <= 1e-6
-    wall = elapsed_guard(t0, 5.0, "Duffing map golden")
-    report(5, f"40 printed coefficients within {worst:.2e}, constants within {const_err:.2e} ({wall:.2f} s)")
+    (result,), wall = assert_golden(["duffing-rk4-map"], 5.0, "Duffing map golden")
+    report(5, f"40 printed coefficients within 1e-4, constants within 1e-6: {result.observed} ({wall:.2f} s)")
 
 
 def _random_polynomial_system(rng):
@@ -265,17 +218,5 @@ def test_criterion_09_qualitative_dynamics(m8_map):
 
 
 def test_criterion_10_exact_map_unstable_fixed_point():
-    t0 = time.time()
-    exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 25.0, FP_OMEGA), tol=1e-12)
-    guess = np.array([FP_Q, FP_P])
-    point, multipliers = duf.fixed_point_newton(exact, guess, tol=1e-9)
-    distance = float(np.max(np.abs(point - guess)))
-    magnitude = float(np.max(np.abs(multipliers)))
-    assert distance <= 1e-3
-    assert magnitude > 1.0
-    wall = elapsed_guard(t0, 60.0, "exact-map fixed point")
-    report(
-        10,
-        f"Newton landed {distance:.2e} from the published point with "
-        f"|multiplier|max = {magnitude:.4f} > 1 ({wall:.1f} s)",
-    )
+    (result,), wall = assert_golden(["unstable-fixed-point"], 60.0, "exact-map fixed point")
+    report(10, f"Newton landed within 1e-3 of the published point, one |multiplier| > 1: {result.observed} ({wall:.1f} s)")

@@ -13,7 +13,7 @@ from jetmap import vareq as vq
 from jetmap.jet import Jet, state_about
 
 from conftest import FP_OMEGA, FP_P, FP_Q
-from oracles import PhasePoint
+from oracles import PhasePoint, central_difference_jacobian
 
 
 # -- parameters and frames -------------------------------------------------------
@@ -405,6 +405,19 @@ def test_newton_period_one_point_is_period_two_point():
     assert np.sort(np.abs(m2)) == pytest.approx(np.sort(np.abs(m1)) ** 2, rel=1e-4)
 
 
+def test_newton_period_two_converges_quadratically():
+    # off a fixed point, J(F(x)) J(x) != J(x) J(F(x)); Newton with the
+    # factors swapped converges only linearly (14-17 iterations, not 3-5)
+    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, tol=1e-10)
+    point, _ = duf.fixed_point_newton(tmap, (0.05, 0.05), k=2, tol=1e-13)
+    orbit = duf.iterate_map(tmap, point, 0.0, 2)
+    assert np.max(np.abs(orbit[1] - point)) > 0.1
+    assert np.max(np.abs(orbit[2] - point)) < 1e-10
+    nudged = point + np.array([1e-3, -1e-3])
+    again, _ = duf.fixed_point_newton(tmap, nudged, k=2, tol=1e-12, max_iter=5)
+    assert np.max(np.abs(again - point)) < 1e-12
+
+
 def test_newton_polynomial_map_fixed_point(m8_map):
     tmap, _ = m8_map
     point, multipliers = duf.fixed_point_newton(tmap, (0.01, 0.01), dsigma=0.0, tol=1e-12)
@@ -447,6 +460,51 @@ def test_exact_map_jacobian_determinant_abel():
         jac = np.array(
             [[state[a].coeffs[table.variable_rank(b + 1) - 1] for b in range(2)] for a in range(2)]
         )
+        assert np.linalg.det(jac) == pytest.approx(
+            math.exp(-4 * math.pi * beta / omega), abs=1e-8
+        )
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_newton_exact_multiplier_accuracy(k):
+    # damped linear oscillator: the k-fold multipliers have modulus e^(-k beta T)
+    # exactly, so the Jacobian's error shows directly; a 1e-6 differencing
+    # step on a map integrated at 1e-10 was off by 1.2e-4 (k = 1), 2.0e-4 (k = 2)
+    exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 0.0, 1.7), tol=1e-10)
+    _, multipliers = duf.fixed_point_newton(exact, (0.1, -0.05), k=k, tol=1e-10)
+    expected = math.exp(-k * 0.1 * 2 * math.pi / 1.7)
+    assert np.max(np.abs(np.abs(multipliers) - expected)) <= 1e-8
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_newton_exact_iteration_makes_k_jet_integrations(monkeypatch, k):
+    # an unreachable tolerance runs exactly max_iter iterations
+    calls = {"jet": 0, "scalar": 0}
+    rkf45 = ode.rkf45
+
+    def counted(system, state0, *args, **kwargs):
+        calls["jet" if isinstance(state0[0], Jet) else "scalar"] += 1
+        return rkf45(system, state0, *args, **kwargs)
+
+    monkeypatch.setattr(ode, "rkf45", counted)
+    exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 1.5, 2.0), tol=1e-6)
+    with pytest.raises(duf.NewtonConvergenceError):
+        duf.fixed_point_newton(exact, (0.3, 0.4), k=k, tol=0.0, max_iter=3)
+    assert calls == {"jet": 3 * k, "scalar": 0}
+
+
+def test_exact_map_linearize_matches_central_differences():
+    exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 25.0, FP_OMEGA), tol=1e-12)
+    point = np.array([FP_Q, FP_P])
+    image, jac = exact.linearize(point)
+    assert np.max(np.abs(image - exact(point))) <= 1e-9
+    assert np.max(np.abs(jac - central_difference_jacobian(exact, point))) <= 1e-6
+
+
+def test_exact_map_linearize_determinant_abel():
+    for beta, eps, omega in ((0.1, 1.5, 2.0), (0.1, 25.0, 1.2902), (0.05, 5.5, 1.0)):
+        exact = duf.ExactStroboscopicMap(duf.DuffingParams(beta, eps, omega), tol=1e-12)
+        _, jac = exact.linearize(duf.to_qp(0.3, 0.4, omega))
         assert np.linalg.det(jac) == pytest.approx(
             math.exp(-4 * math.pi * beta / omega), abs=1e-8
         )

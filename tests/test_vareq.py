@@ -12,7 +12,12 @@ from jetmap import monoidx as mi
 from jetmap import vareq as vq
 
 from conftest import FP_OMEGA, FP_P, FP_Q
-from oracles import fix_parameters, forward_variational_rhs, two_var_oracle_rhs
+from oracles import (
+    contraction_matrix_add_at,
+    fix_parameters,
+    forward_variational_rhs,
+    two_var_oracle_rhs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +237,17 @@ def test_backward_contraction_matches_oracle(seed):
     generic = -(h @ amat.T)[:, 1:]
     oracle = two_var_oracle_rhs(g15, h15, "backward")
     assert np.max(np.abs(generic - oracle)) < 1e-13
+
+
+@pytest.mark.parametrize("m,p", [(2, 3), (3, 2), (3, 8)])
+def test_contraction_matrix_bits_match_add_at(m, p):
+    table = mi.build_table(m, p)
+    ctab = vq.c_coefficients(m, p, table)
+    g = np.random.default_rng(m * 10 + p).normal(size=(m, table.L))
+    amat = np.full((table.L, table.L), np.nan)
+    assert ctab.contraction_matrix(g, amat) is amat
+    # bit for bit, signs of zero included
+    assert amat.tobytes() == contraction_matrix_add_at(ctab, g, table.L).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(5))
