@@ -56,10 +56,17 @@ def _merge(file_cfg: dict, defaults: dict, overrides: dict) -> dict:
     merged = dict(defaults)
     merged.update(file_cfg)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(merged) - set(defaults)
+    return _check_keys(merged, defaults, "config")
+
+
+def _check_keys(opts, allowed, name: str) -> dict:
+    """``opts`` itself, once it is an object whose keys are all in ``allowed``."""
+    if not isinstance(opts, dict):
+        raise ConfigError(f"{name} settings must be an object")
+    unknown = set(opts) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return merged
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return opts
 
 
 def _config_header_lines(command: str, cfg: dict) -> list[str]:
@@ -78,17 +85,13 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _integrator_config(opts) -> ode.IntegratorConfig:
-    if not isinstance(opts, dict):
-        raise ConfigError("integrator settings must be an object")
+    """ns steps over the period in fixed mode, or an adaptive tolerance."""
+    _check_keys(opts, ("mode", "ns", "tol"), "integrator")
     mode = opts.get("mode", "adaptive")
     if mode == "fixed":
-        ns = int(opts.get("ns", 100))
-        h = opts.get("h")
-        if h is None:
-            h = duf.TWO_PI / ns
-        return ode.fixed_step(float(h), ns)
+        return ode.fixed_step(int(opts.get("ns", 100)))
     if mode == "adaptive":
-        return ode.adaptive(float(opts.get("tol", 1e-12)), opts.get("h0"))
+        return ode.adaptive(float(opts.get("tol", 1e-12)))
     raise ConfigError(f"integrator mode must be 'fixed' or 'adaptive', got {mode!r}")
 
 
@@ -235,6 +238,7 @@ def _omega_grid(cfg) -> np.ndarray:
 
 
 def _map_source(cfg):
+    opts = _check_keys(cfg["map"], ("expansion", "order", "tol", "method"), "map")
     if cfg["source"] == "exact":
         return "exact"
     if cfg["source"] != "taylor":
@@ -247,7 +251,6 @@ def _map_source(cfg):
             raise OSError(f"cannot read map file: {err}") from err
         except (KeyError, TypeError) as err:
             raise ConfigError(f"map file {cfg['map_file']} is not a serialized map: {err}") from err
-    opts = cfg["map"]
     expansion = opts.get("expansion")
     if expansion is None:
         raise ConfigError("taylor source needs map.expansion = [z1, z2, sigma] or map_file")
@@ -256,7 +259,7 @@ def _map_source(cfg):
         eps=float(cfg["eps"]),
         expansion=[float(v) for v in expansion],
         p=int(opts.get("order", 8)),
-        tol=float(opts.get("tol", 1e-9)),
+        cfg=ode.adaptive(float(opts.get("tol", 1e-9))),
         method=opts.get("method", "forward"),
     )
 

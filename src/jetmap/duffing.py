@@ -166,15 +166,14 @@ def stroboscopic_taylor_map(
     eps: float,
     expansion: Sequence[float],
     p: int,
-    tol: float = 1e-12,
-    cfg: IntegratorConfig | None = None,
+    cfg: IntegratorConfig = IntegratorConfig(),
     method: str = "forward",
 ) -> TaylorMap:
     """Order-p Taylor expansion of the stroboscopic map about ``expansion``.
 
-    ``expansion`` is the scaled-frame point (z1, z2, sigma).  The default
-    integrator is the adaptive pair at the given tolerance; pass a fixed
-    config to reproduce plain RK4 runs.
+    ``expansion`` is the scaled-frame point (z1, z2, sigma).  ``cfg`` is the
+    integrator setting over the period [0, 2 pi]: by default the adaptive
+    pair at tol 1e-12; pass ``fixed_step(ns)`` to reproduce plain RK4 runs.
     """
     if p < 1:
         raise ValueError(f"map order must be >= 1, got {p}")
@@ -182,8 +181,6 @@ def stroboscopic_taylor_map(
         raise ValueError("expansion point must be (z1, z2, sigma)")
     system = duffing_scaled_rhs(beta, eps, sigma=float(expansion[2]))
     table = build_table(3, p)
-    if cfg is None:
-        cfg = adaptive(tol)
     if method == "forward":
         return forward_solve(system, expansion, 0.0, TWO_PI, table, cfg)
     if method == "backward":

@@ -142,7 +142,7 @@ def _decay_system() -> ode.OdeSystem:
 
 
 def check_rk4_scalar(tol: float) -> CheckResult:
-    (z,), _ = ode.rk4(_decay_system(), (1.0,), 0.0, ode.fixed_step(0.1, 10))
+    (z,), _, _ = ode.rk4(_decay_system(), (1.0,), 0.0, 1.0, ode.fixed_step(10))
     observed = f"{z:.6f}"
     return _result("rk4-scalar-decay", "structural", observed == "0.500001", observed, "0.500001")
 
@@ -150,7 +150,7 @@ def check_rk4_scalar(tol: float) -> CheckResult:
 def check_rk4_jet_1var(tol: float) -> CheckResult:
     table = mi.build_table(1, 5)
     state0 = jt.state_about(table, [1.0])
-    (z,), _ = ode.rk4(_decay_system(), state0, 0.0, ode.fixed_step(0.01, 100))
+    (z,), _, _ = ode.rk4(_decay_system(), state0, 0.0, 1.0, ode.fixed_step(100))
     expected = np.array([0.5, 0.25, -0.125, 0.0625, -0.03125, 0.015625])
     ok = np.max(np.abs(z.coeffs - expected)) <= 1e-6
     return _result("rk4-jet-1var", "structural", ok, _fmt(z.coeffs), _fmt(expected))
@@ -166,7 +166,7 @@ def _two_var_system() -> ode.OdeSystem:
 def check_rk4_jet_2var(tol: float) -> CheckResult:
     table = mi.build_table(2, 3)
     state0 = jt.state_about(table, [1.0, 2.0])
-    (z1, z2), _ = ode.rk4(_two_var_system(), state0, 0.0, ode.fixed_step(0.01, 100))
+    (z1, z2), _, _ = ode.rk4(_two_var_system(), state0, 0.0, 1.0, ode.fixed_step(100))
     expected1 = np.array([0.5, 0.25, 0, -0.125, 0, 0, 0.0625, 0, 0, 0])
     expected2 = np.array([8.0, 8, 4, 2, 4, 0, 0, 1, 0, 0])
     residual = abs(z2.coeffs[6])
@@ -199,7 +199,7 @@ def duffing_p3_rk4_map() -> vq.TaylorMap:
         eps=1.5,
         expansion=(0.3, 0.4, 0.5),
         p=3,
-        cfg=ode.fixed_step(duf.TWO_PI / 100, 100),
+        cfg=ode.fixed_step(100),
     )
 
 

@@ -31,13 +31,13 @@ class Jet:
     __slots__ = ("table", "coeffs")
 
     def __init__(self, table: MonomialTable, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.float64)
+        coeffs = np.array(coeffs, dtype=np.float64)
         if coeffs.shape != (table.L,):
             raise ValueError(
                 f"expected {table.L} coefficients for (m={table.m}, p={table.p}), "
                 f"got shape {coeffs.shape}"
             )
-        # jets are value-semantic: the buffer is owned and frozen
+        # jets are value-semantic: the buffer is a private copy, frozen
         coeffs.setflags(write=False)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "coeffs", coeffs)
@@ -57,7 +57,7 @@ class Jet:
             )
 
     def copy(self) -> "Jet":
-        return Jet(self.table, self.coeffs.copy())
+        return Jet(self.table, self.coeffs)
 
     def __repr__(self) -> str:
         return f"Jet(m={self.table.m}, p={self.table.p}, coeffs={self.coeffs!r})"
@@ -116,7 +116,7 @@ class Jet:
 
     def __truediv__(self, other):
         if isinstance(other, _SCALARS):
-            return Jet(self.table, self.coeffs / float(other))
+            return _new(self.table, self.coeffs / float(other))
         return NotImplemented  # jet-by-jet division is out of scope
 
     def __pow__(self, n):
@@ -217,10 +217,10 @@ def state_about(table: MonomialTable, center: Sequence[float]) -> tuple[Jet, ...
     """
     if len(center) != table.m:
         raise ValueError(f"expected {table.m} center coordinates, got {len(center)}")
-    return tuple(
-        constant(table, float(c)) + variable(table, a + 1)
-        for a, c in enumerate(center)
-    )
+    # x_a has rank a + 1 (MonomialTable.variable_rank)
+    coeffs = np.eye(table.m, table.L, k=1)
+    coeffs[:, 0] = center
+    return tuple(_new(table, row) for row in coeffs)
 
 
 # -- named operations (operator sugar above delegates here) -----------------

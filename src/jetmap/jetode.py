@@ -46,7 +46,7 @@ class DivergenceError(RuntimeError):
 
 
 class StiffnessError(RuntimeError):
-    """Adaptive step size underflowed the configured minimum."""
+    """Adaptive step control fell below its minimum step or ran out of steps."""
 
 
 @dataclass(frozen=True)
@@ -87,48 +87,37 @@ class OdeSystem:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step-control settings shared by the fixed and adaptive integrators.
+    """Step policy over one span [t0, tf]: a step count or a tolerance.
 
-    ``h`` is the step in fixed mode and the initial trial step in adaptive
-    mode (default: the whole interval, so a quadrature-exact problem is done
-    in one accepted step).  ``tol`` bounds the per-step error estimate, the
-    4th/5th-order difference over the whole state array (every coefficient of
-    every component, for jet and scalar states alike), each entry weighed by
-    ``1 + max(|y|, |y5|)``: ``tol`` serves as both the absolute and the
-    relative tolerance (see :func:`_error_norm`).
+    In fixed mode :func:`rk4` takes ``ns`` equal steps of ``(tf - t0) / ns``.
+    In adaptive mode :func:`rkf45` bounds the per-step error estimate by
+    ``tol``: the 4th/5th-order difference over the whole state array (every
+    coefficient of every component, for jet and scalar states alike), each
+    entry weighed by ``1 + max(|y|, |y5|)``, so ``tol`` serves as both the
+    absolute and the relative tolerance (see :func:`_error_norm`).  The first
+    trial step is the whole span, so a quadrature-exact problem is done in
+    one accepted step.
     """
 
     mode: str = "adaptive"
-    h: float | None = None
     ns: int = 1
     tol: float = 1e-12
-    safety: float = 0.9
-    min_shrink: float = 0.1
-    max_grow: float = 5.0
-    h_min_frac: float = 1e-12
-    max_steps: int = 500_000
 
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
             raise ValueError(f"mode must be 'fixed' or 'adaptive', got {self.mode!r}")
-        if self.mode == "fixed":
-            if self.h is None or self.h <= 0:
-                raise ValueError("fixed mode needs a positive step h")
-            if self.ns < 1:
-                raise ValueError("fixed mode needs ns >= 1")
-        else:
-            if self.tol <= 0:
-                raise ValueError("adaptive mode needs tol > 0")
-            if self.h is not None and self.h <= 0:
-                raise ValueError("initial step must be positive when given")
+        if self.mode == "fixed" and self.ns < 1:
+            raise ValueError("fixed mode needs ns >= 1")
+        if self.mode == "adaptive" and self.tol <= 0:
+            raise ValueError("adaptive mode needs tol > 0")
 
 
-def fixed_step(h: float, ns: int) -> IntegratorConfig:
-    return IntegratorConfig(mode="fixed", h=h, ns=ns)
+def fixed_step(ns: int) -> IntegratorConfig:
+    return IntegratorConfig(mode="fixed", ns=ns)
 
 
-def adaptive(tol: float = 1e-12, h0: float | None = None) -> IntegratorConfig:
-    return IntegratorConfig(mode="adaptive", tol=tol, h=h0)
+def adaptive(tol: float = 1e-12) -> IntegratorConfig:
+    return IntegratorConfig(mode="adaptive", tol=tol)
 
 
 @dataclass
@@ -249,12 +238,18 @@ _RK4_B = np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6])
 
 
 def rk4(
-    system: OdeSystem, state0: Sequence, t0: float, cfg: IntegratorConfig
-) -> tuple[State, float]:
-    """Classic fourth-order Runge-Kutta with ns steps of size h."""
+    system: OdeSystem,
+    state0: Sequence,
+    t0: float,
+    tf: float,
+    cfg: IntegratorConfig,
+) -> tuple[State, float, StepStats]:
+    """Classic fourth-order Runge-Kutta: ``cfg.ns`` steps of ``(tf - t0) / ns``."""
     if cfg.mode != "fixed":
         raise ValueError("rk4 requires a fixed-mode config")
-    h = cfg.h
+    if not tf > t0:
+        raise ValueError(f"need tf > t0, got t0={t0}, tf={tf}")
+    h = (tf - t0) / cfg.ns
     layout = _Layout(state0)
     y = layout.pack(state0)
     k = np.empty((4, y.size))
@@ -269,7 +264,7 @@ def rk4(
             t = t0 + i * h
             if not np.isfinite(y).all():
                 raise DivergenceError(f"non-finite state after step {i} (t={t})", i, t)
-    return layout.unpack(y), t
+    return layout.unpack(y), t, StepStats(accepted=cfg.ns, h_min=h, h_max=h)
 
 
 # -- adaptive Runge-Kutta-Fehlberg 4(5) ---------------------------------------
@@ -289,6 +284,18 @@ _RKF_A = np.array(
 _RKF_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
 _RKF_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
 _RKF_DB = _RKF_B4 - _RKF_B5
+
+# step-size controller (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4):
+# h grows by safety * (tol / err)^(1/5), clamped to [_MIN_SHRINK, _MAX_GROW]
+_SAFETY = 0.9
+_MIN_SHRINK = 0.1
+_MAX_GROW = 5.0
+# a step below this fraction of the span means the problem is stiff
+_H_MIN_FRAC = 1e-12
+# step attempts per run: a tol beneath the error estimate's round-off floor
+# stalls instead of underflowing h.  One exact Duffing period (eps 25, omega
+# 1.285) takes 20,678 attempts at tol 1e-18 and 107,631 at 1e-20
+_MAX_STEPS = 500_000
 
 
 def rkf45(
@@ -312,8 +319,8 @@ def rkf45(
         raise ValueError(f"need tf > t0, got t0={t0}, tf={tf}")
 
     span = tf - t0
-    h_min = cfg.h_min_frac * span
-    h = min(cfg.h if cfg.h is not None else span, span)
+    h_min = _H_MIN_FRAC * span
+    h = span
     stats = StepStats()
     layout = _Layout(state0)
     y = layout.pack(state0)
@@ -349,10 +356,10 @@ def rkf45(
                 stats.rejected += 1
 
             if err > 0.0:
-                factor = cfg.safety * (cfg.tol / err) ** 0.2 if math.isfinite(err) else cfg.min_shrink
-                h *= min(max(factor, cfg.min_shrink), cfg.max_grow)
+                factor = _SAFETY * (cfg.tol / err) ** 0.2 if math.isfinite(err) else _MIN_SHRINK
+                h *= min(max(factor, _MIN_SHRINK), _MAX_GROW)
             else:
-                h *= cfg.max_grow
+                h *= _MAX_GROW
 
             if t < tf and h < h_min:
                 if not finite:
@@ -365,11 +372,9 @@ def rkf45(
                     f"step size {h} fell below minimum {h_min} at t={t} "
                     f"({stats.accepted} accepted, {stats.rejected} rejected)"
                 )
-            if stats.accepted + stats.rejected > cfg.max_steps:
-                # a tolerance beneath the round-off floor of the error estimate
-                # stalls instead of underflowing h; cap the work done
+            if stats.accepted + stats.rejected > _MAX_STEPS:
                 raise StiffnessError(
-                    f"exceeded {cfg.max_steps} steps at t={t} of {tf}; the "
+                    f"exceeded {_MAX_STEPS} steps at t={t} of {tf}; the "
                     f"tolerance {cfg.tol} appears unattainable for this state"
                 )
     return layout.unpack(y), t, stats
@@ -382,11 +387,9 @@ def integrate(
     tf: float,
     cfg: IntegratorConfig,
 ) -> tuple[State, float, StepStats]:
-    """Dispatch on cfg.mode; fixed mode derives ns*h from the config alone.
+    """:func:`rk4` in fixed mode, :func:`rkf45` in adaptive mode, over [t0, tf].
 
-    The step statistics of a fixed-mode run are its ns steps of size h.
+    Both are looked up in this module at call time, so a wrapper put on
+    ``jetode.rkf45`` sees every adaptive run.
     """
-    if cfg.mode == "fixed":
-        state, t = rk4(system, state0, t0, cfg)
-        return state, t, StepStats(accepted=cfg.ns, h_min=cfg.h, h_max=cfg.h)
-    return rkf45(system, state0, t0, tf, cfg)
+    return (rk4 if cfg.mode == "fixed" else rkf45)(system, state0, t0, tf, cfg)

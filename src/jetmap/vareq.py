@@ -26,7 +26,6 @@ import numpy as np
 
 from .jet import (
     Jet,
-    _new as _new_jet,
     jet_from_dict,
     jet_to_dict,
     monomial_values,
@@ -54,10 +53,7 @@ def expand_rhs(
             f"system dim {system.dim}, table m {table.m}, design point "
             f"length {len(zd)} must all agree"
         )
-    # the jets zd_a + x_a; x_a has rank a + 1 (MonomialTable.variable_rank)
-    coeffs = np.eye(table.m, table.L, k=1)
-    coeffs[:, 0] = zd
-    jets = system.rhs(tuple(_new_jet(table, row) for row in coeffs), t)
+    jets = system.rhs(state_about(table, zd), t)
     g = np.empty((system.dim, table.L))
     for a, component in enumerate(jets):
         if isinstance(component, Jet):
@@ -353,11 +349,9 @@ def backward_solve(
     state0 = state_about(table, endpoint)
     state, _, coeff_stats = integrate(reversed_system, state0, 0.0, span, cfg)
 
-    rows = []
-    for a, component in enumerate(state):
-        coeffs = component.coeffs.copy()
-        coeffs[0] = endpoint[a]  # constant slot holds the design endpoint
-        rows.append(Jet(table, coeffs))
+    coeffs = np.stack([component.coeffs for component in state])
+    coeffs[:, 0] = endpoint  # constant slot holds the design endpoint
+    rows = [Jet(table, row) for row in coeffs]
     return TaylorMap(
         table=table,
         t_i=t_i,

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from jetmap import duffing as duf
+from jetmap import jetode as ode
 
 # the published expansion point: an unstable fixed point of the exact
 # stroboscopic map at beta=.1, eps=25, omega=1.285, given in the (q, p) frame
@@ -20,6 +21,6 @@ def m8_map():
     z1, z2 = duf.to_scaled(FP_Q, FP_P, FP_OMEGA)
     t0 = time.time()
     tmap = duf.stroboscopic_taylor_map(
-        0.1, 25.0, (z1, z2, 1.0 / FP_OMEGA), p=8, tol=1e-9
+        0.1, 25.0, (z1, z2, 1.0 / FP_OMEGA), p=8, cfg=ode.adaptive(1e-9)
     )
     return tmap, time.time() - t0

@@ -132,7 +132,7 @@ def test_criterion_07_order_of_accuracy():
     decay = ode.OdeSystem(dim=1, rhs=lambda s, t: (-2.0 * t * s[0] ** 2,))
     errors = []
     for h in (0.1, 0.05, 0.025):
-        (z,), _ = ode.rk4(decay, (1.0,), 0.0, ode.fixed_step(h, round(1 / h)))
+        (z,), _, _ = ode.rk4(decay, (1.0,), 0.0, 1.0, ode.fixed_step(round(1 / h)))
         errors.append(abs(z - 0.5))
     ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
     for ratio in ratios:
@@ -145,7 +145,7 @@ def test_criterion_07_order_of_accuracy():
     direction /= np.linalg.norm(direction)
     slopes = {}
     for p, deltas in ((3, (1e-1, 1e-2, 1e-3)), (5, (1e-1, 10**-1.5, 1e-2))):
-        tmap = duf.stroboscopic_taylor_map(beta, eps, expansion, p=p, tol=1e-13)
+        tmap = duf.stroboscopic_taylor_map(beta, eps, expansion, p=p, cfg=ode.adaptive(1e-13))
         errs = []
         for delta in deltas:
             dev = delta * direction
@@ -169,7 +169,9 @@ def test_criterion_08_liouville_invariant():
     t0 = time.time()
     worst = 0.0
     for beta, sigma in ((0.1, 0.5), (0.1, 0.8), (0.05, 1.0)):
-        tmap = duf.stroboscopic_taylor_map(beta, 1.5, (0.3, 0.4, sigma), p=2, tol=1e-12)
+        tmap = duf.stroboscopic_taylor_map(
+            beta, 1.5, (0.3, 0.4, sigma), p=2, cfg=ode.adaptive(1e-12)
+        )
         det = np.linalg.det(tmap.linear_matrix())
         gap = abs(det - math.exp(-4 * math.pi * beta * sigma))
         worst = max(worst, gap)

@@ -144,6 +144,34 @@ def test_unknown_config_key(tmp_path):
     assert run_cli(["expand", "--config", path]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "integrator",
+    [
+        {"mode": "fixed", "ns": 100, "h": 0.01},
+        {"mode": "adaptive", "tol": 1e-10, "h0": 0.1},
+        {"mode": "adaptive", "tol": 1e-10, "safety": 0.8},
+    ],
+)
+def test_expand_refuses_integrator_keys_beyond_mode_ns_tol(tmp_path, capsys, integrator):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"expand": {"integrator": integrator}}))
+    out = tmp_path / "map.json"
+    assert run_cli(["expand", "--config", path, "--out", out]) == cli.EXIT_CONFIG
+    assert "config error: unknown integrator keys" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["scan", "attract"])
+def test_unknown_map_key_is_refused(tmp_path, capsys, command):
+    cfg = {command: {"map": {"expansion": [0.3, 0.4, 0.5], "order": 2, "methd": "backward"}}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--config", path, "--out", out]) == cli.EXIT_CONFIG
+    assert "config error: unknown map keys: ['methd']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_config(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -109,7 +109,7 @@ def test_stroboscopic_map_matches_published_pyramids():
 
 
 def test_stroboscopic_map_parameter_row_is_identity():
-    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, tol=1e-10)
+    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, cfg=ode.adaptive(1e-10))
     expected = np.zeros(tmap.table.L)
     expected[0] = 0.5
     expected[3] = 1.0
@@ -117,7 +117,7 @@ def test_stroboscopic_map_parameter_row_is_identity():
 
 
 def test_stroboscopic_map_unforced_origin():
-    tmap = duf.stroboscopic_taylor_map(0.1, 0.0, (0.0, 0.0, 0.7), p=2, tol=1e-12)
+    tmap = duf.stroboscopic_taylor_map(0.1, 0.0, (0.0, 0.0, 0.7), p=2, cfg=ode.adaptive(1e-12))
     assert abs(tmap.rows[0].coeffs[0]) < 1e-12
     assert abs(tmap.rows[1].coeffs[0]) < 1e-12
 
@@ -132,9 +132,9 @@ def test_stroboscopic_map_validation():
 
 
 def test_forward_and_backward_map_methods_agree():
-    fwd = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=2, tol=1e-12)
+    fwd = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=2, cfg=ode.adaptive(1e-12))
     bwd = duf.stroboscopic_taylor_map(
-        0.1, 1.5, (0.3, 0.4, 0.5), p=2, tol=1e-12, method="backward"
+        0.1, 1.5, (0.3, 0.4, 0.5), p=2, cfg=ode.adaptive(1e-12), method="backward"
     )
     for a in range(3):
         assert np.max(np.abs(fwd.rows[a].coeffs - bwd.rows[a].coeffs)) < 1e-8
@@ -173,7 +173,7 @@ def test_iterate_map_zero_steps_and_identity():
 
 
 def test_iterate_map_matches_direct_row_evaluation():
-    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, tol=1e-10)
+    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, cfg=ode.adaptive(1e-10))
     dsigma = 0.02
     zeta = np.array([0.05, -0.04])
     traj = duf.iterate_map(tmap, zeta, dsigma, 4, escape_radius=50.0)
@@ -227,7 +227,7 @@ def test_non_finite_iterate_escapes(nan, radius):
 
 
 def test_iterate_map_escape():
-    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, tol=1e-10)
+    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, cfg=ode.adaptive(1e-10))
     with pytest.raises(duf.EscapeError) as info:
         duf.iterate_map(tmap, (2.0, 2.0), 0.0, 50, escape_radius=5.0)
     assert info.value.step >= 1
@@ -408,7 +408,7 @@ def test_newton_period_one_point_is_period_two_point():
 def test_newton_period_two_converges_quadratically():
     # off a fixed point, J(F(x)) J(x) != J(x) J(F(x)); Newton with the
     # factors swapped converges only linearly (14-17 iterations, not 3-5)
-    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, tol=1e-10)
+    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, cfg=ode.adaptive(1e-10))
     point, _ = duf.fixed_point_newton(tmap, (0.05, 0.05), k=2, tol=1e-13)
     orbit = duf.iterate_map(tmap, point, 0.0, 2)
     assert np.max(np.abs(orbit[1] - point)) > 0.1
@@ -438,7 +438,7 @@ def test_newton_singular_jacobian_reported():
 
 
 def test_newton_no_convergence_reported():
-    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, tol=1e-10)
+    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, cfg=ode.adaptive(1e-10))
     with pytest.raises((duf.NewtonConvergenceError, duf.SingularJacobianError)):
         duf.fixed_point_newton(tmap, (3.0, 3.0), dsigma=0.0, tol=1e-14, max_iter=3)
 
@@ -516,7 +516,7 @@ def test_exact_map_linearize_determinant_abel():
 def test_polynomial_map_local_error_slope_p3():
     beta, eps = 0.1, 1.5
     expansion = (0.3, 0.4, 0.5)
-    tmap = duf.stroboscopic_taylor_map(beta, eps, expansion, p=3, tol=1e-13)
+    tmap = duf.stroboscopic_taylor_map(beta, eps, expansion, p=3, cfg=ode.adaptive(1e-13))
     system = duf.duffing_scaled_rhs(beta, eps, sigma=0.5)
     direction = np.array([0.6, -0.55, 0.58])
     direction /= np.linalg.norm(direction)
@@ -596,7 +596,7 @@ def test_scan_small_driving_polynomial_map_agrees():
     )
     q_inf, p_inf = exact_samples[-1]
     expansion = (*duf.to_scaled(q_inf, p_inf, omega), 1.0 / omega)
-    tmap = duf.stroboscopic_taylor_map(0.1, 0.15, expansion, p=5, tol=1e-10)
+    tmap = duf.stroboscopic_taylor_map(0.1, 0.15, expansion, p=5, cfg=ode.adaptive(1e-10))
     poly_samples = duf.attractor_sample(tmap, 0.1, 0.15, omega, transient=500, count=4)
     assert np.max(np.abs(poly_samples - exact_samples[-1])) < 1e-6
 

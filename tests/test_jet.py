@@ -217,6 +217,17 @@ def test_state_about():
         jt.state_about(table, [1.0])
 
 
+def test_constructor_copies_the_callers_array():
+    table = mi.build_table(2, 2)
+    c = np.zeros(table.L)
+    u = jt.Jet(table, c)
+    c[0] = 1.0  # the caller's array stays writable
+    assert u.coeffs[0] == 0.0
+    assert not u.coeffs.flags.writeable
+    v = u.copy()
+    assert v == u and not np.shares_memory(v.coeffs, u.coeffs)
+
+
 def test_serialization_round_trip():
     table = mi.build_table(2, 2)
     u = jt.Jet(table, [1.0, 0.0, -0.5, 0.0, 3.0, 0.0])

@@ -40,16 +40,18 @@ def series_expm(a: np.ndarray, t: float) -> np.ndarray:
 def test_config_validation():
     with pytest.raises(ValueError):
         ode.IntegratorConfig(mode="nope")
+    with pytest.raises(TypeError):
+        ode.IntegratorConfig(mode="fixed", h=0.1, ns=10)
     with pytest.raises(ValueError):
-        ode.IntegratorConfig(mode="fixed", h=0.0, ns=10)
-    with pytest.raises(ValueError):
-        ode.IntegratorConfig(mode="fixed", h=0.1, ns=0)
+        ode.IntegratorConfig(mode="fixed", ns=0)
     with pytest.raises(ValueError):
         ode.IntegratorConfig(mode="adaptive", tol=0.0)
     with pytest.raises(ValueError):
-        ode.rk4(decay_system(), (1.0,), 0.0, ode.adaptive(1e-9))
+        ode.rk4(decay_system(), (1.0,), 0.0, 1.0, ode.adaptive(1e-9))
     with pytest.raises(ValueError):
-        ode.rkf45(decay_system(), (1.0,), 0.0, 1.0, ode.fixed_step(0.1, 10))
+        ode.rk4(decay_system(), (1.0,), 1.0, 1.0, ode.fixed_step(10))
+    with pytest.raises(ValueError):
+        ode.rkf45(decay_system(), (1.0,), 0.0, 1.0, ode.fixed_step(10))
     with pytest.raises(ValueError):
         ode.rkf45(decay_system(), (1.0,), 1.0, 1.0, ode.adaptive())
 
@@ -68,7 +70,7 @@ def test_ode_system_validation():
 
 
 def test_rk4_scalar_published_run():
-    (z,), t = ode.rk4(decay_system(), (1.0,), 0.0, ode.fixed_step(0.1, 10))
+    (z,), t, _ = ode.rk4(decay_system(), (1.0,), 0.0, 1.0, ode.fixed_step(10))
     assert t == pytest.approx(1.0, abs=1e-15)
     assert f"{z:.6f}" == "0.500001"
 
@@ -76,7 +78,7 @@ def test_rk4_scalar_published_run():
 def test_rk4_jet_published_run():
     table = mi.build_table(1, 5)
     state0 = jt.state_about(table, [1.0])
-    (z,), t = ode.rk4(decay_system(), state0, 0.0, ode.fixed_step(0.01, 100))
+    (z,), t, _ = ode.rk4(decay_system(), state0, 0.0, 1.0, ode.fixed_step(100))
     assert t == pytest.approx(1.0, abs=1e-12)
     expected = [0.5, 0.25, -0.125, 0.0625, -0.03125, 0.015625]
     assert np.max(np.abs(z.coeffs - expected)) < 1e-6
@@ -85,7 +87,7 @@ def test_rk4_jet_published_run():
 def test_rk4_jet_two_variable_published_run():
     table = mi.build_table(2, 3)
     state0 = jt.state_about(table, [1.0, 2.0])
-    (z1, z2), _ = ode.rk4(pair_system(), state0, 0.0, ode.fixed_step(0.01, 100))
+    (z1, z2), _, _ = ode.rk4(pair_system(), state0, 0.0, 1.0, ode.fixed_step(100))
     expected1 = [0.5, 0.25, 0, -0.125, 0, 0, 0.0625, 0, 0, 0]
     expected2 = [8, 8, 4, 2, 4, 0, 0, 1, 0, 0]
     assert np.max(np.abs(z1.coeffs - expected1)) < 1e-6
@@ -98,7 +100,7 @@ def test_rk4_jet_two_variable_published_run():
 def test_rk4_divergence_reports_step():
     blow_up = ode.OdeSystem(dim=1, rhs=lambda s, t: (s[0] ** 2,))
     with pytest.raises(ode.DivergenceError) as info:
-        ode.rk4(blow_up, (1.0,), 0.0, ode.fixed_step(0.5, 100))
+        ode.rk4(blow_up, (1.0,), 0.0, 50.0, ode.fixed_step(100))
     assert info.value.step is not None and info.value.step > 0
 
 
@@ -106,7 +108,7 @@ def test_rk4_global_error_fourth_order():
     # halving h shrinks the global error at t=1 by ~16
     errors = []
     for h in (0.1, 0.05, 0.025):
-        (z,), _ = ode.rk4(decay_system(), (1.0,), 0.0, ode.fixed_step(h, round(1 / h)))
+        (z,), _, _ = ode.rk4(decay_system(), (1.0,), 0.0, 1.0, ode.fixed_step(round(1 / h)))
         errors.append(abs(z - 0.5))
     for coarse, fine in zip(errors, errors[1:]):
         assert 12.0 <= coarse / fine <= 20.0
@@ -217,7 +219,7 @@ def test_rkf45_jet_run_tracks_scalar_run():
 def test_design_orbit_rides_along_fixed_step():
     # with a shared step sequence the orbit slot of the jet run reproduces the
     # scalar run to relative rounding
-    cfg = ode.fixed_step(0.02, 50)
+    cfg = ode.fixed_step(50)
     table = mi.build_table(2, 3)
     scalar_state, _, _ = ode.integrate(pair_system(), (1.0, 2.0), 0.0, 1.0, cfg)
     jet_state, _, _ = ode.integrate(
@@ -259,7 +261,7 @@ def test_linear_system_degree_one_block_is_fundamental_matrix():
 def test_same_marching_code_for_scalar_and_jet():
     # one generic routine instantiated twice: literally the same function object
     table = mi.build_table(1, 2)
-    run = lambda state0: ode.rk4(decay_system(), state0, 0.0, ode.fixed_step(0.1, 10))[0]
+    run = lambda state0: ode.rk4(decay_system(), state0, 0.0, 1.0, ode.fixed_step(10))[0]
     scalar_out = run((1.0,))[0]
     jet_out = run(jt.state_about(table, [1.0]))[0]
     assert isinstance(scalar_out, float)
@@ -306,7 +308,7 @@ def test_array_steps_match_tuple_arithmetic(jets):
         [1 / 6, 1 / 3, 1 / 3, 1 / 6],
         [0.0, 0.5, 0.5, 1.0],
     )
-    got_rk4, _ = ode.rk4(pair_system(), state0, 0.0, ode.fixed_step(0.1, 1))
+    got_rk4, _, _ = ode.rk4(pair_system(), state0, 0.0, 0.1, ode.fixed_step(1))
     # a loose tolerance accepts the first, whole-span step
     got_rkf, _, stats = ode.rkf45(pair_system(), state0, 0.0, 0.1, ode.adaptive(1.0))
     assert (stats.accepted, stats.rejected) == (1, 0)
@@ -316,6 +318,26 @@ def test_array_steps_match_tuple_arithmetic(jets):
         for g, w in zip(got, want):
             g, w = np.atleast_1d(getattr(g, "coeffs", g)), np.atleast_1d(getattr(w, "coeffs", w))
             assert np.max(np.abs(g - w) / (1.0 + np.abs(w))) <= 1e-14
+
+
+def test_rk4_spans_an_interval_that_ns_does_not_divide():
+    # [0, 0.7] in 3 steps: each step is 0.7 / 3, so the run ends at tf
+    h = 0.7 / 3
+    state, t, stats = ode.rk4(pair_system(), (1.0, 2.0), 0.0, 0.7, ode.fixed_step(3))
+    assert abs(t - 0.7) <= math.ulp(0.7)
+    assert (stats.accepted, stats.rejected, stats.h_min, stats.h_max) == (3, 0, h, h)
+    tableau = ([row[:i] for i, row in enumerate(ode._RK4_A)], ode._RK4_B, ode._RK4_C)
+    want = (1.0, 2.0)
+    for i in range(3):
+        want = tuple_step(pair_system().rhs, want, i * h, h, *tableau)
+    assert np.max(np.abs(np.subtract(state, want)) / (1.0 + np.abs(want))) <= 1e-14
+    assert ode.integrate(pair_system(), (1.0, 2.0), 0.0, 0.7, ode.fixed_step(3))[0] == state
+
+
+def test_step_budget_guard_names_the_budget(monkeypatch):
+    monkeypatch.setattr(ode, "_MAX_STEPS", 5)
+    with pytest.raises(ode.StiffnessError, match="exceeded 5 steps"):
+        ode.rkf45(decay_system(), (1.0,), 0.0, 1.0, ode.adaptive(1e-12))
 
 
 @pytest.mark.parametrize("march", ["rk4", "rkf45"])
@@ -330,7 +352,7 @@ def test_returned_jets_are_frozen_and_own_their_buffers(march):
     system = ode.OdeSystem(dim=2, rhs=rhs)
     state0 = jt.state_about(table, [1.0, 2.0])
     if march == "rk4":
-        state, _ = ode.rk4(system, state0, 0.0, ode.fixed_step(0.1, 5))
+        state, _, _ = ode.rk4(system, state0, 0.0, 0.5, ode.fixed_step(5))
     else:
         state, _, _ = ode.rkf45(system, state0, 0.0, 0.5, ode.adaptive(1e-10))
     assert all(type(z) is jt.Jet for z in seen)
@@ -349,7 +371,8 @@ def test_float_component_on_jet_state_is_a_constant_row():
     # z1' = 1 written as a plain float, z2' = z1: z1 = x1 + t, z2 = x2 + t x1 + t^2/2
     table = mi.build_table(2, 2)
     system = ode.OdeSystem(dim=2, rhs=lambda s, t: (1.0, s[0]))
-    (z1, z2), _ = ode.rk4(system, jt.state_about(table, [0.0, 0.0]), 0.0, ode.fixed_step(0.1, 10))
+    state0 = jt.state_about(table, [0.0, 0.0])
+    (z1, z2), _, _ = ode.rk4(system, state0, 0.0, 1.0, ode.fixed_step(10))
     # ranks: 1, z1, z2, z1^2, z1 z2, z2^2
     assert z1.coeffs == pytest.approx([1.0, 1.0, 0, 0, 0, 0], abs=1e-14)
     assert z2.coeffs == pytest.approx([0.5, 1.0, 1.0, 0, 0, 0], abs=1e-14)
@@ -362,7 +385,7 @@ def test_jets_over_different_tables_refused_before_first_step(march):
     state0 = (jt.variable(mi.build_table(2, 2), 1), jt.variable(mi.build_table(2, 3), 2))
     with pytest.raises(mi.TableMismatchError):
         if march == "rk4":
-            ode.rk4(system, state0, 0.0, ode.fixed_step(0.1, 5))
+            ode.rk4(system, state0, 0.0, 0.5, ode.fixed_step(5))
         else:
             ode.rkf45(system, state0, 0.0, 1.0, ode.adaptive(1e-10))
     assert calls == []
@@ -378,7 +401,7 @@ def test_blow_up_ends_in_numeric_error_without_warnings():
         with pytest.raises((ode.DivergenceError, ode.StiffnessError)):
             ode.rkf45(blow_up, (1.0,), 0.0, 2.0, ode.adaptive(1e-10))
         with pytest.raises(ode.DivergenceError):
-            ode.rk4(blow_up, jets, 0.0, ode.fixed_step(0.5, 100))
+            ode.rk4(blow_up, jets, 0.0, 50.0, ode.fixed_step(100))
 
 
 def test_jet_blow_up_stops_within_step_budget():

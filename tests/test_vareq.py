@@ -355,8 +355,10 @@ def test_forward_backward_duffing_published_point_order3():
     # step control builds the forward map in under 1,000 attempted steps
     z1, z2 = duf.to_scaled(FP_Q, FP_P, FP_OMEGA)
     expansion = (z1, z2, 1.0 / FP_OMEGA)
-    fwd = duf.stroboscopic_taylor_map(0.1, 25.0, expansion, p=3, tol=1e-9)
-    bwd = duf.stroboscopic_taylor_map(0.1, 25.0, expansion, p=3, tol=1e-9, method="backward")
+    fwd = duf.stroboscopic_taylor_map(0.1, 25.0, expansion, p=3, cfg=ode.adaptive(1e-9))
+    bwd = duf.stroboscopic_taylor_map(
+        0.1, 25.0, expansion, p=3, cfg=ode.adaptive(1e-9), method="backward"
+    )
     c_fwd, c_bwd = fwd.coefficient_matrix(), bwd.coefficient_matrix()
     assert np.max(np.abs(c_fwd)) > 1e4
     assert np.max(np.abs(c_fwd - c_bwd) / (1.0 + np.abs(c_bwd))) < 1e-6
@@ -489,13 +491,15 @@ def test_taylor_map_evaluate_and_jacobian():
 def test_liouville_determinant_duffing():
     # phase-area contraction over one period depends only on beta and sigma
     for beta, sigma in ((0.1, 0.5), (0.1, 0.8), (0.05, 1.0)):
-        tmap = duf.stroboscopic_taylor_map(beta, 1.5, (0.3, 0.4, sigma), p=2, tol=1e-12)
+        tmap = duf.stroboscopic_taylor_map(
+            beta, 1.5, (0.3, 0.4, sigma), p=2, cfg=ode.adaptive(1e-12)
+        )
         det = np.linalg.det(tmap.linear_matrix())
         assert det == pytest.approx(math.exp(-4 * math.pi * beta * sigma), abs=1e-8)
 
 
 def test_taylor_map_serialization_round_trip():
-    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=2, tol=1e-10)
+    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=2, cfg=ode.adaptive(1e-10))
     data = vq.taylor_map_to_dict(tmap)
     assert data["m_dynamical"] == 2 and data["n_params"] == 1 and data["p"] == 2
     back = vq.taylor_map_from_dict(data)
@@ -518,12 +522,12 @@ def test_map_diagnostics_record_step_stats():
     for stats in fwd.diagnostics + bwd.diagnostics:
         assert stats.accepted > 0 and stats.rejected >= 0
         assert 0.0 < stats.h_min <= stats.h_max <= 1.0
-    fixed = vq.forward_solve(system, [1.0, 2.0], 0.0, 1.0, table, ode.fixed_step(0.1, 10))
+    fixed = vq.forward_solve(system, [1.0, 2.0], 0.0, 1.0, table, ode.fixed_step(10))
     assert fixed.diagnostics == (ode.StepStats(accepted=10, rejected=0, h_min=0.1, h_max=0.1),)
 
 
 def test_map_diagnostics_serialized_and_optional():
-    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=2, tol=1e-10)
+    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=2, cfg=ode.adaptive(1e-10))
     data = vq.taylor_map_to_dict(tmap)
     (stats,) = tmap.diagnostics
     assert data["diagnostics"] == [
