@@ -15,7 +15,6 @@ from .monoidx import (
     build_table,
     rank,
     table_size,
-    unrank,
 )
 from .jet import (
     Jet,

@@ -1,13 +1,17 @@
 """Command-line front end: table, expand, scan, attract, verify.
 
 Configuration comes from an optional JSON file (``--config``) whose top-level
-sections are named after the subcommands; command-line flags override file
-values.  Every output embeds the fully resolved configuration (CSV header
-comments / a JSON field), and identical configurations produce byte-identical
-outputs.
+sections are named after the subcommands.  A flag's dest is the config key it
+sets, and a flag given overrides the file; ``expand --tol`` sets only
+``integrator.tol``.  Each subcommand takes only the flags it reads.  The
+nested ``map`` and ``integrator`` objects are filled from their defaults, so
+every output embeds the fully resolved configuration, filled objects included
+(CSV header comments / a JSON field), and identical configurations produce
+byte-identical outputs.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric divergence or failed
-verification, 3 I/O error.
+Exit codes: 0 success (``--help`` too), 1 configuration or usage error (a bad
+flag value, an unknown flag, a missing subcommand), 2 numeric divergence or
+failed verification, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -52,21 +56,29 @@ def _load_config(path: str | None, section: str) -> dict:
     return dict(section_data)
 
 
-def _merge(file_cfg: dict, defaults: dict, overrides: dict) -> dict:
-    merged = dict(defaults)
-    merged.update(file_cfg)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return _check_keys(merged, defaults, "config")
+def _merge(file_cfg: dict, defaults: dict, args: argparse.Namespace) -> dict:
+    """``defaults``, then the file's section, then each flag given: a flag's dest is
+    its config key, and ``integrator.tol`` sets one key of a nested object."""
+    cfg = _fill(file_cfg, defaults, "config")
+    for dest, value in vars(args).items():
+        key, _, inner = dest.partition(".")
+        if value is not None and key in defaults:
+            cfg[key] = {**_object(cfg[key], key), inner: value} if inner else value
+    return cfg
 
 
-def _check_keys(opts, allowed, name: str) -> dict:
-    """``opts`` itself, once it is an object whose keys are all in ``allowed``."""
+def _object(opts, name: str) -> dict:
     if not isinstance(opts, dict):
         raise ConfigError(f"{name} settings must be an object")
-    unknown = set(opts) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
     return opts
+
+
+def _fill(opts, defaults: dict, name: str) -> dict:
+    """``defaults`` overridden by ``opts``, an object whose keys are all in ``defaults``."""
+    unknown = set(_object(opts, name)) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}; allowed: {sorted(defaults)}")
+    return {**defaults, **opts}
 
 
 def _config_header_lines(command: str, cfg: dict) -> list[str]:
@@ -84,26 +96,30 @@ def _write_text(path: str, text: str) -> None:
         raise OSError(f"cannot write {path}: {err}") from err
 
 
-def _integrator_config(opts) -> ode.IntegratorConfig:
-    """ns steps over the period in fixed mode, or an adaptive tolerance."""
-    _check_keys(opts, ("mode", "ns", "tol"), "integrator")
-    mode = opts.get("mode", "adaptive")
+# the keys each integrator mode reads, with their defaults
+_INTEGRATOR_DEFAULTS = {
+    "adaptive": {"mode": "adaptive", "tol": 1e-12},
+    "fixed": {"mode": "fixed", "ns": 100},
+}
+
+
+def _integrator_config(opts) -> tuple[dict, ode.IntegratorConfig]:
+    """``opts`` filled from its mode's defaults (adaptive unless it names one), and
+    the config it sets: ns RK4 steps over the period, or RKF45 at tol."""
+    mode = _object(opts, "integrator").get("mode", "adaptive")
+    if mode not in ("fixed", "adaptive"):
+        raise ConfigError(f"integrator mode must be 'fixed' or 'adaptive', got {mode!r}")
+    opts = _fill(opts, _INTEGRATOR_DEFAULTS[mode], "integrator")
     if mode == "fixed":
-        return ode.fixed_step(int(opts.get("ns", 100)))
-    if mode == "adaptive":
-        return ode.adaptive(float(opts.get("tol", 1e-12)))
-    raise ConfigError(f"integrator mode must be 'fixed' or 'adaptive', got {mode!r}")
+        return opts, ode.fixed_step(int(opts["ns"]))
+    return opts, ode.adaptive(float(opts["tol"]))
 
 
 # -- table ----------------------------------------------------------------------
 
 
 def cmd_table(args) -> int:
-    cfg = _merge(
-        _load_config(args.config, "table"),
-        {"m": None, "p": None, "out": None},
-        {"m": args.m, "p": args.p, "out": args.out},
-    )
+    cfg = _merge(_load_config(args.config, "table"), {"m": None, "p": None, "out": None}, args)
     if cfg["m"] is None or cfg["p"] is None:
         raise ConfigError("table needs m and p")
     table = mi.build_table(int(cfg["m"]), int(cfg["p"]))
@@ -128,23 +144,15 @@ _EXPAND_DEFAULTS = {
     "expansion": [0.3, 0.4, 0.5],
     "order": 3,
     "method": "forward",
-    "integrator": {"mode": "adaptive", "tol": 1e-12},
+    "integrator": _INTEGRATOR_DEFAULTS["adaptive"],
     "suppress_zeros": False,
     "out": None,
 }
 
 
 def cmd_expand(args) -> int:
-    overrides = {
-        "beta": args.beta,
-        "eps": args.eps,
-        "order": args.order,
-        "method": args.method,
-        "out": args.out,
-        "expansion": [float(v) for v in args.expansion.split(",")] if args.expansion else None,
-        "integrator": {"mode": "adaptive", "tol": args.tol} if args.tol is not None else None,
-    }
-    cfg = _merge(_load_config(args.config, "expand"), _EXPAND_DEFAULTS, overrides)
+    cfg = _merge(_load_config(args.config, "expand"), _EXPAND_DEFAULTS, args)
+    cfg["integrator"], integrator = _integrator_config(cfg["integrator"])
     expansion = [float(v) for v in cfg["expansion"]]
     if cfg["method"] not in ("forward", "backward"):
         raise ConfigError(f"method must be forward or backward, got {cfg['method']!r}")
@@ -156,7 +164,7 @@ def cmd_expand(args) -> int:
             eps=float(cfg["eps"]),
             expansion=expansion,
             p=int(cfg["order"]),
-            cfg=_integrator_config(cfg["integrator"]),
+            cfg=integrator,
             method=cfg["method"],
         )
     elif cfg["system"] == "zero":
@@ -165,9 +173,7 @@ def cmd_expand(args) -> int:
         zero = ode.OdeSystem(dim=dim, rhs=lambda s, t: tuple(0.0 * z for z in s))
         table = mi.build_table(dim, int(cfg["order"]))
         solver = vq.forward_solve if cfg["method"] == "forward" else vq.backward_solve
-        tmap = solver(
-            zero, expansion, 0.0, duf.TWO_PI, table, _integrator_config(cfg["integrator"])
-        )
+        tmap = solver(zero, expansion, 0.0, duf.TWO_PI, table, integrator)
     else:
         raise ConfigError(f"system must be 'duffing' or 'zero', got {cfg['system']!r}")
     payload = vq.taylor_map_to_dict(tmap, suppress_zeros=bool(cfg["suppress_zeros"]))
@@ -238,7 +244,6 @@ def _omega_grid(cfg) -> np.ndarray:
 
 
 def _map_source(cfg):
-    opts = _check_keys(cfg["map"], ("expansion", "order", "tol", "method"), "map")
     if cfg["source"] == "exact":
         return "exact"
     if cfg["source"] != "taylor":
@@ -251,34 +256,22 @@ def _map_source(cfg):
             raise OSError(f"cannot read map file: {err}") from err
         except (KeyError, TypeError) as err:
             raise ConfigError(f"map file {cfg['map_file']} is not a serialized map: {err}") from err
-    expansion = opts.get("expansion")
-    if expansion is None:
+    opts = cfg["map"]
+    if opts["expansion"] is None:
         raise ConfigError("taylor source needs map.expansion = [z1, z2, sigma] or map_file")
     return duf.stroboscopic_taylor_map(
         beta=float(cfg["beta"]),
         eps=float(cfg["eps"]),
-        expansion=[float(v) for v in expansion],
-        p=int(opts.get("order", 8)),
-        cfg=ode.adaptive(float(opts.get("tol", 1e-9))),
-        method=opts.get("method", "forward"),
+        expansion=[float(v) for v in opts["expansion"]],
+        p=int(opts["order"]),
+        cfg=ode.adaptive(float(opts["tol"])),
+        method=opts["method"],
     )
 
 
 def cmd_scan(args) -> int:
-    overrides = {
-        "source": args.source,
-        "beta": args.beta,
-        "eps": args.eps,
-        "omega_start": args.omega_start,
-        "omega_stop": args.omega_stop,
-        "omega_step": args.omega_step,
-        "transient": args.transient,
-        "record": args.record,
-        "seed_policy": args.seed_policy,
-        "tol": args.tol,
-        "out": args.out,
-    }
-    cfg = _merge(_load_config(args.config, "scan"), _SCAN_DEFAULTS, overrides)
+    cfg = _merge(_load_config(args.config, "scan"), _SCAN_DEFAULTS, args)
+    cfg["map"] = _fill(cfg["map"], _SCAN_DEFAULTS["map"], "map")
     if cfg["out"] is None:
         raise ConfigError("scan needs an output path (--out)")
     grid = _omega_grid(cfg)
@@ -330,17 +323,8 @@ _ATTRACT_DEFAULTS.update({"omega": 1.2902, "count": 10_000})
 
 
 def cmd_attract(args) -> int:
-    overrides = {
-        "source": args.source,
-        "beta": args.beta,
-        "eps": args.eps,
-        "omega": args.omega,
-        "transient": args.transient,
-        "count": args.count,
-        "tol": args.tol,
-        "out": args.out,
-    }
-    cfg = _merge(_load_config(args.config, "attract"), _ATTRACT_DEFAULTS, overrides)
+    cfg = _merge(_load_config(args.config, "attract"), _ATTRACT_DEFAULTS, args)
+    cfg["map"] = _fill(cfg["map"], _SCAN_DEFAULTS["map"], "map")
     if cfg["out"] is None:
         raise ConfigError("attract needs an output path (--out)")
     samples = duf.attractor_sample(
@@ -371,18 +355,21 @@ def cmd_verify(args) -> int:
         for name, _ in golden.CHECKS:
             print(name)
         return EXIT_OK
-    tol = args.tol if args.tol is not None else 1e-12
-    results = golden.run_checks(tol=tol, names=args.only or None)
+    results = golden.run_checks(tol=args.tol, names=args.only or None)
     failures = 0
     for res in results:
         status = "PASS" if res.ok else "FAIL"
         print(f"{status} {res.name} [{res.kind}] observed={res.observed} expected={res.expected}")
         failures += 0 if res.ok else 1
-    print(f"{len(results) - failures}/{len(results)} checks passed (tol={tol!r})")
+    print(f"{len(results) - failures}/{len(results)} checks passed (tol={args.tol!r})")
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
 # -- entry point --------------------------------------------------------------------
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,50 +379,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--out", help="output file path")
-    common.add_argument("--tol", type=float, help="adaptive integration tolerance")
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--config", help="JSON config file; flags override it")
+    files.add_argument("--out", help="output file path")
 
-    p_table = sub.add_parser("table", parents=[common], help="write a monomial table CSV")
+    p_table = sub.add_parser("table", parents=[files], help="write a monomial table CSV")
     p_table.add_argument("--m", type=int, help="number of variables")
     p_table.add_argument("--p", type=int, help="maximum degree")
     p_table.set_defaults(fn=cmd_table)
 
-    p_expand = sub.add_parser(
-        "expand", parents=[common], help="expand the Duffing stroboscopic map"
-    )
+    p_expand = sub.add_parser("expand", parents=[files], help="expand the Duffing stroboscopic map")
     p_expand.add_argument("--beta", type=float)
     p_expand.add_argument("--eps", type=float)
-    p_expand.add_argument("--expansion", help="z1,z2,sigma")
+    p_expand.add_argument("--expansion", type=_float_list, help="z1,z2,sigma")
     p_expand.add_argument("--order", type=int, help="map order p")
     p_expand.add_argument("--method", choices=["forward", "backward"])
+    p_expand.add_argument(
+        "--tol", dest="integrator.tol", metavar="TOL", type=float,
+        help="adaptive integration tolerance (integrator.tol only)",
+    )
     p_expand.set_defaults(fn=cmd_expand)
 
-    p_scan = sub.add_parser("scan", parents=[common], help="Feigenbaum sweep over omega")
-    p_scan.add_argument("--source", choices=["exact", "taylor"])
-    p_scan.add_argument("--beta", type=float)
-    p_scan.add_argument("--eps", type=float)
+    orbits = argparse.ArgumentParser(add_help=False, parents=[files])
+    orbits.add_argument("--source", choices=["exact", "taylor"])
+    orbits.add_argument("--beta", type=float)
+    orbits.add_argument("--eps", type=float)
+    orbits.add_argument("--transient", type=int)
+    orbits.add_argument("--tol", type=float, help="integration tolerance of the exact map")
+
+    p_scan = sub.add_parser("scan", parents=[orbits], help="Feigenbaum sweep over omega")
     p_scan.add_argument("--omega-start", dest="omega_start", type=float)
     p_scan.add_argument("--omega-stop", dest="omega_stop", type=float)
     p_scan.add_argument("--omega-step", dest="omega_step", type=float)
-    p_scan.add_argument("--transient", type=int)
     p_scan.add_argument("--record", type=int)
     p_scan.add_argument("--seed-policy", dest="seed_policy", choices=["continue", "fixed"])
     p_scan.set_defaults(fn=cmd_scan)
 
     p_attract = sub.add_parser(
-        "attract", parents=[common], help="sample a steady state at one omega"
+        "attract", parents=[orbits], help="sample a steady state at one omega"
     )
-    p_attract.add_argument("--source", choices=["exact", "taylor"])
-    p_attract.add_argument("--beta", type=float)
-    p_attract.add_argument("--eps", type=float)
     p_attract.add_argument("--omega", type=float)
-    p_attract.add_argument("--transient", type=int)
     p_attract.add_argument("--count", type=int)
     p_attract.set_defaults(fn=cmd_attract)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the golden-value suite")
+    p_verify = sub.add_parser("verify", help="run the golden-value suite")
+    p_verify.add_argument("--tol", type=float, default=1e-12, help="integration tolerance")
     p_verify.add_argument("--list", action="store_true", help="list checks without running")
     p_verify.add_argument("--only", nargs="*", help="run only the named checks")
     p_verify.set_defaults(fn=cmd_verify)
@@ -444,7 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 0 after --help and 2 on a usage error: a config error here
+        return EXIT_OK if stop.code == 0 else EXIT_CONFIG
     try:
         return args.fn(args)
     except (ConfigError, ValueError) as err:

@@ -164,11 +164,6 @@ def build_table(m: int, p: int, max_entries: int = MAX_TABLE_ENTRIES) -> Monomia
     )
 
 
-def unrank(table: MonomialTable, r: int) -> tuple[int, ...]:
-    """Exponent vector of rank r in the given table."""
-    return table.unrank(r)
-
-
 def _segment(table: MonomialTable, flat: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= table.L:
         raise IndexError(f"rank {k} outside [1, {table.L}]")

@@ -1,6 +1,10 @@
 """Command-line interface tests: config handling, outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +176,69 @@ def test_unknown_map_key_is_refused(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "integrator, flags, filled",
+    [
+        ({"mode": "fixed"}, [], {"mode": "fixed", "ns": 100}),
+        ({"tol": 1e-6}, [], {"mode": "adaptive", "tol": 1e-6}),
+        ({"tol": 1e-6}, ["--tol", 1e-9], {"mode": "adaptive", "tol": 1e-9}),
+    ],
+)
+def test_partial_integrator_is_recorded_filled(tmp_path, integrator, flags, filled):
+    def expand(name, obj, *extra):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"expand": {"order": 1, "integrator": obj}}))
+        out = tmp_path / f"{name}_map.json"
+        assert run_cli(["expand", "--config", path, *extra, "--out", out]) == 0
+        return out.read_bytes()
+
+    partial = expand("partial", integrator, *flags)
+    assert json.loads(partial)["config"]["integrator"] == filled
+    # the bytes of a run from the filled object: the run used the recorded values
+    assert partial == expand("filled", filled)
+
+
+def test_expand_tol_flag_refuses_a_fixed_mode_file(tmp_path, rk4_expand_config, capsys):
+    # --tol sets only integrator.tol, which a fixed-mode integrator does not read
+    out = tmp_path / "map.json"
+    code = run_cli(["expand", "--config", rk4_expand_config, "--tol", 1e-9, "--out", out])
+    assert code == cli.EXIT_CONFIG
+    assert "config error: unknown integrator keys: ['tol']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--order", "x"],
+        ["expand", "--expansion", "0.3,zero,0.5"],
+        ["expand", "--bogus", 1],
+        ["table", "--m", 2, "--p", 2, "--tol", 1e-3],
+        ["verify", "--list", "--config", "missing.json"],
+        ["verify", "--list", "--out", "x"],
+        [],
+    ],
+)
+def test_usage_errors_exit_with_config_error(argv, capsys):
+    assert run_cli(argv) == cli.EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_ok(capsys):
+    assert run_cli(["expand", "--help"]) == cli.EXIT_OK
+    assert "--tol" in capsys.readouterr().out
+
+
+def test_usage_error_exit_code_of_the_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "jetmap.cli", "expand", "--order", "x"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert "invalid int value: 'x'" in proc.stderr
+
+
 def test_malformed_config(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -316,6 +383,62 @@ def test_scan_all_rows_diverge_exit_code(tmp_path, small_map_file):
     sidecar = out.with_name(out.name + ".failures")
     assert sidecar.exists()
     assert len(sidecar.read_text().splitlines()) == 2
+
+
+# one cheap omega either command samples; the order-1 map about sigma 0.5 is
+# built in-process from the partial map object
+_ORBIT_CONFIGS = {
+    "scan": {"beta": 0.1, "eps": 0.15, "omega_start": 2.0, "omega_stop": 2.0,
+             "omega_step": 0.1, "transient": 5, "record": 2},
+    "attract": {"beta": 0.1, "eps": 0.15, "omega": 2.0, "transient": 5, "count": 2},
+}
+_PARTIAL_MAP = {"expansion": [0.0, 0.0, 0.5], "order": 1}
+
+
+@pytest.mark.parametrize("command", ["scan", "attract"])
+def test_partial_map_is_recorded_filled(tmp_path, command):
+    filled = {"expansion": [0.0, 0.0, 0.5], "method": "forward", "order": 1, "tol": 1e-9}
+    outputs = []
+    for name, map_obj in (("partial", _PARTIAL_MAP), ("filled", filled)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({command: {**_ORBIT_CONFIGS[command], "map": map_obj}}))
+        out = tmp_path / f"{name}.csv"
+        assert run_cli([command, "--config", path, "--out", out]) == 0
+        outputs.append(out.read_text())
+    assert f"# map={json.dumps(filled, sort_keys=True)}" in outputs[0].splitlines()
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("scan", "--source", "taylor"),
+        ("scan", "--beta", 0.12),
+        ("scan", "--eps", 0.2),
+        ("scan", "--omega-start", 1.9),
+        ("scan", "--omega-stop", 2.1),
+        ("scan", "--omega-step", 0.05),
+        ("scan", "--transient", 3),
+        ("scan", "--record", 3),
+        ("scan", "--seed-policy", "fixed"),
+        ("scan", "--tol", 1e-5),
+        ("attract", "--source", "taylor"),
+        ("attract", "--beta", 0.12),
+        ("attract", "--eps", 0.2),
+        ("attract", "--omega", 1.9),
+        ("attract", "--transient", 3),
+        ("attract", "--count", 3),
+        ("attract", "--tol", 1e-5),
+    ],
+)
+def test_flag_lands_in_header(tmp_path, command, flag, value):
+    cfg = {**_ORBIT_CONFIGS[command], "source": "exact", "tol": 1e-4, "map": _PARTIAL_MAP}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({command: cfg}))
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--config", path, flag, value, "--out", out]) == 0
+    key = flag[2:].replace("-", "_")
+    assert f"# {key}={json.dumps(value)}" in out.read_text().splitlines()
 
 
 def test_attract_exact_source(tmp_path):
