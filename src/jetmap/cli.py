@@ -74,11 +74,34 @@ def _object(opts, name: str) -> dict:
 
 
 def _fill(opts, defaults: dict, name: str) -> dict:
-    """``defaults`` overridden by ``opts``, an object whose keys are all in ``defaults``."""
+    """``defaults`` overridden by ``opts``, an object whose keys are all in ``defaults``
+    and whose values each have the kind of their default (see :func:`_same_kind`)."""
     unknown = set(_object(opts, name)) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}; allowed: {sorted(defaults)}")
+    for key, value in opts.items():
+        if not _same_kind(value, defaults[key]):
+            raise ConfigError(
+                f"{name} key {key!r} cannot be {json.dumps(value)}; "
+                f"its default is {json.dumps(defaults[key])}"
+            )
     return {**defaults, **opts}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _same_kind(value, default) -> bool:
+    """A number where the default is one, a list of numbers where it is a list,
+    and no list or object where it is null (those keys take a number or a path)."""
+    if _is_number(default):
+        return _is_number(value)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_is_number(v) for v in value)
+    if default is None:
+        return not isinstance(value, (list, dict))
+    return True
 
 
 def _config_header_lines(command: str, cfg: dict) -> list[str]:
@@ -105,7 +128,7 @@ _INTEGRATOR_DEFAULTS = {
 
 def _integrator_config(opts) -> tuple[dict, ode.IntegratorConfig]:
     """``opts`` filled from its mode's defaults (adaptive unless it names one), and
-    the config it sets: ns RK4 steps over the period, or RKF45 at tol."""
+    the config it sets: ns RK4 steps over the period, or the adaptive pair at tol."""
     mode = _object(opts, "integrator").get("mode", "adaptive")
     if mode not in ("fixed", "adaptive"):
         raise ConfigError(f"integrator mode must be 'fixed' or 'adaptive', got {mode!r}")
@@ -257,8 +280,6 @@ def _map_source(cfg):
         except (KeyError, TypeError) as err:
             raise ConfigError(f"map file {cfg['map_file']} is not a serialized map: {err}") from err
     opts = cfg["map"]
-    if opts["expansion"] is None:
-        raise ConfigError("taylor source needs map.expansion = [z1, z2, sigma] or map_file")
     return duf.stroboscopic_taylor_map(
         beta=float(cfg["beta"]),
         eps=float(cfg["eps"]),

@@ -8,8 +8,10 @@ of their row.  Stage combinations, the finiteness tests and the error norm
 are then single numpy expressions over every coefficient of every component,
 so one marching code serves both kinds of state.
 
-Adaptive step control weighs each entry's error by ``1 + |value|``: absolute
-for entries below one, relative above.  The degree-d coefficients of a
+The adaptive method is the Dormand-Prince 8(5,3) pair (Hairer, Norsett &
+Wanner, *Solving ODEs I*, II.5 and II.10), reached as :func:`rkf45`.  Its
+step control weighs each entry's error by ``1 + |value|``: absolute for
+entries below one, relative above.  The degree-d coefficients of a
 transfer map grow roughly geometrically with d (past 5e11 at degree 8 for
 the Duffing map), so an absolute bound over them would ask for accuracy far
 beneath float64 round-off of the large entries, while the mixed weight asks
@@ -90,13 +92,19 @@ class IntegratorConfig:
     """Step policy over one span [t0, tf]: a step count or a tolerance.
 
     In fixed mode :func:`rk4` takes ``ns`` equal steps of ``(tf - t0) / ns``.
-    In adaptive mode :func:`rkf45` bounds the per-step error estimate by
-    ``tol``: the 4th/5th-order difference over the whole state array (every
-    coefficient of every component, for jet and scalar states alike), each
-    entry weighed by ``1 + max(|y|, |y5|)``, so ``tol`` serves as both the
-    absolute and the relative tolerance (see :func:`_error_norm`).  The first
-    trial step is the whole span, so a quadrature-exact problem is done in
-    one accepted step.
+    In adaptive mode :func:`rkf45`, the Dormand-Prince 8(5,3) pair, bounds
+    the per-step error estimate by ``tol``: the combined 5th/3rd-order
+    estimate over the whole state array (every coefficient of every
+    component, for jet and scalar states alike), each entry weighed by
+    ``1 + max(|y|, |y8|)``, so ``tol`` serves as both the absolute and the
+    relative tolerance (see :func:`_error_norm`).
+
+    The first trial step is the whole span, so a quadrature-exact problem is
+    done in one accepted step.  The starting-step rule of HNW II.4 (dop853's
+    ``hinit``) was measured in its place and did not pay where the work is:
+    the order-3 Duffing map build at tol 1e-9 took 2,085 -> 2,165 right-side
+    calls and the order-8 build 3,817 -> 3,887, while one exact period at
+    tol 1e-6 took 549 -> 517.
     """
 
     mode: str = "adaptive"
@@ -204,29 +212,37 @@ def _stages(
     a: np.ndarray,
     c: Sequence[float],
     k: np.ndarray,
+    first: int = 0,
 ) -> None:
-    """Fill k[i] with f(y + h sum_j a[i, j] k[j], t + c[i] h), stage by stage."""
+    """Fill k[i] with f(y + h sum_j a[i, j] k[j], t + c[i] h) for i >= first."""
     ha = h * a
     stage_rows = k.reshape(len(c), *layout.shape)
-    for i, ci in enumerate(c):
+    for i in range(first, len(c)):
         arg = y + ha[i, :i] @ k[:i] if i else y
-        layout.store(stage_rows[i], system.rhs(layout.view(arg), t + ci * h))
+        layout.store(stage_rows[i], system.rhs(layout.view(arg), t + c[i] * h))
 
 
 def _error_norm(
-    weights: np.ndarray, k: np.ndarray, y: np.ndarray, y5: np.ndarray
+    weights: np.ndarray, k: np.ndarray, y: np.ndarray, y8: np.ndarray
 ) -> float:
-    """Mixed absolute/relative size of the error estimate ``sum_i w_i k_i``.
+    """Mixed absolute/relative size of the combined 5th/3rd-order estimate.
 
-    The max over every coefficient of every component of
-    ``|sum_i w_i k_i| / (1 + max(|y|, |y5|))``, where y is the state at the
-    start of the step and y5 the candidate it is compared against: the
-    standard ``atol + rtol |y|`` weights (Hairer, Norsett & Wanner, *Solving
-    ODEs I*, II.4) with atol = rtol, so a single ``tol`` serves both.  A NaN
-    from overflowing entries counts as an infinite error.
+    ``weights`` holds two rows, the 5th- and 3rd-order error weights times h,
+    so ``weights @ k`` gives the two estimates e5 and e3.  Each entry is
+    divided by ``1 + max(|y|, |y8|)``, where y is the state at the start of
+    the step and y8 the candidate it is compared against: the standard
+    ``atol + rtol |y|`` weights (Hairer, Norsett & Wanner, *Solving ODEs I*,
+    II.4) with atol = rtol, so a single ``tol`` serves both.  The entries are
+    combined as ``e5^2 / sqrt(e5^2 + 0.01 e3^2)`` (HNW II.10), which is
+    ``|e5|`` when e3 vanishes, and the norm is the max over every coefficient
+    of every component.  A NaN from overflowing entries counts as an infinite
+    error.
     """
-    scale = 1.0 + np.maximum(np.abs(y), np.abs(y5))
-    err = float((np.abs(weights @ k) / scale).max())
+    scale = 1.0 + np.maximum(np.abs(y), np.abs(y8))
+    e5, e3 = np.abs(weights @ k) / scale
+    both = np.hypot(e5, 0.1 * e3)
+    # both is 0 only where e5 is, and the entry is 0 there
+    err = float((e5 * (e5 / np.where(both == 0.0, 1.0, both))).max())
     return math.inf if math.isnan(err) else err
 
 
@@ -267,26 +283,121 @@ def rk4(
     return layout.unpack(y), t, StepStats(accepted=cfg.ns, h_min=h, h_max=h)
 
 
-# -- adaptive Runge-Kutta-Fehlberg 4(5) ---------------------------------------
+# -- adaptive Dormand-Prince 8(5,3) -----------------------------------------------
 
-# classical Fehlberg tableau
-_RKF_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-_RKF_A = np.array(
+
+def _lower_triangular(rows: Sequence[Sequence[float]]) -> np.ndarray:
+    """The square stage matrix whose row i starts with ``rows[i]``."""
+    a = np.zeros((len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        a[i, : len(row)] = row
+    return a
+
+
+# the Dormand-Prince 8(5,3) pair: Hairer, Norsett & Wanner, *Solving ODEs I*,
+# II.5 and II.10, with the constants of Hairer's dop853.f.  Twelve stages make
+# the 8th-order step; the 5th- and 3rd-order error estimates use the same
+# stages, so no thirteenth is evaluated before the step is accepted
+_DOP_C = (
+    0.0,
+    0.526001519587677318785587544488e-1,
+    0.789002279381515978178381316732e-1,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+)
+_DOP_A = _lower_triangular(
     [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1 / 4, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3 / 32, 9 / 32, 0.0, 0.0, 0.0, 0.0],
-        [1932 / 2197, -7200 / 2197, 7296 / 2197, 0.0, 0.0, 0.0],
-        [439 / 216, -8.0, 3680 / 513, -845 / 4104, 0.0, 0.0],
-        [-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40, 0.0],
+        [],
+        [5.26001519587677318785587544488e-2],
+        [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
+        [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2],
+        [
+            2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+            9.24834003261792003115737966543e-1,
+        ],
+        [
+            3.7037037037037037037037037037e-2, 0.0, 0.0,
+            1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1,
+        ],
+        [
+            3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+            6.02165389804559606850219397283e-2, -1.7578125e-2,
+        ],
+        [
+            3.70920001185047927108779319836e-2, 0.0, 0.0,
+            1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+            -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3,
+        ],
+        [
+            6.24110958716075717114429577812e-1, 0.0, 0.0,
+            -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+            2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+            -4.34898841810699588477366255144e1,
+        ],
+        [
+            4.77662536438264365890433908527e-1, 0.0, 0.0,
+            -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+            2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+            -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2,
+        ],
+        [
+            -9.3714243008598732571704021658e-1, 0.0, 0.0,
+            5.18637242884406370830023853209, 1.09143734899672957818500254654,
+            -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+            2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+            -3.0467644718982195003823669022,
+        ],
+        [
+            2.27331014751653820792359768449, 0.0, 0.0,
+            -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+            -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+            -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+            1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1,
+        ],
     ]
 )
-_RKF_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
-_RKF_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55])
-_RKF_DB = _RKF_B4 - _RKF_B5
+# 8th-order weights; f at the 8th-order result is the next step's stage 0
+_DOP_B = np.array(
+    [
+        5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+        4.45031289275240888144113950566, 1.89151789931450038304281599044,
+        -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+        -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+        4.47106157277725905176885569043e-2,
+    ]
+)
+# rows: the 5th-order error weights (dop853.f's er), and the 3rd-order ones,
+# B less the 3rd-order weights bhh on stages 0, 8 and 11
+_DOP_E = np.array(
+    [
+        [
+            0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+            -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
+            0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
+            0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+            -0.2235530786388629525884427845e-1,
+        ],
+        _DOP_B
+        - np.array(
+            [
+                0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                0.733846688281611857341361741547, 0.0, 0.0,
+                0.220588235294117647058823529412e-1,
+            ]
+        ),
+    ]
+)
 
 # step-size controller (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4):
-# h grows by safety * (tol / err)^(1/5), clamped to [_MIN_SHRINK, _MAX_GROW]
+# h grows by safety * (tol / err)^(1/8), clamped to [_MIN_SHRINK, _MAX_GROW],
+# and not at all on the step after a rejection
 _SAFETY = 0.9
 _MIN_SHRINK = 0.1
 _MAX_GROW = 5.0
@@ -294,7 +405,8 @@ _MAX_GROW = 5.0
 _H_MIN_FRAC = 1e-12
 # step attempts per run: a tol beneath the error estimate's round-off floor
 # stalls instead of underflowing h.  One exact Duffing period (eps 25, omega
-# 1.285) takes 20,678 attempts at tol 1e-18 and 107,631 at 1e-20
+# 1.285) takes 859 + 28 attempts at tol 1e-18, but 294,029 + 74,152 at 1e-20
+# (39 s), within reach of the cap: below the floor the estimate is noise
 _MAX_STEPS = 500_000
 
 
@@ -305,13 +417,18 @@ def rkf45(
     tf: float,
     cfg: IntegratorConfig,
 ) -> tuple[State, float, StepStats]:
-    """Adaptive Fehlberg 4(5) pair from t0 to tf (tf > t0).
+    """Adaptive Dormand-Prince 8(5,3) pair from t0 to tf (tf > t0).
 
-    A step is accepted when the difference between the embedded fourth- and
-    fifth-order results, each entry weighed by ``1 + max(|y|, |y5|)``
-    (:func:`_error_norm`), is at most ``cfg.tol``; the fifth-order candidate
-    y5 is the one propagated.  The final step is clamped so that integration
-    ends at exactly ``tf``.
+    The name predates the pair: callers, and the benchmark under
+    ``perfbench/``, reach the adaptive method as ``jetode.rkf45``.
+
+    A step is accepted when the combined 5th/3rd-order error estimate, each
+    entry weighed by ``1 + max(|y|, |y8|)`` (:func:`_error_norm`), is at most
+    ``cfg.tol``; the 8th-order candidate y8 is the one propagated.  Stage 0,
+    f at the state, is evaluated once per accepted state and reused by the
+    attempts that follow a rejection, so a run makes
+    ``11 * attempts + accepted`` right-side calls.  The final step is clamped
+    so that integration ends at exactly ``tf``.
     """
     if cfg.mode != "adaptive":
         raise ValueError("rkf45 requires an adaptive-mode config")
@@ -324,8 +441,10 @@ def rkf45(
     stats = StepStats()
     layout = _Layout(state0)
     y = layout.pack(state0)
-    k = np.empty((6, y.size))
+    k = np.empty((len(_DOP_C), y.size))
     t = t0
+    have_stage0 = False
+    after_rejection = False
 
     # overflow shows up as non-finite stages or state, handled below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -334,32 +453,35 @@ def rkf45(
             last_step = h >= (tf - t)
 
             try:
-                _stages(system, layout, y, t, h, _RKF_A, _RKF_C, k)
+                _stages(system, layout, y, t, h, _DOP_A, _DOP_C, k, 1 if have_stage0 else 0)
+                have_stage0 = True
                 finite = bool(np.isfinite(k).all())
             except OverflowError:
                 finite = False
             if finite:
-                # local extrapolation: march the fifth-order solution while the
-                # fourth/fifth difference controls the step
-                y5 = y + (h * _RKF_B5) @ k
-                err = _error_norm(h * _RKF_DB, k, y, y5)
+                y8 = y + (h * _DOP_B) @ k
+                err = _error_norm(h * _DOP_E, k, y, y8)
             else:
                 err = math.inf
 
-            if err <= cfg.tol:
-                y = y5
+            accepted = err <= cfg.tol
+            if accepted:
+                y = y8
                 if not np.isfinite(y).all():
                     raise DivergenceError(f"non-finite state near t={t}", stats.accepted, t)
                 stats.record(h)
                 t = tf if last_step else t + h
+                have_stage0 = False
             else:
                 stats.rejected += 1
 
             if err > 0.0:
-                factor = _SAFETY * (cfg.tol / err) ** 0.2 if math.isfinite(err) else _MIN_SHRINK
-                h *= min(max(factor, _MIN_SHRINK), _MAX_GROW)
+                factor = _SAFETY * (cfg.tol / err) ** 0.125 if math.isfinite(err) else _MIN_SHRINK
+                factor = min(max(factor, _MIN_SHRINK), _MAX_GROW)
             else:
-                h *= _MAX_GROW
+                factor = _MAX_GROW
+            h *= min(factor, 1.0) if after_rejection else factor
+            after_rejection = not accepted
 
             if t < tf and h < h_min:
                 if not finite:

@@ -177,6 +177,36 @@ def test_unknown_map_key_is_refused(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("expand", {"beta": None, "order": 1}, "'beta'"),
+        ("expand", {"order": [3]}, "'order'"),
+        ("expand", {"expansion": None}, "'expansion'"),
+        ("expand", {"expansion": [0.3, None, 0.5]}, "'expansion'"),
+        ("expand", {"integrator": {"tol": None}}, "integrator key 'tol'"),
+        ("expand", {"integrator": {"mode": "fixed", "ns": {"n": 10}}}, "integrator key 'ns'"),
+        ("scan", {"eps": {"value": 25}}, "'eps'"),
+        ("scan", {"transient": None}, "'transient'"),
+        ("scan", {"seed": 0.0}, "'seed'"),
+        ("scan", {"map": {"order": None}}, "map key 'order'"),
+        ("scan", {"map_file": ["a.json"]}, "'map_file'"),
+        ("attract", {"count": [10]}, "'count'"),
+        ("table", {"m": [2], "p": 2}, "'m'"),
+    ],
+)
+def test_wrong_kind_of_config_value_is_a_config_error(tmp_path, capsys, command, cfg, key):
+    # null, lists and objects where a number belongs are refused where the
+    # settings are resolved, before anything runs
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({command: cfg}))
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", path, "--out", out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "integrator, flags, filled",
     [
         ({"mode": "fixed"}, [], {"mode": "fixed", "ns": 100}),

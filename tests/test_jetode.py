@@ -114,7 +114,7 @@ def test_rk4_global_error_fourth_order():
         assert 12.0 <= coarse / fine <= 20.0
 
 
-# -- adaptive RKF45 ----------------------------------------------------------------
+# -- adaptive Dormand-Prince 8(5,3), reached as rkf45 --------------------------------
 
 
 def test_rkf45_scalar_decay():
@@ -167,18 +167,20 @@ def test_rkf45_error_norm_spans_all_jet_coefficients():
     small = jt.Jet(table, [2e-15, 0.0, 0.0])
     stages = np.stack([big_tail.coeffs, small.coeffs])
     zero = np.zeros(table.L)
-    norm = ode._error_norm(np.array([0.5, 2.0]), stages, zero, zero)
+    # a zero 3rd-order row makes the combined estimate |e5|
+    weights = np.array([[0.5, 2.0], [0.0, 0.0]])
+    norm = ode._error_norm(weights, stages, zero, zero)
     assert norm == pytest.approx(3.5)
     # scalar states use plain absolute value through the same expression
     scalar_stages = np.array([[-1.0], [0.25]])
     zero = np.zeros(1)
-    assert ode._error_norm(np.array([0.5, 2.0]), scalar_stages, zero, zero) == pytest.approx(0.0)
+    assert ode._error_norm(weights, scalar_stages, zero, zero) == pytest.approx(0.0)
 
 
 def test_rkf45_error_norm_is_relative_on_large_coefficients():
     # a difference of 1e-3 on a coefficient of 1e6 is a relative error of 1e-9,
     # while the same difference on a coefficient near 0 counts in full
-    weights = np.array([1.0])
+    weights = np.array([[1.0], [0.0]])
     diff = np.array([[0.0, 1e-3]])
     y = np.array([0.0, 1e6])
     assert ode._error_norm(weights, diff, y, y) == pytest.approx(1e-9, rel=1e-5)
@@ -186,7 +188,7 @@ def test_rkf45_error_norm_is_relative_on_large_coefficients():
 
 
 def test_rkf45_error_norm_weight_is_the_larger_of_y_and_y5():
-    weights = np.array([1.0])
+    weights = np.array([[1.0], [0.0]])
     diff = np.array([[1.0]])
     small, large = np.array([1.0]), np.array([-9.0])
     assert ode._error_norm(weights, diff, small, large) == pytest.approx(0.1)
@@ -195,7 +197,7 @@ def test_rkf45_error_norm_weight_is_the_larger_of_y_and_y5():
 
 
 def test_rkf45_error_norm_overflow_is_an_infinite_error():
-    weights = np.array([1.0])
+    weights = np.array([[1.0], [0.0]])
     with np.errstate(invalid="ignore"):
         norm = ode._error_norm(weights, np.array([[np.inf]]), np.zeros(1), np.array([np.inf]))
     assert norm == math.inf
@@ -312,12 +314,57 @@ def test_array_steps_match_tuple_arithmetic(jets):
     # a loose tolerance accepts the first, whole-span step
     got_rkf, _, stats = ode.rkf45(pair_system(), state0, 0.0, 0.1, ode.adaptive(1.0))
     assert (stats.accepted, stats.rejected) == (1, 0)
-    rkf_tableau = ([row[:i] for i, row in enumerate(ode._RKF_A)], ode._RKF_B5, ode._RKF_C)
+    rkf_tableau = ([row[:i] for i, row in enumerate(ode._DOP_A)], ode._DOP_B, ode._DOP_C)
     for got, tableau in ((got_rk4, rk4_tableau), (got_rkf, rkf_tableau)):
         want = tuple_step(rhs, state0, 0.0, 0.1, *tableau)
         for g, w in zip(got, want):
             g, w = np.atleast_1d(getattr(g, "coeffs", g)), np.atleast_1d(getattr(w, "coeffs", w))
             assert np.max(np.abs(g - w) / (1.0 + np.abs(w))) <= 1e-14
+
+
+def test_dop853_tableau_order_conditions():
+    # consistency of the nodes, the quadrature conditions of order 8, and
+    # error weights that vanish on constants
+    assert np.max(np.abs(ode._DOP_A.sum(axis=1) - ode._DOP_C)) <= 1e-15
+    assert np.all(np.triu(ode._DOP_A) == 0.0)
+    c = np.array(ode._DOP_C)
+    for k in range(8):
+        assert ode._DOP_B @ c**k == pytest.approx(1 / (k + 1), abs=1e-15), k
+    assert abs(ode._DOP_B @ c**8 - 1 / 9) > 1e-6
+    assert np.max(np.abs(ode._DOP_E.sum(axis=1))) <= 1e-15
+
+
+def test_dop853_integrates_degree_seven_quadrature_in_one_step():
+    # y' = t^7: the 8th-order weights integrate it exactly, so the whole-span
+    # first step is taken at once
+    (y,), t, stats = ode.rkf45(
+        ode.OdeSystem(dim=1, rhs=lambda s, t: (t**7,)), (0.0,), 0.0, 1.0, ode.adaptive(1.0)
+    )
+    assert (stats.accepted, stats.rejected, t) == (1, 0, 1.0)
+    assert abs(y - 1 / 8) <= 4 * math.ulp(1 / 8)
+
+
+def test_dop853_right_side_count():
+    # stage 0 is f at the state, evaluated once per accepted state and reused
+    # by the attempts after a rejection: 11 new stages per attempt
+    calls = [0]
+
+    def rhs(s, t):
+        calls[0] += 1
+        return decay_system().rhs(s, t)
+
+    _, _, stats = ode.rkf45(ode.OdeSystem(dim=1, rhs=rhs), (1.0,), 0.0, 1.0, ode.adaptive(1e-12))
+    assert stats.rejected >= 1
+    assert calls[0] == 11 * (stats.accepted + stats.rejected) + stats.accepted
+
+
+def test_error_norm_combines_fifth_and_third_order_estimates():
+    # e5^2 / sqrt(e5^2 + 0.01 e3^2) per entry, max over entries
+    k = np.array([[3.0, 0.0, 1.0], [4.0, 0.0, 0.0]])
+    weights = np.array([[1.0, 0.0], [0.0, 10.0]])
+    # entries (e5, e3): (3, 40) -> 9 / 5, (0, 0) -> 0, (1, 0) -> 1
+    assert ode._error_norm(weights, k, np.zeros(3), np.zeros(3)) == pytest.approx(1.8)
+    assert ode._error_norm(weights, k[:, 1:], np.zeros(2), np.zeros(2)) == 1.0
 
 
 def test_rk4_spans_an_interval_that_ns_does_not_divide():
