@@ -80,7 +80,7 @@ def _fill(opts, defaults: dict, name: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}; allowed: {sorted(defaults)}")
     for key, value in opts.items():
-        if not _same_kind(value, defaults[key]):
+        if not _same_kind(value, defaults[key], key):
             raise ConfigError(
                 f"{name} key {key!r} cannot be {json.dumps(value)}; "
                 f"its default is {json.dumps(defaults[key])}"
@@ -92,15 +92,23 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _same_kind(value, default) -> bool:
+# keys whose null default stands for a file path; every other null default
+# stands for a number the command requires
+_PATH_KEYS = ("out", "map_file")
+
+
+def _same_kind(value, default, key: str) -> bool:
     """A number where the default is one, a list of numbers where it is a list,
-    and no list or object where it is null (those keys take a number or a path)."""
+    and null or, where the default is null, a path string for the path keys
+    and a number for the rest."""
     if _is_number(default):
         return _is_number(value)
     if isinstance(default, list):
         return isinstance(value, list) and all(_is_number(v) for v in value)
     if default is None:
-        return not isinstance(value, (list, dict))
+        return value is None or (
+            isinstance(value, str) if key in _PATH_KEYS else _is_number(value)
+        )
     return True
 
 

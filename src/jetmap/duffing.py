@@ -110,9 +110,10 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
     def core(state, t, params):
         z1, z2 = state
         (s,) = params
+        s2 = s**2
         return (
             z2,
-            -2.0 * beta * (s * z2) - (s**2) * z1 - z1**3 - (eps * math.sin(t)) * s**3,
+            -2.0 * beta * (s * z2) - s2 * z1 - z1**3 - (eps * math.sin(t)) * (s * s2),
         )
 
     return lift_parameters(core, 2, (sigma,))

@@ -4,14 +4,17 @@
 of m floats, ``(m, L)`` for a state of m :class:`~jetmap.jet.Jet` rows over
 one shared table.  The caller's tuple is packed into it once at entry and
 unpacked once at exit, into floats or into jets that each own a frozen copy
-of their row.  Stage combinations, the finiteness tests and the error norm
-are then single numpy expressions over every coefficient of every component,
-so one marching code serves both kinds of state.
+of their row.  The state is row 0 of one array above the stage rows, so each
+stage argument and the step are one dot of a coefficient row (1, h a_i) over
+that array, the two error estimates one product over the stage rows, and the
+error norm and the finiteness test single numpy expressions over every
+coefficient of every component: one marching code serves both kinds of state.
 
 The adaptive method is the Dormand-Prince 8(5,3) pair (Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.5 and II.10), reached as :func:`rkf45`.  Its
 step control weighs each entry's error by ``1 + |value|``: absolute for
-entries below one, relative above.  The degree-d coefficients of a
+entries below one, relative above, and combines the max norms of the 5th-
+and 3rd-order estimates as HNW II.10 does.  The degree-d coefficients of a
 transfer map grow roughly geometrically with d (past 5e11 at degree 8 for
 the Duffing map), so an absolute bound over them would ask for accuracy far
 beneath float64 round-off of the large entries, while the mixed weight asks
@@ -93,15 +96,19 @@ class IntegratorConfig:
 
     In fixed mode :func:`rk4` takes ``ns`` equal steps of ``(tf - t0) / ns``.
     In adaptive mode :func:`rkf45`, the Dormand-Prince 8(5,3) pair, bounds
-    the per-step error estimate by ``tol``: the combined 5th/3rd-order
-    estimate over the whole state array (every coefficient of every
-    component, for jet and scalar states alike), each entry weighed by
-    ``1 + max(|y|, |y8|)``, so ``tol`` serves as both the absolute and the
-    relative tolerance (see :func:`_error_norm`).
+    the per-step error estimate by ``tol``: the max norms of the 5th- and
+    3rd-order estimates over the whole state array (every coefficient of
+    every component, for jet and scalar states alike), each entry weighed by
+    ``1 + max(|y|, |y8|)``, combined into one error as in HNW II.10, so
+    ``tol`` serves as both the absolute and the relative tolerance (see
+    :func:`_error_norm`).  At tol 1e-9 the order-3 Duffing map build takes
+    113 accepted and 28 rejected steps (1,664 right-side calls), the order-8
+    build 185 and 33 (2,583).
 
     The first trial step is the whole span, so a quadrature-exact problem is
     done in one accepted step.  The starting-step rule of HNW II.4 (dop853's
-    ``hinit``) was measured in its place and did not pay where the work is:
+    ``hinit``) was measured in its place, when the two estimates were still
+    combined entry by entry, and did not pay where the work is:
     the order-3 Duffing map build at tol 1e-9 took 2,085 -> 2,165 right-side
     calls and the order-8 build 3,817 -> 3,887, while one exact period at
     tol 1e-6 took 549 -> 517.
@@ -203,47 +210,70 @@ class _Layout:
                 row[0] = z
 
 
+def _tableau(a: np.ndarray, b: np.ndarray, *error_rows: np.ndarray) -> np.ndarray:
+    """The stage rows of ``a``, then ``b``, then ``error_rows``, behind a column for y.
+
+    Column 0 is 1 in the rows that build a state (the stages and the step) and
+    0 in the error rows, so that the columns after it, scaled by h, make one
+    attempt's coefficients over ``yk = (y, k_0, ..., k_{s-1})``.
+    """
+    s = len(b)
+    rows = np.vstack([a, b, *error_rows])
+    tableau = np.zeros((len(rows), s + 1))
+    tableau[: s + 1, 0] = 1.0
+    tableau[:, 1:] = rows
+    return tableau
+
+
 def _stages(
     system: OdeSystem,
     layout: _Layout,
-    y: np.ndarray,
+    yk: np.ndarray,
+    coef: np.ndarray,
     t: float,
     h: float,
-    a: np.ndarray,
     c: Sequence[float],
-    k: np.ndarray,
     first: int = 0,
 ) -> None:
-    """Fill k[i] with f(y + h sum_j a[i, j] k[j], t + c[i] h) for i >= first."""
-    ha = h * a
-    stage_rows = k.reshape(len(c), *layout.shape)
+    """Fill the stage rows ``yk[1:]`` from stage ``first`` on; ``yk[0]`` is y.
+
+    Row i of ``coef`` is ``(1, h a[i, 0], ..., h a[i, i-1], 0, ...)``, so stage
+    i's argument ``y + h sum_j a[i, j] k_j`` is one dot over ``yk[:i + 1]``.
+    """
+    stage_rows = yk.reshape(len(yk), *layout.shape)
     for i in range(first, len(c)):
-        arg = y + ha[i, :i] @ k[:i] if i else y
-        layout.store(stage_rows[i], system.rhs(layout.view(arg), t + c[i] * h))
+        arg = np.dot(coef[i, : i + 1], yk[: i + 1])
+        layout.store(stage_rows[i + 1], system.rhs(layout.view(arg), t + c[i] * h))
 
 
 def _error_norm(
     weights: np.ndarray, k: np.ndarray, y: np.ndarray, y8: np.ndarray
 ) -> float:
-    """Mixed absolute/relative size of the combined 5th/3rd-order estimate.
+    """Mixed absolute/relative size of the 5th- and 3rd-order error estimates.
 
     ``weights`` holds two rows, the 5th- and 3rd-order error weights times h,
     so ``weights @ k`` gives the two estimates e5 and e3.  Each entry is
     divided by ``1 + max(|y|, |y8|)``, where y is the state at the start of
     the step and y8 the candidate it is compared against: the standard
     ``atol + rtol |y|`` weights (Hairer, Norsett & Wanner, *Solving ODEs I*,
-    II.4) with atol = rtol, so a single ``tol`` serves both.  The entries are
-    combined as ``e5^2 / sqrt(e5^2 + 0.01 e3^2)`` (HNW II.10), which is
-    ``|e5|`` when e3 vanishes, and the norm is the max over every coefficient
-    of every component.  A NaN from overflowing entries counts as an infinite
-    error.
+    II.4) with atol = rtol, so a single ``tol`` serves both.  E5 and E3 are
+    the max of the weighed entries over every coefficient of every component,
+    and the two norms are combined as ``E5^2 / sqrt(E5^2 + 0.01 E3^2)``
+    (HNW II.10 and dop853.f), which is E5 when E3 vanishes and 0 when E5 does.
+    Combining the norms, not the entries, keeps one estimate passing through
+    zero in one entry from setting the step.  A non-finite estimate, NaN from
+    overflowing entries included, counts as an infinite error.
     """
-    scale = 1.0 + np.maximum(np.abs(y), np.abs(y8))
-    e5, e3 = np.abs(weights @ k) / scale
-    both = np.hypot(e5, 0.1 * e3)
-    # both is 0 only where e5 is, and the entry is 0 there
-    err = float((e5 * (e5 / np.where(both == 0.0, 1.0, both))).max())
-    return math.inf if math.isnan(err) else err
+    scale = np.maximum(np.abs(y), np.abs(y8))
+    scale += 1.0
+    e = np.abs(weights @ k)
+    e /= scale
+    e5, e3 = e.max(axis=1).tolist()
+    if not (math.isfinite(e5) and math.isfinite(e3)):
+        return math.inf
+    if e5 == 0.0:
+        return 0.0
+    return e5 * (e5 / math.hypot(e5, 0.1 * e3))
 
 
 # -- fixed-step RK4 ----------------------------------------------------------
@@ -251,6 +281,7 @@ def _error_norm(
 _RK4_C = (0.0, 1 / 2, 1 / 2, 1.0)
 _RK4_A = np.diag([1 / 2, 1 / 2, 1.0], k=-1)
 _RK4_B = np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6])
+_RK4_T = _tableau(_RK4_A, _RK4_B)
 
 
 def rk4(
@@ -268,19 +299,22 @@ def rk4(
     h = (tf - t0) / cfg.ns
     layout = _Layout(state0)
     y = layout.pack(state0)
-    k = np.empty((4, y.size))
+    yk = np.empty((len(_RK4_C) + 1, y.size))
+    yk[0] = y
+    coef = _RK4_T.copy()
+    coef[:, 1:] *= h
     t = t0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, cfg.ns + 1):
             try:
-                _stages(system, layout, y, t, h, _RK4_A, _RK4_C, k)
+                _stages(system, layout, yk, coef, t, h, _RK4_C)
             except OverflowError as err:
                 raise DivergenceError(f"float overflow during step {i} (t={t})", i, t) from err
-            y = y + (h * _RK4_B) @ k
+            yk[0] = coef[-1] @ yk
             t = t0 + i * h
-            if not np.isfinite(y).all():
+            if not np.isfinite(yk[0]).all():
                 raise DivergenceError(f"non-finite state after step {i} (t={t})", i, t)
-    return layout.unpack(y), t, StepStats(accepted=cfg.ns, h_min=h, h_max=h)
+    return layout.unpack(yk[0]), t, StepStats(accepted=cfg.ns, h_min=h, h_max=h)
 
 
 # -- adaptive Dormand-Prince 8(5,3) -----------------------------------------------
@@ -394,10 +428,23 @@ _DOP_E = np.array(
         ),
     ]
 )
+# the stage rows, the 8th-order step and the two error rows over (y, k)
+_DOP_T = _tableau(_DOP_A, _DOP_B, _DOP_E)
 
 # step-size controller (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4):
 # h grows by safety * (tol / err)^(1/8), clamped to [_MIN_SHRINK, _MAX_GROW],
-# and not at all on the step after a rejection
+# and not at all on the step after a rejection.  Levers measured in its place
+# did not pay (attempts of the order-3, order-8 and order-2 backward Duffing
+# builds at tol 1e-9, 141/218/270 here, and of the 348 exact periods of the
+# 3-omega scan at tol 1e-6, 14,451 here): dop853.f's PI term with beta 0.04
+# took 134/204/264 but 15,145; safety 0.8 took 133/207/264 but 14,903; a
+# growth cap of 2 left the builds alone and took 14,493.  Of the exact map's
+# 13 rejections per period (30 periods at omega 1.2554), 2 shrink the
+# whole-span first step and 10 come right after an accepted step: there the
+# h^8 model set h for an error of 0.9^8 tol = 0.43 tol, never at the growth
+# cap, and the error read a median 3.7 tol (quartiles 2.8 and 5.4).  The
+# accepted step's 2-entry estimate read low, passing near zero, which no
+# controller on past errors foresees
 _SAFETY = 0.9
 _MIN_SHRINK = 0.1
 _MAX_GROW = 5.0
@@ -422,13 +469,15 @@ def rkf45(
     The name predates the pair: callers, and the benchmark under
     ``perfbench/``, reach the adaptive method as ``jetode.rkf45``.
 
-    A step is accepted when the combined 5th/3rd-order error estimate, each
-    entry weighed by ``1 + max(|y|, |y8|)`` (:func:`_error_norm`), is at most
-    ``cfg.tol``; the 8th-order candidate y8 is the one propagated.  Stage 0,
-    f at the state, is evaluated once per accepted state and reused by the
-    attempts that follow a rejection, so a run makes
-    ``11 * attempts + accepted`` right-side calls.  The final step is clamped
-    so that integration ends at exactly ``tf``.
+    A step is accepted when the error of :func:`_error_norm`, the 5th- and
+    3rd-order estimates' max norms with each entry weighed by
+    ``1 + max(|y|, |y8|)``, combined, is at most ``cfg.tol``; the 8th-order
+    candidate y8 is the one propagated.  An attempt whose stages or estimates
+    are not finite has an infinite error and is rejected.  Stage 0, f at the
+    state, is evaluated once per accepted state and reused by the attempts
+    that follow a rejection, so a run makes ``11 * attempts + accepted``
+    right-side calls.  The final step is clamped so that integration ends at
+    exactly ``tf``.
     """
     if cfg.mode != "adaptive":
         raise ValueError("rkf45 requires an adaptive-mode config")
@@ -441,34 +490,39 @@ def rkf45(
     stats = StepStats()
     layout = _Layout(state0)
     y = layout.pack(state0)
-    k = np.empty((len(_DOP_C), y.size))
+    n_stages = len(_DOP_C)
+    # row 0 the state, rows 1.. the stages
+    yk = np.empty((n_stages + 1, y.size))
+    yk[0] = y
+    coef = _DOP_T.copy()
     t = t0
     have_stage0 = False
     after_rejection = False
 
-    # overflow shows up as non-finite stages or state, handled below
+    # overflow shows up as a non-finite error estimate or state, handled below
     with np.errstate(over="ignore", invalid="ignore"):
         while t < tf:
             h = min(h, tf - t)
             last_step = h >= (tf - t)
+            np.multiply(_DOP_T[:, 1:], h, out=coef[:, 1:])
 
             try:
-                _stages(system, layout, y, t, h, _DOP_A, _DOP_C, k, 1 if have_stage0 else 0)
+                _stages(system, layout, yk, coef, t, h, _DOP_C, 1 if have_stage0 else 0)
                 have_stage0 = True
-                finite = bool(np.isfinite(k).all())
+                y8 = coef[n_stages] @ yk
+                # a non-finite stage reaches both estimates or y8, through the
+                # stages after it and 0 * inf = NaN in the dots, so it ends here
+                # as an infinite error
+                err = _error_norm(coef[n_stages + 1 :, 1:], yk[1:], yk[0], y8)
             except OverflowError:
-                finite = False
-            if finite:
-                y8 = y + (h * _DOP_B) @ k
-                err = _error_norm(h * _DOP_E, k, y, y8)
-            else:
                 err = math.inf
+            finite = err < math.inf
 
             accepted = err <= cfg.tol
             if accepted:
-                y = y8
-                if not np.isfinite(y).all():
+                if not np.isfinite(y8).all():
                     raise DivergenceError(f"non-finite state near t={t}", stats.accepted, t)
+                yk[0] = y8
                 stats.record(h)
                 t = tf if last_step else t + h
                 have_stage0 = False
@@ -476,7 +530,7 @@ def rkf45(
                 stats.rejected += 1
 
             if err > 0.0:
-                factor = _SAFETY * (cfg.tol / err) ** 0.125 if math.isfinite(err) else _MIN_SHRINK
+                factor = _SAFETY * (cfg.tol / err) ** 0.125 if finite else _MIN_SHRINK
                 factor = min(max(factor, _MIN_SHRINK), _MAX_GROW)
             else:
                 factor = _MAX_GROW
@@ -499,7 +553,7 @@ def rkf45(
                     f"exceeded {_MAX_STEPS} steps at t={t} of {tf}; the "
                     f"tolerance {cfg.tol} appears unattainable for this state"
                 )
-    return layout.unpack(y), t, stats
+    return layout.unpack(yk[0]), t, stats
 
 
 def integrate(

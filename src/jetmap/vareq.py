@@ -387,6 +387,6 @@ def lift_parameters(
 
     def lifted(state: tuple, t: float):
         dyn = rhs(tuple(state[:m]), t, tuple(state[m:]))
-        return tuple(dyn) + tuple(0.0 * state[m + b] for b in range(n))
+        return tuple(dyn) + (0.0,) * n
 
     return OdeSystem(dim=m + n, rhs=lifted, n_params=n, param_values=values)

@@ -192,6 +192,8 @@ def test_unknown_map_key_is_refused(tmp_path, capsys, command):
         ("scan", {"map_file": ["a.json"]}, "'map_file'"),
         ("attract", {"count": [10]}, "'count'"),
         ("table", {"m": [2], "p": 2}, "'m'"),
+        ("expand", {"order": 1, "out": 1}, "'out'"),
+        ("scan", {"map_file": 3}, "'map_file'"),
     ],
 )
 def test_wrong_kind_of_config_value_is_a_config_error(tmp_path, capsys, command, cfg, key):
@@ -204,6 +206,22 @@ def test_wrong_kind_of_config_value_is_a_config_error(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, key", [({"m": 2, "p": 1, "out": 1}, "'out'"), ({"m": "two", "p": 1}, "'m'")]
+)
+def test_table_null_default_keys_are_checked_by_kind(tmp_path, capsys, cfg, key):
+    # out takes a path, m and p a number: a number for out is not handed to
+    # open() as a file descriptor, and a string for m is refused before int()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"table": cfg}))
+    assert run_cli(["table", "--config", path]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and key in captured.err
+    assert captured.out == ""
+    assert not sys.stdout.closed
+    os.fstat(1)  # raises if file descriptor 1 was closed
 
 
 @pytest.mark.parametrize(

@@ -359,7 +359,7 @@ def test_cycle_cut_polynomial_map_with_continuation(m8_map):
 def test_cycle_cut_exact_map_closes():
     exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 1.5, 1.5), tol=1e-5)
     _, applied, closed = _assert_cut_is_exact(exact, np.zeros(2), 300, 16)
-    assert (applied, closed) == (282, True)
+    assert (applied, closed) == (303, True)
 
 
 def test_scan_counts_map_applications_and_cycles():

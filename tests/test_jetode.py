@@ -359,12 +359,40 @@ def test_dop853_right_side_count():
 
 
 def test_error_norm_combines_fifth_and_third_order_estimates():
-    # e5^2 / sqrt(e5^2 + 0.01 e3^2) per entry, max over entries
+    # E5^2 / sqrt(E5^2 + 0.01 E3^2) of the two max norms E5 and E3
     k = np.array([[3.0, 0.0, 1.0], [4.0, 0.0, 0.0]])
     weights = np.array([[1.0, 0.0], [0.0, 10.0]])
-    # entries (e5, e3): (3, 40) -> 9 / 5, (0, 0) -> 0, (1, 0) -> 1
+    # entries (e5, e3): (3, 40), (0, 0), (1, 0): E5 = 3, E3 = 40 -> 9 / 5
     assert ode._error_norm(weights, k, np.zeros(3), np.zeros(3)) == pytest.approx(1.8)
+    # E5 = 1, E3 = 0 -> 1; E5 = 0 -> 0
     assert ode._error_norm(weights, k[:, 1:], np.zeros(2), np.zeros(2)) == 1.0
+    assert ode._error_norm(weights, k[:, 1:2], np.zeros(1), np.zeros(1)) == 0.0
+
+
+def test_error_norm_combines_norms_not_entries():
+    # entries (e5, e3) = (3, 40) and (2, 0): combining the norms E5 = 3 and
+    # E3 = 40 gives 1.8, where combining each entry and then taking the max
+    # would give max(1.8, 2) = 2
+    k = np.array([[3.0, 2.0], [4.0, 0.0]])
+    weights = np.array([[1.0, 0.0], [0.0, 10.0]])
+    assert ode._error_norm(weights, k, np.zeros(2), np.zeros(2)) == pytest.approx(1.8)
+
+
+@pytest.mark.parametrize("f, want", [(lambda z: -z, math.exp(-1.0)), (lambda z: 1.0, 2.0)])
+def test_non_finite_stage_is_a_rejected_attempt(f, want):
+    # the right side returns inf at its 2nd call, stage 1 of the first
+    # attempt, which the 8th-order step and both estimates weigh by 0: it
+    # reaches them through the stages after it, or, when f ignores the
+    # state, through 0 * inf = NaN, and the attempt is rejected
+    calls = [0]
+
+    def rhs(s, t):
+        calls[0] += 1
+        return (math.inf if calls[0] == 2 else f(s[0]),)
+
+    (y,), t, stats = ode.rkf45(ode.OdeSystem(dim=1, rhs=rhs), (1.0,), 0.0, 1.0, ode.adaptive(1e-9))
+    assert (stats.accepted, stats.rejected, t) == (4, 1, 1.0)
+    assert y == pytest.approx(want, abs=1e-9)
 
 
 def test_rk4_spans_an_interval_that_ns_does_not_divide():
