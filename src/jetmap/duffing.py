@@ -8,9 +8,14 @@ the driving frequency into a polynomial parameter: the first-order system in
 map, and expanding that map to order ``p`` in all three variables yields a
 polynomial map that is iterated instead of re-integrating the flow.
 
-Steady-state sweeps over ``omega`` (Feigenbaum diagrams), attractor sampling,
-and Newton refinement of periodic points operate on either the exact
-integrated map or the polynomial approximation.
+The exact integrated map (:class:`ExactStroboscopicMap`) and the polynomial
+map with the parameter deviation of one omega folded in (``_Poly2Map``) take
+the same three operations: calling the map applies it once, as a pure
+function of the state's bytes; ``linearize`` returns the image and the 2 x 2
+Jacobian; ``to_qp`` reports iterates in the (q, p) frame.  Steady-state
+sweeps over ``omega`` (Feigenbaum diagrams) and attractor sampling build one
+such map per omega and run its orbit through one kernel, and Newton
+refinement of periodic points runs on ``linearize``, on either map.
 """
 
 from __future__ import annotations
@@ -158,6 +163,10 @@ class ExactStroboscopicMap:
         )
         return np.array(tmap.design_endpoint), tmap.linear_matrix()
 
+    def to_qp(self, iterates: np.ndarray, omega: float) -> np.ndarray:
+        """The iterates unchanged: this map already works in (q, p)."""
+        return iterates
+
 
 # -- polynomial map construction ---------------------------------------------------
 
@@ -196,8 +205,9 @@ class _Poly2Map:
     """Dynamical rows of a TaylorMap with the parameter deviation folded in.
 
     Collapsing the fixed sigma-deviation turns the three-variable rows into
-    two-variable polynomials of the same degree, evaluated per step from
-    per-variable power tables.
+    two-variable polynomials of the same degree, evaluated per application
+    from per-variable power tables.  The map works in deviation coordinates
+    ``zeta``; :meth:`to_qp` reports iterates in the (q, p) frame.
     """
 
     def __init__(self, tmap: TaylorMap, dsigma: float):
@@ -223,16 +233,36 @@ class _Poly2Map:
         self.rows = rows
         self.e1 = np.array([j for j, _ in two])
         self.e2 = np.array([k for _, k in two])
-        self.p = p
         self.exp_range = np.arange(p + 1)
         self.offset = np.asarray(tmap.expansion_point[:2], dtype=np.float64)
 
-    def step(self, zeta: np.ndarray) -> np.ndarray:
+    def __call__(self, zeta: np.ndarray) -> np.ndarray:
         """One application of the deviation map."""
         pw1 = zeta[0] ** self.exp_range
         pw2 = zeta[1] ** self.exp_range
         g = pw1[self.e1] * pw2[self.e2]
         return self.rows @ g - self.offset
+
+    def linearize(self, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The image of ``zeta`` and the 2 x 2 Jacobian of the folded rows there.
+
+        The derivative power tables hold ``k zeta^(k-1)``, read off the power
+        tables one place down, so each column is one more row product.
+        """
+        pw1 = zeta[0] ** self.exp_range
+        pw2 = zeta[1] ** self.exp_range
+        dpw1 = np.zeros_like(pw1)
+        dpw2 = np.zeros_like(pw2)
+        dpw1[1:] = self.exp_range[1:] * pw1[:-1]
+        dpw2[1:] = self.exp_range[1:] * pw2[:-1]
+        g = pw1[self.e1] * pw2[self.e2]
+        dg = np.stack([dpw1[self.e1] * pw2[self.e2], pw1[self.e1] * dpw2[self.e2]], axis=1)
+        return self.rows @ g - self.offset, self.rows @ dg
+
+    def to_qp(self, iterates: np.ndarray, omega: float) -> np.ndarray:
+        """Deviation iterates as (q, p) points in the frame of ``omega``."""
+        q, p = to_qp(self.offset[0] + iterates[:, 0], self.offset[1] + iterates[:, 1], omega)
+        return np.column_stack([q, p])
 
 
 def _orbit(step, state, transient: int, record: int, escape_radius: float):
@@ -245,11 +275,11 @@ def _orbit(step, state, transient: int, record: int, escape_radius: float):
     NaN, and ``hypot`` is inf when either component is inf.  Capping the
     radius at the largest float keeps an infinite radius from passing inf.
 
-    ``step`` must be a pure function of the state's bytes.  Each iterate is
-    keyed by its bytes (so 0.0 and -0.0 stay apart), and once iterate i
-    repeats iterate j the orbit has period i - j from j on: stepping stops
-    and the remaining iterates are copied off that cycle, bit for bit what
-    further steps would give.
+    ``step`` must be a pure function of the state's bytes, as both
+    stroboscopic maps are.  Each iterate is keyed by its bytes (so 0.0 and
+    -0.0 stay apart), and once iterate i repeats iterate j the orbit has
+    period i - j from j on: stepping stops and the remaining iterates are
+    copied off that cycle, bit for bit what further steps would give.
     """
     radius = min(escape_radius, sys.float_info.max)
     n = transient + record
@@ -291,7 +321,7 @@ def iterate_map(
         raise ValueError(f"expected a 2-component deviation, got shape {zeta.shape}")
     if not math.hypot(zeta[0], zeta[1]) <= min(escape_radius, sys.float_info.max):
         raise EscapeError("starting deviation is outside the trust region", 0)
-    iterates = _orbit(_Poly2Map(tmap, dsigma).step, zeta, 0, n, escape_radius)[0]
+    iterates = _orbit(_Poly2Map(tmap, dsigma), zeta, 0, n, escape_radius)[0]
     return np.vstack([zeta, iterates])
 
 
@@ -308,13 +338,13 @@ def fixed_point_newton(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton refinement of a period-k point of the stroboscopic map.
 
-    Each iteration chains k applications of a step ``x -> (F(x), DF(x))``.
-    For a :class:`TaylorMap` the iteration runs in deviation coordinates
-    (``dsigma`` fixed) and the Jacobian differentiates the polynomial rows;
-    for an :class:`ExactStroboscopicMap` it runs in (q, p) and each step is
-    one order-1 jet integration (:meth:`ExactStroboscopicMap.linearize`).
-    Returns the refined point and the eigenvalues of the k-fold Jacobian
-    (the stability multipliers).
+    Each iteration chains k calls of the map's ``linearize``,
+    ``x -> (F(x), DF(x))``.  A :class:`TaylorMap` is folded at ``dsigma``
+    into the map that scans iterate, and Newton runs in its deviation
+    coordinates on the Jacobian of the folded rows; an
+    :class:`ExactStroboscopicMap` runs in (q, p), one order-1 jet
+    integration per application.  Returns the refined point and the
+    eigenvalues of the k-fold Jacobian (the stability multipliers).
     """
     if k < 1:
         raise ValueError(f"period must be >= 1, got {k}")
@@ -323,19 +353,11 @@ def fixed_point_newton(
         raise ValueError(f"expected a 2-component guess, got shape {x.shape}")
 
     if isinstance(map_source, TaylorMap):
-        offset = np.asarray(map_source.expansion_point[:2])
-
-        def step(zeta):
-            full = np.array([zeta[0], zeta[1], dsigma])
-            return map_source.final_state(full)[:2] - offset, map_source.jacobian(full)[:2, :2]
-
-    else:
-        step = map_source.linearize
-
+        map_source = _Poly2Map(map_source, dsigma)
     for _ in range(max_iter):
         x_cur, jac_k = x, np.eye(2)
         for _ in range(k):
-            x_cur, jac = step(x_cur)
+            x_cur, jac = map_source.linearize(x_cur)
             jac_k = jac @ jac_k
         f = x_cur - x
         if np.max(np.abs(f)) <= tol:
@@ -388,21 +410,16 @@ class ScanResult:
         ]
 
 
-def _run_exact(beta, eps, omega, state, transient, record, tol, escape_radius):
-    exact = ExactStroboscopicMap(DuffingParams(beta, eps, omega), tol)
-    return _orbit(exact, state, transient, record, escape_radius)
+def _run_poly(map_at, omega, state, transient, record, escape_radius):
+    """One omega of a scan on the map ``map_at(omega)``, exact or polynomial.
 
-
-def _run_poly(tmap, omega, zeta, transient, record, escape_radius):
-    dsigma = 1.0 / omega - tmap.expansion_point[2]
-    out, zeta, applied, closed = _orbit(
-        _Poly2Map(tmap, dsigma).step, zeta, transient, record, escape_radius
-    )
-    # report in the physical (q, p) frame of this omega
-    qp = np.empty_like(out)
-    qp[:, 0] = omega * (tmap.expansion_point[0] + out[:, 0])
-    qp[:, 1] = omega**2 * (tmap.expansion_point[1] + out[:, 1])
-    return qp, zeta, applied, closed
+    Returns the orbit of :func:`_orbit` with its samples in the (q, p) frame.
+    The benchmark under ``perfbench/`` marks its clock at each call of this
+    name, once per omega, so the name stays although both kinds run here.
+    """
+    stroboscopic_map = map_at(omega)
+    out, final, applied, closed = _orbit(stroboscopic_map, state, transient, record, escape_radius)
+    return stroboscopic_map.to_qp(out, omega), final, applied, closed
 
 
 def feigenbaum_scan(
@@ -442,16 +459,21 @@ def feigenbaum_scan(
     if seed_policy not in ("continue", "fixed"):
         raise ValueError(f"seed_policy must be 'continue' or 'fixed', got {seed_policy!r}")
 
-    exact = not isinstance(map_source, TaylorMap)
-    if exact and map_source != "exact":
+    if isinstance(map_source, TaylorMap):
+        source = "taylor"
+
+        def map_at(omega):
+            return _Poly2Map(map_source, 1.0 / omega - map_source.expansion_point[2])
+
+    elif map_source == "exact":
+        source = "exact"
+
+        def map_at(omega):
+            return ExactStroboscopicMap(DuffingParams(beta, eps, omega), tol)
+
+    else:
         raise ValueError("map_source must be 'exact' or a TaylorMap")
     seed = (0.0, 0.0) if seed is None else tuple(float(v) for v in seed)
-    source = "exact" if exact else "taylor"
-
-    def run_one(omega, state):
-        if exact:
-            return _run_exact(beta, eps, omega, np.asarray(state), transient, record, tol, escape_radius)
-        return _run_poly(map_source, omega, np.asarray(state), transient, record, escape_radius)
 
     samples: list = []
     failures: list = []
@@ -460,7 +482,9 @@ def feigenbaum_scan(
     state = seed
     for omega in omegas:
         try:
-            block, final, applied, closed = run_one(omega, state)
+            block, final, applied, closed = _run_poly(
+                map_at, omega, np.asarray(state), transient, record, escape_radius
+            )
             samples.append(block)
             if seed_policy == "continue":
                 state = tuple(final)
@@ -499,7 +523,11 @@ def attractor_sample(
     tol: float = 1e-12,
     escape_radius: float = DEFAULT_ESCAPE_RADIUS,
 ) -> np.ndarray:
-    """Post-transient (q, p) samples at a single driving frequency."""
+    """Post-transient (q, p) samples at a single driving frequency.
+
+    Raises :class:`EscapeError` when the orbit escapes, carrying the step of
+    the escape as :func:`iterate_map` does.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     result = feigenbaum_scan(
@@ -515,7 +543,7 @@ def attractor_sample(
         escape_radius=escape_radius,
     )
     if result.failures:
-        raise EscapeError(result.failures[0][1], -1)
+        raise EscapeError(result.failures[0][1], result.applications[0])
     return result.samples[0]
 
 

@@ -15,7 +15,6 @@ what lets one numerical integrator propagate whole Taylor maps.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,9 +54,6 @@ class Jet:
                 f"cannot combine jets over (m={self.table.m}, p={self.table.p}) "
                 f"and (m={other.table.m}, p={other.table.p})"
             )
-
-    def copy(self) -> "Jet":
-        return Jet(self.table, self.coeffs)
 
     def __repr__(self) -> str:
         return f"Jet(m={self.table.m}, p={self.table.p}, coeffs={self.coeffs!r})"
@@ -124,7 +120,7 @@ class Jet:
             return power(self, int(n))
         return NotImplemented
 
-    # -- evaluation and calculus ------------------------------------------
+    # -- evaluation -------------------------------------------------------
 
     def __call__(self, x: Sequence[float]) -> float:
         return self.evaluate(x)
@@ -135,16 +131,6 @@ class Jet:
         if x.shape != (self.table.m,):
             raise ValueError(f"expected {self.table.m} coordinates, got {x.shape}")
         return float(self.coeffs @ monomial_values(self.table, x))
-
-    def partial(self, a: int) -> "Jet":
-        """Jet of the partial derivative with respect to variable a (1-based)."""
-        t = self.table
-        if not 1 <= a <= t.m:
-            raise IndexError(f"variable index {a} outside [1, {t.m}]")
-        src, dst, mult = _diff_arrays(t, a)
-        out = np.zeros(t.L)
-        out[dst] = mult * self.coeffs[src]
-        return Jet(t, out)
 
 
 def _new(table: MonomialTable, coeffs: np.ndarray) -> Jet:
@@ -173,22 +159,6 @@ def monomial_values(table: MonomialTable, x: np.ndarray) -> np.ndarray:
     for a in range(1, table.m):
         g = g * powers[a][table.exponents[:, a]]
     return g
-
-
-@lru_cache(maxsize=None)
-def _diff_arrays(table: MonomialTable, a: int):
-    from .monoidx import rank as _rank
-
-    src, dst, mult = [], [], []
-    for i in range(table.L):
-        j = table.exponents[i]
-        if j[a - 1] >= 1:
-            lowered = j.copy()
-            lowered[a - 1] -= 1
-            src.append(i)
-            dst.append(_rank(lowered.tolist()) - 1)
-            mult.append(float(j[a - 1]))
-    return (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp), np.array(mult))
 
 
 # -- constructors ----------------------------------------------------------

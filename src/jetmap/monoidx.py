@@ -108,11 +108,6 @@ class MonomialTable:
             raise IndexError(f"rank {r} outside [1, {self.L}]")
         return tuple(int(j) for j in self.exponents[r - 1])
 
-    def degree(self, r: int) -> int:
-        if not 1 <= r <= self.L:
-            raise IndexError(f"rank {r} outside [1, {self.L}]")
-        return int(self.degrees[r - 1])
-
     def variable_rank(self, a: int) -> int:
         """Rank of the degree-1 monomial in variable a (1-based)."""
         if not 1 <= a <= self.m:

@@ -117,10 +117,6 @@ class TaylorMap:
             raise ValueError(f"expected {self.table.m} deviations, got {dev.shape}")
         return self.coefficient_matrix() @ monomial_values(self.table, dev)
 
-    def deviation_map(self, deviation: Sequence[float]) -> np.ndarray:
-        """Final deviations (relative to the design endpoint)."""
-        return self.final_state(deviation) - np.asarray(self.design_endpoint)
-
     def linear_matrix(self, dynamical_only: bool = True) -> np.ndarray:
         """Degree-1 block: d(final)/d(initial deviation)."""
         n = self.m_dynamical if dynamical_only else self.table.m
@@ -129,15 +125,6 @@ class TaylorMap:
             for b in range(n):
                 out[a, b] = self.rows[a].coeffs[self.table.variable_rank(b + 1) - 1]
         return out
-
-    def jacobian(self, deviation: Sequence[float]) -> np.ndarray:
-        """Exact Jacobian of final_state at the given deviation (m x m)."""
-        dev = np.asarray(deviation, dtype=np.float64)
-        cols = []
-        for b in range(1, self.table.m + 1):
-            block = np.stack([row.partial(b).coeffs for row in self.rows])
-            cols.append(block @ monomial_values(self.table, dev))
-        return np.stack(cols, axis=1)
 
 
 def taylor_map_to_dict(tmap: TaylorMap, suppress_zeros: bool = False) -> dict:

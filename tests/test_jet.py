@@ -196,18 +196,6 @@ def test_polyval_identity_and_scalar(t12):
     assert jt.polyval_on_jets(lambda u: 7, [z]) == jt.constant(t12, 7.0)
 
 
-def test_partial_derivative():
-    table = mi.build_table(2, 3)
-    z1, z2 = jt.variable(table, 1), jt.variable(table, 2)
-    f = 2.0 * z1 ** 3 + 4.0 * (z1 * z2) + z2 ** 2
-    fx = f.partial(1)
-    fy = f.partial(2)
-    for point in ([0.3, -0.7], [1.1, 0.2]):
-        x, y = point
-        assert fx.evaluate(point) == pytest.approx(6 * x * x + 4 * y)
-        assert fy.evaluate(point) == pytest.approx(4 * x + 2 * y)
-
-
 def test_state_about():
     table = mi.build_table(2, 2)
     s = jt.state_about(table, [1.5, -2.0])
@@ -224,8 +212,6 @@ def test_constructor_copies_the_callers_array():
     c[0] = 1.0  # the caller's array stays writable
     assert u.coeffs[0] == 0.0
     assert not u.coeffs.flags.writeable
-    v = u.copy()
-    assert v == u and not np.shares_memory(v.coeffs, u.coeffs)
 
 
 def test_serialization_round_trip():
