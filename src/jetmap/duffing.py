@@ -16,11 +16,17 @@ Jacobian; ``to_qp`` reports iterates in the (q, p) frame.  Steady-state
 sweeps over ``omega`` (Feigenbaum diagrams) and attractor sampling build one
 such map per omega and run its orbit through one kernel, and Newton
 refinement of periodic points runs on ``linearize``, on either map.
+
+The polynomial map is applied by nested Horner evaluation on Python floats
+and returns a pair of floats; the orbit kernel keeps iterates as float
+pairs and builds one array of samples at the end, so iterating the
+polynomial map makes no numpy call per step.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -205,9 +211,19 @@ class _Poly2Map:
     """Dynamical rows of a TaylorMap with the parameter deviation folded in.
 
     Collapsing the fixed sigma-deviation turns the three-variable rows into
-    two-variable polynomials of the same degree, evaluated per application
-    from per-variable power tables.  The map works in deviation coordinates
-    ``zeta``; :meth:`to_qp` reports iterates in the (q, p) frame.
+    two-variable polynomials of the same degree, folded into one dense block
+    ``block[a, j1, j2]`` (row ``a``, coefficient of ``zeta1^j1 zeta2^j2``,
+    zero above total degree p) with the expansion offset taken off the
+    constant term.  The map works in deviation coordinates ``zeta``;
+    :meth:`to_qp` reports iterates in the (q, p) frame.
+
+    Both rows are evaluated by nested Horner on Python floats (Knuth,
+    TAOCP vol. 2, 4.6.4), zeta2 on the inside and zeta1 on the outside, in
+    one pass over the block's triangle kept as Python floats in that order.
+    An application makes no numpy call and returns a pair of Python floats,
+    so the orbit's next step starts from floats too; :meth:`linearize`
+    makes the same pass, so Newton's fixed points are fixed points of the
+    map that scans apply.
     """
 
     def __init__(self, tmap: TaylorMap, dsigma: float):
@@ -218,51 +234,64 @@ class _Poly2Map:
         exps = table.exponents
         # integer-typed exponents keep negative dsigma legal under **
         sig_pow = dsigma ** exps[:, 2]
-        # index of the (j1, j2) monomial in the 2-variable modified glex list
-        pairs = {}
-        order = 0
-        for d in range(p + 1):
-            for j1 in range(d, -1, -1):
-                pairs[(j1, d - j1)] = order
-                order += 1
-        fold = np.array([pairs[(int(e[0]), int(e[1]))] for e in exps])
-        rows = np.zeros((2, order))
-        for a in range(2):
-            np.add.at(rows[a], fold, tmap.rows[a].coeffs * sig_pow)
-        two = [(j1, d - j1) for d in range(p + 1) for j1 in range(d, -1, -1)]
-        self.rows = rows
-        self.e1 = np.array([j for j, _ in two])
-        self.e2 = np.array([k for _, k in two])
-        self.exp_range = np.arange(p + 1)
         self.offset = np.asarray(tmap.expansion_point[:2], dtype=np.float64)
+        block = np.zeros((2, p + 1, p + 1))
+        for a in range(2):
+            np.add.at(block[a], (exps[:, 0], exps[:, 1]), tmap.rows[a].coeffs * sig_pow)
+            block[a, 0, 0] -= self.offset[a]
+        # Horner order: j1 from p down, and within it j2 from p - j1 down;
+        # each entry is the two rows' leading coefficients and the pairs after
+        self._horner = []
+        for j1 in range(p, -1, -1):
+            pairs = list(zip(block[0, j1, p - j1 :: -1].tolist(), block[1, j1, p - j1 :: -1].tolist()))
+            self._horner.append((*pairs[0], tuple(pairs[1:])))
 
-    def __call__(self, zeta: np.ndarray) -> np.ndarray:
-        """One application of the deviation map."""
-        pw1 = zeta[0] ** self.exp_range
-        pw2 = zeta[1] ** self.exp_range
-        g = pw1[self.e1] * pw2[self.e2]
-        return self.rows @ g - self.offset
+    def __call__(self, zeta: Sequence[float]) -> tuple[float, float]:
+        """One application of the deviation map, as a pair of floats."""
+        z1, z2 = float(zeta[0]), float(zeta[1])
+        a0 = a1 = 0.0
+        for i0, i1, tail in self._horner:
+            for c0, c1 in tail:
+                i0 = i0 * z2 + c0
+                i1 = i1 * z2 + c1
+            a0 = a0 * z1 + i0
+            a1 = a1 * z1 + i1
+        return a0, a1
 
-    def linearize(self, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def linearize(self, zeta: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """The image of ``zeta`` and the 2 x 2 Jacobian of the folded rows there.
 
-        The derivative power tables hold ``k zeta^(k-1)``, read off the power
-        tables one place down, so each column is one more row product.
+        The Horner pass of :meth:`__call__` carries the derivatives along
+        (each inner sum's in zeta2, each outer sum's in zeta1 and zeta2); the
+        image takes the same operations in the same order, so it is the
+        image that :meth:`__call__` returns, bit for bit.
         """
-        pw1 = zeta[0] ** self.exp_range
-        pw2 = zeta[1] ** self.exp_range
-        dpw1 = np.zeros_like(pw1)
-        dpw2 = np.zeros_like(pw2)
-        dpw1[1:] = self.exp_range[1:] * pw1[:-1]
-        dpw2[1:] = self.exp_range[1:] * pw2[:-1]
-        g = pw1[self.e1] * pw2[self.e2]
-        dg = np.stack([dpw1[self.e1] * pw2[self.e2], pw1[self.e1] * dpw2[self.e2]], axis=1)
-        return self.rows @ g - self.offset, self.rows @ dg
+        z1, z2 = float(zeta[0]), float(zeta[1])
+        a0 = a1 = 0.0
+        a0_1 = a0_2 = a1_1 = a1_2 = 0.0
+        for i0, i1, tail in self._horner:
+            d0 = d1 = 0.0
+            for c0, c1 in tail:
+                d0 = d0 * z2 + i0
+                d1 = d1 * z2 + i1
+                i0 = i0 * z2 + c0
+                i1 = i1 * z2 + c1
+            a0_1 = a0_1 * z1 + a0
+            a1_1 = a1_1 * z1 + a1
+            a0_2 = a0_2 * z1 + d0
+            a1_2 = a1_2 * z1 + d1
+            a0 = a0 * z1 + i0
+            a1 = a1 * z1 + i1
+        return np.array([a0, a1]), np.array([[a0_1, a0_2], [a1_1, a1_2]])
 
     def to_qp(self, iterates: np.ndarray, omega: float) -> np.ndarray:
         """Deviation iterates as (q, p) points in the frame of ``omega``."""
         q, p = to_qp(self.offset[0] + iterates[:, 0], self.offset[1] + iterates[:, 1], omega)
         return np.column_stack([q, p])
+
+
+#: an iterate's bytes, as ``ndarray.tobytes()`` gives them for a float64 pair
+_PAIR = struct.Struct("=2d")
 
 
 def _orbit(step, state, transient: int, record: int, escape_radius: float):
@@ -275,29 +304,34 @@ def _orbit(step, state, transient: int, record: int, escape_radius: float):
     NaN, and ``hypot`` is inf when either component is inf.  Capping the
     radius at the largest float keeps an infinite radius from passing inf.
 
-    ``step`` must be a pure function of the state's bytes, as both
-    stroboscopic maps are.  Each iterate is keyed by its bytes (so 0.0 and
-    -0.0 stay apart), and once iterate i repeats iterate j the orbit has
+    ``step`` may return any pair of floats (the polynomial map returns a
+    tuple, the exact map an array); each iterate is kept as the pair of its
+    components and the samples become one array at the end.  ``step`` must
+    be a pure function of the state's bytes, as both stroboscopic maps are.
+    Each iterate is keyed by the bytes of its two float64 components (so 0.0
+    and -0.0 stay apart), and once iterate i repeats iterate j the orbit has
     period i - j from j on: stepping stops and the remaining iterates are
     copied off that cycle, bit for bit what further steps would give.
     """
     radius = min(escape_radius, sys.float_info.max)
     n = transient + record
-    traj = np.empty((n, 2))
+    traj: list = []
     seen: dict = {}
     applied, closed = n, False
     for i in range(n):
         state = step(state)
-        if not math.hypot(state[0], state[1]) <= radius:
+        a, b = state
+        if not math.hypot(a, b) <= radius:
             raise EscapeError(f"orbit escaped at iterate {i + 1}", i + 1)
-        traj[i] = state
-        j = seen.setdefault(traj[i].tobytes(), i)
+        j = seen.setdefault(_PAIR.pack(a, b), i)
+        traj.append((a, b))
         if j < i:
-            traj[i + 1 :] = traj[j + (np.arange(i + 1, n) - j) % (i - j)]
-            state = traj[n - 1].copy()
+            cycle = traj[j:i]
+            traj.extend(cycle[(k - j) % (i - j)] for k in range(i + 1, n))
+            state = traj[-1]
             applied, closed = i + 1, True
             break
-    return traj[transient:].copy(), state, applied, closed
+    return np.array(traj[transient:], dtype=np.float64).reshape(record, 2), state, applied, closed
 
 
 def iterate_map(
@@ -354,23 +388,30 @@ def fixed_point_newton(
 
     if isinstance(map_source, TaylorMap):
         map_source = _Poly2Map(map_source, dsigma)
-    for _ in range(max_iter):
-        x_cur, jac_k = x, np.eye(2)
-        for _ in range(k):
-            x_cur, jac = map_source.linearize(x_cur)
-            jac_k = jac @ jac_k
-        f = x_cur - x
-        if np.max(np.abs(f)) <= tol:
-            return x, np.linalg.eigvals(jac_k)
-        newton_matrix = jac_k - np.eye(2)
-        if abs(np.linalg.det(newton_matrix)) < 1e-14 * max(1.0, np.abs(jac_k).max()) ** 2:
-            raise SingularJacobianError(
-                "Jacobian minus identity is singular (multiplier at 1); "
-                "the fixed point is degenerate at this parameter"
-            )
-        x = x - np.linalg.solve(newton_matrix, f)
-        if not np.all(np.isfinite(x)):
-            raise NewtonConvergenceError("iterates became non-finite")
+    # a diverging run overflows; that is caught below as non-finite values
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            x_cur, jac_k = x, np.eye(2)
+            for _ in range(k):
+                x_cur, jac = map_source.linearize(x_cur)
+                jac_k = jac @ jac_k
+            scale = max(1.0, np.abs(jac_k).max()) ** 2
+            if not (np.all(np.isfinite(x_cur)) and np.all(np.isfinite(jac_k)) and np.isfinite(scale)):
+                raise NewtonConvergenceError(
+                    f"the {k}-fold image or Jacobian is not finite at {x}: Newton diverged"
+                )
+            f = x_cur - x
+            if np.max(np.abs(f)) <= tol:
+                return x, np.linalg.eigvals(jac_k)
+            newton_matrix = jac_k - np.eye(2)
+            if abs(np.linalg.det(newton_matrix)) < 1e-14 * scale:
+                raise SingularJacobianError(
+                    "Jacobian minus identity is singular (multiplier at 1); "
+                    "the fixed point is degenerate at this parameter"
+                )
+            x = x - np.linalg.solve(newton_matrix, f)
+            if not np.all(np.isfinite(x)):
+                raise NewtonConvergenceError("iterates became non-finite")
     raise NewtonConvergenceError(
         f"no convergence to {tol} within {max_iter} iterations (|F|={np.max(np.abs(f))})"
     )

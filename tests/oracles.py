@@ -129,7 +129,8 @@ def central_difference_jacobian(fn, point) -> np.ndarray:
 
     Truncation error is O(step^2), and an error e in ``fn`` adds up to
     e / step: at this 1e-6 step, a map integrated at tol 1e-12 gives a
-    Jacobian good to about 1e-6.
+    Jacobian good to about 1e-6.  ``fn`` may return an array or a pair of
+    floats.
     """
     step = 1e-6
     point = np.asarray(point, dtype=np.float64)
@@ -137,7 +138,7 @@ def central_difference_jacobian(fn, point) -> np.ndarray:
     for b in range(2):
         bump = np.zeros(2)
         bump[b] = step
-        cols.append((fn(point + bump) - fn(point - bump)) / (2 * step))
+        cols.append((np.asarray(fn(point + bump)) - np.asarray(fn(point - bump))) / (2 * step))
     return np.stack(cols, axis=1)
 
 

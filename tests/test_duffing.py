@@ -1,7 +1,9 @@
 """Duffing application tests: frames, maps, fixed points, sweeps, attractors."""
 
 import math
+import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -172,16 +174,29 @@ def test_iterate_map_zero_steps_and_identity():
     assert np.allclose(traj, traj[0], atol=0)
 
 
-def test_iterate_map_matches_direct_row_evaluation():
-    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, cfg=ode.adaptive(1e-10))
-    dsigma = 0.02
-    zeta = np.array([0.05, -0.04])
-    traj = duf.iterate_map(tmap, zeta, dsigma, 4, escape_radius=50.0)
-    state = zeta.copy()
-    for i in range(1, 5):
-        full = np.array([state[0], state[1], dsigma])
-        state = tmap.final_state(full)[:2] - np.array(tmap.expansion_point[:2])
-        assert np.max(np.abs(traj[i] - state)) < 1e-12
+def test_iterate_map_matches_direct_row_evaluation(m8_map):
+    # the Horner step on the folded block against the unfolded 3-variable
+    # rows: an order-3 map, and the order-8 map across the criterion-9 window
+    # (dsigma > 0 below omega 1.285, < 0 above it), each from a start whose
+    # first four iterates stay inside the trust region
+    small = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, cfg=ode.adaptive(1e-10))
+    tmap8, _ = m8_map
+    cases = [(small, 0.02, (0.05, -0.04), 50.0)]
+    for omega, zeta in (
+        (1.24, (-0.2, 0.3)), (1.26, (-0.1, 0.15)), (1.27, (0.0, 0.0)),
+        (1.28, (0.05, -0.04)), (1.29, (0.0, 0.0)), (1.30, (0.05, -0.04)),
+    ):
+        cases.append((tmap8, 1.0 / omega - tmap8.expansion_point[2], zeta, 10.0))
+    assert {np.sign(dsigma) for tmap, dsigma, _, _ in cases if tmap is tmap8} == {-1.0, 1.0}
+    for tmap, dsigma, zeta, radius in cases:
+        traj = duf.iterate_map(tmap, zeta, dsigma, 4, escape_radius=radius)
+        poly = duf._Poly2Map(tmap, dsigma)
+        for i in range(1, 5):
+            full = np.array([traj[i - 1][0], traj[i - 1][1], dsigma])
+            want = tmap.final_state(full)[:2] - np.array(tmap.expansion_point[:2])
+            assert np.all(np.abs(traj[i] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            image = poly.linearize(traj[i - 1])[0]
+            assert image.tobytes() == np.array(poly(traj[i - 1])).tobytes()
 
 
 def _toy_overflow_map(nan: bool):
@@ -296,15 +311,29 @@ class _Counted:
         return self.fn(z)
 
 
+def _as_array(a, b):
+    return np.array([a, b])
+
+
+def _as_floats(a, b):
+    return float(a), float(b)
+
+
+#: the two shapes a step may return: an array (the exact map) or a pair of
+#: Python floats (the polynomial map)
+STEP_RETURNS = (_as_array, _as_floats)
+
+
 def test_cycle_cut_rotation_record_window_mid_cycle():
     # a quarter turn of exactly representable values has period 4; iterate 5
     # repeats iterate 1, and 1001 transient steps start the window mid-cycle
-    rotate = _Counted(lambda z: np.array([-z[1], z[0]]))
-    _, applied, closed = _assert_cut_is_exact(rotate, np.array([0.75, -0.5]), 1001, 7)
-    assert (applied, closed) == (5, True)
-    rotate.calls = 0
-    duf._orbit(rotate, np.array([0.75, -0.5]), 1001, 7, 10.0)
-    assert rotate.calls == 5
+    for pair in STEP_RETURNS:
+        rotate = _Counted(lambda z, pair=pair: pair(-z[1], z[0]))
+        _, applied, closed = _assert_cut_is_exact(rotate, np.array([0.75, -0.5]), 1001, 7)
+        assert (applied, closed) == (5, True)
+        rotate.calls = 0
+        duf._orbit(rotate, np.array([0.75, -0.5]), 1001, 7, 10.0)
+        assert rotate.calls == 5
 
 
 def test_cycle_cut_fixed_point_after_three_steps():
@@ -323,12 +352,13 @@ def test_cycle_cut_fixed_point_after_three_steps():
 
 def test_cycle_cut_keeps_the_sign_of_zero():
     # (0.0, 1.0) and (-0.0, 1.0) compare equal but are different states
-    def flip(z):
-        return np.array([-z[0], z[1]])
+    for pair in STEP_RETURNS:
+        def flip(z, pair=pair):
+            return pair(-z[0], z[1])
 
-    final, applied, closed = _assert_cut_is_exact(flip, np.array([0.0, 1.0]), 4, 5)
-    assert (applied, closed) == (3, True)
-    assert np.signbit(final[0])  # iterate 9 is -0.0
+        final, applied, closed = _assert_cut_is_exact(flip, np.array([0.0, 1.0]), 4, 5)
+        assert (applied, closed) == (3, True)
+        assert np.signbit(final[0])  # iterate 9 is -0.0
 
 
 def test_cycle_cut_escape_before_any_repeat():
@@ -375,6 +405,18 @@ def test_poly_map_linearize_matches_central_differences(m8_map):
             image, jac = poly.linearize(zeta)
             assert np.array_equal(image, poly(zeta))
             assert np.max(np.abs(jac - central_difference_jacobian(poly, zeta))) <= 1e-8
+
+
+def test_poly_map_step_returns_python_floats(m8_map):
+    # the orbit's next step starts from what this one returned: Python
+    # floats keep it off numpy scalars, and array or tuple input is one state
+    tmap, _ = m8_map
+    poly = duf._Poly2Map(tmap, 1.0 / 1.2902 - tmap.expansion_point[2])
+    for zeta in ((0.0, 0.0), (-0.0, 0.1), (0.031, -0.052), (-0.3, 0.2)):
+        image = poly(zeta)
+        assert type(image) is tuple and [type(v) for v in image] == [float, float]
+        assert struct.pack("=2d", *image) == struct.pack("=2d", *poly(np.array(zeta)))
+        assert [type(v) for v in poly(image)] == [float, float]
 
 
 def test_scan_counts_map_applications_and_cycles():
@@ -460,6 +502,18 @@ def test_newton_singular_jacobian_reported():
     tmap = _toy_identity_map(shift=(0.3, 0.0))
     with pytest.raises(duf.SingularJacobianError):
         duf.fixed_point_newton(tmap, (0.0, 0.0), tol=1e-12)
+
+
+def test_newton_divergence_reported_as_divergence(m8_map):
+    # from (0, 0) the period-2 iteration at omega 1.25 jumps far outside the
+    # trust region, where the 2-fold Jacobian overflows; that is divergence,
+    # not a degenerate fixed point, and no overflow warning escapes
+    tmap, _ = m8_map
+    dsigma = 1.0 / 1.25 - tmap.expansion_point[2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(duf.NewtonConvergenceError, match="not finite"):
+            duf.fixed_point_newton(tmap, (0.0, 0.0), dsigma=dsigma, k=2, tol=1e-12)
 
 
 def test_newton_no_convergence_reported():
