@@ -379,6 +379,12 @@ def fixed_point_newton(
     :class:`ExactStroboscopicMap` runs in (q, p), one order-1 jet
     integration per application.  Returns the refined point and the
     eigenvalues of the k-fold Jacobian (the stability multipliers).
+
+    On a polynomial map, a point outside the scans' escape radius
+    (``DEFAULT_ESCAPE_RADIUS``), whether a Newton iterate or one of its
+    first k - 1 images, ends the run in :class:`NewtonConvergenceError`, as
+    it ends a scan's orbit: the polynomial says nothing about the flow out
+    there, and a run that leaves would otherwise wander on to ``max_iter``.
     """
     if k < 1:
         raise ValueError(f"period must be >= 1, got {k}")
@@ -386,13 +392,21 @@ def fixed_point_newton(
     if x.shape != (2,):
         raise ValueError(f"expected a 2-component guess, got shape {x.shape}")
 
+    # the polynomial is trusted inside the scans' escape radius only; the
+    # exact map has no such bound
+    radius = math.inf
     if isinstance(map_source, TaylorMap):
         map_source = _Poly2Map(map_source, dsigma)
+        radius = DEFAULT_ESCAPE_RADIUS
     # a diverging run overflows; that is caught below as non-finite values
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
             x_cur, jac_k = x, np.eye(2)
             for _ in range(k):
+                if not math.hypot(x_cur[0], x_cur[1]) <= radius:
+                    raise NewtonConvergenceError(
+                        f"Newton left the polynomial's trust region |zeta| <= {radius} at {x_cur}"
+                    )
                 x_cur, jac = map_source.linearize(x_cur)
                 jac_k = jac @ jac_k
             scale = max(1.0, np.abs(jac_k).max()) ** 2
@@ -521,7 +535,9 @@ def feigenbaum_scan(
     applications: list = []
     cycles: list = []
     state = seed
-    for omega in omegas:
+    # Python floats: an np.float64 omega would make every stage value of an
+    # exact orbit a numpy scalar through omega * tau
+    for omega in omegas.tolist():
         try:
             block, final, applied, closed = _run_poly(
                 map_at, omega, np.asarray(state), transient, record, escape_radius
@@ -531,7 +547,7 @@ def feigenbaum_scan(
                 state = tuple(final)
         except EscapeError as err:
             samples.append(np.empty((0, 2)))
-            failures.append((float(omega), str(err)))
+            failures.append((omega, str(err)))
             applied, closed = err.step, False
             state = seed  # restart the continuation from the configured seed
         applications.append(applied)

@@ -1,14 +1,24 @@
 """Runge-Kutta integration generic over scalar and jet-valued states.
 
-:func:`rk4` and :func:`rkf45` march one float64 array: ``(m,)`` for a state
-of m floats, ``(m, L)`` for a state of m :class:`~jetmap.jet.Jet` rows over
-one shared table.  The caller's tuple is packed into it once at entry and
-unpacked once at exit, into floats or into jets that each own a frozen copy
-of their row.  The state is row 0 of one array above the stage rows, so each
-stage argument and the step are one dot of a coefficient row (1, h a_i) over
-that array, the two error estimates one product over the stage rows, and the
-error norm and the finiteness test single numpy expressions over every
-coefficient of every component: one marching code serves both kinds of state.
+:func:`rk4` and :func:`rkf45` each run one controller loop, which owns the
+step size, acceptance, the step budget and divergence, over one of two state
+kinds, picked by the caller's tuple:
+
+* a state of m Python floats (:class:`_Floats`) keeps each component's stage
+  values in a list of floats, and builds each stage argument, the step and
+  the error estimates by ``sum`` over a tableau row: no numpy call per
+  stage, so a scalar run's bits do not depend on the BLAS (they do depend
+  on the Python version: ``sum`` of floats is compensated from 3.12 on);
+* a state of m :class:`~jetmap.jet.Jet` rows over one shared table
+  (:class:`_Jets`) is one ``(m, L)`` float64 array, the state row above the
+  stage rows, so each stage argument and the step are one dot of a
+  coefficient row (1, h a_i) over that array, and the error norm and the
+  finiteness test single numpy expressions over every coefficient of every
+  component.
+
+Both kinds read one tableau and combine their error estimates in one
+helper.  The caller's tuple is read once at entry and returned once at
+exit, as floats or as jets that each own a frozen copy of their row.
 
 The adaptive method is the Dormand-Prince 8(5,3) pair (Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.5 and II.10), reached as :func:`rkf45`.  Its
@@ -22,8 +32,9 @@ every entry for ``tol`` in its own scale.
 
 The right side receives a tuple: Python floats for a scalar state, read-only
 ``Jet`` views of the stage rows for a jet state.  It returns the m
-derivatives as Jets or floats (on a jet state a float is a constant row), or
-as one ``(m, L)`` array.  Integrating a state of jets initialized as
+derivatives as Jets or floats (on a jet state a float is a constant row), or,
+on a jet state, as one ``(m, L)`` array; any other number of components is
+refused with ``ValueError``.  Integrating a state of jets initialized as
 ``center + x_a`` yields the Taylor expansion of the flow about ``center``.
 """
 
@@ -31,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,11 +109,11 @@ class IntegratorConfig:
     In fixed mode :func:`rk4` takes ``ns`` equal steps of ``(tf - t0) / ns``.
     In adaptive mode :func:`rkf45`, the Dormand-Prince 8(5,3) pair, bounds
     the per-step error estimate by ``tol``: the max norms of the 5th- and
-    3rd-order estimates over the whole state array (every coefficient of
-    every component, for jet and scalar states alike), each entry weighed by
-    ``1 + max(|y|, |y8|)``, combined into one error as in HNW II.10, so
-    ``tol`` serves as both the absolute and the relative tolerance (see
-    :func:`_error_norm`).  At tol 1e-9 the order-3 Duffing map build takes
+    3rd-order estimates over the whole state (every coefficient of every
+    component of a jet state, every component of a scalar one), each entry
+    weighed by ``1 + max(|y|, |y8|)``, combined into one error as in HNW
+    II.10, so ``tol`` serves as both the absolute and the relative tolerance
+    (see :func:`_error_norm`).  At tol 1e-9 the order-3 Duffing map build takes
     113 accepted and 28 rejected steps (1,664 right-side calls), the order-8
     build 185 and 33 (2,583).
 
@@ -148,102 +160,47 @@ class StepStats:
         self.h_max = max(self.h_max, h)
 
 
-# -- the array state ------------------------------------------------------------
+# -- the two state kinds ----------------------------------------------------------
 
 
-class _Layout:
-    """How a state tuple maps onto one flat float64 array.
+@dataclass(frozen=True)
+class _Tableau:
+    """An explicit Runge-Kutta tableau in the form each state kind reads.
 
-    A scalar state of m floats is the (m,) array itself.  A jet state is the
-    (m, L) array of coefficient rows over one shared table, flattened; floats
-    among its components become constant rows.
+    ``array`` holds the stage rows of ``a``, then ``b``, then any error rows,
+    behind a column for y: column 0 is 1 in the rows that build a state (the
+    stages and the step) and 0 in the error rows, so the columns after it,
+    scaled by h, make one attempt's coefficients over ``(y, k_0, ...,
+    k_{s-1})``.  ``rows`` are the same rows without that column, as tuples
+    of Python floats.
     """
 
-    def __init__(self, state0: Sequence):
-        self.m = len(state0)
-        self.table = next((z.table for z in state0 if isinstance(z, Jet)), None)
-        self.shape = (self.m,) if self.table is None else (self.m, self.table.L)
-
-    def pack(self, state: Sequence) -> np.ndarray:
-        """The flat array of a state; jets over other tables are refused here."""
-        if self.table is None:
-            return np.array(state, dtype=np.float64)
-        y = np.empty(self.shape)
-        self.store(y, state)
-        return y.reshape(-1)
-
-    def unpack(self, y: np.ndarray) -> State:
-        """The caller's tuple: floats, or jets that each own a frozen copy."""
-        if self.table is None:
-            return tuple(y.tolist())
-        return tuple(_new_jet(self.table, row.copy()) for row in y.reshape(self.shape))
-
-    def view(self, y: np.ndarray) -> State:
-        """The right side's tuple: floats, or read-only jet views of y's rows."""
-        if self.table is None:
-            return tuple(y.tolist())
-        return tuple(_new_jet(self.table, row) for row in y.reshape(self.shape))
-
-    def store(self, dst: np.ndarray, values) -> None:
-        """Write state or right-side values (jets, floats, or one array) into dst."""
-        if isinstance(values, np.ndarray):
-            if values.shape != dst.shape:
-                raise ValueError(f"expected an array of shape {dst.shape}, got {values.shape}")
-            dst[...] = values
-            return
-        if self.table is None:
-            dst[...] = values
-            return
-        if len(values) != self.m:
-            raise ValueError(f"got {len(values)} components, expected {self.m}")
-        table = self.table
-        for row, z in zip(dst, values):
-            if isinstance(z, Jet):
-                if z.table is not table and not table.same_shape(z.table):
-                    raise TableMismatchError(
-                        f"cannot combine a jet over (m={z.table.m}, p={z.table.p}) "
-                        f"with a state over (m={table.m}, p={table.p})"
-                    )
-                row[...] = z.coeffs
-            else:
-                row[...] = 0.0
-                row[0] = z
+    c: tuple
+    array: np.ndarray
+    rows: tuple
 
 
-def _tableau(a: np.ndarray, b: np.ndarray, *error_rows: np.ndarray) -> np.ndarray:
-    """The stage rows of ``a``, then ``b``, then ``error_rows``, behind a column for y.
-
-    Column 0 is 1 in the rows that build a state (the stages and the step) and
-    0 in the error rows, so that the columns after it, scaled by h, make one
-    attempt's coefficients over ``yk = (y, k_0, ..., k_{s-1})``.
-    """
+def _tableau(a: np.ndarray, b: np.ndarray, c: Sequence[float], *error_rows) -> _Tableau:
     s = len(b)
     rows = np.vstack([a, b, *error_rows])
-    tableau = np.zeros((len(rows), s + 1))
-    tableau[: s + 1, 0] = 1.0
-    tableau[:, 1:] = rows
-    return tableau
+    array = np.zeros((len(rows), s + 1))
+    array[: s + 1, 0] = 1.0
+    array[:, 1:] = rows
+    return _Tableau(tuple(c), array, tuple(tuple(row) for row in rows.tolist()))
 
 
-def _stages(
-    system: OdeSystem,
-    layout: _Layout,
-    yk: np.ndarray,
-    coef: np.ndarray,
-    t: float,
-    h: float,
-    c: Sequence[float],
-    first: int = 0,
-) -> None:
-    """Fill the stage rows ``yk[1:]`` from stage ``first`` on; ``yk[0]`` is y.
+def _combined_error(e5: float, e3: float) -> float:
+    """One error from the max norms E5 and E3 of the 5th- and 3rd-order estimates.
 
-    Row i of ``coef`` is ``(1, h a[i, 0], ..., h a[i, i-1], 0, ...)``, so stage
-    i's argument ``y + h sum_j a[i, j] k_j`` is one dot over ``yk[:i + 1]``.
+    ``E5^2 / sqrt(E5^2 + 0.01 E3^2)`` (HNW II.10 and dop853.f), which is E5
+    when E3 vanishes and 0 when E5 does.  A non-finite norm counts as an
+    infinite error.
     """
-    stage_rows = yk.reshape(len(yk), *layout.shape)
-    for i in range(first, len(c)):
-        arg = np.dot(coef[i, : i + 1], yk[: i + 1])
-        layout.store(stage_rows[i + 1], system.rhs(layout.view(arg), t + c[i] * h))
+    if not (math.isfinite(e5) and math.isfinite(e3)):
+        return math.inf
+    if e5 == 0.0:
+        return 0.0
+    return e5 * (e5 / math.hypot(e5, 0.1 * e3))
 
 
 def _error_norm(
@@ -258,22 +215,175 @@ def _error_norm(
     ``atol + rtol |y|`` weights (Hairer, Norsett & Wanner, *Solving ODEs I*,
     II.4) with atol = rtol, so a single ``tol`` serves both.  E5 and E3 are
     the max of the weighed entries over every coefficient of every component,
-    and the two norms are combined as ``E5^2 / sqrt(E5^2 + 0.01 E3^2)``
-    (HNW II.10 and dop853.f), which is E5 when E3 vanishes and 0 when E5 does.
-    Combining the norms, not the entries, keeps one estimate passing through
-    zero in one entry from setting the step.  A non-finite estimate, NaN from
-    overflowing entries included, counts as an infinite error.
+    combined by :func:`_combined_error`.  Combining the norms, not the
+    entries, keeps one estimate passing through zero in one entry from
+    setting the step.  NaN from overflowing entries reaches the norms, and
+    counts as an infinite error.
     """
     scale = np.maximum(np.abs(y), np.abs(y8))
     scale += 1.0
     e = np.abs(weights @ k)
     e /= scale
     e5, e3 = e.max(axis=1).tolist()
-    if not (math.isfinite(e5) and math.isfinite(e3)):
-        return math.inf
-    if e5 == 0.0:
-        return 0.0
-    return e5 * (e5 / math.hypot(e5, 0.1 * e3))
+    return _combined_error(e5, e3)
+
+
+def _wrong_length(values, m: int) -> ValueError:
+    return ValueError(f"got {len(values)} components, expected {m}")
+
+
+class _Floats:
+    """A state of m Python floats, each component's stage values in a list.
+
+    Stage i's argument is ``y_c + h * sum(a_i * k_c)`` per component, summed
+    over the full tableau row, zeros included, so that a non-finite stage
+    still reaches the step and the estimates as ``0 * inf = NaN``.  No
+    numpy call is made per stage, and the right side sees Python floats
+    for as long as it returns them.
+    """
+
+    def __init__(self, system: OdeSystem, state0: Sequence, tableau: _Tableau):
+        self.rhs = system.rhs
+        self.m = len(state0)
+        self.y = tuple(float(v) for v in state0)
+        self.tableau = tableau
+        self.k: list = []
+
+    def attempt(self, t: float, h: float, first: int = 0) -> None:
+        """Evaluate the stages from ``first`` on and form the step's candidate."""
+        rhs, m, y, k = self.rhs, self.m, self.y, self.k
+        c, rows = self.tableau.c, self.tableau.rows
+        # components by index: a zip per stage costs more than the indexing
+        comps = range(m)
+        if first == 0:
+            f = rhs(y, t)
+            if len(f) != m:
+                raise _wrong_length(f, m)
+            k[:] = [[v] for v in f]
+        else:
+            for k_c in k:
+                del k_c[1:]
+        for i in range(1, len(c)):
+            a = rows[i]
+            f = rhs(tuple([y[j] + h * sum(map(mul, a, k[j])) for j in comps]), t + c[i] * h)
+            if len(f) != m:
+                raise _wrong_length(f, m)
+            for j in comps:
+                k[j].append(f[j])
+        b = rows[len(c)]
+        self.h = h
+        self.new = tuple([y[j] + h * sum(map(mul, b, k[j])) for j in comps])
+
+    def error(self) -> float:
+        """The error of the last attempt, weighed as :func:`_error_norm` does."""
+        h, y, new, k = self.h, self.y, self.new, self.k
+        w5, w3 = self.tableau.rows[len(self.tableau.c) + 1 :]
+        e5 = e3 = 0.0
+        for j in range(self.m):
+            # max keeps its first argument's NaN, so a NaN candidate reaches d5
+            scale = 1.0 + max(abs(new[j]), abs(y[j]))
+            d5 = abs(h * sum(map(mul, w5, k[j]))) / scale
+            d3 = abs(h * sum(map(mul, w3, k[j]))) / scale
+            if d5 != d5 or d3 != d3:
+                return math.inf
+            e5, e3 = max(e5, d5), max(e3, d3)
+        return _combined_error(e5, e3)
+
+    def advance(self) -> bool:
+        """Take the candidate as the state; False when it is not finite."""
+        self.y = self.new
+        return all(map(math.isfinite, self.y))
+
+    def result(self) -> State:
+        return self.y
+
+
+class _Jets:
+    """A state of m jets over one table, as one (m, L) float64 array.
+
+    The state is row 0 of one array above the stage rows, so each stage
+    argument and the step are one dot of a coefficient row (1, h a_i) over
+    that array, the two error estimates one product over the stage rows, and
+    the error norm and the finiteness test single numpy expressions over
+    every coefficient of every component.  Floats among the components
+    become constant rows.
+    """
+
+    def __init__(self, system: OdeSystem, state0: Sequence, tableau: _Tableau):
+        self.rhs = system.rhs
+        self.m = len(state0)
+        self.table = next(z.table for z in state0 if isinstance(z, Jet))
+        self.shape = (self.m, self.table.L)
+        self.tableau = tableau
+        self.coef = tableau.array.copy()
+        # row 0 the state, rows 1.. the stages
+        self.yk = np.empty((len(tableau.c) + 1, self.m * self.table.L))
+        self.store(self.yk[0].reshape(self.shape), state0)
+
+    def view(self, y: np.ndarray) -> State:
+        """The right side's tuple: read-only jet views of y's rows."""
+        return tuple(_new_jet(self.table, row) for row in y.reshape(self.shape))
+
+    def store(self, dst: np.ndarray, values) -> None:
+        """Write state or right-side values (jets, floats, or one array) into dst.
+
+        Jets over other tables are refused here, so a mismatched initial
+        state fails before the first right side.
+        """
+        if isinstance(values, np.ndarray):
+            if values.shape != dst.shape:
+                raise ValueError(f"expected an array of shape {dst.shape}, got {values.shape}")
+            dst[...] = values
+            return
+        if len(values) != self.m:
+            raise _wrong_length(values, self.m)
+        table = self.table
+        for row, z in zip(dst, values):
+            if isinstance(z, Jet):
+                if z.table is not table and not table.same_shape(z.table):
+                    raise TableMismatchError(
+                        f"cannot combine a jet over (m={z.table.m}, p={z.table.p}) "
+                        f"with a state over (m={table.m}, p={table.p})"
+                    )
+                row[...] = z.coeffs
+            else:
+                row[...] = 0.0
+                row[0] = z
+
+    def attempt(self, t: float, h: float, first: int = 0) -> None:
+        """Fill the stage rows ``yk[1:]`` from stage ``first`` on and form the candidate.
+
+        Row i of ``coef`` is ``(1, h a[i, 0], ..., h a[i, i-1], 0, ...)``, so
+        stage i's argument ``y + h sum_j a[i, j] k_j`` is one dot over
+        ``yk[:i + 1]``.
+        """
+        yk, coef, c = self.yk, self.coef, self.tableau.c
+        np.multiply(self.tableau.array[:, 1:], h, out=coef[:, 1:])
+        stage_rows = yk.reshape(len(yk), *self.shape)
+        for i in range(first, len(c)):
+            arg = np.dot(coef[i, : i + 1], yk[: i + 1])
+            self.store(stage_rows[i + 1], self.rhs(self.view(arg), t + c[i] * h))
+        self.new = coef[len(c)] @ yk
+
+    def error(self) -> float:
+        s = len(self.tableau.c)
+        # a non-finite stage reaches both estimates or the candidate, through
+        # the stages after it and 0 * inf = NaN in the dots
+        return _error_norm(self.coef[s + 1 :, 1:], self.yk[1:], self.yk[0], self.new)
+
+    def advance(self) -> bool:
+        self.yk[0] = self.new
+        return bool(np.isfinite(self.new).all())
+
+    def result(self) -> State:
+        """The caller's tuple: jets that each own a frozen copy of their row."""
+        return tuple(_new_jet(self.table, row.copy()) for row in self.yk[0].reshape(self.shape))
+
+
+def _marching_state(system: OdeSystem, state0: Sequence, tableau: _Tableau):
+    """The state kind of ``state0``: jets if any component is one, else floats."""
+    kind = _Jets if any(isinstance(z, Jet) for z in state0) else _Floats
+    return kind(system, state0, tableau)
 
 
 # -- fixed-step RK4 ----------------------------------------------------------
@@ -281,7 +391,7 @@ def _error_norm(
 _RK4_C = (0.0, 1 / 2, 1 / 2, 1.0)
 _RK4_A = np.diag([1 / 2, 1 / 2, 1.0], k=-1)
 _RK4_B = np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6])
-_RK4_T = _tableau(_RK4_A, _RK4_B)
+_RK4 = _tableau(_RK4_A, _RK4_B, _RK4_C)
 
 
 def rk4(
@@ -296,25 +406,20 @@ def rk4(
         raise ValueError("rk4 requires a fixed-mode config")
     if not tf > t0:
         raise ValueError(f"need tf > t0, got t0={t0}, tf={tf}")
+    t0, tf = float(t0), float(tf)
     h = (tf - t0) / cfg.ns
-    layout = _Layout(state0)
-    y = layout.pack(state0)
-    yk = np.empty((len(_RK4_C) + 1, y.size))
-    yk[0] = y
-    coef = _RK4_T.copy()
-    coef[:, 1:] *= h
+    state = _marching_state(system, state0, _RK4)
     t = t0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, cfg.ns + 1):
             try:
-                _stages(system, layout, yk, coef, t, h, _RK4_C)
+                state.attempt(t, h)
             except OverflowError as err:
                 raise DivergenceError(f"float overflow during step {i} (t={t})", i, t) from err
-            yk[0] = coef[-1] @ yk
             t = t0 + i * h
-            if not np.isfinite(yk[0]).all():
+            if not state.advance():
                 raise DivergenceError(f"non-finite state after step {i} (t={t})", i, t)
-    return layout.unpack(yk[0]), t, StepStats(accepted=cfg.ns, h_min=h, h_max=h)
+    return state.result(), t, StepStats(accepted=cfg.ns, h_min=h, h_max=h)
 
 
 # -- adaptive Dormand-Prince 8(5,3) -----------------------------------------------
@@ -428,15 +533,16 @@ _DOP_E = np.array(
         ),
     ]
 )
-# the stage rows, the 8th-order step and the two error rows over (y, k)
-_DOP_T = _tableau(_DOP_A, _DOP_B, _DOP_E)
+# the stage rows, the 8th-order step and the two error rows
+_DOP = _tableau(_DOP_A, _DOP_B, _DOP_C, _DOP_E)
 
 # step-size controller (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4):
 # h grows by safety * (tol / err)^(1/8), clamped to [_MIN_SHRINK, _MAX_GROW],
 # and not at all on the step after a rejection.  Levers measured in its place
 # did not pay (attempts of the order-3, order-8 and order-2 backward Duffing
 # builds at tol 1e-9, 141/218/270 here, and of the 348 exact periods of the
-# 3-omega scan at tol 1e-6, 14,451 here): dop853.f's PI term with beta 0.04
+# 3-omega scan at tol 1e-6, 14,451 here, on float states as on the array
+# state they used to share): dop853.f's PI term with beta 0.04
 # took 134/204/264 but 15,145; safety 0.8 took 133/207/264 but 14,903; a
 # growth cap of 2 left the builds alone and took 14,493.  Of the exact map's
 # 13 rejections per period (30 periods at omega 1.2554), 2 shrink the
@@ -469,7 +575,8 @@ def rkf45(
     The name predates the pair: callers, and the benchmark under
     ``perfbench/``, reach the adaptive method as ``jetode.rkf45``.
 
-    A step is accepted when the error of :func:`_error_norm`, the 5th- and
+    A step is accepted when the error of :func:`_error_norm` (on a float
+    state, the same weights taken component by component), the 5th- and
     3rd-order estimates' max norms with each entry weighed by
     ``1 + max(|y|, |y8|)``, combined, is at most ``cfg.tol``; the 8th-order
     candidate y8 is the one propagated.  An attempt whose stages or estimates
@@ -484,17 +591,13 @@ def rkf45(
     if not tf > t0:
         raise ValueError(f"need tf > t0, got t0={t0}, tf={tf}")
 
+    # Python floats: a numpy scalar here would make every stage time one
+    t0, tf = float(t0), float(tf)
     span = tf - t0
     h_min = _H_MIN_FRAC * span
     h = span
     stats = StepStats()
-    layout = _Layout(state0)
-    y = layout.pack(state0)
-    n_stages = len(_DOP_C)
-    # row 0 the state, rows 1.. the stages
-    yk = np.empty((n_stages + 1, y.size))
-    yk[0] = y
-    coef = _DOP_T.copy()
+    state = _marching_state(system, state0, _DOP)
     t = t0
     have_stage0 = False
     after_rejection = False
@@ -504,25 +607,19 @@ def rkf45(
         while t < tf:
             h = min(h, tf - t)
             last_step = h >= (tf - t)
-            np.multiply(_DOP_T[:, 1:], h, out=coef[:, 1:])
 
             try:
-                _stages(system, layout, yk, coef, t, h, _DOP_C, 1 if have_stage0 else 0)
+                state.attempt(t, h, 1 if have_stage0 else 0)
                 have_stage0 = True
-                y8 = coef[n_stages] @ yk
-                # a non-finite stage reaches both estimates or y8, through the
-                # stages after it and 0 * inf = NaN in the dots, so it ends here
-                # as an infinite error
-                err = _error_norm(coef[n_stages + 1 :, 1:], yk[1:], yk[0], y8)
+                err = state.error()
             except OverflowError:
                 err = math.inf
             finite = err < math.inf
 
             accepted = err <= cfg.tol
             if accepted:
-                if not np.isfinite(y8).all():
+                if not state.advance():
                     raise DivergenceError(f"non-finite state near t={t}", stats.accepted, t)
-                yk[0] = y8
                 stats.record(h)
                 t = tf if last_step else t + h
                 have_stage0 = False
@@ -553,7 +650,7 @@ def rkf45(
                     f"exceeded {_MAX_STEPS} steps at t={t} of {tf}; the "
                     f"tolerance {cfg.tol} appears unattainable for this state"
                 )
-    return layout.unpack(yk[0]), t, stats
+    return state.result(), t, stats
 
 
 def integrate(

@@ -506,20 +506,83 @@ def test_newton_singular_jacobian_reported():
 
 def test_newton_divergence_reported_as_divergence(m8_map):
     # from (0, 0) the period-2 iteration at omega 1.25 jumps far outside the
-    # trust region, where the 2-fold Jacobian overflows; that is divergence,
-    # not a degenerate fixed point, and no overflow warning escapes
+    # trust region, where the 2-fold Jacobian would overflow; that is
+    # divergence, not a degenerate fixed point, and no overflow warning
+    # escapes.  The trust region stops it first; an image that overflows in
+    # one application (the toy map from zeta1 = 2) is reported as not finite
     tmap, _ = m8_map
     dsigma = 1.0 / 1.25 - tmap.expansion_point[2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(duf.NewtonConvergenceError, match="not finite"):
+        with pytest.raises(duf.NewtonConvergenceError, match="trust region"):
             duf.fixed_point_newton(tmap, (0.0, 0.0), dsigma=dsigma, k=2, tol=1e-12)
+        with pytest.raises(duf.NewtonConvergenceError, match="not finite"):
+            duf.fixed_point_newton(_toy_overflow_map(False), (2.0, 0.0), dsigma=0.5)
+
+
+def test_newton_stops_where_the_polynomial_leaves_its_trust_region(m8_map, monkeypatch):
+    # at omega 1.26 the period-2 iteration from (0, 0) steps to |zeta| = 8.8,
+    # whose image lies at |zeta| = 2.7e8: one chain from the guess and one
+    # application past the step, where it used to wander for 100 calls
+    tmap, _ = m8_map
+    calls = []
+    linearize = duf._Poly2Map.linearize
+
+    def counted(self, zeta):
+        calls.append(math.hypot(zeta[0], zeta[1]))
+        return linearize(self, zeta)
+
+    monkeypatch.setattr(duf._Poly2Map, "linearize", counted)
+    dsigma = 1.0 / 1.26 - tmap.expansion_point[2]
+    with pytest.raises(duf.NewtonConvergenceError, match="trust region"):
+        duf.fixed_point_newton(tmap, (0.0, 0.0), dsigma=dsigma, k=2)
+    assert len(calls) == 3
+    assert max(calls) <= duf.DEFAULT_ESCAPE_RADIUS
 
 
 def test_newton_no_convergence_reported():
     tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=3, cfg=ode.adaptive(1e-10))
     with pytest.raises((duf.NewtonConvergenceError, duf.SingularJacobianError)):
         duf.fixed_point_newton(tmap, (3.0, 3.0), dsigma=0.0, tol=1e-14, max_iter=3)
+
+
+def test_float_and_jet_kernels_agree_on_one_exact_period():
+    # order-0 jets (L = 1) run the array kernel on the same scalar data as
+    # the float kernel: the same step sequence, the endpoint to round-off
+    params = duf.DuffingParams(0.1, 25.0, 1.2902)
+    system, cfg = duf.duffing_rhs(params), ode.adaptive(1e-6)
+    floats, t_f, stats_f = ode.rkf45(system, (FP_Q, FP_P), 0.0, params.period, cfg)
+    jets, t_j, stats_j = ode.rkf45(
+        system, state_about(mi.build_table(2, 0), [FP_Q, FP_P]), 0.0, params.period, cfg
+    )
+    assert (stats_f.accepted, stats_f.rejected) == (stats_j.accepted, stats_j.rejected)
+    assert stats_f.accepted + stats_f.rejected > 30
+    assert t_f == t_j == params.period
+    assert max(abs(f - j.coeffs[0]) for f, j in zip(floats, jets)) <= 1e-12
+
+
+def test_exact_scan_runs_on_python_floats(monkeypatch):
+    # an np.float64 omega from the grid would turn every stage value of the
+    # exact orbit into a numpy scalar through omega * tau
+    seen = set()
+    duffing_rhs = duf.duffing_rhs
+
+    def spied(params):
+        seen.add(type(params.omega))
+        system = duffing_rhs(params)
+
+        def rhs(s, t):
+            out = system.rhs(s, t)
+            seen.update(type(v) for v in (*s, t, *out))
+            return out
+
+        return ode.OdeSystem(dim=2, rhs=rhs)
+
+    monkeypatch.setattr(duf, "duffing_rhs", spied)
+    grid = np.array([1.27, 1.271])
+    result = duf.feigenbaum_scan("exact", 0.1, 25.0, grid, transient=2, record=2, tol=1e-6)
+    assert [len(s) for s in result.samples] == [2, 2]
+    assert seen == {float}
 
 
 def test_exact_map_jacobian_determinant_abel():

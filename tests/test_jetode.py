@@ -171,7 +171,7 @@ def test_rkf45_error_norm_spans_all_jet_coefficients():
     weights = np.array([[0.5, 2.0], [0.0, 0.0]])
     norm = ode._error_norm(weights, stages, zero, zero)
     assert norm == pytest.approx(3.5)
-    # scalar states use plain absolute value through the same expression
+    # a one-coefficient row is weighed by the same expression
     scalar_stages = np.array([[-1.0], [0.25]])
     zero = np.zeros(1)
     assert ode._error_norm(weights, scalar_stages, zero, zero) == pytest.approx(0.0)
@@ -517,3 +517,33 @@ def test_backward_route_array_right_side_matches_forward(monkeypatch):
     assert np.ndarray in returned and tuple in returned
     for a in range(2):
         assert np.max(np.abs(fwd.rows[a].coeffs - bwd.rows[a].coeffs)) < 1e-8
+
+
+@pytest.mark.parametrize("march", ["rk4", "rkf45"])
+@pytest.mark.parametrize("jets", [False, True])
+def test_right_side_of_the_wrong_length_is_refused(march, jets):
+    # a scalar state once broadcast a one-component right side over both
+    # components; both state kinds now refuse too few and too many
+    state0 = jt.state_about(mi.build_table(2, 2), [1.0, 1.0]) if jets else (1.0, 1.0)
+    run, cfg = (ode.rk4, ode.fixed_step(10)) if march == "rk4" else (ode.rkf45, ode.adaptive(1e-9))
+    for rhs in (lambda s, t: (-s[0],), lambda s, t: (-s[0], s[1], s[1])):
+        with pytest.raises(ValueError, match="components, expected 2"):
+            run(ode.OdeSystem(dim=2, rhs=rhs), state0, 0.0, 1.0, cfg)
+
+
+@pytest.mark.parametrize("march", ["rk4", "rkf45"])
+def test_scalar_run_hands_the_right_side_python_floats(march):
+    # numpy scalars in the initial state or the span do not reach the right
+    # side: every state component and every time it sees is a Python float
+    seen = set()
+
+    def rhs(s, t):
+        seen.update(type(v) for v in (*s, t))
+        return pair_system().rhs(s, t)
+
+    run, cfg = (ode.rk4, ode.fixed_step(10)) if march == "rk4" else (ode.rkf45, ode.adaptive(1e-9))
+    state, t, _ = run(
+        ode.OdeSystem(dim=2, rhs=rhs), (np.float64(1.0), 2), np.float64(0.0), np.float64(1.0), cfg
+    )
+    assert seen == {float}
+    assert [type(v) for v in (*state, t)] == [float, float, float]
