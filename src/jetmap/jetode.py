@@ -4,11 +4,15 @@
 step size, acceptance, the step budget and divergence, over one of two state
 kinds, picked by the caller's tuple:
 
-* a state of m Python floats (:class:`_Floats`) keeps each component's stage
-  values in a list of floats, and builds each stage argument, the step and
-  the error estimates by ``sum`` over a tableau row: no numpy call per
-  stage, so a scalar run's bits do not depend on the BLAS (they do depend
-  on the Python version: ``sum`` of floats is compensated from 3.12 on);
+* a state of m Python floats (:class:`_Floats`) is stepped by one function
+  per tableau and m, compiled on first use (:func:`_float_kernel`), which
+  keeps components and stage values in locals and writes every stage
+  argument, the step and the error estimates out as sums over the tableau's
+  rows with its constants inlined: no numpy call and no loop per stage, so
+  a scalar run's bits do not depend on the BLAS.  The sums run left to
+  right from 0.0 on every Python version, as ``sum`` of floats does on
+  3.11; from 3.12 ``sum`` is compensated, so a run there differs in the
+  last bits from one that sums with it;
 * a state of m :class:`~jetmap.jet.Jet` rows over one shared table
   (:class:`_Jets`) is one ``(m, L)`` float64 array, the state row above the
   stage rows, so each stage argument and the step are one dot of a
@@ -41,8 +45,7 @@ refused with ``ValueError``.  Integrating a state of jets initialized as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import mul
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -147,7 +150,7 @@ def adaptive(tol: float = 1e-12) -> IntegratorConfig:
     return IntegratorConfig(mode="adaptive", tol=tol)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepStats:
     accepted: int = 0
     rejected: int = 0
@@ -172,12 +175,13 @@ class _Tableau:
     stages and the step) and 0 in the error rows, so the columns after it,
     scaled by h, make one attempt's coefficients over ``(y, k_0, ...,
     k_{s-1})``.  ``rows`` are the same rows without that column, as tuples
-    of Python floats.
+    of Python floats, and ``kernels`` caches :func:`_float_kernel` by m.
     """
 
     c: tuple
     array: np.ndarray
     rows: tuple
+    kernels: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _tableau(a: np.ndarray, b: np.ndarray, c: Sequence[float], *error_rows) -> _Tableau:
@@ -232,62 +236,103 @@ def _wrong_length(values, m: int) -> ValueError:
     return ValueError(f"got {len(values)} components, expected {m}")
 
 
-class _Floats:
-    """A state of m Python floats, each component's stage values in a list.
+def _float_kernel(tableau: _Tableau, m: int) -> Callable:
+    """One attempt on m Python floats, compiled as straight-line code for ``tableau``.
 
-    Stage i's argument is ``y_c + h * sum(a_i * k_c)`` per component, summed
-    over the full tableau row, zeros included, so that a non-finite stage
-    still reaches the step and the estimates as ``0 * inf = NaN``.  No
-    numpy call is made per stage, and the right side sees Python floats
-    for as long as it returns them.
+    The function returned takes ``(rhs, y, t, h, k0)``, with k0 the right
+    side at ``(y, t)``, and returns ``(candidate, error)``, the error None
+    for a tableau without error rows.  Components and stage values are
+    locals (``y0``, ``k3_1``, ...), and each sum over a tableau row is
+    written out with the row's constants as literals: stage i's argument is
+    ``y_c + h * (0.0 + a_i0 * k0_c + ... + a_i,i-1 * k{i-1}_c)``, and the
+    candidate and the two estimates are the same sums over b and the error
+    rows.  Zero weights keep their terms, so that a non-finite stage still
+    reaches the candidate and the estimates as ``0 * inf = NaN``.  Each sum
+    runs left to right from 0.0, which is what ``sum`` over the row does on
+    Python 3.11 (from 3.12 ``sum`` compensates, and differs in the last
+    bits).  The estimates are weighed as :func:`_error_norm` weighs them
+    and combined by :func:`_combined_error`; a NaN among them is an
+    infinite error.  A right side of the wrong length is refused at the
+    stage that returns it.
+    """
+    c, rows = tableau.c, tableau.rows
+    s = len(c)
+    comps = range(m)
+
+    def names(prefix: str) -> str:
+        return "".join(f"{prefix}{j}, " for j in comps)
+
+    def row_sum(row, j: int) -> str:
+        return " + ".join(["0.0", *(f"{a!r} * k{i}_{j}" for i, a in enumerate(row))])
+
+    lines = ["def attempt(rhs, y, t, h, k0):", f"    {names('y')}= y", f"    {names('k0_')}= k0"]
+    for i in range(1, s):
+        args = "".join(f"y{j} + h * ({row_sum(rows[i][:i], j)}), " for j in comps)
+        lines += [
+            f"    f = rhs(({args}), t + {c[i]!r} * h)",
+            f"    if len(f) != {m}:",
+            f"        raise _wrong_length(f, {m})",
+            f"    {names(f'k{i}_')}= f",
+        ]
+    lines += [f"    n{j} = y{j} + h * ({row_sum(rows[s], j)})" for j in comps]
+    candidate = f"({names('n')})"
+    if len(rows) == s + 1:
+        lines.append(f"    return {candidate}, None")
+    else:
+        w5, w3 = rows[s + 1 :]
+        for j in comps:
+            # max keeps its first argument's NaN, so a NaN candidate reaches d5
+            lines += [
+                f"    scale = 1.0 + max(abs(n{j}), abs(y{j}))",
+                f"    d5_{j} = abs(h * ({row_sum(w5, j)})) / scale",
+                f"    d3_{j} = abs(h * ({row_sum(w3, j)})) / scale",
+            ]
+        nan = " or ".join(f"d5_{j} != d5_{j} or d3_{j} != d3_{j}" for j in comps)
+        e5, e3 = (f"max(0.0, {names(d)})" for d in ("d5_", "d3_"))
+        lines += [
+            f"    if {nan}:",
+            f"        return {candidate}, inf",
+            f"    return {candidate}, _combined_error({e5}, {e3})",
+        ]
+    namespace = {
+        "_wrong_length": _wrong_length, "_combined_error": _combined_error, "inf": math.inf
+    }
+    exec(compile("\n".join(lines), f"<jetode attempt, {s} stages, m={m}>", "exec"), namespace)
+    return namespace["attempt"]
+
+
+class _Floats:
+    """A state of m Python floats, stepped by one compiled function per tableau and m.
+
+    Stage 0, f at the state, is evaluated here and kept for the attempts
+    after a rejection; :func:`_float_kernel` makes every later stage, the
+    candidate and the error of one attempt.  No numpy call is made per
+    stage, and the right side sees Python floats for as long as it returns
+    them.
     """
 
     def __init__(self, system: OdeSystem, state0: Sequence, tableau: _Tableau):
         self.rhs = system.rhs
         self.m = len(state0)
         self.y = tuple(float(v) for v in state0)
-        self.tableau = tableau
-        self.k: list = []
+        # compiled on first use, once per tableau and m
+        kernels = tableau.kernels
+        if self.m not in kernels:
+            kernels[self.m] = _float_kernel(tableau, self.m)
+        self.kernel = kernels[self.m]
 
     def attempt(self, t: float, h: float, first: int = 0) -> None:
-        """Evaluate the stages from ``first`` on and form the step's candidate."""
-        rhs, m, y, k = self.rhs, self.m, self.y, self.k
-        c, rows = self.tableau.c, self.tableau.rows
-        # components by index: a zip per stage costs more than the indexing
-        comps = range(m)
+        """Evaluate the stages from ``first`` on and form the candidate and its error."""
         if first == 0:
-            f = rhs(y, t)
-            if len(f) != m:
-                raise _wrong_length(f, m)
-            k[:] = [[v] for v in f]
-        else:
-            for k_c in k:
-                del k_c[1:]
-        for i in range(1, len(c)):
-            a = rows[i]
-            f = rhs(tuple([y[j] + h * sum(map(mul, a, k[j])) for j in comps]), t + c[i] * h)
-            if len(f) != m:
-                raise _wrong_length(f, m)
-            for j in comps:
-                k[j].append(f[j])
-        b = rows[len(c)]
-        self.h = h
-        self.new = tuple([y[j] + h * sum(map(mul, b, k[j])) for j in comps])
+            k0 = self.rhs(self.y, t)
+            if len(k0) != self.m:
+                raise _wrong_length(k0, self.m)
+            self.k0 = k0
+        self.new, self.err = self.kernel(self.rhs, self.y, t, h, self.k0)
 
     def error(self) -> float:
         """The error of the last attempt, weighed as :func:`_error_norm` does."""
-        h, y, new, k = self.h, self.y, self.new, self.k
-        w5, w3 = self.tableau.rows[len(self.tableau.c) + 1 :]
-        e5 = e3 = 0.0
-        for j in range(self.m):
-            # max keeps its first argument's NaN, so a NaN candidate reaches d5
-            scale = 1.0 + max(abs(new[j]), abs(y[j]))
-            d5 = abs(h * sum(map(mul, w5, k[j]))) / scale
-            d3 = abs(h * sum(map(mul, w3, k[j]))) / scale
-            if d5 != d5 or d3 != d3:
-                return math.inf
-            e5, e3 = max(e5, d5), max(e3, d3)
-        return _combined_error(e5, e3)
+        return self.err
 
     def advance(self) -> bool:
         """Take the candidate as the state; False when it is not finite."""

@@ -3,11 +3,15 @@
 The hand-written two-variable coefficient equations, the generic forward
 coefficient derivatives by jet composition, the C-contraction by
 ``np.add.at``, a central-difference Jacobian, a parameter-freezing wrapper
-for lifted systems, and a frame-tagged phase point.  None of them is used by
-the package itself.
+for lifted systems, a frame-tagged phase point, and a Runge-Kutta attempt
+on floats by ``sum`` over tableau rows.  None of them is used by the package
+itself.
 """
 
+import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -190,3 +194,59 @@ class PhasePoint:
             return self
         z1, z2 = duf.to_scaled(self.x1, self.x2, omega)
         return PhasePoint(z1, z2, "scaled")
+
+
+# -- Runge-Kutta attempts ----------------------------------------------------------
+
+
+def _row_sum(row, values) -> float:
+    """``sum(map(mul, row, values))`` as Python up to 3.11 sums floats.
+
+    Left to right from the integer 0, which turns the first product p into
+    ``0.0 + p`` (so -0.0 into 0.0).  From 3.12 ``sum`` compensates its float
+    sum and differs in the last bits.
+    """
+    return reduce(add, map(mul, row, values), 0)
+
+
+def float_attempt(tableau, rhs, y: tuple, t: float, h: float, k0) -> tuple:
+    """One Runge-Kutta attempt on a tuple of floats by ``sum`` over each tableau row.
+
+    ``tableau`` is a ``jetode._Tableau`` and k0 the right side at ``(y,
+    t)``.  Each component keeps its stage values in a list, and stage i's
+    argument is ``y_c + h * sum(map(mul, a_i, k_c))``; the candidate and the
+    5th- and 3rd-order estimates are the same sums over b and the two error
+    rows, each estimate weighed by ``1 + max(|candidate|, |y|)``, a NaN
+    among them an infinite error, and the two max norms combined as HNW
+    II.10 does.  Returns ``(candidate, error)``, the error None for a
+    tableau without error rows.  ``jetode``'s compiled attempt must give the
+    same bits.  The sums are :func:`_row_sum`, the left-to-right ``sum`` of
+    Python up to 3.11, on every version.
+    """
+    m = len(y)
+    c, rows = tableau.c, tableau.rows
+    s = len(c)
+    k = [[v] for v in k0]
+    for i in range(1, s):
+        f = rhs(tuple([y[j] + h * _row_sum(rows[i], k[j]) for j in range(m)]), t + c[i] * h)
+        if len(f) != m:
+            raise ValueError(f"got {len(f)} components, expected {m}")
+        for j in range(m):
+            k[j].append(f[j])
+    new = tuple([y[j] + h * _row_sum(rows[s], k[j]) for j in range(m)])
+    if len(rows) == s + 1:
+        return new, None
+    w5, w3 = rows[s + 1 :]
+    e5 = e3 = 0.0
+    for j in range(m):
+        # max keeps its first argument's NaN, so a NaN candidate reaches d5
+        scale = 1.0 + max(abs(new[j]), abs(y[j]))
+        d5 = abs(h * _row_sum(w5, k[j])) / scale
+        d3 = abs(h * _row_sum(w3, k[j])) / scale
+        if d5 != d5 or d3 != d3:
+            return new, math.inf
+        e5, e3 = max(e5, d5), max(e3, d3)
+    if not (math.isfinite(e5) and math.isfinite(e3)):
+        return new, math.inf
+    # E5^2 / sqrt(E5^2 + 0.01 E3^2), HNW II.10
+    return new, 0.0 if e5 == 0.0 else e5 * (e5 / math.hypot(e5, 0.1 * e3))

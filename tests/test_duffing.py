@@ -1,5 +1,6 @@
 """Duffing application tests: frames, maps, fixed points, sweeps, attractors."""
 
+import dataclasses
 import math
 import struct
 import sys
@@ -583,6 +584,34 @@ def test_exact_scan_runs_on_python_floats(monkeypatch):
     result = duf.feigenbaum_scan("exact", 0.1, 25.0, grid, transient=2, record=2, tol=1e-6)
     assert [len(s) for s in result.samples] == [2, 2]
     assert seen == {float}
+
+
+def test_exact_scan_compiles_the_dop853_attempt_once(monkeypatch):
+    # the compiled attempt is cached on the tableau by m: every period of
+    # every omega reuses the one made for the first
+    compiled = []
+    float_kernel = ode._float_kernel
+
+    def counted(tableau, m):
+        compiled.append(m)
+        return float_kernel(tableau, m)
+
+    monkeypatch.setattr(ode, "_DOP", dataclasses.replace(ode._DOP, kernels={}))
+    monkeypatch.setattr(ode, "_float_kernel", counted)
+    periods = []
+    call = duf.ExactStroboscopicMap.__call__
+
+    def counted_period(self, point):
+        periods.append(point)
+        return call(self, point)
+
+    monkeypatch.setattr(duf.ExactStroboscopicMap, "__call__", counted_period)
+    result = duf.feigenbaum_scan(
+        "exact", 0.1, 25.0, [1.255, 1.27, 1.285], transient=3, record=2, tol=1e-6
+    )
+    assert [len(s) for s in result.samples] == [2, 2, 2]
+    assert len(periods) == 15
+    assert compiled == [2]
 
 
 def test_exact_map_jacobian_determinant_abel():

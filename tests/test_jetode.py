@@ -1,5 +1,6 @@
 """Integrator tests: published runs, convergence order, scalar/jet consistency."""
 
+import dataclasses
 import math
 import warnings
 
@@ -10,6 +11,8 @@ from jetmap import jet as jt
 from jetmap import jetode as ode
 from jetmap import monoidx as mi
 from jetmap import vareq as vq
+
+from oracles import float_attempt
 
 
 def decay_system():
@@ -523,12 +526,23 @@ def test_backward_route_array_right_side_matches_forward(monkeypatch):
 @pytest.mark.parametrize("jets", [False, True])
 def test_right_side_of_the_wrong_length_is_refused(march, jets):
     # a scalar state once broadcast a one-component right side over both
-    # components; both state kinds now refuse too few and too many
+    # components; both state kinds now refuse too few and too many, from
+    # the first call (stage 0) or only from the 3rd (stage 2, on floats
+    # inside the compiled attempt)
     state0 = jt.state_about(mi.build_table(2, 2), [1.0, 1.0]) if jets else (1.0, 1.0)
     run, cfg = (ode.rk4, ode.fixed_step(10)) if march == "rk4" else (ode.rkf45, ode.adaptive(1e-9))
-    for rhs in (lambda s, t: (-s[0],), lambda s, t: (-s[0], s[1], s[1])):
-        with pytest.raises(ValueError, match="components, expected 2"):
-            run(ode.OdeSystem(dim=2, rhs=rhs), state0, 0.0, 1.0, cfg)
+    for first_wrong in (1, 3):
+        for wrong in (1, 3):
+            calls = [0]
+
+            def rhs(s, t):
+                calls[0] += 1
+                out = pair_system().rhs(s, t)
+                return (out * 2)[:wrong] if calls[0] >= first_wrong else out
+
+            with pytest.raises(ValueError, match="components, expected 2"):
+                run(ode.OdeSystem(dim=2, rhs=rhs), state0, 0.0, 1.0, cfg)
+            assert calls[0] == first_wrong
 
 
 @pytest.mark.parametrize("march", ["rk4", "rkf45"])
@@ -547,3 +561,79 @@ def test_scalar_run_hands_the_right_side_python_floats(march):
     )
     assert seen == {float}
     assert [type(v) for v in (*state, t)] == [float, float, float]
+
+
+def test_step_stats_have_slots_and_round_trip():
+    stats = ode.StepStats(accepted=3, rejected=1, h_min=0.25, h_max=0.5)
+    assert not hasattr(stats, "__dict__")
+    d = dataclasses.asdict(stats)
+    assert d == {"accepted": 3, "rejected": 1, "h_min": 0.25, "h_max": 0.5}
+    assert ode.StepStats(**d) == stats
+
+
+# -- the compiled float attempt -----------------------------------------------------
+
+
+def quadratic_rhs(m: int, rng):
+    """A random forced quadratic right side on m Python floats."""
+    a = rng.normal(size=(m, m)).tolist()
+    b = rng.normal(size=m).tolist()
+
+    def rhs(s, t):
+        return tuple(
+            sum(a[j][i] * s[i] for i in range(m)) - b[j] * s[j] * s[(j + 1) % m] + math.sin(t)
+            for j in range(m)
+        )
+
+    return rhs
+
+
+def bits(result):
+    new, err = result
+    return [v.hex() for v in new], None if err is None else err.hex()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name", ["_RK4", "_DOP"])
+def test_compiled_attempt_matches_the_sum_oracle_bit_for_bit(name, m):
+    tableau = getattr(ode, name)
+    attempt = ode._float_kernel(tableau, m)
+    rng = np.random.default_rng(m)
+    rhs = quadratic_rhs(m, rng)
+    runs = [
+        (tuple(rng.normal(size=m).tolist()), rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-4.0, 0.0))
+        for _ in range(20)
+    ]
+    runs += [((-0.0,) * m, 0.0, 0.5), ((-0.0,) + (1.0,) * (m - 1), -0.0, 0.125)]
+    cases = [(rhs, *run) for run in runs]
+    # every stage value -0.0: only the leading 0.0 of each sum makes the
+    # stage arguments +0.0, as sum's integer start does
+    cases.append((lambda s, t: tuple(0.5 * v for v in s), (-0.0,) * m, 0.0, 0.5))
+    for rhs, y, t, h in cases:
+        k0 = rhs(y, t)
+        assert bits(attempt(rhs, y, t, h, k0)) == bits(float_attempt(tableau, rhs, y, t, h, k0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name", ["_RK4", "_DOP"])
+def test_compiled_attempt_carries_an_infinite_stage(name, m):
+    # stage 1 returns inf in component 0 and ignores the state: DOP853
+    # weighs stage 1 by 0 in the step and both estimates, so the inf reaches
+    # them only as 0 * inf = NaN, and the error is infinite
+    tableau = getattr(ode, name)
+
+    def rhs_factory():
+        calls = [0]
+
+        def rhs(s, t):
+            calls[0] += 1
+            return (math.inf if calls[0] == 1 else 1.0,) + s[1:]
+
+        return rhs
+
+    y, k0 = (0.5,) * m, (1.0,) + (0.5,) * (m - 1)
+    got = ode._float_kernel(tableau, m)(rhs_factory(), y, 0.0, 0.25, k0)
+    assert bits(got) == bits(float_attempt(tableau, rhs_factory(), y, 0.0, 0.25, k0))
+    assert not math.isfinite(got[0][0])
+    if name == "_DOP":
+        assert got[1] == math.inf
