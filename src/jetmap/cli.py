@@ -263,6 +263,8 @@ def _omega_grid(cfg) -> np.ndarray:
         float(cfg["omega_stop"]),
         float(cfg["omega_step"]),
     )
+    if not np.all(np.isfinite([start, stop, step])):
+        raise ConfigError("omega_start, omega_stop and omega_step must be finite")
     if step == 0:
         raise ConfigError("omega_step must be nonzero")
     n = int(round((stop - start) / step))
@@ -334,7 +336,7 @@ def cmd_scan(args) -> int:
     sampled = sum(1 for block in result.samples if len(block))
     # an escaped omega stepped up to its escape either way
     uncut = sum(
-        result.transient + result.record if len(block) else applied
+        int(cfg["transient"]) + int(cfg["record"]) if len(block) else applied
         for block, applied in zip(result.samples, result.applications)
     )
     print(

@@ -17,10 +17,10 @@ sweeps over ``omega`` (Feigenbaum diagrams) and attractor sampling build one
 such map per omega and run its orbit through one kernel, and Newton
 refinement of periodic points runs on ``linearize``, on either map.
 
-The polynomial map is applied by nested Horner evaluation on Python floats
-and returns a pair of floats; the orbit kernel keeps iterates as float
-pairs and builds one array of samples at the end, so iterating the
-polynomial map makes no numpy call per step.
+Both maps return a pair of Python floats: the exact map the integrator's
+scalar state, the polynomial map its nested Horner evaluation.  The orbit
+kernel keeps iterates as float pairs and builds one array of samples at the
+end, so iterating either map makes no numpy call per step.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -137,7 +137,8 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
 class ExactStroboscopicMap:
     """One-period transfer map of the (q, p) system by direct integration.
 
-    Calling the map integrates one scalar orbit, the path scans take.
+    Calling the map integrates one scalar orbit, the path scans take, and
+    returns the integrator's pair of Python floats.
     :meth:`linearize` integrates the order-1 variational equations instead
     and also returns the map's exact Jacobian, the path Newton takes.
     """
@@ -145,12 +146,9 @@ class ExactStroboscopicMap:
     params: DuffingParams
     tol: float = 1e-12
 
-    def __call__(self, point: Sequence[float]) -> np.ndarray:
-        system = duffing_rhs(self.params)
-        state, _, _ = integrate(
-            system, tuple(point), 0.0, self.params.period, adaptive(self.tol)
-        )
-        return np.array(state, dtype=np.float64)
+    def __call__(self, point: Sequence[float]) -> tuple[float, float]:
+        cfg = adaptive(self.tol)
+        return integrate(duffing_rhs(self.params), tuple(point), 0.0, self.params.period, cfg)[0]
 
     def linearize(self, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """The image of ``point`` and the 2 x 2 Jacobian of the map there.
@@ -304,10 +302,10 @@ def _orbit(step, state, transient: int, record: int, escape_radius: float):
     NaN, and ``hypot`` is inf when either component is inf.  Capping the
     radius at the largest float keeps an infinite radius from passing inf.
 
-    ``step`` may return any pair of floats (the polynomial map returns a
-    tuple, the exact map an array); each iterate is kept as the pair of its
-    components and the samples become one array at the end.  ``step`` must
-    be a pure function of the state's bytes, as both stroboscopic maps are.
+    ``step`` returns a pair of floats, as both stroboscopic maps do; each
+    iterate is kept as the pair of its components and the samples become
+    one array at the end.  ``step`` must be a pure function of the state's
+    bytes, as both stroboscopic maps are.
     Each iterate is keyed by the bytes of its two float64 components (so 0.0
     and -0.0 stay apart), and once iterate i repeats iterate j the orbit has
     period i - j from j on: stepping stops and the remaining iterates are
@@ -439,7 +437,8 @@ class ScanResult:
     """Recorded steady-state samples per driving frequency.
 
     ``samples[i]`` is a (record, 2) array of consecutive post-transient
-    (q, p) iterates for ``omegas[i]``; rows that diverged are empty arrays.
+    (q, p) iterates for ``omegas[i]``; rows that diverged are empty arrays,
+    and ``failures`` holds one ``(omega, message)`` pair for each of them.
     ``applications[i]`` counts the map applications made for ``omegas[i]``
     (up to the escape for a diverged row), and ``cycles[i]`` says whether
     its orbit closed on a cycle, which cut the stepping short.
@@ -447,16 +446,9 @@ class ScanResult:
 
     omegas: np.ndarray
     samples: list
-    source: str
-    beta: float
-    eps: float
-    transient: int
-    record: int
-    seed_policy: str
-    seed: tuple
-    failures: list = field(default_factory=list)
-    applications: list = field(default_factory=list)
-    cycles: list = field(default_factory=list)
+    failures: list
+    applications: list
+    cycles: list
 
     def periods(self, tol: float = PERIOD_CLUSTER_TOL, max_period: int = 64) -> list:
         return [
@@ -465,12 +457,49 @@ class ScanResult:
         ]
 
 
+def _map_factory(map_source: str | TaylorMap, beta: float, eps: float, tol: float):
+    """The per-omega map of ``map_source``, as a function of omega.
+
+    ``"exact"`` integrates the flow at tolerance ``tol`` per application; a
+    :class:`TaylorMap` with lifted sigma is folded at each omega's parameter
+    deviation.
+    """
+    if isinstance(map_source, TaylorMap):
+        return lambda omega: _Poly2Map(map_source, 1.0 / omega - map_source.expansion_point[2])
+    if map_source == "exact":
+        return lambda omega: ExactStroboscopicMap(DuffingParams(beta, eps, omega), tol)
+    raise ValueError("map_source must be 'exact' or a TaylorMap")
+
+
+def _orbit_inputs(
+    omegas: list, transient: int, record: int, seed: Sequence[float] | None, escape_radius: float
+) -> tuple[float, float]:
+    """Refuse what no orbit can run on, before any omega runs.
+
+    Returns ``seed`` as a pair of Python floats, (0, 0) when it is None.
+    """
+    if transient < 1 or record < 1:
+        raise ValueError(f"transient and sample count must be >= 1, got {transient}, {record}")
+    for omega in omegas:
+        if not 0.0 < omega < math.inf:
+            raise ValueError(f"driving frequency must be finite and > 0, got {omega!r}")
+    if not escape_radius > 0.0:
+        raise ValueError(f"escape_radius must be > 0, got {escape_radius!r}")
+    if seed is None:
+        return 0.0, 0.0
+    pair = tuple(float(v) for v in seed)
+    if len(pair) != 2 or not all(map(math.isfinite, pair)):
+        raise ValueError(f"seed must be two finite numbers, got {list(pair)}")
+    return pair
+
+
 def _run_poly(map_at, omega, state, transient, record, escape_radius):
-    """One omega of a scan on the map ``map_at(omega)``, exact or polynomial.
+    """One omega of a scan or an attractor sample on the map ``map_at(omega)``.
 
     Returns the orbit of :func:`_orbit` with its samples in the (q, p) frame.
     The benchmark under ``perfbench/`` marks its clock at each call of this
-    name, once per omega, so the name stays although both kinds run here.
+    name, once per scan omega, so the name stays although both kinds of map,
+    exact and polynomial, run here.
     """
     stroboscopic_map = map_at(omega)
     out, final, applied, closed = _orbit(stroboscopic_map, state, transient, record, escape_radius)
@@ -501,6 +530,10 @@ def feigenbaum_scan(
     scan continues from the configured seed.  An orbit that repeats an
     iterate bit for bit stops stepping and reads its remaining iterates off
     the cycle; the samples are the same as if it had stepped on.
+
+    Raises ``ValueError`` before any omega runs for a grid that is empty,
+    not strictly monotonic, or holds an omega that is not finite and > 0, a
+    seed that is not two finite numbers, or an escape radius that is not > 0.
     """
     omegas = np.asarray(list(omega_grid), dtype=np.float64)
     if omegas.size == 0:
@@ -509,42 +542,24 @@ def feigenbaum_scan(
     # either direction is allowed: downward sweeps expose hysteresis
     if omegas.size > 1 and not (np.all(steps > 0) or np.all(steps < 0)):
         raise ValueError("omega grid must be strictly monotonic")
-    if transient < 1 or record < 1:
-        raise ValueError("transient and record must both be >= 1")
     if seed_policy not in ("continue", "fixed"):
         raise ValueError(f"seed_policy must be 'continue' or 'fixed', got {seed_policy!r}")
-
-    if isinstance(map_source, TaylorMap):
-        source = "taylor"
-
-        def map_at(omega):
-            return _Poly2Map(map_source, 1.0 / omega - map_source.expansion_point[2])
-
-    elif map_source == "exact":
-        source = "exact"
-
-        def map_at(omega):
-            return ExactStroboscopicMap(DuffingParams(beta, eps, omega), tol)
-
-    else:
-        raise ValueError("map_source must be 'exact' or a TaylorMap")
-    seed = (0.0, 0.0) if seed is None else tuple(float(v) for v in seed)
-
-    samples: list = []
-    failures: list = []
-    applications: list = []
-    cycles: list = []
-    state = seed
     # Python floats: an np.float64 omega would make every stage value of an
     # exact orbit a numpy scalar through omega * tau
-    for omega in omegas.tolist():
+    grid = omegas.tolist()
+    seed = _orbit_inputs(grid, transient, record, seed, escape_radius)
+    map_at = _map_factory(map_source, beta, eps, tol)
+
+    samples, failures, applications, cycles = [], [], [], []
+    state = seed
+    for omega in grid:
         try:
             block, final, applied, closed = _run_poly(
-                map_at, omega, np.asarray(state), transient, record, escape_radius
+                map_at, omega, state, transient, record, escape_radius
             )
             samples.append(block)
             if seed_policy == "continue":
-                state = tuple(final)
+                state = final
         except EscapeError as err:
             samples.append(np.empty((0, 2)))
             failures.append((omega, str(err)))
@@ -553,20 +568,7 @@ def feigenbaum_scan(
         applications.append(applied)
         cycles.append(closed)
 
-    return ScanResult(
-        omegas=omegas,
-        samples=samples,
-        source=source,
-        beta=beta,
-        eps=eps,
-        transient=transient,
-        record=record,
-        seed_policy=seed_policy,
-        seed=seed,
-        failures=failures,
-        applications=applications,
-        cycles=cycles,
-    )
+    return ScanResult(omegas, samples, failures, applications, cycles)
 
 
 def attractor_sample(
@@ -582,26 +584,16 @@ def attractor_sample(
 ) -> np.ndarray:
     """Post-transient (q, p) samples at a single driving frequency.
 
-    Raises :class:`EscapeError` when the orbit escapes, carrying the step of
-    the escape as :func:`iterate_map` does.
+    The orbit is one omega of a scan from ``seed``, refused on the same
+    inputs.  Raises the :class:`EscapeError` of the escaping orbit, which
+    carries the step of the escape as :func:`iterate_map`'s does.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    result = feigenbaum_scan(
-        map_source,
-        beta,
-        eps,
-        [omega],
-        transient=transient,
-        record=count,
-        seed_policy="fixed",
-        seed=seed,
-        tol=tol,
-        escape_radius=escape_radius,
-    )
-    if result.failures:
-        raise EscapeError(result.failures[0][1], result.applications[0])
-    return result.samples[0]
+    # a Python float: an np.float64 omega would make every stage value of an
+    # exact orbit a numpy scalar through omega * tau
+    omega = float(omega)
+    seed = _orbit_inputs([omega], transient, count, seed, escape_radius)
+    map_at = _map_factory(map_source, beta, eps, tol)
+    return _run_poly(map_at, omega, seed, transient, count, escape_radius)[0]
 
 
 def detect_period(

@@ -1,6 +1,7 @@
 """Command-line interface tests: config handling, outputs, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -487,6 +488,52 @@ def test_flag_lands_in_header(tmp_path, command, flag, value):
     assert run_cli([command, "--config", path, flag, value, "--out", out]) == 0
     key = flag[2:].replace("-", "_")
     assert f"# {key}={json.dumps(value)}" in out.read_text().splitlines()
+
+
+# per case, the scan's and attract's settings: a grid holding the bad omega
+# after good ones, so a check that ran per omega would have run those first
+_REFUSED_ORBIT_INPUTS = {
+    "seed-of-one-value": ({"seed": [0.1]},) * 2,
+    "seed-of-three-values": ({"seed": [0.1, 0.0, 5.0]},) * 2,
+    "omega-zero": ({"omega_start": 2.0, "omega_stop": 0.0, "omega_step": -1.0}, {"omega": 0.0}),
+    "omega-negative": (
+        {"omega_start": 2.0, "omega_stop": -1.0, "omega_step": -1.5}, {"omega": -1.0}
+    ),
+    "omega-not-finite": ({"omega_start": math.inf}, {"omega": math.nan}),
+    "escape-radius-zero": ({"escape_radius": 0.0},) * 2,
+    "escape-radius-nan": ({"escape_radius": math.nan},) * 2,
+}
+
+
+@pytest.mark.parametrize("source", ["taylor", "exact"])
+@pytest.mark.parametrize("command", ["scan", "attract"])
+@pytest.mark.parametrize("case", list(_REFUSED_ORBIT_INPUTS))
+def test_bad_orbit_inputs_are_refused_before_any_omega_runs(
+    tmp_path, capsys, monkeypatch, case, command, source
+):
+    from jetmap import duffing as duf
+
+    omegas = []
+    run = duf._run_poly
+
+    def counted(map_at, omega, *args):
+        omegas.append(omega)
+        return run(map_at, omega, *args)
+
+    monkeypatch.setattr(duf, "_run_poly", counted)
+    cfg = {
+        **_ORBIT_CONFIGS[command], "source": source, "tol": 1e-4,
+        "map": {"expansion": [0.0, 0.0, 0.5], "order": 2},
+        **_REFUSED_ORBIT_INPUTS[case][command == "attract"],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({command: cfg}))
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--config", path, "--out", out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert omegas == []
+    assert not out.exists() and not out.with_name(out.name + ".failures").exists()
 
 
 def test_attract_exact_source(tmp_path):

@@ -395,7 +395,7 @@ def test_cycle_cut_exact_map_closes():
     exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 1.5, 1.5), tol=1e-5)
     final, applied, closed = _assert_cut_is_exact(exact, np.zeros(2), 700, 16)
     assert closed
-    assert np.max(np.abs(exact(final) - final)) <= 1e-12
+    assert np.max(np.abs(np.subtract(exact(final), final))) <= 1e-12
 
 
 def test_poly_map_linearize_matches_central_differences(m8_map):
@@ -418,6 +418,42 @@ def test_poly_map_step_returns_python_floats(m8_map):
         assert type(image) is tuple and [type(v) for v in image] == [float, float]
         assert struct.pack("=2d", *image) == struct.pack("=2d", *poly(np.array(zeta)))
         assert [type(v) for v in poly(image)] == [float, float]
+
+
+def test_exact_map_step_returns_python_floats():
+    # the exact map returns the integrator's float pair, as the polynomial
+    # map returns its own: array or tuple input is one state
+    exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 1.5, 1.5), tol=1e-6)
+    for point in ((0.0, 0.0), (-0.0, 0.1), (0.3, -0.2)):
+        image = exact(point)
+        assert type(image) is tuple and [type(v) for v in image] == [float, float]
+        assert struct.pack("=2d", *image) == struct.pack("=2d", *exact(np.array(point)))
+
+
+@pytest.mark.parametrize("source", ["exact", "taylor"])
+def test_continuation_scan_hands_a_float_pair_to_the_next_omega(monkeypatch, source):
+    # each omega starts from the float pair the omega before it ended on,
+    # and the first from the seed as a float pair, whatever sequence it came in
+    if source == "taylor":
+        source = duf.stroboscopic_taylor_map(0.1, 0.15, (0.0, 0.0, 0.5), p=2, cfg=ode.adaptive(1e-9))
+    starts, finals = [], []
+    run = duf._run_poly
+
+    def recorded(map_at, omega, state, *args):
+        starts.append(state)
+        out = run(map_at, omega, state, *args)
+        finals.append(out[1])
+        return out
+
+    monkeypatch.setattr(duf, "_run_poly", recorded)
+    result = duf.feigenbaum_scan(
+        source, 0.1, 0.15, [1.9, 2.0, 2.1], transient=3, record=2, seed=np.array([0.01, 0.0]),
+        tol=1e-4,
+    )
+    assert not result.failures and len(starts) == 3
+    assert starts[0] == (0.01, 0.0) and starts[1:] == finals[:-1]
+    for state in starts + finals:
+        assert type(state) is tuple and [type(v) for v in state] == [float, float]
 
 
 def test_scan_counts_map_applications_and_cycles():
