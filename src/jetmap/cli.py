@@ -321,9 +321,9 @@ def cmd_scan(args) -> int:
     lines = _config_header_lines("scan", {k: cfg[k] for k in sorted(cfg) if k != "out"})
     lines.append("omega,index,q,p")
     rows_written = 0
-    for omega, block in zip(result.omegas, result.samples):
-        for index, (q, p) in enumerate(block):
-            lines.append(f"{float(omega)!r},{index},{float(q)!r},{float(p)!r}")
+    for omega, block in zip(result.omegas.tolist(), result.samples):
+        for index, (q, p) in enumerate(block.tolist()):
+            lines.append(f"{omega!r},{index},{q!r},{p!r}")
             rows_written += 1
     _write_text(cfg["out"], "\n".join(lines) + "\n")
     if result.failures:
@@ -371,8 +371,8 @@ def cmd_attract(args) -> int:
     )
     lines = _config_header_lines("attract", {k: cfg[k] for k in sorted(cfg) if k != "out"})
     lines.append("q,p")
-    for q, p in samples:
-        lines.append(f"{float(q)!r},{float(p)!r}")
+    for q, p in samples.tolist():
+        lines.append(f"{q!r},{p!r}")
     _write_text(cfg["out"], "\n".join(lines) + "\n")
     print(f"wrote {len(samples)} samples to {cfg['out']}")
     return EXIT_OK

@@ -3,9 +3,9 @@
 The hand-written two-variable coefficient equations, the generic forward
 coefficient derivatives by jet composition, the C-contraction by
 ``np.add.at``, a central-difference Jacobian, a parameter-freezing wrapper
-for lifted systems, a frame-tagged phase point, and a Runge-Kutta attempt
-on floats by ``sum`` over tableau rows.  None of them is used by the package
-itself.
+for lifted systems, a frame-tagged phase point, a Runge-Kutta attempt on
+floats by ``sum`` over tableau rows, and the folded polynomial map by a
+Horner loop.  None of them is used by the package itself.
 """
 
 import math
@@ -250,3 +250,26 @@ def float_attempt(tableau, rhs, y: tuple, t: float, h: float, k0) -> tuple:
         return new, math.inf
     # E5^2 / sqrt(E5^2 + 0.01 E3^2), HNW II.10
     return new, 0.0 if e5 == 0.0 else e5 * (e5 / math.hypot(e5, 0.1 * e3))
+
+
+# -- folded polynomial map -----------------------------------------------------------
+
+
+def horner_loop_call(horner: list, zeta) -> tuple:
+    """One application of a folded polynomial map by a nested Horner loop.
+
+    ``horner`` is ``duffing._Poly2Map._horner``: per j1 from p down, both
+    rows' coefficients of ``zeta1^j1 zeta2^(p - j1)`` and then the pairs of
+    both rows for j2 from p - j1 - 1 down to 0.  Both rows run zeta2 on the
+    inside and zeta1 on the outside, each sum from 0.0.  The compiled step
+    must give the same bits.
+    """
+    z1, z2 = float(zeta[0]), float(zeta[1])
+    a0 = a1 = 0.0
+    for i0, i1, tail in horner:
+        for c0, c1 in tail:
+            i0 = i0 * z2 + c0
+            i1 = i1 * z2 + c1
+        a0 = a0 * z1 + i0
+        a1 = a1 * z1 + i1
+    return a0, a1

@@ -495,6 +495,7 @@ def test_flag_lands_in_header(tmp_path, command, flag, value):
 _REFUSED_ORBIT_INPUTS = {
     "seed-of-one-value": ({"seed": [0.1]},) * 2,
     "seed-of-three-values": ({"seed": [0.1, 0.0, 5.0]},) * 2,
+    "seed-outside-escape-radius": ({"seed": [20.0, 0.0]},) * 2,
     "omega-zero": ({"omega_start": 2.0, "omega_stop": 0.0, "omega_step": -1.0}, {"omega": 0.0}),
     "omega-negative": (
         {"omega_start": 2.0, "omega_stop": -1.0, "omega_step": -1.5}, {"omega": -1.0}

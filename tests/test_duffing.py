@@ -16,7 +16,7 @@ from jetmap import vareq as vq
 from jetmap.jet import Jet, state_about
 
 from conftest import FP_OMEGA, FP_P, FP_Q
-from oracles import PhasePoint, central_difference_jacobian
+from oracles import PhasePoint, central_difference_jacobian, horner_loop_call
 
 
 # -- parameters and frames -------------------------------------------------------
@@ -408,6 +408,72 @@ def test_poly_map_linearize_matches_central_differences(m8_map):
             assert np.max(np.abs(jac - central_difference_jacobian(poly, zeta))) <= 1e-8
 
 
+def _random_map(p: int, rng) -> vq.TaylorMap:
+    """TaylorMap of order p with dense random rows about (0.1, -0.2, 0.5)."""
+    table = mi.build_table(3, p)
+    rows = [Jet(table, rng.standard_normal(table.L)) for _ in range(2)]
+    sigma = np.zeros(table.L)
+    sigma[0], sigma[table.variable_rank(3) - 1] = 0.5, 1.0
+    return vq.TaylorMap(
+        table=table,
+        t_i=0.0,
+        t_f=duf.TWO_PI,
+        expansion_point=(0.1, -0.2, 0.5),
+        design_endpoint=(0.1, -0.2, 0.5),
+        rows=(*rows, Jet(table, sigma)),
+        n_params=1,
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_compiled_step_matches_the_horner_loop_bit_for_bit(m8_map):
+    # the straight-line step makes the loop's operations in the loop's order,
+    # as linearize does: the same bits at random points, at signed zeros, and
+    # through inf and NaN
+    rng = np.random.default_rng(16)
+    maps = [_random_map(p, rng) for p in (1, 2, 3)]
+    maps += [_toy_overflow_map(False), _toy_overflow_map(True), m8_map[0]]
+    specials = [
+        (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (math.inf, 0.1), (-0.3, math.inf),
+        (math.nan, 0.2), (0.1, math.nan), (2.0, 0.0),
+    ]
+    pack = struct.Struct("=2d").pack
+    for tmap in maps:
+        assert tmap.table.p in (1, 2, 3, 4, 8)
+        for dsigma in (0.031, -0.027, 0.5, -0.0):
+            poly = duf._Poly2Map(tmap, dsigma)
+            for zeta in rng.uniform(-0.6, 0.6, size=(200, 2)).tolist() + specials:
+                want = pack(*horner_loop_call(poly._horner, zeta))
+                assert pack(*poly(zeta)) == want
+                assert poly.linearize(zeta)[0].tobytes() == want
+    # the overflow maps leave the floats from a finite start, and a NaN start
+    # stays NaN
+    assert duf._Poly2Map(maps[3], 0.5)((2.0, 0.0))[0] == math.inf
+    assert duf._Poly2Map(maps[4], 0.5)((2.0, 0.0))[0] == -math.inf
+    assert math.isnan(duf._Poly2Map(maps[5], 0.01)((math.nan, 0.0))[1])
+
+
+def test_compiled_step_compiles_once_per_map_order(monkeypatch, m8_map):
+    # each order compiles on its first fold; later folds, at any dsigma, bind
+    # their coefficients to the same code
+    compiled = []
+    factory = duf._horner_factory
+
+    def counted(p):
+        compiled.append(p)
+        return factory(p)
+
+    monkeypatch.setattr(duf, "_HORNER_FACTORIES", {})
+    monkeypatch.setattr(duf, "_horner_factory", counted)
+    tmap = m8_map[0]
+    first, second = duf._Poly2Map(tmap, 0.01), duf._Poly2Map(tmap, -0.02)
+    duf._Poly2Map(_toy_overflow_map(False), 0.5)
+    duf._Poly2Map(_toy_overflow_map(True), 0.25)
+    assert compiled == [8, 4]
+    assert first._apply.__code__ is second._apply.__code__
+    assert first((0.1, 0.2)) != second((0.1, 0.2))
+
+
 def test_poly_map_step_returns_python_floats(m8_map):
     # the orbit's next step starts from what this one returned: Python
     # floats keep it off numpy scalars, and array or tuple input is one state
@@ -774,6 +840,40 @@ def test_scan_validation():
         duf.feigenbaum_scan(tmap, 0.1, 1.5, [1.0], seed_policy="random")
     with pytest.raises(ValueError):
         duf.feigenbaum_scan("approximate", 0.1, 1.5, [1.0])
+
+
+@pytest.mark.parametrize("source", ["exact", "taylor"])
+@pytest.mark.parametrize(
+    "seed, radius", [((20.0, 0.0), 10.0), ((3.0, 4.0), 4.99), ((1.5e308, 1.5e308), math.inf)]
+)
+def test_seed_outside_the_escape_radius_is_refused(monkeypatch, source, seed, radius):
+    # the start iterate_map refuses at step 0 is refused before any omega
+    # runs, where a scan used to report every omega as escaped at iterate 1;
+    # |seed| overflowing to inf is outside even an infinite radius
+    omegas = []
+    run = duf._run_poly
+
+    def counted(map_at, omega, *args):
+        omegas.append(omega)
+        return run(map_at, omega, *args)
+
+    monkeypatch.setattr(duf, "_run_poly", counted)
+    tmap = _toy_identity_map() if source == "taylor" else source
+    kwargs = dict(transient=3, seed=seed, escape_radius=radius)
+    with pytest.raises(ValueError, match="outside escape_radius"):
+        duf.feigenbaum_scan(tmap, 0.1, 1.5, [1.0, 2.0], record=2, **kwargs)
+    with pytest.raises(ValueError, match="outside escape_radius"):
+        duf.attractor_sample(tmap, 0.1, 1.5, 1.0, count=2, **kwargs)
+    assert omegas == []
+
+
+def test_seed_on_the_escape_radius_runs():
+    # on the sphere is inside, as in the orbit's own test
+    samples = duf.attractor_sample(
+        _toy_identity_map(), 0.1, 1.5, 2.0, transient=3, count=2, seed=(3.0, 4.0),
+        escape_radius=5.0,
+    )
+    assert np.array_equal(samples, [duf.to_qp(3.0, 4.0, 2.0)] * 2)
 
 
 def test_scan_single_steady_state_small_driving():
