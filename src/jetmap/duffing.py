@@ -31,10 +31,12 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .jet import Jet
 from .jetode import IntegratorConfig, OdeSystem, adaptive, integrate
 from .monoidx import build_table
 from .vareq import TaylorMap, backward_solve, forward_solve, lift_parameters
@@ -109,25 +111,65 @@ def to_qp(z1: float, z2: float, omega: float) -> tuple[float, float]:
 def duffing_rhs(params: DuffingParams) -> OdeSystem:
     """First-order pair in the (q, p) frame; period 2 pi / omega in tau."""
     beta, eps, omega = params.beta, params.eps, params.omega
+    # -2.0 * beta * p already evaluates as (-2.0 * beta) * p
+    m2beta = -2.0 * beta
+    sin = math.sin
 
     def rhs(state, tau):
         q, p = state
-        return (p, -2.0 * beta * p - q - q**3 - eps * math.sin(omega * tau))
+        return (p, m2beta * p - q - q**3 - eps * sin(omega * tau))
 
     return OdeSystem(dim=2, rhs=rhs)
 
 
+#: a float's bytes, as ``struct.pack`` gives them for one float64
+_DOUBLE = struct.Struct("=d")
+
+
+def _bits(value) -> tuple:
+    """A key equal for two values exactly when they have the same bits.
+
+    A jet is keyed by its table and its coefficients' bytes, a number by its
+    type and its float64 bytes, so 0.0 and -0.0 (or NaNs of two payloads)
+    stay apart where ``==`` would merge or split them.
+    """
+    if isinstance(value, Jet):
+        return value.table, value.coeffs.tobytes()
+    return type(value), _DOUBLE.pack(value)
+
+
 def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
-    """Three-variable scaled system with sigma lifted; period 2 pi in t."""
+    """Three-variable scaled system with sigma lifted; period 2 pi in t.
+
+    sigma's derivative is zero, so the right side sees the same sigma at
+    every stage of a run.  Its two sigma-only products, ``s**2`` and
+    ``s * s**2``, are kept for the last sigma seen and computed again only
+    when sigma changes: 4 truncated jet products per evaluation instead of
+    6.  The memo is keyed on sigma's bits (:func:`_bits`), not on its
+    identity, since the forward march hands the right side a fresh view of
+    sigma's row at every stage and the backward route a fresh jet in every
+    expansion; and not on ``==``, which would take -0.0 for 0.0 and reuse
+    products of the wrong sign.  The expression keeps its operands and
+    their order, so every result is the one the full expression gives, bit
+    for bit, on jets and on floats alike.
+    """
+    m2beta = -2.0 * beta
+    sin = math.sin
+    # (key, s**2, s**3) of the last sigma seen
+    memo = (None, None, None)
 
     def core(state, t, params):
+        nonlocal memo
         z1, z2 = state
         (s,) = params
-        s2 = s**2
-        return (
-            z2,
-            -2.0 * beta * (s * z2) - s2 * z1 - z1**3 - (eps * math.sin(t)) * (s * s2),
-        )
+        key = _bits(s)
+        # one read of the memo: a call that replaces it leaves ours whole
+        hit = memo
+        if key != hit[0]:
+            s2 = s**2
+            hit = memo = (key, s2, s * s2)
+        _, s2, s3 = hit
+        return (z2, m2beta * (s * z2) - s2 * z1 - z1**3 - (eps * sin(t)) * s3)
 
     return lift_parameters(core, 2, (sigma,))
 
@@ -272,12 +314,13 @@ class _Poly2Map:
     compiles anything.  It makes no numpy call and no loop, and returns a
     pair of Python floats, so the orbit's next step starts from floats too.
     On the order-8 map a step takes about 0.7 of the loop's time (3.1
-    against 4.1 us on a 2-core VM) and a fold about 12 us more than the
-    loop's 60-76 us, for the factory call; the order's first fold compiles
-    for 1.3 ms.
+    against 4.1 us on a 2-core VM) and a fold 33-40 us, the factory call
+    included; the order's first fold compiles for 1.3 ms.
     :meth:`linearize` makes the same pass as a loop over the triangle kept
     as Python floats in Horner order, so Newton's fixed points are fixed
-    points of the map that scans apply.
+    points of the map that scans apply.  That triangle is built on the
+    first :meth:`linearize` call, so a fold that is only called costs 8-14
+    us less (43-48 us when every fold built it).
     """
 
     def __init__(self, tmap: TaylorMap, dsigma: float):
@@ -297,12 +340,24 @@ class _Poly2Map:
             _HORNER_FACTORIES[p] = _horner_factory(p)
         make, index = _HORNER_FACTORIES[p]
         self._apply = make(*block[index].tolist())
-        # Horner order: j1 from p down, and within it j2 from p - j1 down;
-        # each entry is the two rows' leading coefficients and the pairs after
-        self._horner = []
+        self._block = block
+
+    @cached_property
+    def _horner(self) -> list:
+        """The triangle as Python floats in Horner order, for :meth:`linearize`.
+
+        j1 from p down, and within it j2 from p - j1 down; each entry is the
+        two rows' leading coefficients and the pairs after.  Built on the
+        first :meth:`linearize` call: scans and attractor samples only call
+        the map, and their folds skip it.
+        """
+        block = self._block
+        p = block.shape[1] - 1
+        horner = []
         for j1 in range(p, -1, -1):
             pairs = list(zip(block[0, j1, p - j1 :: -1].tolist(), block[1, j1, p - j1 :: -1].tolist()))
-            self._horner.append((*pairs[0], tuple(pairs[1:])))
+            horner.append((*pairs[0], tuple(pairs[1:])))
+        return horner
 
     def __call__(self, zeta: Sequence[float]) -> tuple[float, float]:
         """One application of the deviation map, as a pair of floats."""
@@ -398,8 +453,11 @@ def iterate_map(
     iterate leaves the ball of the given radius (the polynomial is no longer
     trustworthy outside its convergence region); a start outside the ball,
     or not finite, raises at step 0.  Once an iterate repeats an earlier one bit for bit, the rest of
-    the trajectory is copied off that cycle instead of stepped.
+    the trajectory is copied off that cycle instead of stepped.  Raises
+    ``ValueError`` for ``n < 0``.
     """
+    if n < 0:
+        raise ValueError(f"iteration count must be >= 0, got {n}")
     zeta = np.asarray(zeta0, dtype=np.float64)
     if zeta.shape != (2,):
         raise ValueError(f"expected a 2-component deviation, got shape {zeta.shape}")
@@ -435,9 +493,12 @@ def fixed_point_newton(
     first k - 1 images, ends the run in :class:`NewtonConvergenceError`, as
     it ends a scan's orbit: the polynomial says nothing about the flow out
     there, and a run that leaves would otherwise wander on to ``max_iter``.
+    Raises ``ValueError`` for ``k < 1`` or ``max_iter < 1``.
     """
     if k < 1:
         raise ValueError(f"period must be >= 1, got {k}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     x = np.asarray(guess, dtype=np.float64).copy()
     if x.shape != (2,):
         raise ValueError(f"expected a 2-component guess, got shape {x.shape}")

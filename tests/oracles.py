@@ -4,8 +4,9 @@ The hand-written two-variable coefficient equations, the generic forward
 coefficient derivatives by jet composition, the C-contraction by
 ``np.add.at``, a central-difference Jacobian, a parameter-freezing wrapper
 for lifted systems, a frame-tagged phase point, a Runge-Kutta attempt on
-floats by ``sum`` over tableau rows, and the folded polynomial map by a
-Horner loop.  None of them is used by the package itself.
+floats by ``sum`` over tableau rows, the folded polynomial map by a
+Horner loop, and the scaled Duffing right side with every product made at
+every call.  None of them is used by the package itself.
 """
 
 import math
@@ -19,6 +20,7 @@ from jetmap import duffing as duf
 from jetmap.jet import Jet, constant
 from jetmap.jetode import OdeSystem
 from jetmap.monoidx import MonomialTable
+from jetmap.vareq import lift_parameters
 
 
 # -- coefficient equations ------------------------------------------------------
@@ -273,3 +275,27 @@ def horner_loop_call(horner: list, zeta) -> tuple:
         a0 = a0 * z1 + i0
         a1 = a1 * z1 + i1
     return a0, a1
+
+
+# -- scaled Duffing right side -------------------------------------------------------
+
+
+def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
+    """``duffing.duffing_scaled_rhs`` with every product made at every call.
+
+    Six truncated products per evaluation on jets, sigma's two among them.
+    The package keeps sigma's products for the last sigma seen; its maps,
+    step statistics and right-side values must be this system's, bit for
+    bit.
+    """
+
+    def core(state, t, params):
+        z1, z2 = state
+        (s,) = params
+        s2 = s**2
+        return (
+            z2,
+            -2.0 * beta * (s * z2) - s2 * z1 - z1**3 - (eps * math.sin(t)) * (s * s2),
+        )
+
+    return lift_parameters(core, 2, (sigma,))

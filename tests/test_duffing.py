@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from jetmap import duffing as duf
+from jetmap import jet as jt
 from jetmap import jetode as ode
 from jetmap import monoidx as mi
 from jetmap import vareq as vq
@@ -17,6 +18,7 @@ from jetmap.jet import Jet, state_about
 
 from conftest import FP_OMEGA, FP_P, FP_Q
 from oracles import PhasePoint, central_difference_jacobian, horner_loop_call
+from oracles import duffing_scaled_rhs as full_scaled_rhs
 
 
 # -- parameters and frames -------------------------------------------------------
@@ -93,6 +95,86 @@ def test_scaled_rhs_structure():
         -2 * 0.1 * z[2] * z[1] - z[2] ** 2 * z[0] - z[0] ** 3 - 1.5 * z[2] ** 3 * math.sin(t)
     )
     assert dz[2] == 0.0
+
+
+def _bits_of(values) -> list:
+    """Each value's bytes: a jet's coefficients, a float's float64."""
+    return [v.coeffs.tobytes() if isinstance(v, Jet) else struct.pack("=d", v) for v in values]
+
+
+def _map_bits(tmap) -> tuple:
+    return [row.coeffs.tobytes() for row in tmap.rows], tmap.design_endpoint, tmap.diagnostics
+
+
+@pytest.mark.parametrize(
+    "method, p, cfg",
+    [("forward", 3, ode.adaptive(1e-10)), ("backward", 2, ode.adaptive(1e-10)),
+     ("forward", 3, ode.fixed_step(40))],
+    ids=["forward-p3", "backward-p2", "rk4-p3"],
+)
+def test_scaled_rhs_maps_match_the_full_expression(method, p, cfg):
+    # sigma's products kept across stages leave every map, its design orbit
+    # and its step statistics as the full expression gives them
+    expansion = (0.3, 0.4, 0.5)
+    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, expansion, p=p, cfg=cfg, method=method)
+    solve = vq.forward_solve if method == "forward" else vq.backward_solve
+    want = solve(full_scaled_rhs(0.1, 1.5, 0.5), expansion, 0.0, duf.TWO_PI, mi.build_table(3, p), cfg)
+    assert _map_bits(tmap) == _map_bits(want)
+
+
+def test_scaled_rhs_scalar_run_matches_the_full_expression():
+    runs = [
+        ode.integrate(system, (0.3, 0.4, 0.5), 0.0, duf.TWO_PI, ode.adaptive(1e-10))
+        for system in (duf.duffing_scaled_rhs(0.1, 1.5, 0.5), full_scaled_rhs(0.1, 1.5, 0.5))
+    ]
+    (state, t, stats), (want_state, want_t, want_stats) = runs
+    assert _bits_of(state) == _bits_of(want_state)
+    assert (t, stats) == (want_t, want_stats)
+
+
+def test_scaled_rhs_makes_sigmas_products_once_per_sigma(monkeypatch):
+    # 6 truncated products on the first evaluation at a sigma, 4 after it,
+    # for a fresh jet of the same value too; a new sigma pays 6 again
+    calls = []
+    prod = jt.prod
+
+    def counted(u, v):
+        calls.append(1)
+        return prod(u, v)
+
+    monkeypatch.setattr(jt, "prod", counted)
+    table = mi.build_table(3, 3)
+    rhs = duf.duffing_scaled_rhs(0.1, 1.5, 0.5).rhs
+    counts = []
+    for center in ((0.3, 0.4, 0.5), (0.3, 0.4, 0.5), (-0.1, 0.2, 0.5), (0.3, 0.4, 0.6)):
+        calls.clear()
+        rhs(state_about(table, center), 0.7)
+        counts.append(len(calls))
+    assert counts == [6, 4, 4, 6]
+
+
+def _sigma_cases():
+    table = mi.build_table(3, 3)
+    z1, z2, s = state_about(table, (0.3, -0.4, 0.5))
+    bumped = s.coeffs.copy()
+    bumped[-1] = 1e-3
+    # at these z the sign of sigma**3 decides the sign of the zero result,
+    # so reusing 0.0's products for -0.0, or -0.0's for 0.0, moves a bit
+    return [
+        [(0.0, 1.0, 0.0), (0.0, -1.0, -0.0), (0.0, 1.0, 0.0)],
+        [(z1, z2, s), (z1, z2, Jet(table, bumped)), (z1, z2, s)],
+    ]
+
+
+@pytest.mark.parametrize("states", _sigma_cases(), ids=["float-signed-zero", "jet-one-coefficient"])
+def test_scaled_rhs_memo_is_keyed_on_sigmas_bits(states):
+    # sigma 0.0 then -0.0 differ only in sign, two sigma jets only in one
+    # coefficient: each evaluation gives the full expression's bits
+    rhs = duf.duffing_scaled_rhs(0.1, 1.5, 0.5).rhs
+    full = full_scaled_rhs(0.1, 1.5, 0.5).rhs
+    assert [_bits_of(rhs(state, 0.7)) for state in states] == [
+        _bits_of(full(state, 0.7)) for state in states
+    ]
 
 
 # -- polynomial map construction ---------------------------------------------------
@@ -201,16 +283,17 @@ def test_iterate_map_matches_direct_row_evaluation(m8_map):
 
 
 def _toy_overflow_map(nan: bool):
-    """TaylorMap with zeta1 -> 1e308 dsigma zeta1^2 (minus 1e308 dsigma zeta1^3
-    when ``nan``) and zeta2 -> zeta2, about sigma = 0.5.  From zeta1 = 2 at
-    omega = 1 (dsigma = 0.5) one step gives inf, or inf - inf = NaN; at
-    omega = 2 (dsigma = 0) the orbit falls to the origin and stays."""
+    """TaylorMap with zeta1 -> 1e308 dsigma zeta1^2 (minus 1e308 dsigma
+    zeta1 zeta2^2 when ``nan``) and zeta2 -> 2 dsigma zeta2, about sigma =
+    0.5.  From (4, 2) at omega = 1 (dsigma = 0.5) one step gives (inf, 2), or
+    (inf - inf, 2) = (NaN, 2); at omega = 2 (dsigma = 0) the orbit falls to
+    the origin and stays."""
     table = mi.build_table(3, 4)
     rows = np.zeros((3, table.L))
     rows[0, mi.rank((2, 0, 1)) - 1] = 1e308
     if nan:
-        rows[0, mi.rank((3, 0, 1)) - 1] = -1e308
-    rows[1, table.variable_rank(2) - 1] = 1.0
+        rows[0, mi.rank((1, 2, 1)) - 1] = -1e308
+    rows[1, mi.rank((0, 1, 1)) - 1] = 2.0
     rows[2, 0] = 0.5
     rows[2, table.variable_rank(3) - 1] = 1.0
     return vq.TaylorMap(
@@ -228,18 +311,27 @@ def _toy_overflow_map(nan: bool):
 @pytest.mark.parametrize("nan", [False, True])
 @pytest.mark.parametrize("radius", [10.0, math.inf])
 def test_non_finite_iterate_escapes(nan, radius):
-    # a non-finite iterate escapes at once, even with no finite radius
+    # a non-finite iterate, inf or NaN, escapes at once, even with no finite
+    # radius
     tmap = _toy_overflow_map(nan)
+    first = duf._Poly2Map(tmap, 0.5)((4.0, 2.0))
+    assert math.isnan(first[0]) if nan else first[0] == math.inf
+    assert first[1] == 2.0
     with pytest.raises(duf.EscapeError) as info:
-        duf.iterate_map(tmap, (2.0, 0.0), 0.5, 5, escape_radius=radius)
+        duf.iterate_map(tmap, (4.0, 2.0), 0.5, 5, escape_radius=radius)
     assert info.value.step == 1
     result = duf.feigenbaum_scan(
-        tmap, 0.1, 1.5, [1.0, 2.0], transient=3, record=4, seed=(2.0, 0.0),
+        tmap, 0.1, 1.5, [1.0, 2.0], transient=3, record=4, seed=(4.0, 2.0),
         escape_radius=radius,
     )
     assert result.failures == [(1.0, "orbit escaped at iterate 1")]
     assert result.samples[0].shape == (0, 2)
     assert np.array_equal(result.samples[1], np.zeros((4, 2)))
+
+
+def test_iterate_map_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="iteration count must be >= 0, got -3"):
+        duf.iterate_map(_toy_identity_map(), (0.2, -0.1), 0.0, -3)
 
 
 def test_iterate_map_escape():
@@ -435,7 +527,7 @@ def test_compiled_step_matches_the_horner_loop_bit_for_bit(m8_map):
     maps += [_toy_overflow_map(False), _toy_overflow_map(True), m8_map[0]]
     specials = [
         (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (math.inf, 0.1), (-0.3, math.inf),
-        (math.nan, 0.2), (0.1, math.nan), (2.0, 0.0),
+        (math.nan, 0.2), (0.1, math.nan), (2.0, 0.0), (4.0, 2.0),
     ]
     pack = struct.Struct("=2d").pack
     for tmap in maps:
@@ -446,10 +538,10 @@ def test_compiled_step_matches_the_horner_loop_bit_for_bit(m8_map):
                 want = pack(*horner_loop_call(poly._horner, zeta))
                 assert pack(*poly(zeta)) == want
                 assert poly.linearize(zeta)[0].tobytes() == want
-    # the overflow maps leave the floats from a finite start, and a NaN start
-    # stays NaN
+    # the overflow maps leave the floats from a finite start, to inf and to
+    # NaN, and a NaN start stays NaN
     assert duf._Poly2Map(maps[3], 0.5)((2.0, 0.0))[0] == math.inf
-    assert duf._Poly2Map(maps[4], 0.5)((2.0, 0.0))[0] == -math.inf
+    assert math.isnan(duf._Poly2Map(maps[4], 0.5)((4.0, 2.0))[0])
     assert math.isnan(duf._Poly2Map(maps[5], 0.01)((math.nan, 0.0))[1])
 
 
@@ -472,6 +564,18 @@ def test_compiled_step_compiles_once_per_map_order(monkeypatch, m8_map):
     assert compiled == [8, 4]
     assert first._apply.__code__ is second._apply.__code__
     assert first((0.1, 0.2)) != second((0.1, 0.2))
+
+
+def test_poly_map_builds_the_linearize_triangle_on_first_use(m8_map):
+    # scans only call the map, so a fold leaves linearize's Python triangle
+    # unbuilt; the first linearize builds it once
+    poly = duf._Poly2Map(m8_map[0], 0.01)
+    duf._orbit(poly, (0.0, 0.0), 5, 3, duf.DEFAULT_ESCAPE_RADIUS)
+    assert "_horner" not in vars(poly)
+    image = poly.linearize((0.1, 0.2))[0]
+    horner = vars(poly)["_horner"]
+    assert poly.linearize((0.1, 0.2))[0].tobytes() == image.tobytes()
+    assert vars(poly)["_horner"] is horner and len(horner) == 9
 
 
 def test_poly_map_step_returns_python_floats(m8_map):
@@ -641,6 +745,11 @@ def test_newton_stops_where_the_polynomial_leaves_its_trust_region(m8_map, monke
         duf.fixed_point_newton(tmap, (0.0, 0.0), dsigma=dsigma, k=2)
     assert len(calls) == 3
     assert max(calls) <= duf.DEFAULT_ESCAPE_RADIUS
+
+
+def test_newton_refuses_no_iterations():
+    with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+        duf.fixed_point_newton(_toy_identity_map(), (0.2, -0.1), max_iter=0)
 
 
 def test_newton_no_convergence_reported():
