@@ -34,6 +34,7 @@ from .jetode import (
     StepStats,
     StiffnessError,
     adaptive,
+    expression_system,
     fixed_step,
     integrate,
     rk4,

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jet import Jet
-from .jetode import IntegratorConfig, OdeSystem, adaptive, integrate
+from .jetode import IntegratorConfig, OdeSystem, adaptive, expression_system, integrate
 from .monoidx import build_table
 from .vareq import TaylorMap, backward_solve, forward_solve, lift_parameters
 
@@ -109,17 +109,21 @@ def to_qp(z1: float, z2: float, omega: float) -> tuple[float, float]:
 
 
 def duffing_rhs(params: DuffingParams) -> OdeSystem:
-    """First-order pair in the (q, p) frame; period 2 pi / omega in tau."""
-    beta, eps, omega = params.beta, params.eps, params.omega
+    """First-order pair in the (q, p) frame; period 2 pi / omega in tau.
+
+    An :func:`~jetmap.jetode.expression_system`, so an exact period on
+    floats runs with the expression written into the integrator's compiled
+    attempt; jets, as in :meth:`ExactStroboscopicMap.linearize`, call it.
+    """
     # -2.0 * beta * p already evaluates as (-2.0 * beta) * p
-    m2beta = -2.0 * beta
-    sin = math.sin
-
-    def rhs(state, tau):
-        q, p = state
-        return (p, m2beta * p - q - q**3 - eps * sin(omega * tau))
-
-    return OdeSystem(dim=2, rhs=rhs)
+    return expression_system(
+        ("q", "p"),
+        "tau",
+        ("p", "m2beta * p - q - q**3 - eps * sin(omega * tau)"),
+        m2beta=-2.0 * params.beta,
+        eps=params.eps,
+        omega=params.omega,
+    )
 
 
 #: a float's bytes, as ``struct.pack`` gives them for one float64
@@ -575,11 +579,13 @@ def _map_factory(map_source: str | TaylorMap, beta: float, eps: float, tol: floa
 
     ``"exact"`` integrates the flow at tolerance ``tol`` per application; a
     :class:`TaylorMap` with lifted sigma is folded at each omega's parameter
-    deviation.
+    deviation.  A tol the exact map cannot integrate at (not finite and
+    > 0) raises ``ValueError`` here, before any omega runs.
     """
     if isinstance(map_source, TaylorMap):
         return lambda omega: _Poly2Map(map_source, 1.0 / omega - map_source.expansion_point[2])
     if map_source == "exact":
+        adaptive(tol)
         return lambda omega: ExactStroboscopicMap(DuffingParams(beta, eps, omega), tol)
     raise ValueError("map_source must be 'exact' or a TaylorMap")
 
@@ -650,7 +656,8 @@ def feigenbaum_scan(
     Raises ``ValueError`` before any omega runs for a grid that is empty,
     not strictly monotonic, or holds an omega that is not finite and > 0, a
     seed that is not two finite numbers or lies outside the escape radius,
-    or an escape radius that is not > 0.
+    an escape radius that is not > 0, or, for the exact map, a ``tol`` that
+    is not finite and > 0.
     """
     omegas = np.asarray(list(omega_grid), dtype=np.float64)
     if omegas.size == 0:

@@ -5,14 +5,19 @@ step size, acceptance, the step budget and divergence, over one of two state
 kinds, picked by the caller's tuple:
 
 * a state of m Python floats (:class:`_Floats`) is stepped by one function
-  per tableau and m, compiled on first use (:func:`_float_kernel`), which
-  keeps components and stage values in locals and writes every stage
-  argument, the step and the error estimates out as sums over the tableau's
-  rows with its constants inlined: no numpy call and no loop per stage, so
-  a scalar run's bits do not depend on the BLAS.  The sums run left to
-  right from 0.0 on every Python version, as ``sum`` of floats does on
-  3.11; from 3.12 ``sum`` is compensated, so a run there differs in the
-  last bits from one that sums with it;
+  per tableau, m and right-side source, compiled on first use
+  (:func:`_float_kernel`), which keeps components and stage values in
+  locals and writes every stage argument, the step and the error estimates
+  out as sums over the tableau's rows with its constants inlined: no numpy
+  call and no loop per stage, so a scalar run's bits do not depend on the
+  BLAS.  The sums run left to right from 0.0 on every Python version, as
+  ``sum`` of floats does on 3.11; from 3.12 ``sum`` is compensated, so a
+  run there differs in the last bits from one that sums with it.  A row's
+  zero weights share one product per attempt, ``0.0 * k_a * k_b * ...``,
+  which is a zero, and so changes no sum, while every stage is finite, and
+  NaN, as the zero terms it replaces were, once one is not.  A right side
+  made by :func:`expression_system` is written into every stage after the
+  first as its expressions, with no call; any other right side is called;
 * a state of m :class:`~jetmap.jet.Jet` rows over one shared table
   (:class:`_Jets`) is one ``(m, L)`` float64 array, the state row above the
   stage rows, so each stage argument and the step are one dot of a
@@ -40,10 +45,14 @@ derivatives as Jets or floats (on a jet state a float is a constant row), or,
 on a jet state, as one ``(m, L)`` array; any other number of components is
 refused with ``ValueError``.  Integrating a state of jets initialized as
 ``center + x_a`` yields the Taylor expansion of the flow about ``center``.
+:func:`expression_system` makes a right side from one expression string
+per component, which runs the same operations on floats and on jets.
 """
 
 from __future__ import annotations
 
+import ast
+import keyword
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -105,6 +114,116 @@ class OdeSystem:
         return tuple(float(v) for v in dynamical) + tuple(self.param_values)
 
 
+# -- right sides from expressions ---------------------------------------------------
+
+#: the functions an expression may call (of the time, or of constants)
+_FUNCTIONS = {"sin": math.sin}
+
+
+@dataclass(frozen=True)
+class _Expressions:
+    """The source of an :func:`expression_system`: its names and expressions.
+
+    The constants are named here, in the order the compiled code takes
+    them, and their values are not: one source serves every set of values.
+    """
+
+    states: tuple
+    time: str
+    expressions: tuple
+    constants: tuple
+
+
+def _expression_code(source: _Expressions) -> list:
+    """The source's expressions as code, once its names and count are checked.
+
+    Raises ``ValueError`` for no states; a number of expressions other than
+    the number of states; a name that is not an identifier, is a keyword,
+    starts with an underscore (the compiled code's own names do) or names
+    one of the functions an expression may call; two equal names; and an
+    expression that reads any other name.  Each expression comes back
+    unparsed from its syntax tree, so a comment in it cannot reach the code
+    it is written into.
+    """
+    names = (*source.states, source.time, *source.constants)
+    if not source.states:
+        raise ValueError("an expression system needs at least one state")
+    if len(source.expressions) != len(source.states):
+        raise ValueError(
+            f"got {len(source.expressions)} expressions for {len(source.states)} states"
+        )
+    for name in names:
+        if not (isinstance(name, str) and name.isidentifier()) or keyword.iskeyword(name):
+            raise ValueError(f"{name!r} is not a name")
+        if name.startswith("_") or name in _FUNCTIONS:
+            raise ValueError(f"the name {name!r} is reserved")
+    if len(set(names)) != len(names):
+        raise ValueError(f"the names of states, time and constants must differ: {list(names)}")
+    code = []
+    for text in source.expressions:
+        tree = ast.parse(text, mode="eval")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not (
+                (node.id in names or node.id in _FUNCTIONS) and isinstance(node.ctx, ast.Load)
+            ):
+                raise ValueError(
+                    f"expression {text!r} may only read its names; it uses {node.id!r}"
+                )
+        code.append(ast.unparse(tree))
+    return code
+
+
+def _rhs_factory(source: _Expressions) -> Callable:
+    """``make(*constants) -> rhs``, the right side of ``source`` with its constants bound."""
+    body = _expression_code(source)
+    text = (
+        f"def _make({', '.join(source.constants)}):\n"
+        f"    def _rhs(_state, {source.time}):\n"
+        f"        {''.join(f'{name}, ' for name in source.states)}= _state\n"
+        f"        return ({''.join(f'{e}, ' for e in body)})\n"
+        "    return _rhs\n"
+    )
+    namespace = dict(_FUNCTIONS)
+    exec(compile(text, "<jetode expression right side>", "exec"), namespace)
+    return namespace["_make"]
+
+
+#: :func:`_rhs_factory` by source, compiled on first use
+_RHS_FACTORIES: dict = {}
+
+
+def expression_system(
+    state_names: Sequence[str], time_name: str, expressions: Sequence[str], **constants
+) -> OdeSystem:
+    """A system whose right side is one Python expression per state component.
+
+    Each expression may read the state names, the time name, the constants
+    and the function ``sin``, and must be polynomial in the state, as
+    :class:`OdeSystem` asks, so that it runs on floats and jets alike.  For
+    example the unforced oscillator ``q'' = -q`` is
+    ``expression_system(("q", "p"), "t", ("p", "-q"))``.  Names are checked
+    here (see :func:`_expression_code`, which raises ``ValueError``).
+
+    ``rhs(state, t)`` is compiled once per source (names, expressions and
+    the constants' names) into a factory, and each system calls it with
+    its constants, which become closure cells: making a system compiles
+    nothing after the first.  The callable carries its source and
+    constants, so on float states the integrator writes the expressions
+    into its compiled attempt instead of calling them (see
+    :func:`_float_kernel`).  A wrapper around it, as made by
+    ``dataclasses.replace(system, rhs=...)``, carries neither and is called
+    at every stage.
+    """
+    source = _Expressions(tuple(state_names), time_name, tuple(expressions), tuple(constants))
+    make = _RHS_FACTORIES.get(source)
+    if make is None:
+        make = _RHS_FACTORIES[source] = _rhs_factory(source)
+    values = tuple(constants.values())
+    rhs = make(*values)
+    rhs.expressions, rhs.constants = source, values
+    return OdeSystem(dim=len(source.states), rhs=rhs)
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step policy over one span [t0, tf]: a step count or a tolerance.
@@ -118,7 +237,10 @@ class IntegratorConfig:
     II.10, so ``tol`` serves as both the absolute and the relative tolerance
     (see :func:`_error_norm`).  At tol 1e-9 the order-3 Duffing map build takes
     113 accepted and 28 rejected steps (1,664 right-side calls), the order-8
-    build 185 and 33 (2,583).
+    build 185 and 33 (2,583).  An adaptive ``tol`` must be finite and > 0,
+    or ``ValueError`` is raised: at NaN no step is accepted and a run ends
+    only at the step budget, and at inf every step is, the first being the
+    whole span.
 
     The first trial step is the whole span, so a quadrature-exact problem is
     done in one accepted step.  The starting-step rule of HNW II.4 (dop853's
@@ -138,8 +260,8 @@ class IntegratorConfig:
             raise ValueError(f"mode must be 'fixed' or 'adaptive', got {self.mode!r}")
         if self.mode == "fixed" and self.ns < 1:
             raise ValueError("fixed mode needs ns >= 1")
-        if self.mode == "adaptive" and self.tol <= 0:
-            raise ValueError("adaptive mode needs tol > 0")
+        if self.mode == "adaptive" and not 0.0 < self.tol < math.inf:
+            raise ValueError(f"adaptive mode needs 0 < tol < inf, got {self.tol!r}")
 
 
 def fixed_step(ns: int) -> IntegratorConfig:
@@ -157,11 +279,6 @@ class StepStats:
     h_min: float = math.inf
     h_max: float = 0.0
 
-    def record(self, h: float) -> None:
-        self.accepted += 1
-        self.h_min = min(self.h_min, h)
-        self.h_max = max(self.h_max, h)
-
 
 # -- the two state kinds ----------------------------------------------------------
 
@@ -175,7 +292,8 @@ class _Tableau:
     stages and the step) and 0 in the error rows, so the columns after it,
     scaled by h, make one attempt's coefficients over ``(y, k_0, ...,
     k_{s-1})``.  ``rows`` are the same rows without that column, as tuples
-    of Python floats, and ``kernels`` caches :func:`_float_kernel` by m.
+    of Python floats, and ``kernels`` caches :func:`_float_kernel` by m and
+    expression source.
     """
 
     c: tuple
@@ -236,90 +354,159 @@ def _wrong_length(values, m: int) -> ValueError:
     return ValueError(f"got {len(values)} components, expected {m}")
 
 
-def _float_kernel(tableau: _Tableau, m: int) -> Callable:
+def _float_kernel(tableau: _Tableau, m: int, source: _Expressions | None = None) -> Callable:
     """One attempt on m Python floats, compiled as straight-line code for ``tableau``.
 
-    The function returned takes ``(rhs, y, t, h, k0)``, with k0 the right
-    side at ``(y, t)``, and returns ``(candidate, error)``, the error None
-    for a tableau without error rows.  Components and stage values are
-    locals (``y0``, ``k3_1``, ...), and each sum over a tableau row is
-    written out with the row's constants as literals: stage i's argument is
-    ``y_c + h * (0.0 + a_i0 * k0_c + ... + a_i,i-1 * k{i-1}_c)``, and the
-    candidate and the two estimates are the same sums over b and the error
-    rows.  Zero weights keep their terms, so that a non-finite stage still
-    reaches the candidate and the estimates as ``0 * inf = NaN``.  Each sum
-    runs left to right from 0.0, which is what ``sum`` over the row does on
-    Python 3.11 (from 3.12 ``sum`` compensates, and differs in the last
-    bits).  The estimates are weighed as :func:`_error_norm` weighs them
-    and combined by :func:`_combined_error`; a NaN among them is an
-    infinite error.  A right side of the wrong length is refused at the
-    stage that returns it.
+    The attempt takes ``(rhs, y, t, h, k0)``, with k0 the right side at
+    ``(y, t)``, and returns ``(candidate, error)``, the error None for a
+    tableau without error rows.  Components and stage values are locals
+    (``_y0``, ``_k3_1``, ...), and each sum over a tableau row is written
+    out with the row's constants as literals: stage i's argument is
+    ``_y_c + _h * (0.0 + a_i0 * _k0_c + ... + a_i,i-1 * _k{i-1}_c)``, and
+    the candidate and the two estimates are the same sums over b and the
+    error rows.  Each sum runs left to right from 0.0, which is what
+    ``sum`` over the row does on Python 3.11 (from 3.12 ``sum``
+    compensates, and differs in the last bits).  The estimates are weighed
+    as :func:`_error_norm` weighs them and combined by
+    :func:`_combined_error`; a NaN among them is an infinite error.
+
+    A row's zero weights make one term, ``0.0 * k_a * k_b * ...`` over their
+    stages, standing where the first of them stood.  Each such product is
+    made once per attempt from the product over its prefix, so DOP853's
+    zeros cost 4 multiplies per component (``0.0 * k1``, then ``* k2``,
+    ``* k3``, ``* k4``) where one term per zero cost 28 multiplies and 28
+    additions.  The bits are the same: with every stage finite the product
+    is a zero, and a zero added to a partial sum that starts at +0.0 (which
+    such a sum never leaves for -0.0) changes nothing; with a stage that is
+    not finite the product is NaN, as ``0 * inf`` made the sum NaN before,
+    so the attempt still fails.
+
+    Without ``source`` each later stage calls ``rhs`` on a tuple, and a
+    result of the wrong length is refused at the stage that returns it.
+    With the source of an :func:`expression_system` of m states, stage i
+    assigns its arguments to the state names and ``t + c_i * h`` to the
+    time name and writes the expressions into ``_k{i}_c``: no call, no
+    tuple and no length check (the count was checked when the system was
+    made).  The operations are those of the right side's own code, in its
+    order, so both give the same bits.  The kernel's own names start with
+    an underscore, which the system's names may not.
+
+    Returns the attempt; given a source, a function of the system's
+    constants, in the source's order, that returns the attempt with them
+    bound as closure cells, so that one source compiles once for every
+    set of constants.
     """
     c, rows = tableau.c, tableau.rows
     s = len(c)
     comps = range(m)
+    body = _expression_code(source) if source is not None else None
+    lines = [f"def _make({', '.join(source.constants) if source else ''}):"]
+    # the indices of a row's zero weights -> the name of their product
+    products: dict = {}
 
     def names(prefix: str) -> str:
         return "".join(f"{prefix}{j}, " for j in comps)
 
-    def row_sum(row, j: int) -> str:
-        return " + ".join(["0.0", *(f"{a!r} * k{i}_{j}" for i, a in enumerate(row))])
+    def product(zeros: tuple) -> str:
+        """The name of ``0.0 * k_a * k_b * ...`` over ``zeros``, made at its first use."""
+        if zeros not in products:
+            head = product(zeros[:-1]) if len(zeros) > 1 else None
+            name = products[zeros] = f"_z{len(products)}_"
+            for j in comps:
+                factor = f"{head}{j}" if head else "0.0"
+                lines.append(f"        {name}{j} = {factor} * _k{zeros[-1]}_{j}")
+        return products[zeros]
 
-    lines = ["def attempt(rhs, y, t, h, k0):", f"    {names('y')}= y", f"    {names('k0_')}= k0"]
+    def row_sum(row, j: int) -> str:
+        zeros = tuple(i for i, a in enumerate(row) if a == 0.0)
+        terms = ["0.0"]
+        for i, a in enumerate(row):
+            if a != 0.0:
+                terms.append(f"{a!r} * _k{i}_{j}")
+            elif i == zeros[0]:
+                terms.append(f"{product(zeros)}{j}")
+        return " + ".join(terms)
+
+    def sums(row) -> list:
+        return [f"_y{j} + _h * ({row_sum(row, j)})" for j in comps]
+
+    lines += [
+        "    def attempt(_rhs, _y, _t, _h, _k0):",
+        f"        {names('_y')}= _y",
+        f"        {names('_k0_')}= _k0",
+    ]
     for i in range(1, s):
-        args = "".join(f"y{j} + h * ({row_sum(rows[i][:i], j)}), " for j in comps)
-        lines += [
-            f"    f = rhs(({args}), t + {c[i]!r} * h)",
-            f"    if len(f) != {m}:",
-            f"        raise _wrong_length(f, {m})",
-            f"    {names(f'k{i}_')}= f",
-        ]
-    lines += [f"    n{j} = y{j} + h * ({row_sum(rows[s], j)})" for j in comps]
-    candidate = f"({names('n')})"
+        args, time = sums(rows[i][:i]), f"_t + {c[i]!r} * _h"
+        if body is None:
+            stage = [
+                f"_f = _rhs(({''.join(f'{a}, ' for a in args)}), {time})",
+                f"if len(_f) != {m}:",
+                f"    raise _wrong_length(_f, {m})",
+                f"{names(f'_k{i}_')}= _f",
+            ]
+        else:
+            stage = [
+                *(f"{name} = {a}" for name, a in zip(source.states, args)),
+                f"{source.time} = {time}",
+                *(f"_k{i}_{j} = {body[j]}" for j in comps),
+            ]
+        lines += [f"        {line}" for line in stage]
+    step = sums(rows[s])
+    lines += [f"        _n{j} = {step[j]}" for j in comps]
+    candidate = f"({names('_n')})"
     if len(rows) == s + 1:
-        lines.append(f"    return {candidate}, None")
+        lines.append(f"        return {candidate}, None")
     else:
         w5, w3 = rows[s + 1 :]
         for j in comps:
+            e5, e3 = row_sum(w5, j), row_sum(w3, j)
             # max keeps its first argument's NaN, so a NaN candidate reaches d5
             lines += [
-                f"    scale = 1.0 + max(abs(n{j}), abs(y{j}))",
-                f"    d5_{j} = abs(h * ({row_sum(w5, j)})) / scale",
-                f"    d3_{j} = abs(h * ({row_sum(w3, j)})) / scale",
+                f"        _scale = 1.0 + _max(_abs(_n{j}), _abs(_y{j}))",
+                f"        _d5_{j} = _abs(_h * ({e5})) / _scale",
+                f"        _d3_{j} = _abs(_h * ({e3})) / _scale",
             ]
-        nan = " or ".join(f"d5_{j} != d5_{j} or d3_{j} != d3_{j}" for j in comps)
-        e5, e3 = (f"max(0.0, {names(d)})" for d in ("d5_", "d3_"))
+        nan = " or ".join(f"_d5_{j} != _d5_{j} or _d3_{j} != _d3_{j}" for j in comps)
+        e5, e3 = (f"_max(0.0, {names(d)})" for d in ("_d5_", "_d3_"))
         lines += [
-            f"    if {nan}:",
-            f"        return {candidate}, inf",
-            f"    return {candidate}, _combined_error({e5}, {e3})",
+            f"        if {nan}:",
+            f"            return {candidate}, _inf",
+            f"        return {candidate}, _combined_error({e5}, {e3})",
         ]
+    lines.append("    return attempt")
     namespace = {
-        "_wrong_length": _wrong_length, "_combined_error": _combined_error, "inf": math.inf
+        "_wrong_length": _wrong_length, "_combined_error": _combined_error, "_inf": math.inf,
+        "_abs": abs, "_max": max, **_FUNCTIONS,
     }
-    exec(compile("\n".join(lines), f"<jetode attempt, {s} stages, m={m}>", "exec"), namespace)
-    return namespace["attempt"]
+    label = f"<jetode attempt, {s} stages, m={m}{', expressions' if source else ''}>"
+    exec(compile("\n".join(lines), label, "exec"), namespace)
+    return namespace["_make"] if source else namespace["_make"]()
 
 
 class _Floats:
-    """A state of m Python floats, stepped by one compiled function per tableau and m.
+    """A state of m Python floats, stepped by one compiled function per tableau, m and source.
 
     Stage 0, f at the state, is evaluated here and kept for the attempts
     after a rejection; :func:`_float_kernel` makes every later stage, the
-    candidate and the error of one attempt.  No numpy call is made per
-    stage, and the right side sees Python floats for as long as it returns
-    them.
+    candidate and the error of one attempt.  A right side made by
+    :func:`expression_system` for m states is written into that function,
+    once per source, and its constants are bound to it here; any other
+    right side is called at every stage.  No numpy call is made per stage,
+    and the right side sees Python floats for as long as it returns them.
     """
 
     def __init__(self, system: OdeSystem, state0: Sequence, tableau: _Tableau):
-        self.rhs = system.rhs
-        self.m = len(state0)
+        self.rhs = rhs = system.rhs
+        self.m = m = len(state0)
         self.y = tuple(float(v) for v in state0)
-        # compiled on first use, once per tableau and m
-        kernels = tableau.kernels
-        if self.m not in kernels:
-            kernels[self.m] = _float_kernel(tableau, self.m)
-        self.kernel = kernels[self.m]
+        source = getattr(rhs, "expressions", None)
+        if source is not None and len(source.states) != m:
+            source = None
+        # compiled on first use, once per tableau, m and source
+        kernels, key = tableau.kernels, (m, source)
+        if key not in kernels:
+            kernels[key] = _float_kernel(tableau, m, source)
+        self.kernel = kernels[key] if source is None else kernels[key](*rhs.constants)
 
     def attempt(self, t: float, h: float, first: int = 0) -> None:
         """Evaluate the stages from ``first`` on and form the candidate and its error."""
@@ -627,9 +814,13 @@ def rkf45(
     candidate y8 is the one propagated.  An attempt whose stages or estimates
     are not finite has an infinite error and is rejected.  Stage 0, f at the
     state, is evaluated once per accepted state and reused by the attempts
-    that follow a rejection, so a run makes ``11 * attempts + accepted``
-    right-side calls.  The final step is clamped so that integration ends at
-    exactly ``tf``.
+    that follow a rejection, so a run evaluates the right side
+    ``11 * attempts + accepted`` times: as many calls, except on a float
+    state with an :func:`expression_system`, which is called only for
+    stage 0 and written into the other stages.  The final step is clamped
+    so that integration ends at exactly ``tf``.  The loop keeps its counts,
+    its range of h and the state's methods in locals and makes the
+    :class:`StepStats` once, at the end.
     """
     if cfg.mode != "adaptive":
         raise ValueError("rkf45 requires an adaptive-mode config")
@@ -641,8 +832,11 @@ def rkf45(
     span = tf - t0
     h_min = _H_MIN_FRAC * span
     h = span
-    stats = StepStats()
+    tol, inf = cfg.tol, math.inf
     state = _marching_state(system, state0, _DOP)
+    attempt, error, advance = state.attempt, state.error, state.advance
+    n_accepted = n_rejected = 0
+    h_lo, h_hi = inf, 0.0
     t = t0
     have_stage0 = False
     after_rejection = False
@@ -650,29 +844,35 @@ def rkf45(
     # overflow shows up as a non-finite error estimate or state, handled below
     with np.errstate(over="ignore", invalid="ignore"):
         while t < tf:
-            h = min(h, tf - t)
-            last_step = h >= (tf - t)
+            rest = tf - t
+            if h > rest:
+                h = rest
+            last_step = h >= rest
 
             try:
-                state.attempt(t, h, 1 if have_stage0 else 0)
+                attempt(t, h, 1 if have_stage0 else 0)
                 have_stage0 = True
-                err = state.error()
+                err = error()
             except OverflowError:
-                err = math.inf
-            finite = err < math.inf
+                err = inf
+            finite = err < inf
 
-            accepted = err <= cfg.tol
+            accepted = err <= tol
             if accepted:
-                if not state.advance():
-                    raise DivergenceError(f"non-finite state near t={t}", stats.accepted, t)
-                stats.record(h)
+                if not advance():
+                    raise DivergenceError(f"non-finite state near t={t}", n_accepted, t)
+                n_accepted += 1
+                if h < h_lo:
+                    h_lo = h
+                if h > h_hi:
+                    h_hi = h
                 t = tf if last_step else t + h
                 have_stage0 = False
             else:
-                stats.rejected += 1
+                n_rejected += 1
 
             if err > 0.0:
-                factor = _SAFETY * (cfg.tol / err) ** 0.125 if finite else _MIN_SHRINK
+                factor = _SAFETY * (tol / err) ** 0.125 if finite else _MIN_SHRINK
                 factor = min(max(factor, _MIN_SHRINK), _MAX_GROW)
             else:
                 factor = _MAX_GROW
@@ -683,19 +883,19 @@ def rkf45(
                 if not finite:
                     raise DivergenceError(
                         f"step collapsed below {h_min} at t={t} chasing non-finite stages",
-                        stats.accepted,
+                        n_accepted,
                         t,
                     )
                 raise StiffnessError(
                     f"step size {h} fell below minimum {h_min} at t={t} "
-                    f"({stats.accepted} accepted, {stats.rejected} rejected)"
+                    f"({n_accepted} accepted, {n_rejected} rejected)"
                 )
-            if stats.accepted + stats.rejected > _MAX_STEPS:
+            if n_accepted + n_rejected > _MAX_STEPS:
                 raise StiffnessError(
                     f"exceeded {_MAX_STEPS} steps at t={t} of {tf}; the "
-                    f"tolerance {cfg.tol} appears unattainable for this state"
+                    f"tolerance {tol} appears unattainable for this state"
                 )
-    return state.result(), t, stats
+    return state.result(), t, StepStats(n_accepted, n_rejected, h_lo, h_hi)
 
 
 def integrate(

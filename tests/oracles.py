@@ -5,8 +5,9 @@ coefficient derivatives by jet composition, the C-contraction by
 ``np.add.at``, a central-difference Jacobian, a parameter-freezing wrapper
 for lifted systems, a frame-tagged phase point, a Runge-Kutta attempt on
 floats by ``sum`` over tableau rows, the folded polynomial map by a
-Horner loop, and the scaled Duffing right side with every product made at
-every call.  None of them is used by the package itself.
+Horner loop, the (q, p) Duffing right side as a hand-written closure, and
+the scaled Duffing right side with every product made at every call.  None
+of them is used by the package itself.
 """
 
 import math
@@ -277,7 +278,28 @@ def horner_loop_call(horner: list, zeta) -> tuple:
     return a0, a1
 
 
-# -- scaled Duffing right side -------------------------------------------------------
+# -- Duffing right sides -------------------------------------------------------------
+
+
+def duffing_rhs(params) -> OdeSystem:
+    """``duffing.duffing_rhs`` as a hand-written closure, which carries no source.
+
+    The package's right side is an expression system, written into the
+    compiled float attempt; this one is called at every stage, and its
+    values, on floats and on jets, and its runs must be the package's bit
+    for bit.
+    """
+    beta, eps, omega = params.beta, params.eps, params.omega
+    m2beta = -2.0 * beta
+    sin = math.sin
+
+    def rhs(state, tau):
+        q, p = state
+        return (p, m2beta * p - q - q**3 - eps * sin(omega * tau))
+
+    return OdeSystem(dim=2, rhs=rhs)
+
+
 
 
 def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:

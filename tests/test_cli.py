@@ -537,6 +537,37 @@ def test_bad_orbit_inputs_are_refused_before_any_omega_runs(
     assert not out.exists() and not out.with_name(out.name + ".failures").exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["expand", "scan", "attract"])
+def test_a_tol_that_is_not_finite_is_refused_before_any_integration(
+    tmp_path, capsys, monkeypatch, command, tol
+):
+    # a NaN tol used to run the whole step budget and an infinite one to
+    # take the period in one step; both end as config errors, integrating
+    # nothing
+    from jetmap import jetode as ode
+
+    runs = []
+    rkf45 = ode.rkf45
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return rkf45(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "rkf45", counted)
+    out = tmp_path / "out"
+    if command == "expand":
+        argv = ["expand", "--order", 1, "--tol", tol, "--out", out]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({command: {**_ORBIT_CONFIGS[command], "source": "exact"}}))
+        argv = [command, "--config", path, "--tol", tol, "--out", out]
+    assert run_cli(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "0 < tol < inf" in err
+    assert runs == [] and not out.exists()
+
+
 def test_attract_exact_source(tmp_path):
     out = tmp_path / "att.csv"
     code = run_cli(

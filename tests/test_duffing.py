@@ -18,6 +18,7 @@ from jetmap.jet import Jet, state_about
 
 from conftest import FP_OMEGA, FP_P, FP_Q
 from oracles import PhasePoint, central_difference_jacobian, horner_loop_call
+from oracles import duffing_rhs as closure_rhs
 from oracles import duffing_scaled_rhs as full_scaled_rhs
 
 
@@ -80,6 +81,55 @@ def test_duffing_rhs_one_period_matches_scaled_run():
     )
     assert state[0] == pytest.approx(2.0 * -0.0493158, abs=2e-5)
     assert state[1] == pytest.approx(4.0 * 0.439713, abs=2e-5)
+
+
+_QP_PARAMS = [duf.DuffingParams(0.1, 25.0, 1.2858), duf.DuffingParams(0.05, 1.5, 0.7)]
+
+
+@pytest.mark.parametrize("params", _QP_PARAMS)
+def test_duffing_rhs_values_match_the_closure_on_floats_and_jets(params):
+    # the expression system evaluates the closure's operations in its order,
+    # on floats and through the jet operators alike
+    rhs, want = duf.duffing_rhs(params).rhs, closure_rhs(params).rhs
+    rng = np.random.default_rng(7)
+    points = [tuple(v) for v in rng.normal(scale=2.0, size=(20, 2)).tolist()]
+    points += [(0.0, -0.0), (-0.0, 0.0), (1e100, -1e100)]
+    times = rng.uniform(0.0, params.period, size=len(points)).tolist()
+    for point, tau in zip(points, times):
+        assert _bits_of(rhs(point, tau)) == _bits_of(want(point, tau))
+        for order in (1, 2):
+            state = state_about(mi.build_table(2, order), point[:2])
+            assert _bits_of(rhs(state, tau)) == _bits_of(want(state, tau))
+
+
+@pytest.mark.parametrize("params", _QP_PARAMS)
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+def test_exact_period_matches_the_called_closure(params, tol):
+    # the expressions written into the compiled attempt step as the closure
+    # called at every stage does: the same state, bits and step counts
+    runs = [
+        ode.rkf45(system, (0.5, -0.25), 0.0, params.period, ode.adaptive(tol))
+        for system in (duf.duffing_rhs(params), closure_rhs(params))
+    ]
+    (state, t, stats), (want_state, want_t, want_stats) = runs
+    assert _bits_of(state) == _bits_of(want_state)
+    assert (t, stats) == (want_t, want_stats)
+
+
+def test_duffing_rhs_compiles_once_for_every_omega(monkeypatch):
+    # each system binds its parameters to the one factory of its source
+    compiled = []
+    factory = ode._rhs_factory
+
+    def counted(source):
+        compiled.append(source)
+        return factory(source)
+
+    monkeypatch.setattr(ode, "_RHS_FACTORIES", {})
+    monkeypatch.setattr(ode, "_rhs_factory", counted)
+    systems = [duf.duffing_rhs(duf.DuffingParams(0.1, 25.0, w)) for w in (1.25, 1.27, 1.29)]
+    assert len(compiled) == 1
+    assert [system.rhs.constants[-1] for system in systems] == [1.25, 1.27, 1.29]
 
 
 def test_scaled_rhs_structure():
@@ -798,14 +848,15 @@ def test_exact_scan_runs_on_python_floats(monkeypatch):
 
 
 def test_exact_scan_compiles_the_dop853_attempt_once(monkeypatch):
-    # the compiled attempt is cached on the tableau by m: every period of
-    # every omega reuses the one made for the first
+    # the compiled attempt is cached on the tableau by m and the right
+    # side's expression source: every period of every omega reuses the one
+    # made for the first
     compiled = []
     float_kernel = ode._float_kernel
 
-    def counted(tableau, m):
+    def counted(tableau, m, source=None):
         compiled.append(m)
-        return float_kernel(tableau, m)
+        return float_kernel(tableau, m, source)
 
     monkeypatch.setattr(ode, "_DOP", dataclasses.replace(ode._DOP, kernels={}))
     monkeypatch.setattr(ode, "_float_kernel", counted)

@@ -637,3 +637,128 @@ def test_compiled_attempt_carries_an_infinite_stage(name, m):
     assert not math.isfinite(got[0][0])
     if name == "_DOP":
         assert got[1] == math.inf
+
+
+# -- right sides from expressions ---------------------------------------------------
+
+
+def quadratic_expressions(m: int, rng) -> ode.OdeSystem:
+    """:func:`quadratic_rhs` as an expression system over x0, x1, ... and t."""
+    a = rng.normal(size=(m, m)).tolist()
+    b = rng.normal(size=m).tolist()
+    constants = {f"a{j}_{i}": a[j][i] for j in range(m) for i in range(m)}
+    constants.update({f"b{j}": b[j] for j in range(m)})
+    expressions = [
+        " + ".join(f"a{j}_{i} * x{i}" for i in range(m)) + f" - b{j} * x{j} * x{(j + 1) % m} + sin(t)"
+        for j in range(m)
+    ]
+    return ode.expression_system([f"x{j}" for j in range(m)], "t", expressions, **constants)
+
+
+def inlined_attempt(tableau, system):
+    rhs = system.rhs
+    return ode._float_kernel(tableau, system.dim, rhs.expressions)(*rhs.constants)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name", ["_RK4", "_DOP"])
+def test_inlined_attempt_matches_the_sum_oracle_bit_for_bit(name, m):
+    # the oracle calls the expression system's callable at every stage; the
+    # inlined attempt writes its expressions into the stages
+    tableau = getattr(ode, name)
+    rng = np.random.default_rng(10 + m)
+    system = quadratic_expressions(m, rng)
+    runs = [
+        (tuple(rng.normal(size=m).tolist()), rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-4.0, 0.0))
+        for _ in range(20)
+    ]
+    runs += [((-0.0,) * m, 0.0, 0.5), ((-0.0,) + (1.0,) * (m - 1), -0.0, 0.125)]
+    # x * x overflows at stage 0 from 1e200 and at stage 1 from 1e153
+    overflowing = [((1e200,) * m, 0.0, 0.5), ((1e153,) * m, 0.0, 0.5)]
+    cases = [(system, *run) for run in runs + overflowing]
+    halving = ode.expression_system(
+        [f"x{j}" for j in range(m)], "t", [f"0.5 * x{j}" for j in range(m)]
+    )
+    cases.append((halving, (-0.0,) * m, 0.0, 0.5))
+    for system, y, t, h in cases:
+        rhs = system.rhs
+        k0 = rhs(y, t)
+        got = inlined_attempt(tableau, system)(rhs, y, t, h, k0)
+        assert bits(got) == bits(float_attempt(tableau, rhs, y, t, h, k0))
+        if (y, t, h) in overflowing:
+            assert not all(map(math.isfinite, got[0]))
+            assert got[1] in (None, math.inf)
+
+
+def test_a_wrapped_expression_right_side_is_called_at_every_stage():
+    # dataclasses.replace gives a callable without a source: the call path,
+    # which makes 11 calls per attempt and one stage 0 per accepted state
+    system = ode.expression_system(
+        ("q", "p"), "t", ("p", "m2beta * p - q - q**3 + eps * sin(t)"), m2beta=-0.2, eps=25.0
+    )
+    calls = []
+
+    def counted(state, t):
+        calls.append(t)
+        return system.rhs(state, t)
+
+    wrapped = dataclasses.replace(system, rhs=counted)
+    state, _, stats = ode.rkf45(wrapped, (0.5, 0.5), 0.0, 2 * math.pi, ode.adaptive(1e-6))
+    assert stats.rejected > 0
+    assert len(calls) == 11 * (stats.accepted + stats.rejected) + stats.accepted
+    want, _, want_stats = ode.rkf45(system, (0.5, 0.5), 0.0, 2 * math.pi, ode.adaptive(1e-6))
+    assert bits((state, None)) == bits((want, None)) and stats == want_stats
+    # the unwrapped run wrote the expressions into an attempt of its own
+    assert (2, system.rhs.expressions) in ode._DOP.kernels
+
+
+@pytest.mark.parametrize(
+    "states, time, expressions, constants",
+    [
+        (("q", "p"), "t", ("p",), {}),
+        (("q", "p"), "t", ("p", "-q", "q"), {}),
+        ((), "t", (), {}),
+        (("q p", "r"), "t", ("r", "q"), {}),
+        (("q", "1p"), "t", ("q", "q"), {}),
+        (("q", "lambda"), "t", ("q", "q"), {}),
+        (("q", 2), "t", ("q", "q"), {}),
+        (("_y0", "p"), "t", ("p", "-_y0"), {}),
+        (("q", "p"), "_t", ("p", "-q"), {}),
+        (("q", "p"), "t", ("p", "-_h * q"), {"_h": 1.0}),
+        (("q", "p"), "t", ("p", "-q"), {"_k1_0": 1.0}),
+        (("q", "sin"), "t", ("sin", "-q"), {}),
+        (("q", "p"), "q", ("p", "-q"), {}),
+        (("q", "p"), "t", ("p", "-q"), {"p": 1.0}),
+        (("q", "p"), "t", ("p", "-q * w"), {}),
+        (("q", "p"), "t", ("p", "-_k1_0"), {}),
+        (("q", "p"), "t", ("p", "(q := 0.0)"), {}),
+        (("q", "p"), "t", ("p", "abs(q)"), {}),
+    ],
+    ids=[
+        "too-few", "too-many", "no-state", "space", "digit-first", "keyword", "not-a-string",
+        "reserved-state", "reserved-time", "reserved-constant", "kernel-local-constant",
+        "function-name", "time-is-a-state", "constant-is-a-state", "unknown-name",
+        "reads-a-kernel-local", "assigns", "calls-a-builtin",
+    ],
+)
+def test_expression_system_refuses_bad_names_and_counts(states, time, expressions, constants):
+    with pytest.raises(ValueError):
+        ode.expression_system(states, time, expressions, **constants)
+
+
+def test_expression_system_evaluates_on_floats_and_jets():
+    system = ode.expression_system(("q", "p"), "t", ("p", "-k * q + sin(t)"), k=4.0)
+    assert system.dim == 2 and system.n_params == 0
+    assert system.rhs((1.0, 2.0), 0.0) == (2.0, -4.0)
+    q, p = jt.state_about(mi.build_table(2, 1), [1.0, 2.0])
+    dq, dp = system.rhs((q, p), 0.0)
+    assert dq is p
+    assert dp.coeffs.tolist() == [-4.0, -4.0, 0.0]
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_adaptive_refuses_a_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="0 < tol < inf"):
+        ode.adaptive(tol)
+    with pytest.raises(ValueError):
+        ode.IntegratorConfig(mode="adaptive", tol=tol)
