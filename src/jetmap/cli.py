@@ -257,6 +257,10 @@ _SCAN_DEFAULTS = {
 }
 
 
+#: the most omegas a scan grid may hold; a grid is refused before it is made
+MAX_OMEGAS = 1_000_000
+
+
 def _omega_grid(cfg) -> np.ndarray:
     start, stop, step = (
         float(cfg["omega_start"]),
@@ -267,9 +271,12 @@ def _omega_grid(cfg) -> np.ndarray:
         raise ConfigError("omega_start, omega_stop and omega_step must be finite")
     if step == 0:
         raise ConfigError("omega_step must be nonzero")
-    n = int(round((stop - start) / step))
+    # clamped before rounding: the quotient can overflow to +-inf
+    n = int(round(min(max((stop - start) / step, -1.0), float(MAX_OMEGAS))))
     if n < 0:
         raise ConfigError("omega range and step disagree in direction")
+    if n >= MAX_OMEGAS:
+        raise ConfigError(f"omega grid would hold more than {MAX_OMEGAS} values; widen omega_step")
     grid = start + step * np.arange(n + 1)
     if grid.size == 0:
         raise ConfigError("empty omega grid")

@@ -36,10 +36,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import jet
 from .jet import Jet
 from .jetode import IntegratorConfig, OdeSystem, adaptive, expression_system, integrate
 from .monoidx import build_table
-from .vareq import TaylorMap, backward_solve, forward_solve, lift_parameters
+from .vareq import TaylorMap, backward_solve, forward_solve
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,12 +77,13 @@ class DuffingParams:
     omega: float
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"damping must be >= 0, got {self.beta}")
-        if self.eps < 0:
-            raise ValueError(f"driving strength must be >= 0, got {self.eps}")
-        if self.omega <= 0:
-            raise ValueError(f"driving frequency must be > 0, got {self.omega}")
+        # written so that NaN fails each test
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"damping must be finite and >= 0, got {self.beta}")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError(f"driving strength must be finite and >= 0, got {self.eps}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"driving frequency must be finite and > 0, got {self.omega}")
 
     @property
     def sigma(self) -> float:
@@ -145,6 +147,15 @@ def _bits(value) -> tuple:
 def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
     """Three-variable scaled system with sigma lifted; period 2 pi in t.
 
+    The state is ``(z1, z2, sigma)``.  When all three are jets over one
+    table, as the forward march's stage views and the backward route's
+    expansions are, the right side works on their coefficient arrays
+    through :func:`~jetmap.jet.prod_coeffs` and returns one ``(3, L)``
+    float64 array with sigma's row zero, so an evaluation makes no jet per
+    operation.  On floats, or a tuple that mixes jets and floats, it
+    evaluates the same expression through the jet operators and returns a
+    tuple.
+
     sigma's derivative is zero, so the right side sees the same sigma at
     every stage of a run.  Its two sigma-only products, ``s**2`` and
     ``s * s**2``, are kept for the last sigma seen and computed again only
@@ -153,19 +164,19 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
     identity, since the forward march hands the right side a fresh view of
     sigma's row at every stage and the backward route a fresh jet in every
     expansion; and not on ``==``, which would take -0.0 for 0.0 and reuse
-    products of the wrong sign.  The expression keeps its operands and
-    their order, so every result is the one the full expression gives, bit
-    for bit, on jets and on floats alike.
+    products of the wrong sign.  Both forms keep the expression's operands
+    and their order, the order of each product's operands included, so
+    every result is the one the full expression gives, bit for bit, on jets
+    and on floats alike.
     """
     m2beta = -2.0 * beta
     sin = math.sin
     # (key, s**2, s**3) of the last sigma seen
     memo = (None, None, None)
 
-    def core(state, t, params):
+    def rhs(state, t):
         nonlocal memo
-        z1, z2 = state
-        (s,) = params
+        z1, z2, s = state
         key = _bits(s)
         # one read of the memo: a call that replaces it leaves ours whole
         hit = memo
@@ -173,9 +184,21 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
             s2 = s**2
             hit = memo = (key, s2, s * s2)
         _, s2, s3 = hit
-        return (z2, m2beta * (s * z2) - s2 * z1 - z1**3 - (eps * sin(t)) * s3)
+        if type(z1) is type(z2) is type(s) is Jet and z1.table is s.table is z2.table:
+            table, a, b = s.table, z1.coeffs, z2.coeffs
+            prod = jet.prod_coeffs
+            rows = np.zeros((3, table.L))
+            rows[0] = b
+            rows[1] = (
+                m2beta * prod(table, s.coeffs, b)
+                - prod(table, s2.coeffs, a)
+                - prod(table, a, prod(table, a, a))
+                - (eps * sin(t)) * s3.coeffs
+            )
+            return rows
+        return (z2, m2beta * (s * z2) - s2 * z1 - z1**3 - (eps * sin(t)) * s3, 0.0)
 
-    return lift_parameters(core, 2, (sigma,))
+    return OdeSystem(dim=3, rhs=rhs, n_params=1, param_values=(float(sigma),))
 
 
 # -- exact stroboscopic map -------------------------------------------------------
@@ -236,11 +259,17 @@ def stroboscopic_taylor_map(
     ``expansion`` is the scaled-frame point (z1, z2, sigma).  ``cfg`` is the
     integrator setting over the period [0, 2 pi]: by default the adaptive
     pair at tol 1e-12; pass ``fixed_step(ns)`` to reproduce plain RK4 runs.
+    A ``beta``, ``eps`` or expansion coordinate that is not finite raises
+    ``ValueError`` before any integration.
     """
     if p < 1:
         raise ValueError(f"map order must be >= 1, got {p}")
     if len(expansion) != 3:
         raise ValueError("expansion point must be (z1, z2, sigma)")
+    if not (math.isfinite(beta) and math.isfinite(eps)):
+        raise ValueError(f"beta and eps must be finite, got {beta!r}, {eps!r}")
+    if not all(map(math.isfinite, expansion)):
+        raise ValueError(f"expansion point must be finite, got {list(expansion)}")
     system = duffing_scaled_rhs(beta, eps, sigma=float(expansion[2]))
     table = build_table(3, p)
     if method == "forward":
@@ -580,12 +609,15 @@ def _map_factory(map_source: str | TaylorMap, beta: float, eps: float, tol: floa
     ``"exact"`` integrates the flow at tolerance ``tol`` per application; a
     :class:`TaylorMap` with lifted sigma is folded at each omega's parameter
     deviation.  A tol the exact map cannot integrate at (not finite and
-    > 0) raises ``ValueError`` here, before any omega runs.
+    > 0), or a beta or eps that :class:`DuffingParams` refuses, raises
+    ``ValueError`` here, before any omega runs.
     """
     if isinstance(map_source, TaylorMap):
         return lambda omega: _Poly2Map(map_source, 1.0 / omega - map_source.expansion_point[2])
     if map_source == "exact":
         adaptive(tol)
+        # the omegas are checked by the caller; 1.0 stands in for each
+        DuffingParams(beta, eps, 1.0)
         return lambda omega: ExactStroboscopicMap(DuffingParams(beta, eps, omega), tol)
     raise ValueError("map_source must be 'exact' or a TaylorMap")
 

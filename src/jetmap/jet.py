@@ -196,12 +196,21 @@ def state_about(table: MonomialTable, center: Sequence[float]) -> tuple[Jet, ...
 # -- named operations (operator sugar above delegates here) -----------------
 
 
+def prod_coeffs(table: MonomialTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of two (L,) coefficient arrays via the box tables.
+
+    The array kernel under :func:`prod`: ``a`` and ``b`` must be float64
+    coefficient vectors over ``table``, and the result is a fresh array.
+    Swapping the operands sums each output's terms in reverse order, which
+    can move its last bits.
+    """
+    return np.add.reduceat(a[table.flat_box] * b[table.flat_box_rev], table.seg_starts)
+
+
 def prod(u: Jet, v: Jet) -> Jet:
     """Truncated product via the precomputed box tables."""
     u._check_companion(v)
-    t = u.table
-    terms = u.coeffs[t.flat_box] * v.coeffs[t.flat_box_rev]
-    return _new(t, np.add.reduceat(terms, t.seg_starts))
+    return _new(u.table, prod_coeffs(u.table, u.coeffs, v.coeffs))
 
 
 def power(u: Jet, n: int) -> Jet:

@@ -46,21 +46,31 @@ def expand_rhs(
     Returns ``(fvals, g)`` where ``fvals[a] = f_a(zd, t)`` and ``g[a, r-1]``
     is the coefficient of the rank-r monomial in the deviation expansion of
     ``f_a`` (column 0, the constant, is zeroed: forcing terms have degree
-    one or more).
+    one or more).  The right side may return its components as jets or
+    numbers (a number is a constant row), or all of them as one ``(m, L)``
+    coefficient array, which is copied into ``g``; any other count or shape
+    raises ``ValueError``.
     """
     if len(zd) != system.dim or table.m != system.dim:
         raise ValueError(
             f"system dim {system.dim}, table m {table.m}, design point "
             f"length {len(zd)} must all agree"
         )
-    jets = system.rhs(state_about(table, zd), t)
+    values = system.rhs(state_about(table, zd), t)
     g = np.empty((system.dim, table.L))
-    for a, component in enumerate(jets):
-        if isinstance(component, Jet):
-            g[a] = component.coeffs
-        else:  # constant right side written as a plain number
-            g[a] = 0.0
-            g[a, 0] = float(component)
+    if isinstance(values, np.ndarray):
+        if values.shape != g.shape:
+            raise ValueError(f"expected an array of shape {g.shape}, got {values.shape}")
+        g[...] = values
+    else:
+        if len(values) != system.dim:
+            raise ValueError(f"got {len(values)} components, expected {system.dim}")
+        for a, component in enumerate(values):
+            if isinstance(component, Jet):
+                g[a] = component.coeffs
+            else:  # constant right side written as a plain number
+                g[a] = 0.0
+                g[a, 0] = float(component)
     fvals = g[:, 0].copy()
     g[:, 0] = 0.0
     return fvals, g

@@ -305,10 +305,11 @@ def duffing_rhs(params) -> OdeSystem:
 def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
     """``duffing.duffing_scaled_rhs`` with every product made at every call.
 
-    Six truncated products per evaluation on jets, sigma's two among them.
-    The package keeps sigma's products for the last sigma seen; its maps,
-    step statistics and right-side values must be this system's, bit for
-    bit.
+    Six truncated products per evaluation on jets, sigma's two among them,
+    each made through the jet operators, and the lifted tuple return of
+    ``lift_parameters``.  The package keeps sigma's products for the last
+    sigma seen and works on coefficient arrays; its maps, step statistics
+    and right-side values must be this system's, bit for bit.
     """
 
     def core(state, t, params):

@@ -568,6 +568,62 @@ def test_a_tol_that_is_not_finite_is_refused_before_any_integration(
     assert runs == [] and not out.exists()
 
 
+_NON_FINITE_INPUTS = {
+    "expand-beta-nan": ["expand", "--order", 2, "--beta", "nan"],
+    "expand-eps-inf": ["expand", "--order", 2, "--eps", "inf"],
+    "expand-expansion-nan": ["expand", "--order", 2, "--expansion", "0.3,nan,0.5"],
+    "scan-exact-beta-nan": ["scan", "--source", "exact", "--beta", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE_INPUTS))
+def test_a_non_finite_model_input_is_refused_before_any_integration(
+    tmp_path, capsys, monkeypatch, case
+):
+    # each used to integrate until the step collapsed on non-finite stages
+    # and exit 2; now each is a config error that integrates nothing
+    from jetmap import jetode as ode
+
+    runs = []
+    rkf45 = ode.rkf45
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return rkf45(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "rkf45", counted)
+    out = tmp_path / "out"
+    # the file keeps the scan case's grid small; expand reads no section of it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scan": _ORBIT_CONFIGS["scan"]}))
+    argv = _NON_FINITE_INPUTS[case] + ["--config", path, "--out", out]
+    assert run_cli(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "finite" in err and "Traceback" not in err
+    assert runs == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "start, stop, step", [(1.0, 2.0, 1e-12), (-1e308, 1e308, 1.0)], ids=["tiny-step", "inf-quotient"]
+)
+def test_an_oversized_omega_grid_is_refused_before_it_is_made(
+    tmp_path, capsys, monkeypatch, start, stop, step
+):
+    # 1e12 omegas used to end in an uncaught numpy allocation error
+    # (7.28 TiB); a span whose quotient overflows would not round at all
+    def refuse(*args, **kwargs):
+        raise AssertionError("the omega grid was allocated")
+
+    monkeypatch.setattr(cli.np, "arange", refuse)
+    out = tmp_path / "out.csv"
+    # joined with "=": argparse reads a bare -1e+308 as an option
+    argv = ["scan", f"--omega-start={start}", f"--omega-stop={stop}", f"--omega-step={step}", "--out", out]
+    assert run_cli(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"more than {cli.MAX_OMEGAS} values" in err
+    assert not out.exists()
+
+
 def test_attract_exact_source(tmp_path):
     out = tmp_path / "att.csv"
     code = run_cli(

@@ -148,8 +148,15 @@ def test_scaled_rhs_structure():
 
 
 def _bits_of(values) -> list:
-    """Each value's bytes: a jet's coefficients, a float's float64."""
-    return [v.coeffs.tobytes() if isinstance(v, Jet) else struct.pack("=d", v) for v in values]
+    """Each component's bytes: an array's rows, a jet's coefficients, and a
+    float's float64, or, beside jets, its constant row, as the integrator
+    stores it."""
+    if isinstance(values, np.ndarray):
+        return [row.tobytes() for row in values]
+    table = next((v.table for v in values if isinstance(v, Jet)), None)
+    if table is None:
+        return [struct.pack("=d", v) for v in values]
+    return [(v if isinstance(v, Jet) else jt.constant(table, v)).coeffs.tobytes() for v in values]
 
 
 def _map_bits(tmap) -> tuple:
@@ -159,12 +166,16 @@ def _map_bits(tmap) -> tuple:
 @pytest.mark.parametrize(
     "method, p, cfg",
     [("forward", 3, ode.adaptive(1e-10)), ("backward", 2, ode.adaptive(1e-10)),
-     ("forward", 3, ode.fixed_step(40))],
-    ids=["forward-p3", "backward-p2", "rk4-p3"],
+     ("forward", 3, ode.fixed_step(40)), ("forward", 8, ode.adaptive(1e-9)),
+     ("backward", 4, ode.adaptive(1e-10))],
+    ids=["forward-p3", "backward-p2", "rk4-p3", "forward-p8", "backward-p4"],
 )
 def test_scaled_rhs_maps_match_the_full_expression(method, p, cfg):
-    # sigma's products kept across stages leave every map, its design orbit
-    # and its step statistics as the full expression gives them
+    # the right side on coefficient arrays, with sigma's products kept
+    # across stages, leaves every map, its design orbit and its step
+    # statistics as the full expression through the jet operators gives
+    # them; forward-p8 is the order and tol of the sweeps' map, with its
+    # long box segments
     expansion = (0.3, 0.4, 0.5)
     tmap = duf.stroboscopic_taylor_map(0.1, 1.5, expansion, p=p, cfg=cfg, method=method)
     solve = vq.forward_solve if method == "forward" else vq.backward_solve
@@ -184,15 +195,16 @@ def test_scaled_rhs_scalar_run_matches_the_full_expression():
 
 def test_scaled_rhs_makes_sigmas_products_once_per_sigma(monkeypatch):
     # 6 truncated products on the first evaluation at a sigma, 4 after it,
-    # for a fresh jet of the same value too; a new sigma pays 6 again
+    # for a fresh jet of the same value too; a new sigma pays 6 again.  Jet
+    # products and the right side's array products all run the one kernel
     calls = []
-    prod = jt.prod
+    prod_coeffs = jt.prod_coeffs
 
-    def counted(u, v):
+    def counted(table, a, b):
         calls.append(1)
-        return prod(u, v)
+        return prod_coeffs(table, a, b)
 
-    monkeypatch.setattr(jt, "prod", counted)
+    monkeypatch.setattr(jt, "prod_coeffs", counted)
     table = mi.build_table(3, 3)
     rhs = duf.duffing_scaled_rhs(0.1, 1.5, 0.5).rhs
     counts = []
@@ -208,18 +220,26 @@ def _sigma_cases():
     z1, z2, s = state_about(table, (0.3, -0.4, 0.5))
     bumped = s.coeffs.copy()
     bumped[-1] = 1e-3
+    # dense jets, unlike a state about a point, make products whose
+    # operands are swapped sum their terms in another order and differ
+    dense = np.random.default_rng(19).normal(size=(4, table.L))
+    d1, d2, ds, ds_bumped = (Jet(table, row) for row in dense)
     # at these z the sign of sigma**3 decides the sign of the zero result,
     # so reusing 0.0's products for -0.0, or -0.0's for 0.0, moves a bit
     return [
         [(0.0, 1.0, 0.0), (0.0, -1.0, -0.0), (0.0, 1.0, 0.0)],
         [(z1, z2, s), (z1, z2, Jet(table, bumped)), (z1, z2, s)],
+        [(d1, d2, ds), (d1, d2, ds_bumped), (d1, d2, ds)],
     ]
 
 
-@pytest.mark.parametrize("states", _sigma_cases(), ids=["float-signed-zero", "jet-one-coefficient"])
+@pytest.mark.parametrize(
+    "states", _sigma_cases(), ids=["float-signed-zero", "jet-one-coefficient", "jet-dense"]
+)
 def test_scaled_rhs_memo_is_keyed_on_sigmas_bits(states):
     # sigma 0.0 then -0.0 differ only in sign, two sigma jets only in one
-    # coefficient: each evaluation gives the full expression's bits
+    # coefficient, or in all: each evaluation gives the full expression's
+    # bits
     rhs = duf.duffing_scaled_rhs(0.1, 1.5, 0.5).rhs
     full = full_scaled_rhs(0.1, 1.5, 0.5).rhs
     assert [_bits_of(rhs(state, 0.7)) for state in states] == [

@@ -81,9 +81,11 @@ def test_prod_matches_brute_force(m, p, seed):
     rng = np.random.default_rng(seed)
     u = rng.normal(size=table.L) * (rng.random(size=table.L) < 0.6)
     v = rng.normal(size=table.L) * (rng.random(size=table.L) < 0.6)
-    w = jt.prod(jt.Jet(table, u), jt.Jet(table, v))
     expected = brute_force_product(table, u, v)
-    assert np.max(np.abs(w.coeffs - expected)) <= 1e-14 * max(1, np.abs(expected).max())
+    # the jet product and the array kernel under it
+    for w in (jt.prod(jt.Jet(table, u), jt.Jet(table, v)).coeffs, jt.prod_coeffs(table, u, v)):
+        assert w.shape == (table.L,)
+        assert np.max(np.abs(w - expected)) <= 1e-14 * max(1, np.abs(expected).max())
 
 
 @pytest.mark.parametrize("m,p,seed", [(2, 3, 10), (3, 3, 11)])

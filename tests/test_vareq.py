@@ -80,6 +80,13 @@ def test_expand_rhs_zero_system(t33):
     assert np.all(g == 0.0)
 
 
+def test_expand_rhs_refuses_a_return_of_the_wrong_count_or_shape(t33):
+    # a short tuple used to leave rows of g unwritten
+    for wrong in (lambda s, t: (s[1], s[0]), lambda s, t: np.zeros((2, t33.L))):
+        with pytest.raises(ValueError):
+            vq.expand_rhs(ode.OdeSystem(dim=3, rhs=wrong), (0.3, 0.4, 0.5), 0.7, t33)
+
+
 def test_expand_rhs_forcing_matches_sympy_oracle(t33):
     # independent derivation: sympy expansion of f(zd + zeta) in the deviations
     sympy = pytest.importorskip("sympy")
@@ -433,10 +440,18 @@ def test_lift_parameters_builds_scaled_duffing(t33):
     assert lifted.initial_state([0.3, 0.4]) == (0.3, 0.4, 0.5)
     reference = duf.duffing_scaled_rhs(0.1, 1.5, sigma=0.5)
     state = jt.state_about(t33, [0.3, 0.4, 0.5])
-    ours = lifted.rhs(state, 0.9)
-    theirs = reference.rhs(state, 0.9)
-    for u, v in zip(ours, theirs):
-        assert np.array_equal(np.atleast_1d(getattr(u, "coeffs", u)), np.atleast_1d(getattr(v, "coeffs", v)))
+    ours = _coefficient_rows(lifted.rhs(state, 0.9), t33)
+    theirs = _coefficient_rows(reference.rhs(state, 0.9), t33)
+    assert ours.shape == theirs.shape == (3, t33.L)
+    assert ours.tobytes() == theirs.tobytes()
+
+
+def _coefficient_rows(values, table) -> np.ndarray:
+    """A jet right side's return as (m, L) rows: an array as it is, a jet's
+    coefficients, a float as its constant row."""
+    if isinstance(values, np.ndarray):
+        return values
+    return np.stack([v.coeffs if isinstance(v, jt.Jet) else jt.constant(table, v).coeffs for v in values])
 
 
 def test_lifted_map_parameter_row_identity(t33):
