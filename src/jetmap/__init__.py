@@ -47,7 +47,6 @@ from .vareq import (
     c_coefficients,
     expand_rhs,
     forward_solve,
-    lift_parameters,
     taylor_map_from_dict,
     taylor_map_to_dict,
 )

@@ -128,22 +128,6 @@ def duffing_rhs(params: DuffingParams) -> OdeSystem:
     )
 
 
-#: a float's bytes, as ``struct.pack`` gives them for one float64
-_DOUBLE = struct.Struct("=d")
-
-
-def _bits(value) -> tuple:
-    """A key equal for two values exactly when they have the same bits.
-
-    A jet is keyed by its table and its coefficients' bytes, a number by its
-    type and its float64 bytes, so 0.0 and -0.0 (or NaNs of two payloads)
-    stay apart where ``==`` would merge or split them.
-    """
-    if isinstance(value, Jet):
-        return value.table, value.coeffs.tobytes()
-    return type(value), _DOUBLE.pack(value)
-
-
 def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
     """Three-variable scaled system with sigma lifted; period 2 pi in t.
 
@@ -151,52 +135,47 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
     table, as the forward march's stage views and the backward route's
     expansions are, the right side works on their coefficient arrays
     through :func:`~jetmap.jet.prod_coeffs` and returns one ``(3, L)``
-    float64 array with sigma's row zero, so an evaluation makes no jet per
-    operation.  On floats, or a tuple that mixes jets and floats, it
-    evaluates the same expression through the jet operators and returns a
-    tuple.
+    float64 array with sigma's row zero; on floats, or a tuple that mixes
+    jets and floats, it evaluates the same expression through the operators
+    and returns a tuple.
 
-    sigma's derivative is zero, so the right side sees the same sigma at
-    every stage of a run.  Its two sigma-only products, ``s**2`` and
-    ``s * s**2``, are kept for the last sigma seen and computed again only
-    when sigma changes: 4 truncated jet products per evaluation instead of
-    6.  The memo is keyed on sigma's bits (:func:`_bits`), not on its
-    identity, since the forward march hands the right side a fresh view of
-    sigma's row at every stage and the backward route a fresh jet in every
-    expansion; and not on ``==``, which would take -0.0 for 0.0 and reuse
-    products of the wrong sign.  Both forms keep the expression's operands
-    and their order, the order of each product's operands included, so
-    every result is the one the full expression gives, bit for bit, on jets
-    and on floats alike.
+    sigma's derivative is zero, so the array form keeps sigma's two
+    products, ``s**2`` and ``s * s**2``, for the last sigma seen: 4
+    truncated products per evaluation instead of 6.  The memo is keyed on
+    sigma's table and coefficient bytes, since every stage view and every
+    expansion is a fresh jet.  Both forms keep the expression's operands in
+    its order, each product's included, so every result is the full
+    expression's, bit for bit.
     """
     m2beta = -2.0 * beta
     sin = math.sin
-    # (key, s**2, s**3) of the last sigma seen
+    # (key, s**2, s**3) of the last sigma jet seen, as coefficient arrays
     memo = (None, None, None)
 
     def rhs(state, t):
         nonlocal memo
         z1, z2, s = state
-        key = _bits(s)
-        # one read of the memo: a call that replaces it leaves ours whole
-        hit = memo
-        if key != hit[0]:
-            s2 = s**2
-            hit = memo = (key, s2, s * s2)
-        _, s2, s3 = hit
         if type(z1) is type(z2) is type(s) is Jet and z1.table is s.table is z2.table:
-            table, a, b = s.table, z1.coeffs, z2.coeffs
+            table, a, b, c = s.table, z1.coeffs, z2.coeffs, s.coeffs
             prod = jet.prod_coeffs
+            key = (table, c.tobytes())
+            # one read of the memo: a call that replaces it leaves ours whole
+            hit = memo
+            if key != hit[0]:
+                s2 = prod(table, c, c)
+                hit = memo = (key, s2, prod(table, c, s2))
+            _, s2, s3 = hit
             rows = np.zeros((3, table.L))
             rows[0] = b
             rows[1] = (
-                m2beta * prod(table, s.coeffs, b)
-                - prod(table, s2.coeffs, a)
+                m2beta * prod(table, c, b)
+                - prod(table, s2, a)
                 - prod(table, a, prod(table, a, a))
-                - (eps * sin(t)) * s3.coeffs
+                - (eps * sin(t)) * s3
             )
             return rows
-        return (z2, m2beta * (s * z2) - s2 * z1 - z1**3 - (eps * sin(t)) * s3, 0.0)
+        s2 = s**2
+        return (z2, m2beta * (s * z2) - s2 * z1 - z1**3 - (eps * sin(t)) * (s * s2), 0.0)
 
     return OdeSystem(dim=3, rhs=rhs, n_params=1, param_values=(float(sigma),))
 

@@ -343,5 +343,10 @@ CHECKS: list[tuple[str, Callable[[float], CheckResult]]] = [
 
 
 def run_checks(tol: float = 1e-12, names: list[str] | None = None) -> list[CheckResult]:
-    selected = CHECKS if names is None else [c for c in CHECKS if c[0] in set(names)]
-    return [fn(tol) for _, fn in selected]
+    """Run every check, or the named ones; an unknown name raises ``ValueError``."""
+    if names is None:
+        return [fn(tol) for _, fn in CHECKS]
+    unknown = sorted(set(names) - {name for name, _ in CHECKS})
+    if unknown:
+        raise ValueError(f"unknown checks: {unknown}")
+    return [fn(tol) for name, fn in CHECKS if name in names]

@@ -41,10 +41,10 @@ every entry for ``tol`` in its own scale.
 
 The right side receives a tuple: Python floats for a scalar state, read-only
 ``Jet`` views of the stage rows for a jet state.  It returns the m
-derivatives as Jets or floats (on a jet state a float is a constant row), or,
-on a jet state, as one ``(m, L)`` array; any other number of components is
-refused with ``ValueError``.  Integrating a state of jets initialized as
-``center + x_a`` yields the Taylor expansion of the flow about ``center``.
+derivatives as floats, or, on a jet state, as what :func:`store_rows`
+takes; any other number of components is refused with ``ValueError``.
+Integrating a state of jets initialized as ``center + x_a`` yields the
+Taylor expansion of the flow about ``center``.
 :func:`expression_system` makes a right side from one expression string
 per component, which runs the same operations on floats and on jets.
 """
@@ -60,7 +60,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jet import Jet, _new as _new_jet
-from .monoidx import TableMismatchError
+from .monoidx import MonomialTable, TableMismatchError
 
 State = tuple  # components are floats or Jets
 
@@ -112,6 +112,34 @@ class OdeSystem:
                 f"expected {self.n_dynamical} dynamical values, got {len(dynamical)}"
             )
         return tuple(float(v) for v in dynamical) + tuple(self.param_values)
+
+
+def store_rows(dst: np.ndarray, values, table: MonomialTable) -> None:
+    """Write a jet state or a right side's return into the ``(m, L)`` rows dst.
+
+    ``values`` is one array of dst's shape, or m jets and numbers, a number
+    being a constant row.  Another shape or count raises ``ValueError``; a
+    jet over a table of another (m, p) than ``table`` raises
+    :class:`~jetmap.monoidx.TableMismatchError`.
+    """
+    if isinstance(values, np.ndarray):
+        if values.shape != dst.shape:
+            raise ValueError(f"expected an array of shape {dst.shape}, got {values.shape}")
+        dst[...] = values
+        return
+    if len(values) != len(dst):
+        raise _wrong_length(values, len(dst))
+    for row, z in zip(dst, values):
+        if isinstance(z, Jet):
+            if z.table is not table and not table.same_shape(z.table):
+                raise TableMismatchError(
+                    f"cannot combine a jet over (m={z.table.m}, p={z.table.p}) "
+                    f"with a state over (m={table.m}, p={table.p})"
+                )
+            row[...] = z.coeffs
+        else:
+            row[...] = 0.0
+            row[0] = z
 
 
 # -- right sides from expressions ---------------------------------------------------
@@ -537,8 +565,9 @@ class _Jets:
     argument and the step are one dot of a coefficient row (1, h a_i) over
     that array, the two error estimates one product over the stage rows, and
     the error norm and the finiteness test single numpy expressions over
-    every coefficient of every component.  Floats among the components
-    become constant rows.
+    every coefficient of every component.  The initial state and each stage
+    are written in by :func:`store_rows`, so a jet over another table fails
+    before the first right side.
     """
 
     def __init__(self, system: OdeSystem, state0: Sequence, tableau: _Tableau):
@@ -550,37 +579,11 @@ class _Jets:
         self.coef = tableau.array.copy()
         # row 0 the state, rows 1.. the stages
         self.yk = np.empty((len(tableau.c) + 1, self.m * self.table.L))
-        self.store(self.yk[0].reshape(self.shape), state0)
+        store_rows(self.yk[0].reshape(self.shape), state0, self.table)
 
     def view(self, y: np.ndarray) -> State:
         """The right side's tuple: read-only jet views of y's rows."""
         return tuple(_new_jet(self.table, row) for row in y.reshape(self.shape))
-
-    def store(self, dst: np.ndarray, values) -> None:
-        """Write state or right-side values (jets, floats, or one array) into dst.
-
-        Jets over other tables are refused here, so a mismatched initial
-        state fails before the first right side.
-        """
-        if isinstance(values, np.ndarray):
-            if values.shape != dst.shape:
-                raise ValueError(f"expected an array of shape {dst.shape}, got {values.shape}")
-            dst[...] = values
-            return
-        if len(values) != self.m:
-            raise _wrong_length(values, self.m)
-        table = self.table
-        for row, z in zip(dst, values):
-            if isinstance(z, Jet):
-                if z.table is not table and not table.same_shape(z.table):
-                    raise TableMismatchError(
-                        f"cannot combine a jet over (m={z.table.m}, p={z.table.p}) "
-                        f"with a state over (m={table.m}, p={table.p})"
-                    )
-                row[...] = z.coeffs
-            else:
-                row[...] = 0.0
-                row[0] = z
 
     def attempt(self, t: float, h: float, first: int = 0) -> None:
         """Fill the stage rows ``yk[1:]`` from stage ``first`` on and form the candidate.
@@ -594,7 +597,7 @@ class _Jets:
         stage_rows = yk.reshape(len(yk), *self.shape)
         for i in range(first, len(c)):
             arg = np.dot(coef[i, : i + 1], yk[: i + 1])
-            self.store(stage_rows[i + 1], self.rhs(self.view(arg), t + c[i] * h))
+            store_rows(stage_rows[i + 1], self.rhs(self.view(arg), t + c[i] * h), self.table)
         self.new = coef[len(c)] @ yk
 
     def error(self) -> float:

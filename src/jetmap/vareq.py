@@ -20,7 +20,7 @@ for the other.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .jet import (
     monomial_values,
     state_about,
 )
-from .jetode import IntegratorConfig, OdeSystem, StepStats, integrate
+from .jetode import IntegratorConfig, OdeSystem, StepStats, integrate, store_rows
 from .monoidx import MonomialTable, rank
 
 
@@ -46,31 +46,16 @@ def expand_rhs(
     Returns ``(fvals, g)`` where ``fvals[a] = f_a(zd, t)`` and ``g[a, r-1]``
     is the coefficient of the rank-r monomial in the deviation expansion of
     ``f_a`` (column 0, the constant, is zeroed: forcing terms have degree
-    one or more).  The right side may return its components as jets or
-    numbers (a number is a constant row), or all of them as one ``(m, L)``
-    coefficient array, which is copied into ``g``; any other count or shape
-    raises ``ValueError``.
+    one or more).  The right side's return is read by
+    :func:`~jetmap.jetode.store_rows`, which refuses what it cannot store.
     """
     if len(zd) != system.dim or table.m != system.dim:
         raise ValueError(
             f"system dim {system.dim}, table m {table.m}, design point "
             f"length {len(zd)} must all agree"
         )
-    values = system.rhs(state_about(table, zd), t)
     g = np.empty((system.dim, table.L))
-    if isinstance(values, np.ndarray):
-        if values.shape != g.shape:
-            raise ValueError(f"expected an array of shape {g.shape}, got {values.shape}")
-        g[...] = values
-    else:
-        if len(values) != system.dim:
-            raise ValueError(f"got {len(values)} components, expected {system.dim}")
-        for a, component in enumerate(values):
-            if isinstance(component, Jet):
-                g[a] = component.coeffs
-            else:  # constant right side written as a plain number
-                g[a] = 0.0
-                g[a, 0] = float(component)
+    store_rows(g, system.rhs(state_about(table, zd), t), table)
     fvals = g[:, 0].copy()
     g[:, 0] = 0.0
     return fvals, g
@@ -127,14 +112,11 @@ class TaylorMap:
             raise ValueError(f"expected {self.table.m} deviations, got {dev.shape}")
         return self.coefficient_matrix() @ monomial_values(self.table, dev)
 
-    def linear_matrix(self, dynamical_only: bool = True) -> np.ndarray:
-        """Degree-1 block: d(final)/d(initial deviation)."""
-        n = self.m_dynamical if dynamical_only else self.table.m
-        out = np.empty((n, n))
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = self.rows[a].coeffs[self.table.variable_rank(b + 1) - 1]
-        return out
+    def linear_matrix(self) -> np.ndarray:
+        """Degree-1 block of the dynamical rows: d(final)/d(initial deviation)."""
+        n = self.m_dynamical
+        ranks = [self.table.variable_rank(b + 1) - 1 for b in range(n)]
+        return self.coefficient_matrix()[:n, ranks]
 
 
 def taylor_map_to_dict(tmap: TaylorMap, suppress_zeros: bool = False) -> dict:
@@ -361,29 +343,3 @@ def backward_solve(
         n_params=system.n_params,
         diagnostics=(design_stats, coeff_stats),
     )
-
-
-# -- parameter lifting -----------------------------------------------------------
-
-
-def lift_parameters(
-    rhs: Callable[[tuple, float, tuple], Sequence],
-    m: int,
-    param_values: Sequence[float],
-) -> OdeSystem:
-    """Adjoin parameters as trailing state variables with zero derivatives.
-
-    ``rhs(state, t, params)`` defines the m dynamical derivatives and must be
-    polynomial in both the state and the parameters.  The returned system has
-    dimension ``m + len(param_values)``; maps expanded for it carry parameter
-    deviations as extra initial-condition variables, and the parameter rows
-    of any such map are exact identities.
-    """
-    values = tuple(float(v) for v in param_values)
-    n = len(values)
-
-    def lifted(state: tuple, t: float):
-        dyn = rhs(tuple(state[:m]), t, tuple(state[m:]))
-        return tuple(dyn) + (0.0,) * n
-
-    return OdeSystem(dim=m + n, rhs=lifted, n_params=n, param_values=values)

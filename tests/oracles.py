@@ -2,12 +2,12 @@
 
 The hand-written two-variable coefficient equations, the generic forward
 coefficient derivatives by jet composition, the C-contraction by
-``np.add.at``, a central-difference Jacobian, a parameter-freezing wrapper
-for lifted systems, a frame-tagged phase point, a Runge-Kutta attempt on
-floats by ``sum`` over tableau rows, the folded polynomial map by a
-Horner loop, the (q, p) Duffing right side as a hand-written closure, and
-the scaled Duffing right side with every product made at every call.  None
-of them is used by the package itself.
+``np.add.at``, a central-difference Jacobian, parameter lifting and a
+parameter-freezing wrapper for lifted systems, a frame-tagged phase point,
+a Runge-Kutta attempt on floats by ``sum`` over tableau rows, the folded
+polynomial map by a Horner loop, the (q, p) Duffing right side as a
+hand-written closure, and the scaled Duffing right side with every product
+made at every call.  None of them is used by the package itself.
 """
 
 import math
@@ -21,7 +21,6 @@ from jetmap import duffing as duf
 from jetmap.jet import Jet, constant
 from jetmap.jetode import OdeSystem
 from jetmap.monoidx import MonomialTable
-from jetmap.vareq import lift_parameters
 
 
 # -- coefficient equations ------------------------------------------------------
@@ -150,6 +149,25 @@ def central_difference_jacobian(fn, point) -> np.ndarray:
 
 
 # -- parameter lifting -----------------------------------------------------------
+
+
+def lift_parameters(rhs, m: int, param_values) -> OdeSystem:
+    """Adjoin parameters as trailing state variables with zero derivatives.
+
+    ``rhs(state, t, params)`` defines the m dynamical derivatives and must be
+    polynomial in both the state and the parameters.  The returned system has
+    dimension ``m + len(param_values)``; maps expanded for it carry parameter
+    deviations as extra initial-condition variables, and the parameter rows
+    of any such map are exact identities.
+    """
+    values = tuple(float(v) for v in param_values)
+    n = len(values)
+
+    def lifted(state: tuple, t: float):
+        dyn = rhs(tuple(state[:m]), t, tuple(state[m:]))
+        return tuple(dyn) + (0.0,) * n
+
+    return OdeSystem(dim=m + n, rhs=lifted, n_params=n, param_values=values)
 
 
 def fix_parameters(system: OdeSystem) -> OdeSystem:

@@ -724,6 +724,17 @@ def test_verify_structural_subset_passes(capsys):
     assert out.count("PASS") == 8 and "FAIL" not in out
 
 
+@pytest.mark.parametrize(
+    "only", [["nosuch"], ["rank-formula", "nosuch"]], ids=["alone", "beside-a-known"]
+)
+def test_verify_refuses_an_unknown_check_name(capsys, only):
+    # a typo used to run nothing, or only the names it knew, and exit 0
+    assert run_cli(["verify", "--only", *only]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and "nosuch" in captured.err
+    assert "checks passed" not in captured.out
+
+
 def test_verify_degraded_tolerance_fails_rkf_checks(capsys):
     code = run_cli(
         ["verify", "--tol", 1e-3, "--only",

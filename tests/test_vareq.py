@@ -16,6 +16,7 @@ from oracles import (
     contraction_matrix_add_at,
     fix_parameters,
     forward_variational_rhs,
+    lift_parameters,
     two_var_oracle_rhs,
 )
 
@@ -81,9 +82,17 @@ def test_expand_rhs_zero_system(t33):
 
 
 def test_expand_rhs_refuses_a_return_of_the_wrong_count_or_shape(t33):
-    # a short tuple used to leave rows of g unwritten
-    for wrong in (lambda s, t: (s[1], s[0]), lambda s, t: np.zeros((2, t33.L))):
-        with pytest.raises(ValueError):
+    # a short tuple used to leave rows of g unwritten, and jets over another
+    # table of the same length L were copied as they were
+    t119 = mi.build_table(1, 19)
+    assert t119.L == t33.L
+    other = jt.state_about(t119, (1.0,)) * 3
+    for wrong, error in (
+        (lambda s, t: (s[1], s[0]), ValueError),
+        (lambda s, t: np.zeros((2, t33.L)), ValueError),
+        (lambda s, t: other, mi.TableMismatchError),
+    ):
+        with pytest.raises(error):
             vq.expand_rhs(ode.OdeSystem(dim=3, rhs=wrong), (0.3, 0.4, 0.5), 0.7, t33)
 
 
@@ -435,7 +444,7 @@ def duffing_core_rhs(state, t, params):
 
 
 def test_lift_parameters_builds_scaled_duffing(t33):
-    lifted = vq.lift_parameters(duffing_core_rhs, 2, (0.5,))
+    lifted = lift_parameters(duffing_core_rhs, 2, (0.5,))
     assert lifted.dim == 3 and lifted.n_params == 1
     assert lifted.initial_state([0.3, 0.4]) == (0.3, 0.4, 0.5)
     reference = duf.duffing_scaled_rhs(0.1, 1.5, sigma=0.5)
@@ -455,7 +464,7 @@ def _coefficient_rows(values, table) -> np.ndarray:
 
 
 def test_lifted_map_parameter_row_identity(t33):
-    lifted = vq.lift_parameters(duffing_core_rhs, 2, (0.5,))
+    lifted = lift_parameters(duffing_core_rhs, 2, (0.5,))
     tmap = vq.forward_solve(lifted, [0.3, 0.4, 0.5], 0.0, duf.TWO_PI, t33, ode.adaptive(1e-10))
     expected = np.zeros(t33.L)
     expected[0] = 0.5
@@ -464,7 +473,7 @@ def test_lifted_map_parameter_row_identity(t33):
 
 
 def test_lifted_map_restricts_to_unlifted_map():
-    lifted = vq.lift_parameters(duffing_core_rhs, 2, (0.5,))
+    lifted = lift_parameters(duffing_core_rhs, 2, (0.5,))
     table3 = mi.build_table(3, 3)
     table2 = mi.build_table(2, 3)
     cfg = ode.adaptive(1e-12)
