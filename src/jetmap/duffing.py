@@ -20,9 +20,12 @@ refinement of periodic points runs on ``linearize``, on either map.
 Both maps return a pair of Python floats: the exact map the integrator's
 scalar state, the polynomial map its nested Horner evaluation, compiled once
 per map order into one straight-line expression per row whose coefficients
-each omega's fold binds as closure cells.  The orbit kernel keeps iterates
-as float pairs and builds one array of samples at the end, so iterating
-either map makes no numpy call per step.
+each omega's fold binds as closure cells.  Orbits run in one compiled
+kernel: each map order writes its Horner step into its own copy, so an
+orbit of the polynomial map makes no Python call per iterate, and one more
+copy calls any other step, the exact map among them.  The kernel keeps
+iterates as float pairs and builds one array of samples at the end, so
+iterating either map makes no numpy call per step.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -261,22 +264,64 @@ def stroboscopic_taylor_map(
 # -- fast iteration of a polynomial map ---------------------------------------------
 
 
+#: an iterate's bytes, as ``ndarray.tobytes()`` gives them for a float64 pair
+_PAIR = struct.Struct("=2d")
+
+
+def _compile(source: str, name: str) -> Callable:
+    """The function ``make`` that ``source`` defines, compiled under ``name``."""
+    namespace = {"EscapeError": EscapeError, "math": math, "_PAIR": _PAIR}
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["make"]
+
+
+def _orbit_source(start: str, step: str, iterate: str) -> str:
+    """The orbit kernel ``orbit(state, n, radius)``, as lines of a ``make``.
+
+    ``start`` runs once; ``step`` takes ``state`` to the next iterate and
+    leaves its two components in ``z1, z2``; the trajectory keeps
+    ``iterate``.  Each iterate then takes :func:`_orbit`'s escape test and
+    cycle key.  Returns ``(traj, state, cut)``: the iterates kept, the last
+    state, and ``(i, j)`` once iterate i repeats iterate j (stepping stops
+    there), else None.
+    """
+    return (
+        "    def orbit(state, n, radius):\n"
+        "        traj, seen = [], {}\n"
+        "        append, setdefault, pack, hypot = traj.append, seen.setdefault, _PAIR.pack, math.hypot\n"
+        f"        {start}\n"
+        "        for i in range(n):\n"
+        f"            {step}\n"
+        "            if not hypot(z1, z2) <= radius:\n"
+        '                raise EscapeError(f"orbit escaped at iterate {i + 1}", i + 1)\n'
+        "            j = setdefault(pack(z1, z2), i)\n"
+        f"            append({iterate})\n"
+        "            if j < i:\n"
+        "                return traj, state, (i, j)\n"
+        "        return traj, state, None\n"
+    )
+
+
+@cache
 def _horner_factory(p: int) -> tuple[Callable, tuple]:
-    """The compiled Horner step of maps of order ``p``, and its arguments' places.
+    """The compiled Horner step and orbit kernel of maps of order ``p``.
 
     Returns ``(make, index)``.  ``make(c0_p_0, ..., c1_0_p)`` takes the
     folded block's triangle as ``block[index].tolist()``: row 0, then row 1,
-    j1 from p down and j2 up.  It returns ``apply(zeta)`` with those
-    coefficients bound as closure cells, so one source compiles per order
-    and each omega's fold is one call.  ``apply`` writes each row's nested
-    Horner out as one expression, zeta2 on the inside and zeta1 on the
-    outside::
+    j1 from p down and j2 up.  It returns ``(apply, orbit)`` with those
+    coefficients bound as closure cells, so one source compiles per order,
+    on the first fold of that order, and each omega's fold is one call.  ``apply(zeta)`` writes each row's
+    nested Horner out as one expression, zeta2 on the inside and zeta1 on
+    the outside::
 
         ((0.0 * z1 + c_p_0) * z1 + (c_{p-1}_1 * z2 + c_{p-1}_0)) * z1 + ...
 
     These are the operations, in their order, of the loop in
     :meth:`_Poly2Map.linearize`, the leading ``0.0 * z1`` included, so
-    -0.0, inf and NaN pass through the sums as they do there.
+    -0.0, inf and NaN pass through the sums as they do there.  ``orbit`` is
+    :func:`_orbit_source`'s kernel with the same two expressions as its
+    step, so an orbit makes no Python call per iterate and each iterate has
+    the bits ``apply`` gives it.
     """
     rows = (0, 1)
     triangle = [(j1, j2) for j1 in range(p, -1, -1) for j2 in range(p - j1 + 1)]
@@ -291,21 +336,35 @@ def _horner_factory(p: int) -> tuple[Callable, tuple]:
             outer = f"({outer} * z1 + {inner})"
         return outer
 
+    image = f"{horner(0)}, {horner(1)}"
     source = (
         f"def make({params}):\n"
         "    def apply(zeta):\n"
         "        z1, z2 = float(zeta[0]), float(zeta[1])\n"
-        f"        return {horner(0)}, {horner(1)}\n"
-        "    return apply\n"
+        f"        return {image}\n"
+        + _orbit_source(
+            "z1, z2 = float(state[0]), float(state[1])", f"z1, z2 = {image}; state = z1, z2", "state"
+        )
+        + "    return apply, orbit\n"
     )
-    namespace: dict = {}
-    exec(compile(source, f"<duffing Horner step, p={p}>", "exec"), namespace)
     index = tuple(np.array([(a, *t) for a in rows for t in triangle]).T)
-    return namespace["make"], index
+    return _compile(source, f"<duffing Horner step, p={p}>"), index
 
 
-#: :func:`_horner_factory` by map order, compiled on first use
-_HORNER_FACTORIES: dict = {}
+@cache
+def _call_orbit_factory() -> Callable:
+    """``make(step)``: the orbit kernel of any other step, compiled on first use.
+
+    Each iterate is ``state = step(state)``, so the step gets back its own
+    last return (an array stays an array), and the trajectory keeps the
+    pair of its components.
+    """
+    source = (
+        "def make(step):\n"
+        + _orbit_source("pass", "state = step(state); z1, z2 = state", "(z1, z2)")
+        + "    return orbit\n"
+    )
+    return _compile(source, "<duffing orbit kernel, called step>")
 
 
 class _Poly2Map:
@@ -324,10 +383,12 @@ class _Poly2Map:
     on the first fold of that order (:func:`_horner_factory`); each fold
     binds its block's triangle to that function's closure, so no omega
     compiles anything.  It makes no numpy call and no loop, and returns a
-    pair of Python floats, so the orbit's next step starts from floats too.
-    On the order-8 map a step takes about 0.7 of the loop's time (3.1
-    against 4.1 us on a 2-core VM) and a fold 33-40 us, the factory call
-    included; the order's first fold compiles for 1.3 ms.
+    pair of Python floats.  An orbit does not call it: it runs in the
+    fold's orbit kernel ``_kernel``, bound to the same coefficients with the
+    same expressions written in.  On the order-8 map an orbit takes 3.2 us
+    per iterate (4.0 us when the kernel called the step), a step 3.4 us and
+    a fold about 50 us, the factory call included, on a 2-core VM; the
+    order's first fold compiles the step and the kernel for 2 ms.
     :meth:`linearize` makes the same pass as a loop over the triangle kept
     as Python floats in Horner order, so Newton's fixed points are fixed
     points of the map that scans apply.  That triangle is built on the
@@ -348,10 +409,8 @@ class _Poly2Map:
         for a in range(2):
             np.add.at(block[a], (exps[:, 0], exps[:, 1]), tmap.rows[a].coeffs * sig_pow)
             block[a, 0, 0] -= self.offset[a]
-        if p not in _HORNER_FACTORIES:
-            _HORNER_FACTORIES[p] = _horner_factory(p)
-        make, index = _HORNER_FACTORIES[p]
-        self._apply = make(*block[index].tolist())
+        make, index = _horner_factory(p)
+        self._apply, self._kernel = make(*block[index].tolist())
         self._block = block
 
     @cached_property
@@ -407,8 +466,15 @@ class _Poly2Map:
         return np.column_stack([q, p])
 
 
-#: an iterate's bytes, as ``ndarray.tobytes()`` gives them for a float64 pair
-_PAIR = struct.Struct("=2d")
+def _trust_radius(escape_radius: float) -> float:
+    """``escape_radius`` capped at the largest float; ``ValueError`` unless > 0.
+
+    ``hypot`` is inf when either component is inf, so the cap keeps an
+    infinite radius from passing inf.
+    """
+    if not escape_radius > 0.0:
+        raise ValueError(f"escape_radius must be > 0, got {escape_radius!r}")
+    return min(escape_radius, sys.float_info.max)
 
 
 def _orbit(step, state, transient: int, record: int, escape_radius: float):
@@ -417,10 +483,12 @@ def _orbit(step, state, transient: int, record: int, escape_radius: float):
     Returns the (record, 2) post-transient iterates, the final state, the
     number of times ``step`` ran, and whether the orbit closed on a cycle.
     Raises :class:`EscapeError` at the first iterate that is not finite or
-    lies outside the ball of the given radius: the comparison is false for
-    NaN, and ``hypot`` is inf when either component is inf.  Capping the
-    radius at the largest float keeps an infinite radius from passing inf.
+    lies outside the ball of the given radius (:func:`_trust_radius`): the
+    comparison is false for NaN.
 
+    The iterates run in one compiled kernel (:func:`_orbit_source`): a
+    :class:`_Poly2Map`'s own, with its Horner step written in, so the orbit
+    makes no Python call per iterate; for any other step, one that calls it.
     ``step`` returns a pair of floats, as both stroboscopic maps do; each
     iterate is kept as the pair of its components and the samples become
     one array at the end.  ``step`` must be a pure function of the state's
@@ -428,26 +496,20 @@ def _orbit(step, state, transient: int, record: int, escape_radius: float):
     Each iterate is keyed by the bytes of its two float64 components (so 0.0
     and -0.0 stay apart), and once iterate i repeats iterate j the orbit has
     period i - j from j on: stepping stops and the remaining iterates are
-    copied off that cycle, bit for bit what further steps would give.
+    the cycle ``j + 1 .. i`` repeated, bit for bit what further steps would
+    give.
     """
-    radius = min(escape_radius, sys.float_info.max)
+    radius = _trust_radius(escape_radius)
     n = transient + record
-    traj: list = []
-    seen: dict = {}
+    kernel = step._kernel if isinstance(step, _Poly2Map) else _call_orbit_factory()(step)
+    traj, state, cut = kernel(state, n, radius)
     applied, closed = n, False
-    for i in range(n):
-        state = step(state)
-        a, b = state
-        if not math.hypot(a, b) <= radius:
-            raise EscapeError(f"orbit escaped at iterate {i + 1}", i + 1)
-        j = seen.setdefault(_PAIR.pack(a, b), i)
-        traj.append((a, b))
-        if j < i:
-            cycle = traj[j:i]
-            traj.extend(cycle[(k - j) % (i - j)] for k in range(i + 1, n))
-            state = traj[-1]
-            applied, closed = i + 1, True
-            break
+    if cut is not None:
+        i, j = cut
+        rest = n - i - 1
+        traj += (traj[j + 1 : i + 1] * (rest // (i - j) + 1))[:rest]
+        state = traj[-1]
+        applied, closed = i + 1, True
     return np.array(traj[transient:], dtype=np.float64).reshape(record, 2), state, applied, closed
 
 
@@ -464,16 +526,18 @@ def iterate_map(
     deviation ``dsigma`` is held fixed.  Raises :class:`EscapeError` when an
     iterate leaves the ball of the given radius (the polynomial is no longer
     trustworthy outside its convergence region); a start outside the ball,
-    or not finite, raises at step 0.  Once an iterate repeats an earlier one bit for bit, the rest of
-    the trajectory is copied off that cycle instead of stepped.  Raises
-    ``ValueError`` for ``n < 0``.
+    or not finite, raises at step 0.  Once an iterate repeats an earlier one
+    bit for bit, the rest of the trajectory is copied off that cycle instead
+    of stepped.  Raises ``ValueError`` for ``n < 0`` and for an escape radius
+    that is not > 0, as scans do.
     """
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
+    radius = _trust_radius(escape_radius)
     zeta = np.asarray(zeta0, dtype=np.float64)
     if zeta.shape != (2,):
         raise ValueError(f"expected a 2-component deviation, got shape {zeta.shape}")
-    if not math.hypot(zeta[0], zeta[1]) <= min(escape_radius, sys.float_info.max):
+    if not math.hypot(zeta[0], zeta[1]) <= radius:
         raise EscapeError("starting deviation is outside the trust region", 0)
     iterates = _orbit(_Poly2Map(tmap, dsigma), zeta, 0, n, escape_radius)[0]
     return np.vstack([zeta, iterates])
@@ -613,15 +677,14 @@ def _orbit_inputs(
     for omega in omegas:
         if not 0.0 < omega < math.inf:
             raise ValueError(f"driving frequency must be finite and > 0, got {omega!r}")
-    if not escape_radius > 0.0:
-        raise ValueError(f"escape_radius must be > 0, got {escape_radius!r}")
+    radius = _trust_radius(escape_radius)
     if seed is None:
         return 0.0, 0.0
     pair = tuple(float(v) for v in seed)
     if len(pair) != 2 or not all(map(math.isfinite, pair)):
         raise ValueError(f"seed must be two finite numbers, got {list(pair)}")
     # the test iterate_map applies to its start, and _orbit to every iterate
-    if not math.hypot(*pair) <= min(escape_radius, sys.float_info.max):
+    if not math.hypot(*pair) <= radius:
         raise ValueError(f"seed {list(pair)} lies outside escape_radius {escape_radius!r}")
     return pair
 

@@ -50,3 +50,18 @@ def test_scan_runs_each_omega_through_the_marked_name(monkeypatch):
     monkeypatch.setattr(duf, "_run_poly", counted)
     duf.feigenbaum_scan("exact", 0.1, 0.0, [1.0, 2.0], transient=1, record=1, tol=1e-6)
     assert omegas == [1.0, 2.0]
+
+
+def test_exact_scan_calls_the_class_patched_map_once_per_application(monkeypatch):
+    # scan_exact's clock marks each call of the class attribute: the orbit
+    # kernel must reach it once per map application, not bind it elsewhere
+    calls = []
+    call = duf.ExactStroboscopicMap.__call__
+
+    def counted(self, point):
+        calls.append(point)
+        return call(self, point)
+
+    monkeypatch.setattr(duf.ExactStroboscopicMap, "__call__", counted)
+    result = duf.feigenbaum_scan("exact", 0.1, 1.5, [1.0, 1.5, 2.0], transient=3, record=2, tol=1e-6)
+    assert len(calls) == sum(result.applications) == 15

@@ -325,6 +325,9 @@ def test_iterate_map_zero_steps_and_identity():
     assert np.array_equal(traj[0], [0.2, -0.1])
     traj = duf.iterate_map(tmap, (0.2, -0.1), 0.3, 8)
     assert np.allclose(traj, traj[0], atol=0)
+    # a zero-iterate orbit returns its start as the final state
+    _, applied, closed = _assert_cut_is_exact(duf._Poly2Map(tmap, 0.0), np.array([0.2, -0.1]), 0, 0)
+    assert (applied, closed) == (0, False)
 
 
 def test_iterate_map_matches_direct_row_evaluation(m8_map):
@@ -397,6 +400,16 @@ def test_non_finite_iterate_escapes(nan, radius):
     assert result.failures == [(1.0, "orbit escaped at iterate 1")]
     assert result.samples[0].shape == (0, 2)
     assert np.array_equal(result.samples[1], np.zeros((4, 2)))
+    # the polynomial map's own orbit kernel escapes where its calls do
+    assert _assert_cut_is_exact(duf._Poly2Map(tmap, 0.5), (4.0, 2.0), 3, 4, radius) is None
+
+
+@pytest.mark.parametrize("radius", [math.nan, -1.0, 0.0])
+def test_iterate_map_refuses_an_escape_radius_that_is_not_positive(radius):
+    # as scans and attractor samples do, before any step and before the
+    # start is tested against the radius
+    with pytest.raises(ValueError, match="escape_radius must be > 0"):
+        duf.iterate_map(_toy_identity_map(), (0.2, -0.1), 0.0, 5, escape_radius=radius)
 
 
 def test_iterate_map_refuses_a_negative_count():
@@ -547,6 +560,11 @@ def test_cycle_cut_polynomial_map_with_continuation(m8_map):
             closed_at.append(omega)
     assert closed_at[0] == 1.27 and closed_at[-1] == 1.285
     assert len(closed_at) >= 12
+    # chaotic frequencies, where the kernel runs every iterate
+    for omega in (1.2902, 1.2964, 1.30):
+        step = duf._Poly2Map(tmap, 1.0 / omega - tmap.expansion_point[2])
+        _, applied, closed = _assert_cut_is_exact(step, np.array([0.05, -0.04]), 2000, 128)
+        assert (applied, closed) == (2128, False)
 
 
 def test_cycle_cut_exact_map_closes():
@@ -619,21 +637,29 @@ def test_compiled_step_compiles_once_per_map_order(monkeypatch, m8_map):
     # each order compiles on its first fold; later folds, at any dsigma, bind
     # their coefficients to the same code
     compiled = []
-    factory = duf._horner_factory
+    compile_ = duf._compile
 
-    def counted(p):
-        compiled.append(p)
-        return factory(p)
+    def counted(source, name):
+        compiled.append(name)
+        return compile_(source, name)
 
-    monkeypatch.setattr(duf, "_HORNER_FACTORIES", {})
-    monkeypatch.setattr(duf, "_horner_factory", counted)
+    duf._horner_factory.cache_clear()
+    duf._call_orbit_factory.cache_clear()
+    monkeypatch.setattr(duf, "_compile", counted)
     tmap = m8_map[0]
     first, second = duf._Poly2Map(tmap, 0.01), duf._Poly2Map(tmap, -0.02)
     duf._Poly2Map(_toy_overflow_map(False), 0.5)
     duf._Poly2Map(_toy_overflow_map(True), 0.25)
-    assert compiled == [8, 4]
+    assert compiled == ["<duffing Horner step, p=8>", "<duffing Horner step, p=4>"]
     assert first._apply.__code__ is second._apply.__code__
+    assert first._kernel.__code__ is second._kernel.__code__
     assert first((0.1, 0.2)) != second((0.1, 0.2))
+    # every other step, here the exact map of each omega of a scan, runs in
+    # one kernel that calls it, compiled on its first orbit
+    compiled.clear()
+    result = duf.feigenbaum_scan("exact", 0.1, 1.5, [1.0, 1.5, 2.0], transient=2, record=2, tol=1e-6)
+    assert result.applications == [4, 4, 4] and not result.failures
+    assert compiled == ["<duffing orbit kernel, called step>"]
 
 
 def test_poly_map_builds_the_linearize_triangle_on_first_use(m8_map):
