@@ -93,22 +93,23 @@ def _is_number(value) -> bool:
 
 
 # keys whose null default stands for a file path; every other null default
-# stands for a number the command requires
+# stands for an integer the command requires (table's m and p)
 _PATH_KEYS = ("out", "map_file")
 
 
 def _same_kind(value, default, key: str) -> bool:
-    """A number where the default is one, a list of numbers where it is a list,
-    and null or, where the default is null, a path string for the path keys
-    and a number for the rest."""
-    if _is_number(default):
+    """A bool or an integer where the default is one, a number where it is a
+    float, a list of numbers where it is a list, and null or, where the
+    default is null, a path string for the path keys and an integer for the
+    rest.  A JSON integer reads as an int, and no other value does."""
+    if type(default) in (bool, int):
+        return type(value) is type(default)
+    if isinstance(default, float):
         return _is_number(value)
     if isinstance(default, list):
         return isinstance(value, list) and all(_is_number(v) for v in value)
     if default is None:
-        return value is None or (
-            isinstance(value, str) if key in _PATH_KEYS else _is_number(value)
-        )
+        return value is None or (isinstance(value, str) if key in _PATH_KEYS else type(value) is int)
     return True
 
 

@@ -113,21 +113,28 @@ def to_qp(z1: float, z2: float, omega: float) -> tuple[float, float]:
 # -- right sides ----------------------------------------------------------------
 
 
+# the (q, p) pair's two expressions, and the variational equation of its
+# Jacobian J = (a, b; c, d), J' = [[0, 1], [-1 - 3 q^2, -2 beta]] J (Hairer,
+# Norsett & Wanner, *Solving ODEs I*, I.14); -2.0 * beta * p already
+# evaluates as (-2.0 * beta) * p
+_QP = ("p", "m2beta * p - q - q**3 - eps * sin(omega * tau)")
+_JACOBIAN = ("c", "d", "m2beta * c - a - 3.0 * q**2 * a", "m2beta * d - b - 3.0 * q**2 * b")
+
+
 def duffing_rhs(params: DuffingParams) -> OdeSystem:
     """First-order pair in the (q, p) frame; period 2 pi / omega in tau.
 
     An :func:`~jetmap.jetode.expression_system`, so an exact period on
     floats runs with the expression written into the integrator's compiled
-    attempt; jets, as in :meth:`ExactStroboscopicMap.linearize`, call it.
+    attempt.
     """
-    # -2.0 * beta * p already evaluates as (-2.0 * beta) * p
+    return _qp_system(params, ("q", "p"), _QP)
+
+
+def _qp_system(params: DuffingParams, states: tuple, expressions: tuple) -> OdeSystem:
+    """The expression system in ``states`` and tau with the constants of ``params``."""
     return expression_system(
-        ("q", "p"),
-        "tau",
-        ("p", "m2beta * p - q - q**3 - eps * sin(omega * tau)"),
-        m2beta=-2.0 * params.beta,
-        eps=params.eps,
-        omega=params.omega,
+        states, "tau", expressions, m2beta=-2.0 * params.beta, eps=params.eps, omega=params.omega
     )
 
 
@@ -192,7 +199,7 @@ class ExactStroboscopicMap:
 
     Calling the map integrates one scalar orbit, the path scans take, and
     returns the integrator's pair of Python floats.
-    :meth:`linearize` integrates the order-1 variational equations instead
+    :meth:`linearize` integrates the variational equation beside the orbit
     and also returns the map's exact Jacobian, the path Newton takes.
     """
 
@@ -206,19 +213,18 @@ class ExactStroboscopicMap:
     def linearize(self, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """The image of ``point`` and the 2 x 2 Jacobian of the map there.
 
-        One jet integration of ``point + (x1, x2)`` over a period, at order
-        1: the degree-1 coefficients solve the variational equations, so the
-        Jacobian carries the integrator's error and no differencing step.
+        One float integration over a period of (q, p) and its Jacobian J
+        from ``(point, I)``, six states in the integrator's compiled attempt:
+        J at the end is the map's Jacobian, with the integrator's error and
+        no differencing step.  Step control weighs J's entries as it weighs
+        (q, p)'s.
         """
-        tmap = forward_solve(
-            duffing_rhs(self.params),
-            point,
-            0.0,
-            self.params.period,
-            build_table(2, 1),
-            adaptive(self.tol),
-        )
-        return np.array(tmap.design_endpoint), tmap.linear_matrix()
+        if len(point) != 2:
+            raise ValueError(f"got {len(point)} components, expected 2")
+        system = _qp_system(self.params, ("q", "p", "a", "b", "c", "d"), _QP + _JACOBIAN)
+        cfg = adaptive(self.tol)
+        state = integrate(system, (*point, 1.0, 0.0, 0.0, 1.0), 0.0, self.params.period, cfg)[0]
+        return np.array(state[:2]), np.array(state[2:]).reshape(2, 2)
 
     def to_qp(self, iterates: np.ndarray, omega: float) -> np.ndarray:
         """The iterates unchanged: this map already works in (q, p)."""
@@ -316,12 +322,13 @@ def _horner_factory(p: int) -> tuple[Callable, tuple]:
 
         ((0.0 * z1 + c_p_0) * z1 + (c_{p-1}_1 * z2 + c_{p-1}_0)) * z1 + ...
 
-    These are the operations, in their order, of the loop in
-    :meth:`_Poly2Map.linearize`, the leading ``0.0 * z1`` included, so
-    -0.0, inf and NaN pass through the sums as they do there.  ``orbit`` is
-    :func:`_orbit_source`'s kernel with the same two expressions as its
-    step, so an orbit makes no Python call per iterate and each iterate has
-    the bits ``apply`` gives it.
+    These are the operations, in their order, of a nested Horner loop whose
+    sums start from 0.0, the leading ``0.0 * z1`` included, so -0.0, inf
+    and NaN pass through the sums as they do there.  At p = -1, the order of
+    an order-0 map's partials, the triangle is empty and both rows are 0.0.
+    ``orbit`` is :func:`_orbit_source`'s kernel with the same two
+    expressions as its step, so an orbit makes no Python call per iterate
+    and each iterate has the bits ``apply`` gives it.
     """
     rows = (0, 1)
     triangle = [(j1, j2) for j1 in range(p, -1, -1) for j2 in range(p - j1 + 1)]
@@ -347,7 +354,7 @@ def _horner_factory(p: int) -> tuple[Callable, tuple]:
         )
         + "    return apply, orbit\n"
     )
-    index = tuple(np.array([(a, *t) for a in rows for t in triangle]).T)
+    index = tuple(np.array([(a, *t) for a in rows for t in triangle], dtype=np.intp).reshape(-1, 3).T)
     return _compile(source, f"<duffing Horner step, p={p}>"), index
 
 
@@ -389,11 +396,11 @@ class _Poly2Map:
     per iterate (4.0 us when the kernel called the step), a step 3.4 us and
     a fold about 50 us, the factory call included, on a 2-core VM; the
     order's first fold compiles the step and the kernel for 2 ms.
-    :meth:`linearize` makes the same pass as a loop over the triangle kept
-    as Python floats in Horner order, so Newton's fixed points are fixed
-    points of the map that scans apply.  That triangle is built on the
-    first :meth:`linearize` call, so a fold that is only called costs 8-14
-    us less (43-48 us when every fold built it).
+    :meth:`linearize` takes its image from the same step, so Newton's fixed
+    points are fixed points of the map that scans apply, and its Jacobian
+    from the two partial derivatives, order p - 1 blocks bound to that
+    order's step (:attr:`_partials`), which the first :meth:`linearize` call
+    folds: scans and attractor samples only call the map.
     """
 
     def __init__(self, tmap: TaylorMap, dsigma: float):
@@ -414,51 +421,31 @@ class _Poly2Map:
         self._block = block
 
     @cached_property
-    def _horner(self) -> list:
-        """The triangle as Python floats in Horner order, for :meth:`linearize`.
+    def _partials(self) -> tuple[Callable, Callable]:
+        """The compiled steps of the rows' partials in zeta1 and zeta2.
 
-        j1 from p down, and within it j2 from p - j1 down; each entry is the
-        two rows' leading coefficients and the pairs after.  Built on the
-        first :meth:`linearize` call: scans and attractor samples only call
-        the map, and their folds skip it.
+        Each is the block of one partial, ``j1 c[a, j1, j2]`` or
+        ``j2 c[a, j1, j2]`` shifted one place, folded into
+        :func:`_horner_factory`'s step of order p - 1.
         """
         block = self._block
         p = block.shape[1] - 1
-        horner = []
-        for j1 in range(p, -1, -1):
-            pairs = list(zip(block[0, j1, p - j1 :: -1].tolist(), block[1, j1, p - j1 :: -1].tolist()))
-            horner.append((*pairs[0], tuple(pairs[1:])))
-        return horner
+        make, index = _horner_factory(p - 1)
+        j = np.arange(1, p + 1)
+        return tuple(
+            make(*partial[index].tolist())[0]
+            for partial in (block[:, 1:, :-1] * j[:, None], block[:, :-1, 1:] * j)
+        )
 
     def __call__(self, zeta: Sequence[float]) -> tuple[float, float]:
         """One application of the deviation map, as a pair of floats."""
         return self._apply(zeta)
 
     def linearize(self, zeta: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """The image of ``zeta`` and the 2 x 2 Jacobian of the folded rows there.
-
-        The Horner pass of :meth:`__call__` carries the derivatives along
-        (each inner sum's in zeta2, each outer sum's in zeta1 and zeta2); the
-        image takes the same operations in the same order, so it is the
-        image that :meth:`__call__` returns, bit for bit.
-        """
-        z1, z2 = float(zeta[0]), float(zeta[1])
-        a0 = a1 = 0.0
-        a0_1 = a0_2 = a1_1 = a1_2 = 0.0
-        for i0, i1, tail in self._horner:
-            d0 = d1 = 0.0
-            for c0, c1 in tail:
-                d0 = d0 * z2 + i0
-                d1 = d1 * z2 + i1
-                i0 = i0 * z2 + c0
-                i1 = i1 * z2 + c1
-            a0_1 = a0_1 * z1 + a0
-            a1_1 = a1_1 * z1 + a1
-            a0_2 = a0_2 * z1 + d0
-            a1_2 = a1_2 * z1 + d1
-            a0 = a0 * z1 + i0
-            a1 = a1 * z1 + i1
-        return np.array([a0, a1]), np.array([[a0_1, a0_2], [a1_1, a1_2]])
+        """The image of ``zeta``, bit for bit :meth:`__call__`'s, and the 2 x 2
+        Jacobian of the folded rows there."""
+        d1, d2 = self._partials
+        return np.array(self._apply(zeta)), np.array([d1(zeta), d2(zeta)]).T
 
     def to_qp(self, iterates: np.ndarray, omega: float) -> np.ndarray:
         """Deviation iterates as (q, p) points in the frame of ``omega``."""
@@ -560,9 +547,9 @@ def fixed_point_newton(
     ``x -> (F(x), DF(x))``.  A :class:`TaylorMap` is folded at ``dsigma``
     into the map that scans iterate, and Newton runs in its deviation
     coordinates on the Jacobian of the folded rows; an
-    :class:`ExactStroboscopicMap` runs in (q, p), one order-1 jet
-    integration per application.  Returns the refined point and the
-    eigenvalues of the k-fold Jacobian (the stability multipliers).
+    :class:`ExactStroboscopicMap` runs in (q, p), one float integration of
+    (q, p) and its Jacobian per application.  Returns the refined point and
+    the eigenvalues of the k-fold Jacobian (the stability multipliers).
 
     On a polynomial map, a point outside the scans' escape radius
     (``DEFAULT_ESCAPE_RADIUS``), whether a Newton iterate or one of its

@@ -26,7 +26,8 @@ kinds, picked by the caller's tuple:
   component.
 
 Both kinds read one tableau and combine their error estimates in one
-helper.  The caller's tuple is read once at entry and returned once at
+helper.  The caller's tuple, of the system's ``dim`` components or
+refused with ``ValueError``, is read once at entry and returned once at
 exit, as floats or as jets that each own a frozen copy of their row.
 
 The adaptive method is the Dormand-Prince 8(5,3) pair (Hairer, Norsett &
@@ -517,7 +518,7 @@ class _Floats:
     Stage 0, f at the state, is evaluated here and kept for the attempts
     after a rejection; :func:`_float_kernel` makes every later stage, the
     candidate and the error of one attempt.  A right side made by
-    :func:`expression_system` for m states is written into that function,
+    :func:`expression_system` is written into that function,
     once per source, and its constants are bound to it here; any other
     right side is called at every stage.  No numpy call is made per stage,
     and the right side sees Python floats for as long as it returns them.
@@ -528,8 +529,6 @@ class _Floats:
         self.m = m = len(state0)
         self.y = tuple(float(v) for v in state0)
         source = getattr(rhs, "expressions", None)
-        if source is not None and len(source.states) != m:
-            source = None
         # compiled on first use, once per tableau, m and source
         kernels, key = tableau.kernels, (m, source)
         if key not in kernels:
@@ -617,6 +616,8 @@ class _Jets:
 
 def _marching_state(system: OdeSystem, state0: Sequence, tableau: _Tableau):
     """The state kind of ``state0``: jets if any component is one, else floats."""
+    if len(state0) != system.dim:
+        raise _wrong_length(state0, system.dim)
     kind = _Jets if any(isinstance(z, Jet) for z in state0) else _Floats
     return kind(system, state0, tableau)
 

@@ -179,8 +179,6 @@ def forward_solve(
     """Transfer map by integrating the jet state ``zd0_a + x_a`` forward."""
     if table.m != system.dim:
         raise ValueError(f"table has m={table.m}, system has dim={system.dim}")
-    if len(zd0) != system.dim:
-        raise ValueError(f"expected {system.dim} initial values, got {len(zd0)}")
     state0 = state_about(table, zd0)
     state, _, stats = integrate(system, state0, t_i, t_f, cfg)
     rows = tuple(state)

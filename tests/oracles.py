@@ -5,7 +5,8 @@ coefficient derivatives by jet composition, the C-contraction by
 ``np.add.at``, a central-difference Jacobian, parameter lifting and a
 parameter-freezing wrapper for lifted systems, a frame-tagged phase point,
 a Runge-Kutta attempt on floats by ``sum`` over tableau rows, the folded
-polynomial map by a Horner loop, the (q, p) Duffing right side as a
+polynomial map and its Jacobian by a Horner loop, the exact map's Jacobian
+by an order-1 jet integration, the (q, p) Duffing right side as a
 hand-written closure, and the scaled Duffing right side with every product
 made at every call.  None of them is used by the package itself.
 """
@@ -19,8 +20,9 @@ import numpy as np
 
 from jetmap import duffing as duf
 from jetmap.jet import Jet, constant
-from jetmap.jetode import OdeSystem
-from jetmap.monoidx import MonomialTable
+from jetmap.jetode import OdeSystem, adaptive
+from jetmap.monoidx import MonomialTable, build_table
+from jetmap.vareq import forward_solve
 
 
 # -- coefficient equations ------------------------------------------------------
@@ -276,24 +278,71 @@ def float_attempt(tableau, rhs, y: tuple, t: float, h: float, k0) -> tuple:
 # -- folded polynomial map -----------------------------------------------------------
 
 
-def horner_loop_call(horner: list, zeta) -> tuple:
-    """One application of a folded polynomial map by a nested Horner loop.
+def horner_triangle(block: np.ndarray) -> list:
+    """A folded block's triangle as Python floats in Horner order.
 
-    ``horner`` is ``duffing._Poly2Map._horner``: per j1 from p down, both
+    ``block`` is ``duffing._Poly2Map._block``.  Per j1 from p down, both
     rows' coefficients of ``zeta1^j1 zeta2^(p - j1)`` and then the pairs of
-    both rows for j2 from p - j1 - 1 down to 0.  Both rows run zeta2 on the
-    inside and zeta1 on the outside, each sum from 0.0.  The compiled step
-    must give the same bits.
+    both rows for j2 from p - j1 - 1 down to 0.
+    """
+    p = block.shape[1] - 1
+    horner = []
+    for j1 in range(p, -1, -1):
+        pairs = list(zip(block[0, j1, p - j1 :: -1].tolist(), block[1, j1, p - j1 :: -1].tolist()))
+        horner.append((*pairs[0], tuple(pairs[1:])))
+    return horner
+
+
+def horner_loop_linearize(horner: list, zeta) -> tuple:
+    """A folded polynomial map's image and Jacobian by a nested Horner loop.
+
+    ``horner`` is :func:`horner_triangle`'s.  Both rows run zeta2 on the
+    inside and zeta1 on the outside, each sum from 0.0, and the loop carries
+    each inner sum's derivative in zeta2 and each outer sum's in zeta1 and
+    zeta2 along.  Returns the image as a pair of floats, which the compiled
+    step must give bit for bit, and the 2 x 2 Jacobian.
     """
     z1, z2 = float(zeta[0]), float(zeta[1])
     a0 = a1 = 0.0
+    a0_1 = a0_2 = a1_1 = a1_2 = 0.0
     for i0, i1, tail in horner:
+        d0 = d1 = 0.0
         for c0, c1 in tail:
+            d0 = d0 * z2 + i0
+            d1 = d1 * z2 + i1
             i0 = i0 * z2 + c0
             i1 = i1 * z2 + c1
+        a0_1 = a0_1 * z1 + a0
+        a1_1 = a1_1 * z1 + a1
+        a0_2 = a0_2 * z1 + d0
+        a1_2 = a1_2 * z1 + d1
         a0 = a0 * z1 + i0
         a1 = a1 * z1 + i1
-    return a0, a1
+    return (a0, a1), np.array([[a0_1, a0_2], [a1_1, a1_2]])
+
+
+# -- exact map Jacobian -------------------------------------------------------------
+
+
+def jet_linearize(exact, point) -> tuple:
+    """``ExactStroboscopicMap.linearize`` by one order-1 jet integration.
+
+    The state is the jet ``point + (x1, x2)`` over ``build_table(2, 1)``,
+    integrated over one period at the map's tolerance; its degree-1
+    coefficients are the Jacobian.  An order-1 jet's coefficients are
+    (value, d/dx1, d/dx2), so step control weighs the same entries as on
+    the package's six floats.  Returns the image, the Jacobian and the
+    run's ``StepStats``.
+    """
+    tmap = forward_solve(
+        duf.duffing_rhs(exact.params),
+        point,
+        0.0,
+        exact.params.period,
+        build_table(2, 1),
+        adaptive(exact.tol),
+    )
+    return np.array(tmap.design_endpoint), tmap.linear_matrix(), tmap.diagnostics[0]
 
 
 # -- Duffing right sides -------------------------------------------------------------

@@ -195,11 +195,21 @@ def test_unknown_map_key_is_refused(tmp_path, capsys, command):
         ("table", {"m": [2], "p": 2}, "'m'"),
         ("expand", {"order": 1, "out": 1}, "'out'"),
         ("scan", {"map_file": 3}, "'map_file'"),
+        ("expand", {"order": 2.5}, "'order'"),
+        ("expand", {"suppress_zeros": "no"}, "'suppress_zeros'"),
+        ("expand", {"suppress_zeros": 0}, "'suppress_zeros'"),
+        ("expand", {"integrator": {"mode": "fixed", "ns": 10.5}}, "integrator key 'ns'"),
+        ("scan", {"transient": 10.7}, "'transient'"),
+        ("scan", {"record": 4.2}, "'record'"),
+        ("scan", {"map": {"order": 8.0}}, "map key 'order'"),
+        ("attract", {"count": 1e4}, "'count'"),
+        ("table", {"m": 2, "p": 1.5}, "'p'"),
     ],
 )
 def test_wrong_kind_of_config_value_is_a_config_error(tmp_path, capsys, command, cfg, key):
-    # null, lists and objects where a number belongs are refused where the
-    # settings are resolved, before anything runs
+    # null, lists and objects where a number belongs, a fraction where an
+    # integer belongs and anything but a bool where a bool belongs are
+    # refused where the settings are resolved, before anything runs
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({command: cfg}))
     out = tmp_path / "out"

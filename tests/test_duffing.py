@@ -1,6 +1,7 @@
 """Duffing application tests: frames, maps, fixed points, sweeps, attractors."""
 
 import dataclasses
+import itertools
 import math
 import struct
 import sys
@@ -17,7 +18,8 @@ from jetmap import vareq as vq
 from jetmap.jet import Jet, state_about
 
 from conftest import FP_OMEGA, FP_P, FP_Q
-from oracles import PhasePoint, central_difference_jacobian, horner_loop_call
+from oracles import PhasePoint, central_difference_jacobian, horner_loop_linearize, horner_triangle
+from oracles import jet_linearize
 from oracles import duffing_rhs as closure_rhs
 from oracles import duffing_scaled_rhs as full_scaled_rhs
 
@@ -593,7 +595,9 @@ def _random_map(p: int, rng) -> vq.TaylorMap:
     table = mi.build_table(3, p)
     rows = [Jet(table, rng.standard_normal(table.L)) for _ in range(2)]
     sigma = np.zeros(table.L)
-    sigma[0], sigma[table.variable_rank(3) - 1] = 0.5, 1.0
+    sigma[0] = 0.5
+    if p:
+        sigma[table.variable_rank(3) - 1] = 1.0
     return vq.TaylorMap(
         table=table,
         t_i=0.0,
@@ -608,8 +612,8 @@ def _random_map(p: int, rng) -> vq.TaylorMap:
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_compiled_step_matches_the_horner_loop_bit_for_bit(m8_map):
     # the straight-line step makes the loop's operations in the loop's order,
-    # as linearize does: the same bits at random points, at signed zeros, and
-    # through inf and NaN
+    # and linearize's image is the step's: the same bits at random points,
+    # at signed zeros, and through inf and NaN
     rng = np.random.default_rng(16)
     maps = [_random_map(p, rng) for p in (1, 2, 3)]
     maps += [_toy_overflow_map(False), _toy_overflow_map(True), m8_map[0]]
@@ -622,8 +626,9 @@ def test_compiled_step_matches_the_horner_loop_bit_for_bit(m8_map):
         assert tmap.table.p in (1, 2, 3, 4, 8)
         for dsigma in (0.031, -0.027, 0.5, -0.0):
             poly = duf._Poly2Map(tmap, dsigma)
+            horner = horner_triangle(poly._block)
             for zeta in rng.uniform(-0.6, 0.6, size=(200, 2)).tolist() + specials:
-                want = pack(*horner_loop_call(poly._horner, zeta))
+                want = pack(*horner_loop_linearize(horner, zeta)[0])
                 assert pack(*poly(zeta)) == want
                 assert poly.linearize(zeta)[0].tobytes() == want
     # the overflow maps leave the floats from a finite start, to inf and to
@@ -662,16 +667,46 @@ def test_compiled_step_compiles_once_per_map_order(monkeypatch, m8_map):
     assert compiled == ["<duffing orbit kernel, called step>"]
 
 
-def test_poly_map_builds_the_linearize_triangle_on_first_use(m8_map):
-    # scans only call the map, so a fold leaves linearize's Python triangle
-    # unbuilt; the first linearize builds it once
+def test_poly_map_builds_the_linearize_partials_on_first_use(m8_map):
+    # scans only call the map, so a fold leaves linearize's partial steps
+    # unbuilt; the first linearize folds both once, on the order-7 step
     poly = duf._Poly2Map(m8_map[0], 0.01)
     duf._orbit(poly, (0.0, 0.0), 5, 3, duf.DEFAULT_ESCAPE_RADIUS)
-    assert "_horner" not in vars(poly)
-    image = poly.linearize((0.1, 0.2))[0]
-    horner = vars(poly)["_horner"]
-    assert poly.linearize((0.1, 0.2))[0].tobytes() == image.tobytes()
-    assert vars(poly)["_horner"] is horner and len(horner) == 9
+    poly((0.1, 0.2))
+    assert "_partials" not in vars(poly)
+    image, jac = poly.linearize((0.1, 0.2))
+    partials = vars(poly)["_partials"]
+    again = poly.linearize((0.1, 0.2))
+    assert again[0].tobytes() == image.tobytes() and again[1].tobytes() == jac.tobytes()
+    assert vars(poly)["_partials"] is partials and len(partials) == 2
+    make7 = duf._horner_factory(7)[0]
+    assert all(d.__code__ is make7(*[0.0] * 72)[0].__code__ for d in partials)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_poly_map_linearize_matches_the_derivative_horner_loop(m8_map):
+    # the compiled partials against the loop that carries the derivatives
+    # through the Horner pass: the image is the step's bit for bit, specials
+    # included, and the Jacobian agrees to round-off wherever the loop's is
+    # finite; an order-0 map has a zero Jacobian
+    rng = np.random.default_rng(23)
+    maps = [_random_map(p, rng) for p in (0, 1, 2, 3)]
+    maps += [_toy_overflow_map(False), _toy_overflow_map(True), m8_map[0]]
+    specials = [
+        (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (math.inf, 0.1), (-0.3, math.inf),
+        (math.nan, 0.2), (0.1, math.nan), (2.0, 0.0), (4.0, 2.0),
+    ]
+    for tmap in maps:
+        for dsigma in (0.031, -0.027, 0.5, -0.0):
+            poly = duf._Poly2Map(tmap, dsigma)
+            horner = horner_triangle(poly._block)
+            for zeta in rng.uniform(-0.6, 0.6, size=(50, 2)).tolist() + specials:
+                want, want_jac = horner_loop_linearize(horner, zeta)
+                image, jac = poly.linearize(zeta)
+                assert image.tobytes() == struct.pack("=2d", *want) == struct.pack("=2d", *poly(zeta))
+                if np.all(np.isfinite(want_jac)):
+                    assert np.max(np.abs(jac - want_jac) / (1.0 + np.abs(want_jac))) <= 1e-13
+    assert not duf._Poly2Map(maps[0], 0.2).linearize((0.3, -0.1))[1].any()
 
 
 def test_poly_map_step_returns_python_floats(m8_map):
@@ -956,20 +991,56 @@ def test_newton_exact_multiplier_accuracy(k):
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_newton_exact_iteration_makes_k_jet_integrations(monkeypatch, k):
-    # an unreachable tolerance runs exactly max_iter iterations
-    calls = {"jet": 0, "scalar": 0}
+def test_newton_exact_iteration_makes_k_float_integrations(monkeypatch, k):
+    # an unreachable tolerance runs exactly max_iter iterations, each of k
+    # integrations of (q, p) and the Jacobian as six floats, and none on jets
+    calls = []
     rkf45 = ode.rkf45
 
     def counted(system, state0, *args, **kwargs):
-        calls["jet" if isinstance(state0[0], Jet) else "scalar"] += 1
+        calls.append((system.dim, [type(v) for v in state0].count(Jet)))
         return rkf45(system, state0, *args, **kwargs)
 
     monkeypatch.setattr(ode, "rkf45", counted)
     exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 1.5, 2.0), tol=1e-6)
     with pytest.raises(duf.NewtonConvergenceError):
         duf.fixed_point_newton(exact, (0.3, 0.4), k=k, tol=0.0, max_iter=3)
-    assert calls == {"jet": 3 * k, "scalar": 0}
+    assert calls == [(6, 0)] * (3 * k)
+
+
+def test_exact_map_linearize_matches_the_order_1_jet_route(monkeypatch):
+    # six floats take the steps the order-1 jet took, since step control
+    # weighs the same entries, and land on its image and Jacobian to round-off
+    stats = []
+    rkf45 = ode.rkf45
+
+    def counted(*args, **kwargs):
+        out = rkf45(*args, **kwargs)
+        stats.append(out[2])
+        return out
+
+    monkeypatch.setattr(ode, "rkf45", counted)
+    cases = [(0.1, 25.0, 1.2902), (0.1, 25.0, 1.26), (0.1, 1.5, 2.0), (0.05, 5.5, 1.0)]
+    for (beta, eps, omega), tol in itertools.product(cases, (1e-6, 1e-9, 1e-12)):
+        exact = duf.ExactStroboscopicMap(duf.DuffingParams(beta, eps, omega), tol)
+        for point in ((0.5, 0.5), (FP_Q, FP_P), (-0.3, 0.1)):
+            image, jac = exact.linearize(point)
+            new = stats[-1]
+            want, want_jac, old = jet_linearize(exact, point)
+            assert (new.accepted, new.rejected) == (old.accepted, old.rejected)
+            for got, ref in ((image, want), (jac, want_jac)):
+                assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-12
+
+
+@pytest.mark.parametrize("point", [(0.3,), (0.3, 0.4, 0.5)])
+def test_exact_map_refuses_a_point_of_another_length(monkeypatch, point):
+    # the count is refused before any attempt compiles for it
+    monkeypatch.setattr(ode, "_DOP", dataclasses.replace(ode._DOP, kernels={}))
+    exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 1.5, 2.0), tol=1e-6)
+    for step in (exact, exact.linearize):
+        with pytest.raises(ValueError, match=f"got {len(point)} components, expected 2"):
+            step(point)
+    assert ode._DOP.kernels == {}
 
 
 def test_exact_map_linearize_matches_central_differences():

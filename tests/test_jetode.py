@@ -546,6 +546,21 @@ def test_right_side_of_the_wrong_length_is_refused(march, jets):
 
 
 @pytest.mark.parametrize("march", ["rk4", "rkf45"])
+@pytest.mark.parametrize("jets", [False, True])
+def test_state_of_the_wrong_length_is_refused(march, jets):
+    # a state of other than dim components is refused before the right side
+    # runs or an attempt compiles for its length
+    def rhs(s, t):
+        raise AssertionError("the right side ran")
+
+    run, cfg = (ode.rk4, ode.fixed_step(10)) if march == "rk4" else (ode.rkf45, ode.adaptive(1e-9))
+    for n in (1, 3):
+        state0 = jt.state_about(mi.build_table(n, 1), [1.0] * n) if jets else (1.0,) * n
+        with pytest.raises(ValueError, match=f"got {n} components, expected 2"):
+            run(ode.OdeSystem(dim=2, rhs=rhs), state0, 0.0, 1.0, cfg)
+
+
+@pytest.mark.parametrize("march", ["rk4", "rkf45"])
 def test_scalar_run_hands_the_right_side_python_floats(march):
     # numpy scalars in the initial state or the span do not reach the right
     # side: every state component and every time it sees is a Python float

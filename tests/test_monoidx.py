@@ -1,5 +1,7 @@
 """Labeling-table tests: published values, round trips, ordering, boxes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,15 @@ def test_size_cap():
     mi.build_table(2, 3, max_entries=10)
     with pytest.raises(mi.TableSizeError):
         mi.build_table(2, 3, max_entries=9)
+
+
+def test_box_pair_cap_is_checked_before_any_box(monkeypatch):
+    # build_table(3, 8) has 165 rows and C(14, 6) = 3,003 box pairs
+    assert mi.build_table(3, 8).flat_box.size == math.comb(14, 6)
+    monkeypatch.setattr(mi, "MAX_BOX_PAIRS", 3_002)
+    monkeypatch.setattr(mi, "_compositions_desc", None)
+    with pytest.raises(mi.TableSizeError, match="3003 box pairs"):
+        mi.build_table(3, 8)
 
 
 def test_variable_rank():
