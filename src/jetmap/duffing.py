@@ -152,10 +152,12 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
     sigma's derivative is zero, so the array form keeps sigma's two
     products, ``s**2`` and ``s * s**2``, for the last sigma seen: 4
     truncated products per evaluation instead of 6.  The memo is keyed on
-    sigma's table and coefficient bytes, since every stage view and every
-    expansion is a fresh jet.  Both forms keep the expression's operands in
-    its order, each product's included, so every result is the full
-    expression's, bit for bit.
+    sigma's table and coefficient bytes, not on the jet, since a march and
+    a backward run hand over the same jets at every stage and expansion,
+    rewritten in place; it holds only arrays it made, never the jets it
+    was given.  Both forms keep the expression's operands in its order,
+    each product's included, so every result is the full expression's, bit
+    for bit.
     """
     m2beta = -2.0 * beta
     sin = math.sin

@@ -23,7 +23,9 @@ kinds, picked by the caller's tuple:
   stage rows, so each stage argument and the step are one dot of a
   coefficient row (1, h a_i) over that array, and the error norm and the
   finiteness test single numpy expressions over every coefficient of every
-  component.
+  component.  Each stage argument is written into one buffer made with
+  the march, under one tuple of jets made with it too: no jet is made
+  per stage.
 
 Both kinds read one tableau and combine their error estimates in one
 helper.  The caller's tuple, of the system's ``dim`` components or
@@ -40,10 +42,13 @@ the Duffing map), so an absolute bound over them would ask for accuracy far
 beneath float64 round-off of the large entries, while the mixed weight asks
 every entry for ``tol`` in its own scale.
 
-The right side receives a tuple: Python floats for a scalar state, read-only
-``Jet`` views of the stage rows for a jet state.  It returns the m
-derivatives as floats, or, on a jet state, as what :func:`store_rows`
-takes; any other number of components is refused with ``ValueError``.
+The right side receives a tuple: Python floats for a scalar state; for a jet
+state, the same tuple of read-only ``Jet`` views at every stage of a march,
+over the stage argument that the next stage rewrites.  A right side that
+keeps one of them past its return must copy its ``coeffs``.  It returns the
+m derivatives as floats, or, on a jet state, as what :func:`store_rows`
+takes, which is read before the next stage; any other number of components
+is refused with ``ValueError``.
 Integrating a state of jets initialized as ``center + x_a`` yields the
 Taylor expansion of the flow about ``center``.
 :func:`expression_system` makes a right side from one expression string
@@ -84,7 +89,10 @@ class OdeSystem:
     """Right-hand side of an autonomous-size first-order system.
 
     ``rhs(state, t)`` receives a tuple of ``dim`` components and returns the
-    ``dim`` derivatives (see the module docstring for their types).  It must
+    ``dim`` derivatives (see the module docstring for their types).  On a
+    jet march the components are read-only views that the next stage
+    rewrites: a right side that keeps one past its return copies its
+    ``coeffs``.  It must
     be polynomial in the state components (with arbitrary time-dependent
     scalar coefficients) so that the same callable works on floats and on
     jets.  Lifted parameters, if any, occupy the
@@ -567,6 +575,10 @@ class _Jets:
     every coefficient of every component.  The initial state and each stage
     are written in by :func:`store_rows`, so a jet over another table fails
     before the first right side.
+
+    ``arg`` holds the stage argument, and ``args``, the right side's tuple,
+    read-only jets over its rows: both are made here, once per march, and
+    every stage writes ``arg`` and hands over ``args`` again.
     """
 
     def __init__(self, system: OdeSystem, state0: Sequence, tableau: _Tableau):
@@ -579,24 +591,22 @@ class _Jets:
         # row 0 the state, rows 1.. the stages
         self.yk = np.empty((len(tableau.c) + 1, self.m * self.table.L))
         store_rows(self.yk[0].reshape(self.shape), state0, self.table)
-
-    def view(self, y: np.ndarray) -> State:
-        """The right side's tuple: read-only jet views of y's rows."""
-        return tuple(_new_jet(self.table, row) for row in y.reshape(self.shape))
+        self.arg = np.empty(self.m * self.table.L)
+        self.args = tuple(_new_jet(self.table, row) for row in self.arg.reshape(self.shape))
 
     def attempt(self, t: float, h: float, first: int = 0) -> None:
         """Fill the stage rows ``yk[1:]`` from stage ``first`` on and form the candidate.
 
         Row i of ``coef`` is ``(1, h a[i, 0], ..., h a[i, i-1], 0, ...)``, so
         stage i's argument ``y + h sum_j a[i, j] k_j`` is one dot over
-        ``yk[:i + 1]``.
+        ``yk[:i + 1]``, written into ``arg`` under the jets of ``args``.
         """
-        yk, coef, c = self.yk, self.coef, self.tableau.c
+        yk, coef, c, arg, args = self.yk, self.coef, self.tableau.c, self.arg, self.args
         np.multiply(self.tableau.array[:, 1:], h, out=coef[:, 1:])
         stage_rows = yk.reshape(len(yk), *self.shape)
         for i in range(first, len(c)):
-            arg = np.dot(coef[i, : i + 1], yk[: i + 1])
-            store_rows(stage_rows[i + 1], self.rhs(self.view(arg), t + c[i] * h), self.table)
+            np.dot(coef[i, : i + 1], yk[: i + 1], out=arg)
+            store_rows(stage_rows[i + 1], self.rhs(args, t + c[i] * h), self.table)
         self.new = coef[len(c)] @ yk
 
     def error(self) -> float:

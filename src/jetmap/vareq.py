@@ -26,6 +26,7 @@ import numpy as np
 
 from .jet import (
     Jet,
+    _new as _new_jet,
     jet_from_dict,
     jet_to_dict,
     monomial_values,
@@ -38,6 +39,33 @@ from .monoidx import MonomialTable, rank
 # -- expansion of the right side ---------------------------------------------
 
 
+def _expansion(system: OdeSystem, table: MonomialTable):
+    """``expand(zd, t) -> (fvals, g)`` for ``system`` on buffers made once.
+
+    The factory owns the identity jets ``zd_a + x_a``, read-only views over
+    the rows of one ``np.eye(m, L, k=1)`` buffer, and the arrays ``fvals``
+    and ``g`` it returns.  Each call writes ``zd`` into the buffer's column
+    0, hands the right side those same jets, stores its return into ``g``
+    through :func:`~jetmap.jetode.store_rows`, which refuses what it cannot
+    store, and splits the constant column off into ``fvals``.  So the next
+    call rewrites the jets the right side got and the arrays it returned.
+    """
+    # x_a has rank a + 1 (MonomialTable.variable_rank)
+    about = np.eye(table.m, table.L, k=1)
+    state = tuple(_new_jet(table, row) for row in about)
+    fvals = np.empty(table.m)
+    g = np.empty((table.m, table.L))
+
+    def expand(zd, t: float) -> tuple[np.ndarray, np.ndarray]:
+        about[:, 0] = zd
+        store_rows(g, system.rhs(state, t), table)
+        fvals[:] = g[:, 0]
+        g[:, 0] = 0.0
+        return fvals, g
+
+    return expand
+
+
 def expand_rhs(
     system: OdeSystem, zd: Sequence[float], t: float, table: MonomialTable
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -46,19 +74,16 @@ def expand_rhs(
     Returns ``(fvals, g)`` where ``fvals[a] = f_a(zd, t)`` and ``g[a, r-1]``
     is the coefficient of the rank-r monomial in the deviation expansion of
     ``f_a`` (column 0, the constant, is zeroed: forcing terms have degree
-    one or more).  The right side's return is read by
-    :func:`~jetmap.jetode.store_rows`, which refuses what it cannot store.
+    one or more).  Each call makes its own :func:`_expansion`, so the right
+    side gets read-only jets that no other call shares, and the caller owns
+    the arrays returned.
     """
     if len(zd) != system.dim or table.m != system.dim:
         raise ValueError(
             f"system dim {system.dim}, table m {table.m}, design point "
             f"length {len(zd)} must all agree"
         )
-    g = np.empty((system.dim, table.L))
-    store_rows(g, system.rhs(state_about(table, zd), t), table)
-    fvals = g[:, 0].copy()
-    g[:, 0] = 0.0
-    return fvals, g
+    return _expansion(system, table)(zd, t)
 
 
 # -- the transfer map object ---------------------------------------------------
@@ -207,7 +232,9 @@ class CCoefficientTable:
     Entry i is held in flat arrays as 0-based indices ``idx_r[i]``,
     ``idx_b[i]``, ``idx_rp[i]``, ``idx_rpp[i]`` and the float ``values[i]``;
     ``idx_out[i] = idx_r[i] * L + idx_rp[i]`` is its cell in the (L, L)
-    contraction matrix.  :attr:`entries` reads them as a dict.
+    contraction matrix and ``idx_g[i] = idx_b[i] * L + idx_rpp[i]`` the
+    cell of the (m, L) forcing array it reads.  :attr:`entries` reads them
+    as a dict.
     """
 
     m: int
@@ -217,6 +244,7 @@ class CCoefficientTable:
     idx_rp: np.ndarray
     idx_rpp: np.ndarray
     idx_out: np.ndarray
+    idx_g: np.ndarray
     values: np.ndarray
 
     @property
@@ -227,7 +255,7 @@ class CCoefficientTable:
 
     def contraction_matrix(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
         """A[r, r'] = sum_{b, r''} C^r_{b r' r''} g[b, r''], written into out."""
-        terms = self.values * g[self.idx_b, self.idx_rpp]
+        terms = self.values * g.take(self.idx_g)
         out[:] = np.bincount(self.idx_out, weights=terms, minlength=out.size).reshape(out.shape)
         return out
 
@@ -254,16 +282,18 @@ def c_coefficients(m: int, p: int, table: MonomialTable) -> CCoefficientTable:
                 idx_rp.append(ip)
                 idx_rpp.append(ipp)
                 values.append(float(jp[b - 1]))
-    idx_r = np.array(idx_r, dtype=np.intp)
-    idx_rp = np.array(idx_rp, dtype=np.intp)
+    idx_r, idx_b, idx_rp, idx_rpp = (
+        np.array(idx, dtype=np.intp) for idx in (idx_r, idx_b, idx_rp, idx_rpp)
+    )
     return CCoefficientTable(
         m=m,
         p=p,
         idx_r=idx_r,
-        idx_b=np.array(idx_b, dtype=np.intp),
+        idx_b=idx_b,
         idx_rp=idx_rp,
-        idx_rpp=np.array(idx_rpp, dtype=np.intp),
+        idx_rpp=idx_rpp,
         idx_out=idx_r * table.L + idx_rp,
+        idx_g=idx_b * table.L + idx_rpp,
         values=np.array(values),
     )
 
@@ -300,6 +330,12 @@ def backward_solve(
     coefficients, which its own error norm cannot see; the forward route's
     orbit rides in the jet state and gets that accuracy from the
     coefficients' step sequence.
+
+    The run makes one :func:`_expansion` of ``system``, and one buffer it
+    reads each stage's coefficients into, so the system's right side gets
+    the same read-only jets at every expansion, rewritten in place; like a
+    jet march's (see :mod:`~jetmap.jetode`), a right side that keeps one
+    past its return must copy its ``coeffs``.
     """
     if table.m != system.dim:
         raise ValueError(f"table has m={table.m}, system has dim={system.dim}")
@@ -310,14 +346,17 @@ def backward_solve(
 
     ctab = c_coefficients(table.m, table.p, table)
     amat = np.empty((table.L, table.L))
+    expand = _expansion(system, table)
+    h_flat = np.empty(table.m * table.L)
+    h = h_flat.reshape(table.m, table.L)
+    zd = h[:, 0]
     span = t_f - t_i
 
     def reversed_rhs(state: tuple, s: float):
         # s runs 0 -> span while the physical time runs t_f -> t_i
         tbar = t_f - s
-        h = np.stack([component.coeffs for component in state])
-        zd = h[:, 0]
-        fvals, g = expand_rhs(system, zd, tbar, table)
+        np.concatenate([component.coeffs for component in state], out=h_flat)
+        fvals, g = expand(zd, tbar)
         ctab.contraction_matrix(g, amat)
         dh = h @ amat.T  # -(d/dtbar) h, negated once more by ds = -dtbar
         dh[:, 0] = -fvals

@@ -7,22 +7,25 @@ parameter-freezing wrapper for lifted systems, a frame-tagged phase point,
 a Runge-Kutta attempt on floats by ``sum`` over tableau rows, the folded
 polynomial map and its Jacobian by a Horner loop, the exact map's Jacobian
 by an order-1 jet integration, the (q, p) Duffing right side as a
-hand-written closure, and the scaled Duffing right side with every product
-made at every call.  None of them is used by the package itself.
+hand-written closure, the scaled Duffing right side with every product
+made at every call, and the backward route with a right side that stacks
+its state and makes new jets for every expansion.  None of them is used by
+the package itself.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add, mul
 
 import numpy as np
 
 from jetmap import duffing as duf
-from jetmap.jet import Jet, constant
-from jetmap.jetode import OdeSystem, adaptive
+from jetmap import vareq
+from jetmap.jet import Jet, constant, state_about
+from jetmap.jetode import OdeSystem, adaptive, integrate
 from jetmap.monoidx import MonomialTable, build_table
-from jetmap.vareq import forward_solve
+from jetmap.vareq import TaylorMap, c_coefficients, expand_rhs, forward_solve
 
 
 # -- coefficient equations ------------------------------------------------------
@@ -127,6 +130,49 @@ def contraction_matrix_add_at(ctab, g: np.ndarray, L: int) -> np.ndarray:
     out = np.zeros((L, L))
     np.add.at(out, (ctab.idx_r, ctab.idx_rp), ctab.values * g[ctab.idx_b, ctab.idx_rpp])
     return out
+
+
+def backward_solve_stacked(
+    system: OdeSystem, zd0, t_i: float, t_f: float, table: MonomialTable, cfg
+) -> TaylorMap:
+    """``vareq.backward_solve`` with a right side that makes everything per call.
+
+    Each evaluation of the reversed coefficient equations stacks the stage
+    jets into a new (m, L) array with ``np.stack``, expands the system with
+    its own ``expand_rhs`` call, so the system gets new jets every time, and
+    contracts with :func:`contraction_matrix_add_at`.  The design run, the
+    final conditions and the map are the package's.  Its maps, design
+    endpoints and step statistics must be the package's bit for bit.
+    """
+    design_cfg = replace(cfg, tol=cfg.tol * vareq._DESIGN_TOL_FACTOR)
+    zd0 = tuple(float(v) for v in zd0)
+    endpoint_state, _, design_stats = integrate(system, zd0, t_i, t_f, design_cfg)
+    endpoint = tuple(float(v) for v in endpoint_state)
+    ctab = c_coefficients(table.m, table.p, table)
+
+    def reversed_rhs(state, s):
+        h = np.stack([component.coeffs for component in state])
+        fvals, g = expand_rhs(system, h[:, 0], t_f - s, table)
+        dh = h @ contraction_matrix_add_at(ctab, g, table.L).T
+        dh[:, 0] = -fvals
+        return dh
+
+    reversed_system = OdeSystem(dim=table.m, rhs=reversed_rhs)
+    state, _, coeff_stats = integrate(
+        reversed_system, state_about(table, endpoint), 0.0, t_f - t_i, cfg
+    )
+    coeffs = np.stack([component.coeffs for component in state])
+    coeffs[:, 0] = endpoint
+    return TaylorMap(
+        table=table,
+        t_i=t_i,
+        t_f=t_f,
+        expansion_point=zd0,
+        design_endpoint=endpoint,
+        rows=tuple(Jet(table, row) for row in coeffs),
+        n_params=system.n_params,
+        diagnostics=(design_stats, coeff_stats),
+    )
 
 
 # -- Jacobians --------------------------------------------------------------------

@@ -445,6 +445,43 @@ def test_returned_jets_are_frozen_and_own_their_buffers(march):
     assert state0 == jt.state_about(table, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("march", ["rk4", "rkf45"])
+def test_a_jet_march_hands_every_stage_the_same_read_only_jets(march):
+    # z1' = z2, z2' = -z1^3: the first derivative is an input jet itself,
+    # which the march must read before the next stage rewrites it
+    table = mi.build_table(2, 3)
+    run, cfg = (ode.rk4, ode.fixed_step(5)) if march == "rk4" else (ode.rkf45, ode.adaptive(1e-10))
+
+    def rhs(s, t):
+        return (s[1], -(s[0] ** 3))
+
+    def spying(seen):
+        def spy(s, t):
+            seen.append(s)
+            return rhs(s, t)
+
+        return ode.OdeSystem(dim=2, rhs=spy)
+
+    def copying(s, t):
+        return rhs(tuple(jt.Jet(table, z.coeffs) for z in s), t)
+
+    state0 = jt.state_about(table, [1.0, 0.5])
+    first, second = [], []
+    state, _, _ = run(spying(first), state0, 0.0, 0.5, cfg)
+    run(spying(second), state0, 0.0, 0.5, cfg)
+    # one tuple per march, handed to every stage
+    assert len(first) > 4
+    assert all(s is first[0] for s in first) and all(s is second[0] for s in second)
+    assert second[0] is not first[0]
+    views = (*first[0], *second[0])
+    assert all(type(z) is jt.Jet and not z.coeffs.flags.writeable for z in views)
+    assert not any(np.shares_memory(u.coeffs, v.coeffs) for u in first[0] for v in second[0])
+    assert not any(np.shares_memory(z.coeffs, v.coeffs) for z in state for v in views)
+    # a right side that copies its inputs first sees the same values
+    copied, _, _ = run(ode.OdeSystem(dim=2, rhs=copying), state0, 0.0, 0.5, cfg)
+    assert [z.coeffs.tobytes() for z in copied] == [z.coeffs.tobytes() for z in state]
+
+
 def test_float_component_on_jet_state_is_a_constant_row():
     # z1' = 1 written as a plain float, z2' = z1: z1 = x1 + t, z2 = x2 + t x1 + t^2/2
     table = mi.build_table(2, 2)

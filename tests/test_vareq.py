@@ -13,6 +13,7 @@ from jetmap import vareq as vq
 
 from conftest import FP_OMEGA, FP_P, FP_Q
 from oracles import (
+    backward_solve_stacked,
     contraction_matrix_add_at,
     fix_parameters,
     forward_variational_rhs,
@@ -390,6 +391,59 @@ def test_backward_parameter_row_is_exact_identity():
     expected[0] = 0.5
     expected[3] = 1.0
     assert np.array_equal(bwd.rows[2].coeffs, expected)
+
+
+def _map_bits(tmap) -> tuple:
+    return [row.coeffs.tobytes() for row in tmap.rows], tmap.design_endpoint, tmap.diagnostics
+
+
+def _forced_pair():
+    """z1' = z2, z2' = -z1^3 + sin(t) z2: two variables and a time-dependent coefficient."""
+    return ode.OdeSystem(dim=2, rhs=lambda s, t: (s[1], -(s[0] ** 3) + math.sin(t) * s[1]))
+
+
+@pytest.mark.parametrize(
+    "system, zd0, p, t_f",
+    [
+        (duf.duffing_scaled_rhs(0.1, 1.5, sigma=0.5), (0.3, 0.4, 0.5), 2, duf.TWO_PI),
+        (duf.duffing_scaled_rhs(0.1, 1.5, sigma=0.5), (0.3, 0.4, 0.5), 4, duf.TWO_PI),
+        (_forced_pair(), (0.6, -0.2), 3, 2.0),
+    ],
+    ids=["duffing-p2", "duffing-p4", "pair-p3"],
+)
+def test_backward_solve_matches_the_stacking_oracle_byte_for_byte(system, zd0, p, t_f):
+    # one expansion and one state buffer per run give the maps, endpoints
+    # and step statistics of a right side that stacks its state and makes
+    # new jets for every expansion
+    table, cfg = mi.build_table(len(zd0), p), ode.adaptive(1e-10)
+    got = vq.backward_solve(system, zd0, 0.0, t_f, table, cfg)
+    want = backward_solve_stacked(system, zd0, 0.0, t_f, table, cfg)
+    assert _map_bits(got) == _map_bits(want)
+
+
+def test_backward_solve_hands_every_expansion_the_same_jets():
+    system = duf.duffing_scaled_rhs(0.1, 1.5, sigma=0.5)
+    table = mi.build_table(3, 2)
+    seen = []
+
+    def spying_rhs(state, t):
+        if isinstance(state[0], jt.Jet):
+            seen.append(state)
+        return system.rhs(state, t)
+
+    spying = ode.OdeSystem(dim=3, rhs=spying_rhs, n_params=1, param_values=(0.5,))
+    vq.backward_solve(spying, (0.3, 0.4, 0.5), 0.0, duf.TWO_PI, table, ode.adaptive(1e-8))
+    # one tuple of read-only jets for the whole run, rewritten at each expansion
+    assert len(seen) > 100
+    assert all(state is seen[0] for state in seen)
+    assert not any(z.coeffs.flags.writeable for z in seen[0])
+    # while expand_rhs hands each call its own
+    handed = []
+    for _ in range(2):
+        vq.expand_rhs(ode.OdeSystem(dim=3, rhs=spying_rhs), (0.3, 0.4, 0.5), 0.7, table)
+        handed.append(seen[-1])
+    assert handed[0] is not handed[1]
+    assert not any(np.shares_memory(u.coeffs, v.coeffs) for u in handed[0] for v in handed[1])
 
 
 @pytest.mark.parametrize("seed", range(6))
