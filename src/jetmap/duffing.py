@@ -249,15 +249,14 @@ def stroboscopic_taylor_map(
     ``expansion`` is the scaled-frame point (z1, z2, sigma).  ``cfg`` is the
     integrator setting over the period [0, 2 pi]: by default the adaptive
     pair at tol 1e-12; pass ``fixed_step(ns)`` to reproduce plain RK4 runs.
-    A ``beta``, ``eps`` or expansion coordinate that is not finite raises
-    ``ValueError`` before any integration.
+    A ``beta`` or ``eps`` that :class:`DuffingParams` refuses, or an expansion
+    coordinate that is not finite, raises ``ValueError`` before any integration.
     """
     if p < 1:
         raise ValueError(f"map order must be >= 1, got {p}")
     if len(expansion) != 3:
         raise ValueError("expansion point must be (z1, z2, sigma)")
-    if not (math.isfinite(beta) and math.isfinite(eps)):
-        raise ValueError(f"beta and eps must be finite, got {beta!r}, {eps!r}")
+    DuffingParams(beta, eps, 1.0)  # checks beta and eps; 1.0 stands in for omega
     if not all(map(math.isfinite, expansion)):
         raise ValueError(f"expansion point must be finite, got {list(expansion)}")
     system = duffing_scaled_rhs(beta, eps, sigma=float(expansion[2]))

@@ -60,7 +60,8 @@ from __future__ import annotations
 import ast
 import keyword
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -210,8 +211,9 @@ def _expression_code(source: _Expressions) -> list:
     return code
 
 
+@cache
 def _rhs_factory(source: _Expressions) -> Callable:
-    """``make(*constants) -> rhs``, the right side of ``source`` with its constants bound."""
+    """``make(*constants) -> rhs``, the right side of ``source``; cached, so compiled once."""
     body = _expression_code(source)
     text = (
         f"def _make({', '.join(source.constants)}):\n"
@@ -223,10 +225,6 @@ def _rhs_factory(source: _Expressions) -> Callable:
     namespace = dict(_FUNCTIONS)
     exec(compile(text, "<jetode expression right side>", "exec"), namespace)
     return namespace["_make"]
-
-
-#: :func:`_rhs_factory` by source, compiled on first use
-_RHS_FACTORIES: dict = {}
 
 
 def expression_system(
@@ -242,21 +240,18 @@ def expression_system(
     here (see :func:`_expression_code`, which raises ``ValueError``).
 
     ``rhs(state, t)`` is compiled once per source (names, expressions and
-    the constants' names) into a factory, and each system calls it with
-    its constants, which become closure cells: making a system compiles
-    nothing after the first.  The callable carries its source and
-    constants, so on float states the integrator writes the expressions
-    into its compiled attempt instead of calling them (see
-    :func:`_float_kernel`).  A wrapper around it, as made by
+    the constants' names) into a factory, cached by :func:`_rhs_factory`,
+    and each system calls it with its constants, which become closure
+    cells: making a system compiles nothing after the first.  The callable
+    carries its source and constants, so on float states the integrator
+    writes the expressions into its compiled attempt instead of calling
+    them (see :func:`_float_kernel`).  A wrapper around it, as made by
     ``dataclasses.replace(system, rhs=...)``, carries neither and is called
     at every stage.
     """
     source = _Expressions(tuple(state_names), time_name, tuple(expressions), tuple(constants))
-    make = _RHS_FACTORIES.get(source)
-    if make is None:
-        make = _RHS_FACTORIES[source] = _rhs_factory(source)
     values = tuple(constants.values())
-    rhs = make(*values)
+    rhs = _rhs_factory(source)(*values)
     rhs.expressions, rhs.constants = source, values
     return OdeSystem(dim=len(source.states), rhs=rhs)
 
@@ -320,23 +315,20 @@ class StepStats:
 # -- the two state kinds ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Tableau:
-    """An explicit Runge-Kutta tableau in the form each state kind reads.
+    """An explicit Runge-Kutta tableau, read by both state kinds.
 
     ``array`` holds the stage rows of ``a``, then ``b``, then any error rows,
     behind a column for y: column 0 is 1 in the rows that build a state (the
     stages and the step) and 0 in the error rows, so the columns after it,
     scaled by h, make one attempt's coefficients over ``(y, k_0, ...,
-    k_{s-1})``.  ``rows`` are the same rows without that column, as tuples
-    of Python floats, and ``kernels`` caches :func:`_float_kernel` by m and
-    expression source.
+    k_{s-1})``.  :func:`_float_kernel` reads the same rows without that
+    column.  A tableau hashes by identity, so it keys that function's cache.
     """
 
     c: tuple
     array: np.ndarray
-    rows: tuple
-    kernels: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _tableau(a: np.ndarray, b: np.ndarray, c: Sequence[float], *error_rows) -> _Tableau:
@@ -345,7 +337,7 @@ def _tableau(a: np.ndarray, b: np.ndarray, c: Sequence[float], *error_rows) -> _
     array = np.zeros((len(rows), s + 1))
     array[: s + 1, 0] = 1.0
     array[:, 1:] = rows
-    return _Tableau(tuple(c), array, tuple(tuple(row) for row in rows.tolist()))
+    return _Tableau(tuple(c), array)
 
 
 def _combined_error(e5: float, e3: float) -> float:
@@ -391,6 +383,7 @@ def _wrong_length(values, m: int) -> ValueError:
     return ValueError(f"got {len(values)} components, expected {m}")
 
 
+@cache
 def _float_kernel(tableau: _Tableau, m: int, source: _Expressions | None = None) -> Callable:
     """One attempt on m Python floats, compiled as straight-line code for ``tableau``.
 
@@ -431,9 +424,9 @@ def _float_kernel(tableau: _Tableau, m: int, source: _Expressions | None = None)
     Returns the attempt; given a source, a function of the system's
     constants, in the source's order, that returns the attempt with them
     bound as closure cells, so that one source compiles once for every
-    set of constants.
+    set of constants.  Cached on ``(tableau, m, source)``.
     """
-    c, rows = tableau.c, tableau.rows
+    c, rows = tableau.c, tableau.array[:, 1:].tolist()
     s = len(c)
     comps = range(m)
     body = _expression_code(source) if source is not None else None
@@ -524,12 +517,12 @@ class _Floats:
     """A state of m Python floats, stepped by one compiled function per tableau, m and source.
 
     Stage 0, f at the state, is evaluated here and kept for the attempts
-    after a rejection; :func:`_float_kernel` makes every later stage, the
-    candidate and the error of one attempt.  A right side made by
-    :func:`expression_system` is written into that function,
-    once per source, and its constants are bound to it here; any other
-    right side is called at every stage.  No numpy call is made per stage,
-    and the right side sees Python floats for as long as it returns them.
+    after a rejection; :func:`_float_kernel`, cached on ``(tableau, m,
+    source)``, makes every later stage, the candidate and the error of one
+    attempt.  A right side made by :func:`expression_system` is written into
+    that function and its constants are bound to it here; any other right
+    side is called at every stage.  No numpy call is made per stage, and the
+    right side sees Python floats for as long as it returns them.
     """
 
     def __init__(self, system: OdeSystem, state0: Sequence, tableau: _Tableau):
@@ -537,11 +530,8 @@ class _Floats:
         self.m = m = len(state0)
         self.y = tuple(float(v) for v in state0)
         source = getattr(rhs, "expressions", None)
-        # compiled on first use, once per tableau, m and source
-        kernels, key = tableau.kernels, (m, source)
-        if key not in kernels:
-            kernels[key] = _float_kernel(tableau, m, source)
-        self.kernel = kernels[key] if source is None else kernels[key](*rhs.constants)
+        kernel = _float_kernel(tableau, m, source)
+        self.kernel = kernel if source is None else kernel(*rhs.constants)
 
     def attempt(self, t: float, h: float, first: int = 0) -> None:
         """Evaluate the stages from ``first`` on and form the candidate and its error."""

@@ -22,8 +22,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-#: Refuse to build tables with more than this many rows.
-MAX_TABLE_ENTRIES = 10_000_000
 #: Refuse to build tables whose boxes hold more than this many (divisor,
 #: monomial) pairs, C(p + 2m, 2m): the two flat box arrays take 16 bytes a pair
 MAX_BOX_PAIRS = 2_000_000
@@ -128,19 +126,19 @@ class MonomialTable:
             yield ",".join(cols)
 
 
-def build_table(m: int, p: int, max_entries: int = MAX_TABLE_ENTRIES) -> MonomialTable:
+def build_table(m: int, p: int) -> MonomialTable:
     """Build the full monomial table for m variables through degree p.
 
     Raises :class:`TableSizeError`, before any box is built, for more than
-    ``max_entries`` rows or more than :data:`MAX_BOX_PAIRS` box pairs.
+    :data:`MAX_BOX_PAIRS` box pairs; each box holds its own rank, so L <= pairs.
     """
     L = table_size(m, p)
     # a box pair (divisor, monomial) is one monomial in 2m variables
     pairs = comb(p + 2 * m, 2 * m)
-    if L > max_entries or pairs > MAX_BOX_PAIRS:
+    if pairs > MAX_BOX_PAIRS:
         raise TableSizeError(
             f"table for m={m}, p={p} has {L} rows and {pairs} box pairs, "
-            f"exceeding the caps of {max_entries} and {MAX_BOX_PAIRS}"
+            f"exceeding the cap of {MAX_BOX_PAIRS}"
         )
     rows = []
     for d in range(p + 1):

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import monoidx
 from .jet import (
     Jet,
     _new as _new_jet,
@@ -163,17 +164,9 @@ def taylor_map_to_dict(tmap: TaylorMap, suppress_zeros: bool = False) -> dict:
     }
 
 
-def taylor_map_from_dict(data: dict, table: MonomialTable | None = None) -> TaylorMap:
-    from .monoidx import build_table
-
-    m = data["m_dynamical"] + data["n_params"]
-    if table is None:
-        table = build_table(m, data["p"])
-    if table.m != m or table.p != data["p"]:
-        raise ValueError(
-            f"table (m={table.m}, p={table.p}) does not match serialized map "
-            f"(m={m}, p={data['p']})"
-        )
+def taylor_map_from_dict(data: dict) -> TaylorMap:
+    # through the module, so that a wrapper put on monoidx.build_table sees it
+    table = monoidx.build_table(data["m_dynamical"] + data["n_params"], data["p"])
     rows = [
         jet_from_dict(table, {"m": table.m, "p": table.p, "coeffs": row["coeffs"]})
         for row in data["rows"]
@@ -225,24 +218,17 @@ def forward_solve(
 
 @dataclass(frozen=True, eq=False)
 class CCoefficientTable:
-    """Nonzero integer coefficients C^r_{b r' r''}.
+    """Nonzero integer coefficients C^r_{b r' r''} over a table of L rows.
 
     ``[(d/d zeta_b) G_{r'}] G_{r''} = sum_r C^r_{b r' r''} G_r`` with all
     ranks in jet labeling (constant = rank 1, so every stored rank is >= 2).
-    Entry i is held in flat arrays as 0-based indices ``idx_r[i]``,
-    ``idx_b[i]``, ``idx_rp[i]``, ``idx_rpp[i]`` and the float ``values[i]``;
-    ``idx_out[i] = idx_r[i] * L + idx_rp[i]`` is its cell in the (L, L)
-    contraction matrix and ``idx_g[i] = idx_b[i] * L + idx_rpp[i]`` the
-    cell of the (m, L) forcing array it reads.  :attr:`entries` reads them
-    as a dict.
+    Entry i is held in flat arrays as two 0-based cells and the float
+    ``values[i]``: ``idx_out[i] = (r - 1) * L + r' - 1`` in the (L, L)
+    contraction matrix and ``idx_g[i] = (b - 1) * L + r'' - 1`` in the
+    (m, L) forcing array it reads.  :attr:`entries` reads them as a dict.
     """
 
-    m: int
-    p: int
-    idx_r: np.ndarray
-    idx_b: np.ndarray
-    idx_rp: np.ndarray
-    idx_rpp: np.ndarray
+    L: int
     idx_out: np.ndarray
     idx_g: np.ndarray
     values: np.ndarray
@@ -250,7 +236,8 @@ class CCoefficientTable:
     @property
     def entries(self) -> dict[tuple[int, int, int, int], int]:
         """``{(r, b, r', r''): C}`` in 1-based ranks and variable index."""
-        keys = np.stack([self.idx_r, self.idx_b, self.idx_rp, self.idx_rpp], axis=1) + 1
+        (r, rp), (b, rpp) = np.divmod(self.idx_out, self.L), np.divmod(self.idx_g, self.L)
+        keys = np.stack([r, b, rp, rpp], axis=1) + 1
         return {tuple(k): int(v) for k, v in zip(keys.tolist(), self.values)}
 
     def contraction_matrix(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -264,36 +251,26 @@ def c_coefficients(m: int, p: int, table: MonomialTable) -> CCoefficientTable:
     """Enumerate all nonzero C^r_{b r' r''} for degree(r) <= p."""
     if table.m != m or table.p != p:
         raise ValueError(f"table is (m={table.m}, p={table.p}), asked for ({m}, {p})")
-    idx_r, idx_b, idx_rp, idx_rpp, values = [], [], [], [], []
-    for b in range(1, m + 1):
+    idx_out, idx_g, values = [], [], []
+    for b in range(m):
         for ip in range(1, table.L):  # r' = ip + 1, degree >= 1
             jp = table.exponents[ip]
-            if jp[b - 1] < 1:
+            if jp[b] < 1:
                 continue
             lowered = jp.copy()
-            lowered[b - 1] -= 1
+            lowered[b] -= 1
             d_lowered = int(table.degrees[ip]) - 1
             for ipp in range(1, table.L):  # r'' = ipp + 1, degree >= 1
                 if d_lowered + int(table.degrees[ipp]) > p:
                     continue
                 target = lowered + table.exponents[ipp]
-                idx_r.append(rank(target.tolist()) - 1)
-                idx_b.append(b - 1)
-                idx_rp.append(ip)
-                idx_rpp.append(ipp)
-                values.append(float(jp[b - 1]))
-    idx_r, idx_b, idx_rp, idx_rpp = (
-        np.array(idx, dtype=np.intp) for idx in (idx_r, idx_b, idx_rp, idx_rpp)
-    )
+                idx_out.append((rank(target.tolist()) - 1) * table.L + ip)
+                idx_g.append(b * table.L + ipp)
+                values.append(float(jp[b]))
     return CCoefficientTable(
-        m=m,
-        p=p,
-        idx_r=idx_r,
-        idx_b=idx_b,
-        idx_rp=idx_rp,
-        idx_rpp=idx_rpp,
-        idx_out=idx_r * table.L + idx_rp,
-        idx_g=idx_b * table.L + idx_rpp,
+        L=table.L,
+        idx_out=np.array(idx_out, dtype=np.intp),
+        idx_g=np.array(idx_g, dtype=np.intp),
         values=np.array(values),
     )
 

@@ -128,7 +128,9 @@ def contraction_matrix_add_at(ctab, g: np.ndarray, L: int) -> np.ndarray:
     ``CCoefficientTable.contraction_matrix`` must reproduce bit for bit.
     """
     out = np.zeros((L, L))
-    np.add.at(out, (ctab.idx_r, ctab.idx_rp), ctab.values * g[ctab.idx_b, ctab.idx_rpp])
+    r, rp = divmod(ctab.idx_out, L)
+    b, rpp = divmod(ctab.idx_g, L)
+    np.add.at(out, (r, rp), ctab.values * g[b, rpp])
     return out
 
 
@@ -293,7 +295,7 @@ def float_attempt(tableau, rhs, y: tuple, t: float, h: float, k0) -> tuple:
     Python up to 3.11, on every version.
     """
     m = len(y)
-    c, rows = tableau.c, tableau.rows
+    c, rows = tableau.c, tableau.array[:, 1:].tolist()
     s = len(c)
     k = [[v] for v in k0]
     for i in range(1, s):

@@ -7,10 +7,14 @@ renaming one of these names belongs with the hook that names it.
 """
 
 import importlib.util
+import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from jetmap import cli, jet, monoidx, vareq
 from jetmap import duffing as duf
 from jetmap import jetode as ode
 
@@ -65,3 +69,41 @@ def test_exact_scan_calls_the_class_patched_map_once_per_application(monkeypatch
     monkeypatch.setattr(duf.ExactStroboscopicMap, "__call__", counted)
     result = duf.feigenbaum_scan("exact", 0.1, 1.5, [1.0, 1.5, 2.0], transient=3, record=2, tol=1e-6)
     assert len(calls) == sum(result.applications) == 15
+
+
+def test_the_benchmark_calls_keep_their_forms():
+    # every call perfbench/workload.py and perfbench/common.py make into the
+    # package, in their argument forms, on tiny inputs: a signature change
+    # fails here instead of in the benchmark
+    rng = np.random.default_rng(0)
+    p = 2
+    table = monoidx.build_table(3, p)
+    assert table.flat_box.size == math.comb(p + 6, 6)
+    u, v = (jet.Jet(table, rng.normal(size=table.L)) for _ in range(2))
+    assert np.array_equal(jet.prod(u, v).coeffs, (u * v).coeffs)
+    assert np.array_equal((u + v).coeffs, u.coeffs + v.coeffs)
+    ctab = vareq.c_coefficients(3, p, table)
+    assert ctab.values.size == len(ctab.entries) > 0
+    g = rng.normal(size=(3, table.L))
+    scratch = np.empty((table.L, table.L))
+    assert ctab.contraction_matrix(g, scratch) is scratch
+
+    expansion = [0.0, 0.0, 0.5]
+    system = duf.duffing_scaled_rhs(0.1, 1.5, sigma=expansion[2])
+    assert len(system.rhs(jet.state_about(table, expansion), 0.3)) == 3
+    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, expansion, p, ode.adaptive(1e-9))
+    loaded = vareq.taylor_map_from_dict(json.loads(json.dumps(vareq.taylor_map_to_dict(tmap))))
+    assert np.array_equal(loaded.table.exponents, table.exponents)
+    assert np.array_equal(loaded.coefficient_matrix(), tmap.coefficient_matrix())
+    assert loaded.order == p and loaded.expansion_point == tuple(expansion)
+    dev = np.array([1e-3, -1e-3, 0.0])
+    start = tuple(np.array(expansion) + dev)
+    exact, _, _ = ode.rkf45(system, start, 0.0, duf.TWO_PI, ode.adaptive(1e-12))
+    assert np.max(np.abs(loaded.final_state(dev)[:2] - np.array(exact[:2]))) < 1e-6
+
+    orbit = duf.iterate_map(loaded, rng.uniform(-0.02, 0.02, 2), 0.0, 4)
+    assert orbit.shape == (5, 2)
+    assert duf.detect_period(orbit, tol=1e-6, max_period=64) is None
+    assert duf.EscapeError("escaped", 3).step == 3
+    grid = cli._omega_grid({"omega_start": 1.25, "omega_stop": 1.27, "omega_step": 0.01})
+    assert np.allclose(grid, [1.25, 1.26, 1.27])

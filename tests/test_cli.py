@@ -586,12 +586,8 @@ _NON_FINITE_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", list(_NON_FINITE_INPUTS))
-def test_a_non_finite_model_input_is_refused_before_any_integration(
-    tmp_path, capsys, monkeypatch, case
-):
-    # each used to integrate until the step collapsed on non-finite stages
-    # and exit 2; now each is a config error that integrates nothing
+def _refused_before_any_integration(tmp_path, capsys, monkeypatch, argv) -> str:
+    """Run argv, assert a config error that integrated and wrote nothing; return stderr."""
     from jetmap import jetode as ode
 
     runs = []
@@ -606,11 +602,39 @@ def test_a_non_finite_model_input_is_refused_before_any_integration(
     # the file keeps the scan case's grid small; expand reads no section of it
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scan": _ORBIT_CONFIGS["scan"]}))
-    argv = _NON_FINITE_INPUTS[case] + ["--config", path, "--out", out]
-    assert run_cli(argv) == cli.EXIT_CONFIG
+    assert run_cli(argv + ["--config", path, "--out", out]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "finite" in err and "Traceback" not in err
+    assert err.startswith("config error: ") and "Traceback" not in err
     assert runs == [] and not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE_INPUTS))
+def test_a_non_finite_model_input_is_refused_before_any_integration(
+    tmp_path, capsys, monkeypatch, case
+):
+    # each used to integrate until the step collapsed on non-finite stages
+    # and exit 2; now each is a config error that integrates nothing
+    argv = _NON_FINITE_INPUTS[case]
+    assert "finite" in _refused_before_any_integration(tmp_path, capsys, monkeypatch, argv)
+
+
+_NEGATIVE_INPUTS = {
+    "expand-beta-negative": ["expand", "--order", 2, "--beta", -0.1],
+    "expand-eps-negative": ["expand", "--order", 2, "--eps", -1],
+    "scan-taylor-beta-negative": ["scan", "--source", "taylor", "--beta", -0.1],
+}
+
+
+@pytest.mark.parametrize("case", list(_NEGATIVE_INPUTS))
+def test_a_negative_model_input_is_refused_before_any_integration(
+    tmp_path, capsys, monkeypatch, case
+):
+    # a Taylor map took a negative beta or eps: expand wrote the map and a
+    # Taylor scan ran until its orbits escaped, while the exact scan refused
+    # it; now every route refuses it as DuffingParams does
+    argv = _NEGATIVE_INPUTS[case]
+    assert ">= 0" in _refused_before_any_integration(tmp_path, capsys, monkeypatch, argv)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 """Duffing application tests: frames, maps, fixed points, sweeps, attractors."""
 
-import dataclasses
 import itertools
 import math
 import struct
@@ -118,19 +117,12 @@ def test_exact_period_matches_the_called_closure(params, tol):
     assert (t, stats) == (want_t, want_stats)
 
 
-def test_duffing_rhs_compiles_once_for_every_omega(monkeypatch):
+def test_duffing_rhs_compiles_once_for_every_omega():
     # each system binds its parameters to the one factory of its source
-    compiled = []
-    factory = ode._rhs_factory
-
-    def counted(source):
-        compiled.append(source)
-        return factory(source)
-
-    monkeypatch.setattr(ode, "_RHS_FACTORIES", {})
-    monkeypatch.setattr(ode, "_rhs_factory", counted)
+    ode._rhs_factory.cache_clear()
     systems = [duf.duffing_rhs(duf.DuffingParams(0.1, 25.0, w)) for w in (1.25, 1.27, 1.29)]
-    assert len(compiled) == 1
+    info = ode._rhs_factory.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
     assert [system.rhs.constants[-1] for system in systems] == [1.25, 1.27, 1.29]
 
 
@@ -929,18 +921,10 @@ def test_exact_scan_runs_on_python_floats(monkeypatch):
 
 
 def test_exact_scan_compiles_the_dop853_attempt_once(monkeypatch):
-    # the compiled attempt is cached on the tableau by m and the right
-    # side's expression source: every period of every omega reuses the one
-    # made for the first
-    compiled = []
-    float_kernel = ode._float_kernel
-
-    def counted(tableau, m, source=None):
-        compiled.append(m)
-        return float_kernel(tableau, m, source)
-
-    monkeypatch.setattr(ode, "_DOP", dataclasses.replace(ode._DOP, kernels={}))
-    monkeypatch.setattr(ode, "_float_kernel", counted)
+    # the compiled attempt is cached on the tableau, m and the right side's
+    # expression source: every period of every omega reuses the one made
+    # for the first
+    ode._float_kernel.cache_clear()
     periods = []
     call = duf.ExactStroboscopicMap.__call__
 
@@ -954,7 +938,11 @@ def test_exact_scan_compiles_the_dop853_attempt_once(monkeypatch):
     )
     assert [len(s) for s in result.samples] == [2, 2, 2]
     assert len(periods) == 15
-    assert compiled == [2]
+    assert ode._float_kernel.cache_info().misses == 1
+    # the one attempt is the tableau's at m = 2 for the (q, p) source
+    source = duf.duffing_rhs(duf.DuffingParams(0.1, 25.0, 1.3)).rhs.expressions
+    ode._float_kernel(ode._DOP, 2, source)
+    assert ode._float_kernel.cache_info().misses == 1
 
 
 def test_exact_map_jacobian_determinant_abel():
@@ -1033,14 +1021,14 @@ def test_exact_map_linearize_matches_the_order_1_jet_route(monkeypatch):
 
 
 @pytest.mark.parametrize("point", [(0.3,), (0.3, 0.4, 0.5)])
-def test_exact_map_refuses_a_point_of_another_length(monkeypatch, point):
+def test_exact_map_refuses_a_point_of_another_length(point):
     # the count is refused before any attempt compiles for it
-    monkeypatch.setattr(ode, "_DOP", dataclasses.replace(ode._DOP, kernels={}))
+    ode._float_kernel.cache_clear()
     exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 1.5, 2.0), tol=1e-6)
     for step in (exact, exact.linearize):
         with pytest.raises(ValueError, match=f"got {len(point)} components, expected 2"):
             step(point)
-    assert ode._DOP.kernels == {}
+    assert ode._float_kernel.cache_info().currsize == 0
 
 
 def test_exact_map_linearize_matches_central_differences():

@@ -755,13 +755,17 @@ def test_a_wrapped_expression_right_side_is_called_at_every_stage():
         return system.rhs(state, t)
 
     wrapped = dataclasses.replace(system, rhs=counted)
+    ode._float_kernel.cache_clear()
     state, _, stats = ode.rkf45(wrapped, (0.5, 0.5), 0.0, 2 * math.pi, ode.adaptive(1e-6))
     assert stats.rejected > 0
     assert len(calls) == 11 * (stats.accepted + stats.rejected) + stats.accepted
+    assert ode._float_kernel.cache_info().misses == 1
     want, _, want_stats = ode.rkf45(system, (0.5, 0.5), 0.0, 2 * math.pi, ode.adaptive(1e-6))
     assert bits((state, None)) == bits((want, None)) and stats == want_stats
     # the unwrapped run wrote the expressions into an attempt of its own
-    assert (2, system.rhs.expressions) in ode._DOP.kernels
+    assert ode._float_kernel.cache_info().misses == 2
+    ode._float_kernel(ode._DOP, 2, system.rhs.expressions)
+    assert ode._float_kernel.cache_info().misses == 2
 
 
 @pytest.mark.parametrize(

@@ -145,12 +145,24 @@ def test_out_of_range_access():
         mi.box_rev(table, 0)
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
     with pytest.raises(mi.TableSizeError):
         mi.build_table(8, 40)
-    mi.build_table(2, 3, max_entries=10)
+    # build_table(2, 3) has C(7, 4) = 35 box pairs
+    monkeypatch.setattr(mi, "MAX_BOX_PAIRS", 35)
+    mi.build_table(2, 3)
+    monkeypatch.setattr(mi, "MAX_BOX_PAIRS", 34)
     with pytest.raises(mi.TableSizeError):
-        mi.build_table(2, 3, max_entries=9)
+        mi.build_table(2, 3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_box_pairs_bound_the_rows(m):
+    # every box holds its own rank, so the one pair cap also caps the rows
+    for p in range(9):
+        table = mi.build_table(m, p)
+        assert table.flat_box.size == math.comb(p + 2 * m, 2 * m)
+        assert table.L <= table.flat_box.size
 
 
 def test_box_pair_cap_is_checked_before_any_box(monkeypatch):
