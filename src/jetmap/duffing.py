@@ -141,7 +141,8 @@ def _qp_system(params: DuffingParams, states: tuple, expressions: tuple) -> OdeS
 def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
     """Three-variable scaled system with sigma lifted; period 2 pi in t.
 
-    The state is ``(z1, z2, sigma)``.  When all three are jets over one
+    The state is ``(z1, z2, sigma)`` and carries sigma's value, so the
+    ``sigma`` argument is not read.  When all three are jets over one
     table, as the forward march's stage views and the backward route's
     expansions are, the right side works on their coefficient arrays
     through :func:`~jetmap.jet.prod_coeffs` and returns one ``(3, L)``
@@ -189,7 +190,7 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
         s2 = s**2
         return (z2, m2beta * (s * z2) - s2 * z1 - z1**3 - (eps * sin(t)) * (s * s2), 0.0)
 
-    return OdeSystem(dim=3, rhs=rhs, n_params=1, param_values=(float(sigma),))
+    return OdeSystem(dim=3, rhs=rhs, n_params=1)
 
 
 # -- exact stroboscopic map -------------------------------------------------------

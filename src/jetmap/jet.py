@@ -265,12 +265,19 @@ def jet_to_dict(u: Jet, suppress_zeros: bool = False) -> dict:
 
 
 def jet_from_dict(table: MonomialTable, data: dict) -> Jet:
+    """Jet of a :func:`jet_to_dict` dict; missing ranks read 0, entries off ``table`` raise."""
     if data["m"] != table.m or data["p"] != table.p:
         raise TableMismatchError(
             f"serialized jet is (m={data['m']}, p={data['p']}), "
             f"table is (m={table.m}, p={table.p})"
         )
+    entries = data["coeffs"]
+    ranks = [entry["r"] for entry in entries]
+    if len(set(ranks)) < len(ranks) or not all(type(r) is int and 1 <= r <= table.L for r in ranks):
+        raise ValueError(f"coefficient ranks must be distinct integers in [1, {table.L}]")
+    rows = np.array(ranks, dtype=np.intp) - 1
+    if [entry["exponents"] for entry in entries] != table.exponents[rows].tolist():
+        raise ValueError("coefficient exponents differ from their ranks' table rows")
     coeffs = np.zeros(table.L)
-    for entry in data["coeffs"]:
-        coeffs[entry["r"] - 1] = entry["value"]
+    coeffs[rows] = [entry["value"] for entry in entries]
     return Jet(table, coeffs)

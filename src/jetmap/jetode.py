@@ -103,25 +103,12 @@ class OdeSystem:
     dim: int
     rhs: Callable[[State, float], Sequence]
     n_params: int = 0
-    param_values: tuple = ()
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"system dimension must be >= 1, got {self.dim}")
         if not 0 <= self.n_params <= self.dim:
             raise ValueError(f"n_params={self.n_params} outside [0, {self.dim}]")
-
-    @property
-    def n_dynamical(self) -> int:
-        return self.dim - self.n_params
-
-    def initial_state(self, dynamical: Sequence[float]) -> tuple[float, ...]:
-        """Full initial state: dynamical values followed by parameter values."""
-        if len(dynamical) != self.n_dynamical:
-            raise ValueError(
-                f"expected {self.n_dynamical} dynamical values, got {len(dynamical)}"
-            )
-        return tuple(float(v) for v in dynamical) + tuple(self.param_values)
 
 
 def store_rows(dst: np.ndarray, values, table: MonomialTable) -> None:

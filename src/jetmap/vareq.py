@@ -34,7 +34,7 @@ from .jet import (
     state_about,
 )
 from .jetode import IntegratorConfig, OdeSystem, StepStats, integrate, store_rows
-from .monoidx import MonomialTable, rank
+from .monoidx import MonomialTable
 
 
 # -- expansion of the right side ---------------------------------------------
@@ -95,18 +95,17 @@ class TaylorMap:
     """Polynomial transfer map about a design trajectory.
 
     ``rows[a]`` is the jet of the final value of variable ``a + 1`` as a
-    polynomial in the initial deviations; its constant term is the design
-    endpoint.  Trailing ``n_params`` variables are lifted parameters whose
-    rows are exact identities.  ``diagnostics`` holds the step statistics of
-    each integration that built the map (empty for a map read from a file
-    that has none).
+    polynomial in the initial deviations; their constant terms are the
+    design endpoint, :attr:`design_endpoint`.  Trailing ``n_params``
+    variables are lifted parameters whose rows are exact identities.
+    ``diagnostics`` holds the step statistics of each integration that
+    built the map (empty for a map read from a file that has none).
     """
 
     table: MonomialTable
     t_i: float
     t_f: float
     expansion_point: tuple[float, ...]
-    design_endpoint: tuple[float, ...]
     rows: tuple[Jet, ...]
     n_params: int = 0
     diagnostics: tuple[StepStats, ...] = ()
@@ -118,6 +117,10 @@ class TaylorMap:
             )
         if len(self.expansion_point) != self.table.m:
             raise ValueError("expansion point length must match variable count")
+
+    @property
+    def design_endpoint(self) -> tuple[float, ...]:
+        return tuple(float(row.coeffs[0]) for row in self.rows)
 
     @property
     def m_dynamical(self) -> int:
@@ -137,12 +140,6 @@ class TaylorMap:
         if dev.shape != (self.table.m,):
             raise ValueError(f"expected {self.table.m} deviations, got {dev.shape}")
         return self.coefficient_matrix() @ monomial_values(self.table, dev)
-
-    def linear_matrix(self) -> np.ndarray:
-        """Degree-1 block of the dynamical rows: d(final)/d(initial deviation)."""
-        n = self.m_dynamical
-        ranks = [self.table.variable_rank(b + 1) - 1 for b in range(n)]
-        return self.coefficient_matrix()[:n, ranks]
 
 
 def taylor_map_to_dict(tmap: TaylorMap, suppress_zeros: bool = False) -> dict:
@@ -165,22 +162,25 @@ def taylor_map_to_dict(tmap: TaylorMap, suppress_zeros: bool = False) -> dict:
 
 
 def taylor_map_from_dict(data: dict) -> TaylorMap:
+    """TaylorMap of a :func:`taylor_map_to_dict` dict, refused unless its endpoint is its rows'."""
     # through the module, so that a wrapper put on monoidx.build_table sees it
     table = monoidx.build_table(data["m_dynamical"] + data["n_params"], data["p"])
     rows = [
         jet_from_dict(table, {"m": table.m, "p": table.p, "coeffs": row["coeffs"]})
         for row in data["rows"]
     ]
-    return TaylorMap(
+    tmap = TaylorMap(
         table=table,
         t_i=float(data["t_i"]),
         t_f=float(data["t_f"]),
         expansion_point=tuple(data["expansion_point"]),
-        design_endpoint=tuple(data["design_endpoint"]),
         rows=tuple(rows),
         n_params=int(data["n_params"]),
         diagnostics=tuple(StepStats(**stats) for stats in data.get("diagnostics", ())),
     )
+    if list(tmap.design_endpoint) != data["design_endpoint"]:
+        raise ValueError(f"design_endpoint is not the rows' constants {list(tmap.design_endpoint)}")
+    return tmap
 
 
 # -- forward route -------------------------------------------------------------
@@ -199,15 +199,12 @@ def forward_solve(
         raise ValueError(f"table has m={table.m}, system has dim={system.dim}")
     state0 = state_about(table, zd0)
     state, _, stats = integrate(system, state0, t_i, t_f, cfg)
-    rows = tuple(state)
-    endpoint = tuple(float(row.coeffs[0]) for row in rows)
     return TaylorMap(
         table=table,
         t_i=t_i,
         t_f=t_f,
         expansion_point=tuple(float(v) for v in zd0),
-        design_endpoint=endpoint,
-        rows=rows,
+        rows=tuple(state),
         n_params=system.n_params,
         diagnostics=(stats,),
     )
@@ -248,30 +245,36 @@ class CCoefficientTable:
 
 
 def c_coefficients(m: int, p: int, table: MonomialTable) -> CCoefficientTable:
-    """Enumerate all nonzero C^r_{b r' r''} for degree(r) <= p."""
+    """All nonzero C^r_{b r' r''} for degree(r) <= p, read off the box pairs.
+
+    ``d/d zeta_b x^{r'} = j'_b x^{r' - e_b}``, so C^r_{b r' r''} is
+    ``d_b + 1`` exactly when (d, r'') is a box pair of r (``flat_box`` and
+    ``flat_box_rev`` over r's segment), r'' is not constant and
+    ``r' = d z_b``: m (C(p + 2m, 2m) - L) entries.  ``d z_b`` is the r of
+    the pair (d, z_b), z_b having 0-based row b + 1.  Entries are ordered by
+    b, then r', then r'', the order in which :meth:`contraction_matrix
+    <CCoefficientTable.contraction_matrix>` sums each cell's terms.
+    """
     if table.m != m or table.p != p:
         raise ValueError(f"table is (m={table.m}, p={table.p}), asked for ({m}, {p})")
-    idx_out, idx_g, values = [], [], []
-    for b in range(m):
-        for ip in range(1, table.L):  # r' = ip + 1, degree >= 1
-            jp = table.exponents[ip]
-            if jp[b] < 1:
-                continue
-            lowered = jp.copy()
-            lowered[b] -= 1
-            d_lowered = int(table.degrees[ip]) - 1
-            for ipp in range(1, table.L):  # r'' = ipp + 1, degree >= 1
-                if d_lowered + int(table.degrees[ipp]) > p:
-                    continue
-                target = lowered + table.exponents[ipp]
-                idx_out.append((rank(target.tolist()) - 1) * table.L + ip)
-                idx_g.append(b * table.L + ipp)
-                values.append(float(jp[b]))
+    L = table.L
+    d, rpp = table.flat_box, table.flat_box_rev
+    r = np.repeat(np.arange(L), np.diff(table.seg_starts, append=d.size))
+    # times_var[b, d] = 0-based rank of d z_b, for every d of degree < p
+    times_var = np.zeros((m, L), dtype=np.intp)
+    lift = (rpp >= 1) & (rpp <= m)
+    times_var[rpp[lift] - 1, d[lift]] = r[lift]
+    keep = rpp >= 1
+    d, rpp, r = d[keep], rpp[keep], r[keep]
+    b = np.repeat(np.arange(m), d.size)
+    rp = times_var[:, d].ravel()
+    rpp, r = np.tile(rpp, m), np.tile(r, m)
+    order = np.lexsort((rpp, rp, b))
     return CCoefficientTable(
-        L=table.L,
-        idx_out=np.array(idx_out, dtype=np.intp),
-        idx_g=np.array(idx_g, dtype=np.intp),
-        values=np.array(values),
+        L=L,
+        idx_out=(r * L + rp)[order],
+        idx_g=(b * L + rpp)[order],
+        values=(table.exponents[d].T.ravel() + 1.0)[order],
     )
 
 
@@ -352,7 +355,6 @@ def backward_solve(
         t_i=t_i,
         t_f=t_f,
         expansion_point=scalar_state0,
-        design_endpoint=endpoint,
         rows=tuple(rows),
         n_params=system.n_params,
         diagnostics=(design_stats, coeff_stats),

@@ -1,16 +1,16 @@
 """Test oracles: independent versions of what the package computes.
 
 The hand-written two-variable coefficient equations, the generic forward
-coefficient derivatives by jet composition, the C-contraction by
-``np.add.at``, a central-difference Jacobian, parameter lifting and a
-parameter-freezing wrapper for lifted systems, a frame-tagged phase point,
-a Runge-Kutta attempt on floats by ``sum`` over tableau rows, the folded
-polynomial map and its Jacobian by a Horner loop, the exact map's Jacobian
-by an order-1 jet integration, the (q, p) Duffing right side as a
-hand-written closure, the scaled Duffing right side with every product
-made at every call, and the backward route with a right side that stacks
-its state and makes new jets for every expansion.  None of them is used by
-the package itself.
+coefficient derivatives by jet composition, the C-table by a rank loop and
+its contraction by ``np.add.at``, a central-difference Jacobian, a map's
+linear block, parameter lifting and a parameter-freezing wrapper for
+lifted systems, a frame-tagged phase point, a Runge-Kutta attempt on
+floats by ``sum`` over tableau rows, the folded polynomial map and its
+Jacobian by a Horner loop, the exact map's Jacobian by an order-1 jet
+integration, the (q, p) Duffing right side as a hand-written closure, the
+scaled Duffing right side with every product made at every call, and the
+backward route with a right side that stacks its state and makes new jets
+for every expansion.  None of them is used by the package itself.
 """
 
 import math
@@ -24,8 +24,8 @@ from jetmap import duffing as duf
 from jetmap import vareq
 from jetmap.jet import Jet, constant, state_about
 from jetmap.jetode import OdeSystem, adaptive, integrate
-from jetmap.monoidx import MonomialTable, build_table
-from jetmap.vareq import TaylorMap, c_coefficients, expand_rhs, forward_solve
+from jetmap.monoidx import MonomialTable, build_table, rank
+from jetmap.vareq import CCoefficientTable, TaylorMap, c_coefficients, expand_rhs, forward_solve
 
 
 # -- coefficient equations ------------------------------------------------------
@@ -170,10 +170,43 @@ def backward_solve_stacked(
         t_i=t_i,
         t_f=t_f,
         expansion_point=zd0,
-        design_endpoint=endpoint,
         rows=tuple(Jet(table, row) for row in coeffs),
         n_params=system.n_params,
         diagnostics=(design_stats, coeff_stats),
+    )
+
+
+# -- C-coefficients ---------------------------------------------------------------
+
+
+def c_coefficients_by_rank(m: int, p: int, table: MonomialTable) -> CCoefficientTable:
+    """``vareq.c_coefficients`` by a loop over (b, r', r'') and :func:`rank`.
+
+    Each entry's r is the rank of the exponent vector r' - e_b + r'', and
+    its value is j'_b, taken in the package's order: b, then r', then r''.
+    Its arrays must be the package's, dtypes included.
+    """
+    idx_out, idx_g, values = [], [], []
+    for b in range(m):
+        for ip in range(1, table.L):  # r' = ip + 1, degree >= 1
+            jp = table.exponents[ip]
+            if jp[b] < 1:
+                continue
+            lowered = jp.copy()
+            lowered[b] -= 1
+            d_lowered = int(table.degrees[ip]) - 1
+            for ipp in range(1, table.L):  # r'' = ipp + 1, degree >= 1
+                if d_lowered + int(table.degrees[ipp]) > p:
+                    continue
+                target = lowered + table.exponents[ipp]
+                idx_out.append((rank(target.tolist()) - 1) * table.L + ip)
+                idx_g.append(b * table.L + ipp)
+                values.append(float(jp[b]))
+    return CCoefficientTable(
+        L=table.L,
+        idx_out=np.array(idx_out, dtype=np.intp),
+        idx_g=np.array(idx_g, dtype=np.intp),
+        values=np.array(values),
     )
 
 
@@ -198,6 +231,13 @@ def central_difference_jacobian(fn, point) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def linear_matrix(tmap: TaylorMap) -> np.ndarray:
+    """Degree-1 block of a map's dynamical rows: d(final)/d(initial deviation)."""
+    n = tmap.m_dynamical
+    ranks = [tmap.table.variable_rank(b + 1) - 1 for b in range(n)]
+    return tmap.coefficient_matrix()[:n, ranks]
+
+
 # -- parameter lifting -----------------------------------------------------------
 
 
@@ -208,28 +248,30 @@ def lift_parameters(rhs, m: int, param_values) -> OdeSystem:
     polynomial in both the state and the parameters.  The returned system has
     dimension ``m + len(param_values)``; maps expanded for it carry parameter
     deviations as extra initial-condition variables, and the parameter rows
-    of any such map are exact identities.
+    of any such map are exact identities.  The values themselves ride in
+    the state, so only their count is kept.
     """
-    values = tuple(float(v) for v in param_values)
-    n = len(values)
+    n = len(param_values)
 
     def lifted(state: tuple, t: float):
         dyn = rhs(tuple(state[:m]), t, tuple(state[m:]))
         return tuple(dyn) + (0.0,) * n
 
-    return OdeSystem(dim=m + n, rhs=lifted, n_params=n, param_values=values)
+    return OdeSystem(dim=m + n, rhs=lifted, n_params=n)
 
 
-def fix_parameters(system: OdeSystem) -> OdeSystem:
-    """Freeze a lifted system's parameters at their design values.
+def fix_parameters(system: OdeSystem, param_values) -> OdeSystem:
+    """Freeze a lifted system's parameters at ``param_values``.
 
-    Returns the plain dynamical system (dimension ``m_dynamical``) whose
+    Returns the plain dynamical system (dimension ``dim - n_params``) whose
     right side sees the parameters as constants of the working algebra.
     """
+    values = tuple(float(v) for v in param_values)
+    if len(values) != system.n_params:
+        raise ValueError(f"need {system.n_params} parameter values, got {len(values)}")
     if system.n_params == 0:
         return system
-    m = system.n_dynamical
-    values = system.param_values
+    m = system.dim - system.n_params
 
     def frozen(state: tuple, t: float):
         anchor = state[0]
@@ -390,7 +432,7 @@ def jet_linearize(exact, point) -> tuple:
         build_table(2, 1),
         adaptive(exact.tol),
     )
-    return np.array(tmap.design_endpoint), tmap.linear_matrix(), tmap.diagnostics[0]
+    return np.array(tmap.design_endpoint), linear_matrix(tmap), tmap.diagnostics[0]
 
 
 # -- Duffing right sides -------------------------------------------------------------

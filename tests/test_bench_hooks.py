@@ -18,7 +18,8 @@ from jetmap import cli, jet, monoidx, vareq
 from jetmap import duffing as duf
 from jetmap import jetode as ode
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 # the points perfbench/workload.py's clock_marks patches: each right side of
 # an integration, each period of the exact map, each omega of a scan
@@ -107,3 +108,12 @@ def test_the_benchmark_calls_keep_their_forms():
     assert duf.EscapeError("escaped", 3).step == 3
     grid = cli._omega_grid({"omega_start": 1.25, "omega_stop": 1.27, "omega_step": 0.01})
     assert np.allclose(grid, [1.25, 1.26, 1.27])
+
+    # the workloads load the read-only maps under perfbench/ref as written
+    maps = sorted((PERFBENCH / "ref").glob("duffing_*.json"))
+    assert len(maps) == 3
+    for path in maps:
+        data = json.loads(path.read_text())
+        ref_map = vareq.taylor_map_from_dict(data)
+        written = vareq.taylor_map_to_dict(ref_map, suppress_zeros=data["config"]["suppress_zeros"])
+        assert written == {"diagnostics": [], **{k: v for k, v in data.items() if k != "config"}}

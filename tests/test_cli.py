@@ -314,6 +314,32 @@ def test_malformed_map_file(tmp_path):
     assert run_cli(["scan", "--config", path, "--out", tmp_path / "o.csv"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        # would leave the constant term at 0.0, so every orbit escapes
+        lambda data: data["rows"][0]["coeffs"][0].update(r=0),
+        # would escape as an IndexError
+        lambda data: data["rows"][0]["coeffs"][0].update(r=99),
+        lambda data: data["rows"][0]["coeffs"][0].update(exponents=[1, 0, 0]),
+        lambda data: data["design_endpoint"].__setitem__(0, 0.25),
+    ],
+    ids=["rank 0", "rank 99", "exponents", "design endpoint"],
+)
+def test_a_map_file_off_its_table_is_a_config_error(tmp_path, small_map_file, spoil, capsys):
+    data = json.loads(small_map_file.read_text())
+    spoil(data)
+    small_map_file.write_text(json.dumps(data))
+    cfg = {"scan": {"map_file": str(small_map_file), "beta": 0.1, "eps": 0.15,
+                    "omega_start": 2.0, "omega_stop": 2.0, "omega_step": 0.1,
+                    "transient": 2, "record": 2}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli(["scan", "--config", path, "--out", tmp_path / "o.csv"]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
 # -- scan and attract -----------------------------------------------------------------
 
 

@@ -129,7 +129,6 @@ def test_duffing_rhs_compiles_once_for_every_omega():
 def test_scaled_rhs_structure():
     system = duf.duffing_scaled_rhs(0.1, 1.5, sigma=0.5)
     assert system.dim == 3 and system.n_params == 1
-    assert system.param_values == (0.5,)
     # scalar evaluation against the hand expansion
     z = (0.2, -0.3, 0.5)
     t = 1.1
@@ -306,7 +305,6 @@ def _toy_identity_map(shift=(0.0, 0.0)):
         t_i=0.0,
         t_f=duf.TWO_PI,
         expansion_point=(0.0, 0.0, 0.5),
-        design_endpoint=(shift[0], shift[1], 0.5),
         rows=tuple(rows),
         n_params=1,
     )
@@ -368,7 +366,6 @@ def _toy_overflow_map(nan: bool):
         t_i=0.0,
         t_f=duf.TWO_PI,
         expansion_point=(0.0, 0.0, 0.5),
-        design_endpoint=(0.0, 0.0, 0.5),
         rows=tuple(Jet(table, row) for row in rows),
         n_params=1,
     )
@@ -595,7 +592,6 @@ def _random_map(p: int, rng) -> vq.TaylorMap:
         t_i=0.0,
         t_f=duf.TWO_PI,
         expansion_point=(0.1, -0.2, 0.5),
-        design_endpoint=(0.1, -0.2, 0.5),
         rows=(*rows, Jet(table, sigma)),
         n_params=1,
     )

@@ -226,8 +226,36 @@ def test_serialization_round_trip():
     assert sparse["coeffs"][0] == {"r": 1, "exponents": [0, 0], "value": 1.0}
     for data in (full, sparse):
         assert jt.jet_from_dict(table, data) == u
+    # missing ranks, in any order, read 0
+    sparse["coeffs"].reverse()
+    assert jt.jet_from_dict(table, sparse) == u
+    assert jt.jet_from_dict(table, {"m": 2, "p": 2, "coeffs": []}) == jt.constant(table, 0.0)
     with pytest.raises(mi.TableMismatchError):
         jt.jet_from_dict(mi.build_table(1, 2), full)
+
+
+@pytest.mark.parametrize(
+    "entry, change",
+    [
+        (0, {"r": 0}),  # would write the last coefficient
+        (0, {"r": 99}),
+        (0, {"r": 7}),  # L + 1
+        (0, {"r": 1.0}),
+        (0, {"r": "1"}),
+        (1, {"r": True}),  # a bool is not a rank
+        (1, {"r": 1, "exponents": [0, 0]}),  # rank 1 twice
+        (1, {"exponents": [1, 0]}),
+        (1, {"exponents": [1, 0, 0]}),
+        (2, {"exponents": [2]}),
+    ],
+)
+def test_jet_from_dict_refuses_entries_off_the_table(entry, change):
+    table = mi.build_table(2, 2)
+    # ranks 1, 3 and 5 of six
+    data = jt.jet_to_dict(jt.Jet(table, [1.0, 0.0, -0.5, 0.0, 3.0, 0.0]), suppress_zeros=True)
+    data["coeffs"][entry].update(change)
+    with pytest.raises(ValueError):
+        jt.jet_from_dict(table, data)
 
 
 def test_json_value_precision_round_trip():

@@ -14,12 +14,17 @@ from jetmap import vareq as vq
 from conftest import FP_OMEGA, FP_P, FP_Q
 from oracles import (
     backward_solve_stacked,
+    c_coefficients_by_rank,
     contraction_matrix_add_at,
     fix_parameters,
     forward_variational_rhs,
     lift_parameters,
+    linear_matrix,
     two_var_oracle_rhs,
 )
+
+# every (m, p) with m <= 3 and p <= 6, and four and five variables at low order
+C_TABLE_GRID = [(m, p) for m in (1, 2, 3) for p in range(7)] + [(4, 4), (5, 3), (4, 0), (5, 0)]
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +168,22 @@ def test_c_coefficients_published_two_variable_table():
     assert ctab.entries == {
         (r + 1, b, rp + 1, rpp + 1): v for r, b, rp, rpp, v in published
     }
+
+
+@pytest.mark.parametrize("m,p", C_TABLE_GRID)
+def test_c_coefficients_are_the_rank_loops_arrays(m, p):
+    table = mi.build_table(m, p)
+    ours, loop = vq.c_coefficients(m, p, table), c_coefficients_by_rank(m, p, table)
+    for name in ("idx_out", "idx_g", "values"):
+        got, want = getattr(ours, name), getattr(loop, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("m,p", C_TABLE_GRID)
+def test_c_coefficients_hold_one_entry_per_box_pair_and_variable(m, p):
+    # each pair (d, r'') of a box with r'' not constant, for each b
+    table = mi.build_table(m, p)
+    assert vq.c_coefficients(m, p, table).values.size == m * (math.comb(p + 2 * m, 2 * m) - table.L)
 
 
 @pytest.mark.parametrize("m,p", [(1, 4), (2, 3), (3, 2)])
@@ -317,7 +338,7 @@ def test_forward_solve_constant_linear_system_matches_expm():
     )
     table = mi.build_table(2, 2)
     tmap = vq.forward_solve(linear, [0.4, 0.1], 0.0, 2.0, table, ode.adaptive(1e-12))
-    assert np.max(np.abs(tmap.linear_matrix() - series_expm(a, 2.0))) < 1e-9
+    assert np.max(np.abs(linear_matrix(tmap) - series_expm(a, 2.0))) < 1e-9
 
 
 # -- backward solve -----------------------------------------------------------------
@@ -431,7 +452,7 @@ def test_backward_solve_hands_every_expansion_the_same_jets():
             seen.append(state)
         return system.rhs(state, t)
 
-    spying = ode.OdeSystem(dim=3, rhs=spying_rhs, n_params=1, param_values=(0.5,))
+    spying = ode.OdeSystem(dim=3, rhs=spying_rhs, n_params=1)
     vq.backward_solve(spying, (0.3, 0.4, 0.5), 0.0, duf.TWO_PI, table, ode.adaptive(1e-8))
     # one tuple of read-only jets for the whole run, rewritten at each expansion
     assert len(seen) > 100
@@ -500,7 +521,6 @@ def duffing_core_rhs(state, t, params):
 def test_lift_parameters_builds_scaled_duffing(t33):
     lifted = lift_parameters(duffing_core_rhs, 2, (0.5,))
     assert lifted.dim == 3 and lifted.n_params == 1
-    assert lifted.initial_state([0.3, 0.4]) == (0.3, 0.4, 0.5)
     reference = duf.duffing_scaled_rhs(0.1, 1.5, sigma=0.5)
     state = jt.state_about(t33, [0.3, 0.4, 0.5])
     ours = _coefficient_rows(lifted.rhs(state, 0.9), t33)
@@ -533,7 +553,7 @@ def test_lifted_map_restricts_to_unlifted_map():
     cfg = ode.adaptive(1e-12)
     full = vq.forward_solve(lifted, [0.3, 0.4, 0.5], 0.0, duf.TWO_PI, table3, cfg)
     plain = vq.forward_solve(
-        fix_parameters(lifted), [0.3, 0.4], 0.0, duf.TWO_PI, table2, cfg
+        fix_parameters(lifted, (0.5,)), [0.3, 0.4], 0.0, duf.TWO_PI, table2, cfg
     )
     # coefficients with zero sigma-exponent must coincide with the 2-variable map
     for a in range(2):
@@ -573,7 +593,7 @@ def test_liouville_determinant_duffing():
         tmap = duf.stroboscopic_taylor_map(
             beta, 1.5, (0.3, 0.4, sigma), p=2, cfg=ode.adaptive(1e-12)
         )
-        det = np.linalg.det(tmap.linear_matrix())
+        det = np.linalg.det(linear_matrix(tmap))
         assert det == pytest.approx(math.exp(-4 * math.pi * beta * sigma), abs=1e-8)
 
 
@@ -588,6 +608,15 @@ def test_taylor_map_serialization_round_trip():
     assert back.design_endpoint == tmap.design_endpoint
     sparse = vq.taylor_map_to_dict(tmap, suppress_zeros=True)
     assert vq.taylor_map_from_dict(sparse).rows[2] == tmap.rows[2]
+
+
+def test_taylor_map_endpoint_is_the_rows_constants():
+    tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=2, cfg=ode.adaptive(1e-10))
+    assert tmap.design_endpoint == tuple(tmap.coefficient_matrix()[:, 0])
+    data = vq.taylor_map_to_dict(tmap)
+    data["design_endpoint"][1] += 1e-12
+    with pytest.raises(ValueError, match="design_endpoint"):
+        vq.taylor_map_from_dict(data)
 
 
 def test_map_diagnostics_record_step_stats():
