@@ -185,29 +185,16 @@ _EXPAND_DEFAULTS = {
 def cmd_expand(args) -> int:
     cfg = _merge(_load_config(args.config, "expand"), _EXPAND_DEFAULTS, args)
     cfg["integrator"], integrator = _integrator_config(cfg["integrator"])
-    expansion = [float(v) for v in cfg["expansion"]]
-    if cfg["method"] not in ("forward", "backward"):
-        raise ConfigError(f"method must be forward or backward, got {cfg['method']!r}")
-    if cfg["system"] == "duffing":
-        if len(expansion) != 3:
-            raise ConfigError("expansion must be [z1, z2, sigma]")
-        tmap = duf.stroboscopic_taylor_map(
-            beta=float(cfg["beta"]),
-            eps=float(cfg["eps"]),
-            expansion=expansion,
-            p=int(cfg["order"]),
-            cfg=integrator,
-            method=cfg["method"],
-        )
-    elif cfg["system"] == "zero":
-        # frozen toy system: its one-period map is the identity
-        dim = len(expansion)
-        zero = ode.OdeSystem(dim=dim, rhs=lambda s, t: tuple(0.0 * z for z in s))
-        table = mi.build_table(dim, int(cfg["order"]))
-        solver = vq.forward_solve if cfg["method"] == "forward" else vq.backward_solve
-        tmap = solver(zero, expansion, 0.0, duf.TWO_PI, table, integrator)
-    else:
-        raise ConfigError(f"system must be 'duffing' or 'zero', got {cfg['system']!r}")
+    if cfg["system"] != "duffing":
+        raise ConfigError(f"system must be 'duffing', got {cfg['system']!r}")
+    tmap = duf.stroboscopic_taylor_map(
+        beta=float(cfg["beta"]),
+        eps=float(cfg["eps"]),
+        expansion=[float(v) for v in cfg["expansion"]],
+        p=int(cfg["order"]),
+        cfg=integrator,
+        method=cfg["method"],
+    )
     payload = vq.taylor_map_to_dict(tmap, suppress_zeros=bool(cfg["suppress_zeros"]))
     payload["config"] = {k: cfg[k] for k in sorted(cfg) if k != "out"}
     endpoint = ", ".join(repr(v) for v in tmap.design_endpoint)
@@ -231,11 +218,7 @@ def cmd_expand(args) -> int:
 
 # default expansion point: the published unstable fixed point of the exact
 # map at beta=.1, eps=25, omega=1.285, converted to the scaled frame
-_DEFAULT_EXPANSION = [
-    1.26082 / 1.285,
-    2.05452 / 1.285**2,
-    1.0 / 1.285,
-]
+_DEFAULT_EXPANSION = [*duf.to_scaled(1.26082, 2.05452, 1.285), 1.0 / 1.285]
 
 _SCAN_DEFAULTS = {
     "source": "taylor",
@@ -278,10 +261,7 @@ def _omega_grid(cfg) -> np.ndarray:
         raise ConfigError("omega range and step disagree in direction")
     if n >= MAX_OMEGAS:
         raise ConfigError(f"omega grid would hold more than {MAX_OMEGAS} values; widen omega_step")
-    grid = start + step * np.arange(n + 1)
-    if grid.size == 0:
-        raise ConfigError("empty omega grid")
-    return grid
+    return start + step * np.arange(n + 1)
 
 
 def _map_source(cfg):

@@ -41,28 +41,26 @@ from .monoidx import MonomialTable
 
 
 def _expansion(system: OdeSystem, table: MonomialTable):
-    """``expand(zd, t) -> (fvals, g)`` for ``system`` on buffers made once.
+    """``expand(zd, t) -> g`` for ``system`` on buffers made once.
 
     The factory owns the identity jets ``zd_a + x_a``, read-only views over
-    the rows of one ``np.eye(m, L, k=1)`` buffer, and the arrays ``fvals``
-    and ``g`` it returns.  Each call writes ``zd`` into the buffer's column
-    0, hands the right side those same jets, stores its return into ``g``
-    through :func:`~jetmap.jetode.store_rows`, which refuses what it cannot
-    store, and splits the constant column off into ``fvals``.  So the next
-    call rewrites the jets the right side got and the arrays it returned.
+    the rows of one ``np.eye(m, L, k=1)`` buffer, and the array ``g`` it
+    returns.  Each call writes ``zd`` into the buffer's column 0, hands the
+    right side those same jets and stores its return into ``g`` through
+    :func:`~jetmap.jetode.store_rows`, which refuses what it cannot store.
+    ``g[:, 0]`` is the design value f(zd, t), and the other columns are the
+    forcing terms.  So the next call rewrites the jets the right side got
+    and the array it returned.
     """
     # x_a has rank a + 1 (MonomialTable.variable_rank)
     about = np.eye(table.m, table.L, k=1)
     state = tuple(_new_jet(table, row) for row in about)
-    fvals = np.empty(table.m)
     g = np.empty((table.m, table.L))
 
-    def expand(zd, t: float) -> tuple[np.ndarray, np.ndarray]:
+    def expand(zd, t: float) -> np.ndarray:
         about[:, 0] = zd
         store_rows(g, system.rhs(state, t), table)
-        fvals[:] = g[:, 0]
-        g[:, 0] = 0.0
-        return fvals, g
+        return g
 
     return expand
 
@@ -84,7 +82,10 @@ def expand_rhs(
             f"system dim {system.dim}, table m {table.m}, design point "
             f"length {len(zd)} must all agree"
         )
-    return _expansion(system, table)(zd, t)
+    g = _expansion(system, table)(zd, t)
+    fvals = g[:, 0].copy()
+    g[:, 0] = 0.0
+    return fvals, g
 
 
 # -- the transfer map object ---------------------------------------------------
@@ -315,7 +316,9 @@ def backward_solve(
     reads each stage's coefficients into, so the system's right side gets
     the same read-only jets at every expansion, rewritten in place; like a
     jet march's (see :mod:`~jetmap.jetode`), a right side that keeps one
-    past its return must copy its ``coeffs``.
+    past its return must copy its ``coeffs``.  Each expansion's column 0,
+    f at the design point, drives the design orbit; the contraction reads
+    only the other columns, the forcing terms.
     """
     if table.m != system.dim:
         raise ValueError(f"table has m={table.m}, system has dim={system.dim}")
@@ -336,10 +339,10 @@ def backward_solve(
         # s runs 0 -> span while the physical time runs t_f -> t_i
         tbar = t_f - s
         np.concatenate([component.coeffs for component in state], out=h_flat)
-        fvals, g = expand(zd, tbar)
+        g = expand(zd, tbar)
         ctab.contraction_matrix(g, amat)
         dh = h @ amat.T  # -(d/dtbar) h, negated once more by ds = -dtbar
-        dh[:, 0] = -fvals
+        dh[:, 0] = -g[:, 0]
         return dh
 
     reversed_system = OdeSystem(dim=table.m, rhs=reversed_rhs)

@@ -1,5 +1,6 @@
 """Command-line interface tests: config handling, outputs, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -46,6 +47,14 @@ def test_table_matches_two_variable_listing(tmp_path):
         "6,0,2,2", "7,3,0,3", "8,2,1,3", "9,1,2,3", "10,0,3,3",
     ]
     assert data[1:] == expected
+
+
+def test_table_without_out_writes_the_file_bytes_to_stdout(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run_cli(["table", "--m", 2, "--p", 3, "--out", out]) == 0
+    assert capsys.readouterr().out == f"wrote 10 rows to {out}\n"
+    assert run_cli(["table", "--m", 2, "--p", 3]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_table_requires_m_and_p():
@@ -117,6 +126,16 @@ def test_expand_deterministic_output(tmp_path, rk4_expand_config):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_expand_without_out_writes_the_file_bytes_to_stdout(tmp_path, rk4_expand_config, capsys):
+    # both runs print the design endpoint and the step counts first
+    out = tmp_path / "map.json"
+    assert run_cli(["expand", "--config", rk4_expand_config, "--out", out]) == 0
+    report = capsys.readouterr().out.splitlines(keepends=True)
+    assert report[2] == f"wrote order-3 map to {out}\n"
+    assert run_cli(["expand", "--config", rk4_expand_config]) == 0
+    assert capsys.readouterr().out == "".join(report[:2]) + out.read_text()
+
+
 def test_expand_flag_overrides_config(tmp_path, rk4_expand_config):
     out = tmp_path / "o2.json"
     assert run_cli(["expand", "--config", rk4_expand_config, "--order", 2, "--out", out]) == 0
@@ -125,22 +144,6 @@ def test_expand_flag_overrides_config(tmp_path, rk4_expand_config):
 
 def test_expand_bad_expansion():
     assert run_cli(["expand", "--expansion", "0.3,0.4"]) == cli.EXIT_CONFIG
-
-
-def test_expand_zero_system_identity_map(tmp_path):
-    cfg = {"expand": {"system": "zero", "expansion": [0.7, -0.2], "order": 3}}
-    path = tmp_path / "zero.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "zero_map.json"
-    assert run_cli(["expand", "--config", path, "--out", out]) == 0
-    data = json.loads(out.read_text())
-    assert data["design_endpoint"] == [0.7, -0.2]
-    for a, row in enumerate(data["rows"]):
-        values = np.array([c["value"] for c in row["coeffs"]])
-        expected = np.zeros(len(values))
-        expected[0] = data["expansion_point"][a]
-        expected[a + 1] = 1.0
-        assert np.array_equal(values, expected)
 
 
 def test_unknown_config_key(tmp_path):
@@ -281,6 +284,24 @@ def test_expand_tol_flag_refuses_a_fixed_mode_file(tmp_path, rk4_expand_config, 
 def test_usage_errors_exit_with_config_error(argv, capsys):
     assert run_cli(argv) == cli.EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+def test_readme_flag_table_lists_each_commands_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [line.strip("|").split("|") for line in readme.splitlines() if line.startswith("| `")]
+    documented = {
+        command.strip("` "): flags.strip("` ").split()
+        for command, flags, *_ in rows
+        if flags.strip().startswith("`--")
+    }
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: [flag for action in sub._actions for flag in action.option_strings
+               if flag not in ("-h", "--help")]
+        for name, sub in commands.choices.items()
+    }
+    assert documented == parsed
 
 
 def test_help_exits_ok(capsys):
@@ -573,14 +594,9 @@ def test_bad_orbit_inputs_are_refused_before_any_omega_runs(
     assert not out.exists() and not out.with_name(out.name + ".failures").exists()
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-@pytest.mark.parametrize("command", ["expand", "scan", "attract"])
-def test_a_tol_that_is_not_finite_is_refused_before_any_integration(
-    tmp_path, capsys, monkeypatch, command, tol
-):
-    # a NaN tol used to run the whole step budget and an infinite one to
-    # take the period in one step; both end as config errors, integrating
-    # nothing
+@pytest.fixture()
+def rkf45_runs(monkeypatch):
+    """A list that gets one entry per adaptive integration run from here on."""
     from jetmap import jetode as ode
 
     runs = []
@@ -591,6 +607,17 @@ def test_a_tol_that_is_not_finite_is_refused_before_any_integration(
         return rkf45(*args, **kwargs)
 
     monkeypatch.setattr(ode, "rkf45", counted)
+    return runs
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["expand", "scan", "attract"])
+def test_a_tol_that_is_not_finite_is_refused_before_any_integration(
+    tmp_path, capsys, rkf45_runs, command, tol
+):
+    # a NaN tol used to run the whole step budget and an infinite one to
+    # take the period in one step; both end as config errors, integrating
+    # nothing
     out = tmp_path / "out"
     if command == "expand":
         argv = ["expand", "--order", 1, "--tol", tol, "--out", out]
@@ -601,7 +628,7 @@ def test_a_tol_that_is_not_finite_is_refused_before_any_integration(
     assert run_cli(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "0 < tol < inf" in err
-    assert runs == [] and not out.exists()
+    assert rkf45_runs == [] and not out.exists()
 
 
 _NON_FINITE_INPUTS = {
@@ -612,37 +639,27 @@ _NON_FINITE_INPUTS = {
 }
 
 
-def _refused_before_any_integration(tmp_path, capsys, monkeypatch, argv) -> str:
+def _refused_before_any_integration(tmp_path, capsys, rkf45_runs, argv, expand=None) -> str:
     """Run argv, assert a config error that integrated and wrote nothing; return stderr."""
-    from jetmap import jetode as ode
-
-    runs = []
-    rkf45 = ode.rkf45
-
-    def counted(*args, **kwargs):
-        runs.append(1)
-        return rkf45(*args, **kwargs)
-
-    monkeypatch.setattr(ode, "rkf45", counted)
     out = tmp_path / "out"
-    # the file keeps the scan case's grid small; expand reads no section of it
+    # the file keeps the scan case's grid small and holds an expand case's section
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"scan": _ORBIT_CONFIGS["scan"]}))
+    path.write_text(json.dumps({"scan": _ORBIT_CONFIGS["scan"], "expand": expand or {}}))
     assert run_cli(argv + ["--config", path, "--out", out]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
-    assert runs == [] and not out.exists()
+    assert rkf45_runs == [] and not out.exists()
     return err
 
 
 @pytest.mark.parametrize("case", list(_NON_FINITE_INPUTS))
 def test_a_non_finite_model_input_is_refused_before_any_integration(
-    tmp_path, capsys, monkeypatch, case
+    tmp_path, capsys, rkf45_runs, case
 ):
     # each used to integrate until the step collapsed on non-finite stages
     # and exit 2; now each is a config error that integrates nothing
     argv = _NON_FINITE_INPUTS[case]
-    assert "finite" in _refused_before_any_integration(tmp_path, capsys, monkeypatch, argv)
+    assert "finite" in _refused_before_any_integration(tmp_path, capsys, rkf45_runs, argv)
 
 
 _NEGATIVE_INPUTS = {
@@ -654,13 +671,29 @@ _NEGATIVE_INPUTS = {
 
 @pytest.mark.parametrize("case", list(_NEGATIVE_INPUTS))
 def test_a_negative_model_input_is_refused_before_any_integration(
-    tmp_path, capsys, monkeypatch, case
+    tmp_path, capsys, rkf45_runs, case
 ):
     # a Taylor map took a negative beta or eps: expand wrote the map and a
     # Taylor scan ran until its orbits escaped, while the exact scan refused
     # it; now every route refuses it as DuffingParams does
     argv = _NEGATIVE_INPUTS[case]
-    assert ">= 0" in _refused_before_any_integration(tmp_path, capsys, monkeypatch, argv)
+    assert ">= 0" in _refused_before_any_integration(tmp_path, capsys, rkf45_runs, argv)
+
+
+@pytest.mark.parametrize(
+    "expand, message",
+    [
+        ({"system": "zero", "expansion": [0.7, -0.2]}, "system must be 'duffing', got 'zero'"),
+        ({"method": "sideways"}, "method must be 'forward' or 'backward', got 'sideways'"),
+        ({"expansion": [0.3, 0.4]}, "expansion point must be (z1, z2, sigma)"),
+    ],
+    ids=["zero-system", "bad-method", "two-entry-expansion"],
+)
+def test_expand_refuses_before_any_integration(tmp_path, capsys, rkf45_runs, expand, message):
+    # expand builds the Duffing map alone; the map builder refuses a method
+    # or an expansion it cannot take before it integrates anything
+    err = _refused_before_any_integration(tmp_path, capsys, rkf45_runs, ["expand"], expand)
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -706,6 +739,63 @@ def test_attract_needs_out():
 def test_io_error_exit_code(tmp_path):
     missing_dir = tmp_path / "no" / "such" / "dir" / "t.csv"
     assert run_cli(["table", "--m", 2, "--p", 2, "--out", missing_dir]) == cli.EXIT_IO
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        # an order-3 map builds in a fraction of a second; 1.30 lies outside its trust region
+        (["attract", "--source", "taylor", "--omega", 1.30], {"attract": {"map": {"order": 3}}},
+         "orbit escaped at iterate 4"),
+        (["expand", "--eps", 1e300, "--order", 2], {},
+         "step collapsed below 6.283185307179586e-12 at t=0.0 chasing non-finite stages"),
+    ],
+    ids=["attract-escapes", "expand-diverges"],
+)
+def test_a_numeric_failure_exits_2_and_writes_nothing(tmp_path, capsys, argv, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--config", path, "--out", out]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+    assert not out.exists()
+
+
+# per case: the arguments, the config file's JSON, the exit code and what stderr names
+_REFUSED_CONFIGS = {
+    "config-not-an-object": (["expand", "--out", "out"], [1, 2], cli.EXIT_CONFIG,
+                             "config cfg.json must be a JSON object"),
+    "section-not-an-object": (["expand", "--out", "out"], {"expand": [1]}, cli.EXIT_CONFIG,
+                              "config section 'expand' must be an object"),
+    "map-not-an-object": (["scan", "--out", "out"], {"scan": {"map": 8}}, cli.EXIT_CONFIG,
+                          "map settings must be an object"),
+    "integrator-not-an-object": (["expand", "--out", "out"], {"expand": {"integrator": "fixed"}},
+                                 cli.EXIT_CONFIG, "integrator settings must be an object"),
+    "integrator-mode-unknown": (["expand", "--out", "out"],
+                                {"expand": {"integrator": {"mode": "euler"}}}, cli.EXIT_CONFIG,
+                                "integrator mode must be 'fixed' or 'adaptive', got 'euler'"),
+    "omega-step-zero": (["scan", "--out", "out"], {"scan": {"omega_step": 0.0}}, cli.EXIT_CONFIG,
+                        "omega_step must be nonzero"),
+    "source-unknown": (["scan", "--out", "out"], {"scan": {"source": "poly"}}, cli.EXIT_CONFIG,
+                       "source must be 'exact' or 'taylor', got 'poly'"),
+    "map-file-unreadable": (["scan", "--out", "out"], {"scan": {"map_file": "missing.json"}},
+                            cli.EXIT_IO, "cannot read map file"),
+    "scan-without-out": (["scan"], {}, cli.EXIT_CONFIG, "scan needs an output path (--out)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_CONFIGS))
+def test_a_refused_config_integrates_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, rkf45_runs, case
+):
+    argv, config, code, message = _REFUSED_CONFIGS[case]
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(config))
+    assert run_cli(argv + ["--config", "cfg.json"]) == code
+    err = capsys.readouterr().err
+    prefix = "config error: " if code == cli.EXIT_CONFIG else "i/o error: "
+    assert err.startswith(prefix) and message in err
+    assert rkf45_runs == [] and os.listdir() == ["cfg.json"]
 
 
 def test_scan_exact_small_driving_single_cluster(tmp_path):

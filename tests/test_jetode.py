@@ -150,6 +150,28 @@ def test_rkf45_divergence():
         ode.rkf45(blow_up, (1.0,), 0.0, 2.0, ode.adaptive(1e-10))
 
 
+@pytest.mark.parametrize("jets", [False, True], ids=["floats", "jets"])
+@pytest.mark.parametrize(
+    "rhs, start, message",
+    [
+        # on floats x**3 raises OverflowError, which counts as an infinite
+        # error; on jets it overflows to inf; either way every attempt is
+        # rejected until the step falls below its minimum
+        ("x**3", 1e200, "step collapsed below 6.283185307179586e-12 at t=0.0 chasing non-finite stages"),
+        # every estimate is finite, so the first attempt is accepted, and
+        # its state overflows
+        ("1e307", 1.7e308, "non-finite state near t=0.0"),
+    ],
+    ids=["collapse", "accepted-overflow"],
+)
+def test_rkf45_divergence_names_its_step_and_time(rhs, start, message, jets):
+    system = ode.expression_system(("x",), "t", (rhs,))
+    state0 = jt.state_about(mi.build_table(1, 2), [start]) if jets else (start,)
+    with pytest.raises(ode.DivergenceError) as info:
+        ode.rkf45(system, state0, 0.0, 2.0 * math.pi, ode.adaptive(1e-12))
+    assert (str(info.value), info.value.step, info.value.t) == (message, 0, 0.0)
+
+
 def test_rkf45_jet_matches_fixed_step_map():
     table = mi.build_table(1, 5)
     state0 = jt.state_about(table, [1.0])
