@@ -197,6 +197,11 @@ def cmd_expand(args) -> int:
     )
     payload = vq.taylor_map_to_dict(tmap, suppress_zeros=bool(cfg["suppress_zeros"]))
     payload["config"] = {k: cfg[k] for k in sorted(cfg) if k != "out"}
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if not cfg["out"]:
+        # stdout is the map itself; the report lines repeat its fields
+        sys.stdout.write(text)
+        return EXIT_OK
     endpoint = ", ".join(repr(v) for v in tmap.design_endpoint)
     print(f"design endpoint after one period: ({endpoint})")
     steps = "; ".join(
@@ -204,12 +209,8 @@ def cmd_expand(args) -> int:
         for s in tmap.diagnostics
     )
     print(f"integration steps: {steps}")
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if cfg["out"]:
-        _write_text(cfg["out"], text)
-        print(f"wrote order-{tmap.order} map to {cfg['out']}")
-    else:
-        sys.stdout.write(text)
+    _write_text(cfg["out"], text)
+    print(f"wrote order-{tmap.order} map to {cfg['out']}")
     return EXIT_OK
 
 
@@ -371,7 +372,7 @@ def cmd_attract(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.list:
-        for name, _ in golden.CHECKS:
+        for name, _, _ in golden.CHECKS:
             print(name)
         return EXIT_OK
     results = golden.run_checks(tol=args.tol, names=args.only or None)

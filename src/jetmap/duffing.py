@@ -89,10 +89,6 @@ class DuffingParams:
             raise ValueError(f"driving frequency must be finite and > 0, got {self.omega}")
 
     @property
-    def sigma(self) -> float:
-        return 1.0 / self.omega
-
-    @property
     def period(self) -> float:
         return TWO_PI / self.omega
 

@@ -5,6 +5,11 @@ at a pinned tolerance.  Structural checks do not depend on the adaptive
 integrator's tolerance; the ``rkf`` checks accept the tolerance knob so that
 a deliberately degraded run shows exactly which results are
 integration-accuracy-bound.
+
+:data:`CHECKS` is the one table of checks, one ``(name, kind, check)`` row
+each, in the order ``verify`` runs and lists them.  A check takes the
+tolerance and returns ``(ok, observed, expected)``; :func:`run_checks`
+names the result from its row.
 """
 
 from __future__ import annotations
@@ -31,10 +36,6 @@ class CheckResult:
     expected: str
 
 
-def _result(name, kind, ok, observed, expected) -> CheckResult:
-    return CheckResult(name, kind, bool(ok), str(observed), str(expected))
-
-
 def _fmt(values) -> str:
     arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
     return "[" + ", ".join(repr(float(v)) for v in arr) + "]"
@@ -43,37 +44,35 @@ def _fmt(values) -> str:
 # -- individual checks ---------------------------------------------------------
 
 
-def check_giorgilli_ranks(tol: float) -> CheckResult:
+def check_giorgilli_ranks(tol: float) -> tuple:
     cases = {(0, 0, 0): 1, (1, 0, 0): 2, (2, 0, 1): 13, (1, 2, 1): 28}
     observed = {j: mi.rank(j) for j in cases}
-    return _result(
-        "rank-formula", "structural", observed == cases, observed, cases
-    )
+    return observed == cases, observed, cases
 
 
-def check_table_sizes(tol: float) -> CheckResult:
+def check_table_sizes(tol: float) -> tuple:
     observed = (mi.table_size(3, 4), mi.table_size(1, 5), mi.table_size(2, 2))
-    return _result("table-size", "structural", observed == (35, 6, 6), observed, (35, 6, 6))
+    return observed == (35, 6, 6), observed, (35, 6, 6)
 
 
-def check_gamma_row(tol: float) -> CheckResult:
+def check_gamma_row(tol: float) -> tuple:
     table = mi.build_table(3, 4)
     observed = (table.unrank(17), table.unrank(1), table.L)
     expected = ((0, 3, 0), (0, 0, 0), 35)
-    return _result("gamma-row-17", "structural", observed == expected, observed, expected)
+    return observed == expected, observed, expected
 
 
-def check_two_var_rows(tol: float) -> CheckResult:
+def check_two_var_rows(tol: float) -> tuple:
     table = mi.build_table(2, 3)
     expected = [
         (0, 0), (1, 0), (0, 1), (2, 0), (1, 1),
         (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),
     ]
     observed = [table.unrank(r) for r in range(1, 11)]
-    return _result("two-var-labeling", "structural", observed == expected, observed, expected)
+    return observed == expected, observed, expected
 
 
-def check_boxes(tol: float) -> CheckResult:
+def check_boxes(tol: float) -> tuple:
     table = mi.build_table(3, 4)
     observed = (
         [int(r) for r in mi.box(table, 8)],
@@ -81,20 +80,20 @@ def check_boxes(tol: float) -> CheckResult:
         [int(r) for r in mi.box(table, 28)],
     )
     expected = ([1, 3, 8], [8, 3, 1], [1, 2, 3, 4, 6, 7, 8, 9, 14, 15, 18, 28])
-    return _result("box-tables", "structural", observed == expected, observed, expected)
+    return observed == expected, observed, expected
 
 
-def check_vector_combination(tol: float) -> CheckResult:
+def check_vector_combination(tol: float) -> tuple:
     table = mi.build_table(1, 2)
     u = jt.Jet(table, [1.0, 2.0, 3.0])
     v = jt.Jet(table, [4.0, 5.0, 6.0])
     w = 0.1 * u + 0.2 * v
     expected = np.array([0.9, 1.2, 1.5])
     ok = np.max(np.abs(w.coeffs - expected)) <= 1e-14
-    return _result("coordinatewise-ops", "structural", ok, _fmt(w.coeffs), _fmt(expected))
+    return ok, _fmt(w.coeffs), _fmt(expected)
 
 
-def check_product_dot(tol: float) -> CheckResult:
+def check_product_dot(tol: float) -> tuple:
     table = mi.build_table(3, 4)
     u = np.zeros(table.L)
     v = np.zeros(table.L)
@@ -103,28 +102,28 @@ def check_product_dot(tol: float) -> CheckResult:
     w = jt.prod(jt.Jet(table, u), jt.Jet(table, v))
     observed = float(w.coeffs[7])
     ok = abs(observed - 1.45) <= 1e-14
-    return _result("product-at-rank-8", "structural", ok, observed, 1.45)
+    return ok, observed, 1.45
 
 
-def check_replacement_rule(tol: float) -> CheckResult:
+def check_replacement_rule(tol: float) -> tuple:
     table = mi.build_table(1, 2)
     z = jt.variable(table, 1)
     a = 2.0 * jt.constant(table, 1.0) + 3.0 * jt.prod(z, z)
     expected = np.array([2.0, 0.0, 3.0])
     ok = np.array_equal(a.coeffs, expected)
-    return _result("replacement-rule", "structural", ok, _fmt(a.coeffs), _fmt(expected))
+    return ok, _fmt(a.coeffs), _fmt(expected)
 
 
-def check_taylor_rule_1var(tol: float) -> CheckResult:
+def check_taylor_rule_1var(tol: float) -> tuple:
     table = mi.build_table(1, 2)
     shifted = jt.constant(table, 4.0) + jt.variable(table, 1)
     out = jt.polyval_on_jets(lambda z: 1 + 2 * z + 3 * z * z, [shifted])
     expected = np.array([57.0, 26.0, 3.0])
     ok = np.max(np.abs(out.coeffs - expected)) <= 1e-14
-    return _result("taylor-rule-1var", "structural", ok, _fmt(out.coeffs), _fmt(expected))
+    return ok, _fmt(out.coeffs), _fmt(expected)
 
 
-def check_taylor_rule_2var(tol: float) -> CheckResult:
+def check_taylor_rule_2var(tol: float) -> tuple:
     table = mi.build_table(2, 2)
     g = jt.constant(table, 7.0) + jt.variable(table, 1)
     h = jt.constant(table, 8.0) + jt.variable(table, 2)
@@ -134,26 +133,26 @@ def check_taylor_rule_2var(tol: float) -> CheckResult:
     )
     expected = np.array([899.0, 98.0, 134.0, 4.0, 5.0, 6.0])
     ok = np.max(np.abs(out.coeffs - expected)) <= 1e-14
-    return _result("taylor-rule-2var", "structural", ok, _fmt(out.coeffs), _fmt(expected))
+    return ok, _fmt(out.coeffs), _fmt(expected)
 
 
 def _decay_system() -> ode.OdeSystem:
     return ode.OdeSystem(dim=1, rhs=lambda state, t: (-2.0 * t * state[0] ** 2,))
 
 
-def check_rk4_scalar(tol: float) -> CheckResult:
+def check_rk4_scalar(tol: float) -> tuple:
     (z,), _, _ = ode.rk4(_decay_system(), (1.0,), 0.0, 1.0, ode.fixed_step(10))
     observed = f"{z:.6f}"
-    return _result("rk4-scalar-decay", "structural", observed == "0.500001", observed, "0.500001")
+    return observed == "0.500001", observed, "0.500001"
 
 
-def check_rk4_jet_1var(tol: float) -> CheckResult:
+def check_rk4_jet_1var(tol: float) -> tuple:
     table = mi.build_table(1, 5)
     state0 = jt.state_about(table, [1.0])
     (z,), _, _ = ode.rk4(_decay_system(), state0, 0.0, 1.0, ode.fixed_step(100))
     expected = np.array([0.5, 0.25, -0.125, 0.0625, -0.03125, 0.015625])
     ok = np.max(np.abs(z.coeffs - expected)) <= 1e-6
-    return _result("rk4-jet-1var", "structural", ok, _fmt(z.coeffs), _fmt(expected))
+    return ok, _fmt(z.coeffs), _fmt(expected)
 
 
 def _two_var_system() -> ode.OdeSystem:
@@ -163,7 +162,7 @@ def _two_var_system() -> ode.OdeSystem:
     )
 
 
-def check_rk4_jet_2var(tol: float) -> CheckResult:
+def check_rk4_jet_2var(tol: float) -> tuple:
     table = mi.build_table(2, 3)
     state0 = jt.state_about(table, [1.0, 2.0])
     (z1, z2), _, _ = ode.rk4(_two_var_system(), state0, 0.0, 1.0, ode.fixed_step(100))
@@ -176,7 +175,7 @@ def check_rk4_jet_2var(tol: float) -> CheckResult:
         and residual <= 5e-7
     )
     observed = f"row2={_fmt(z2.coeffs)} residual(r=7)={residual:.3e}"
-    return _result("rk4-jet-2var", "structural", ok, observed, f"{_fmt(expected2)} |r7|<=5e-7")
+    return ok, observed, f"{_fmt(expected2)} |r7|<=5e-7"
 
 
 # printed output of the order-3 Duffing map run: beta=.1, eps=1.5,
@@ -203,7 +202,7 @@ def duffing_p3_rk4_map() -> vq.TaylorMap:
     )
 
 
-def check_duffing_rk4_map(tol: float) -> CheckResult:
+def check_duffing_rk4_map(tol: float) -> tuple:
     tmap = duffing_p3_rk4_map()
     row1, row2, row3 = (row.coeffs for row in tmap.rows)
     worst = max(
@@ -219,12 +218,10 @@ def check_duffing_rk4_map(tol: float) -> CheckResult:
         and np.array_equal(row3, expected_row3)
     )
     observed = f"max|diff|={worst:.2e} const err={const_err:.2e}"
-    return _result(
-        "duffing-rk4-map", "structural", ok, observed, "<=1e-4, consts <=1e-6, row3 identity"
-    )
+    return ok, observed, "<=1e-4, consts <=1e-6, row3 identity"
 
 
-def check_duffing_forcing(tol: float) -> CheckResult:
+def check_duffing_forcing(tol: float) -> tuple:
     beta, eps = 0.1, 1.5
     z1, z2, z3 = 0.3, 0.4, 0.5
     t = 0.7
@@ -250,10 +247,10 @@ def check_duffing_forcing(tol: float) -> CheckResult:
         expected[1, mi.rank(exponents) - 1] = value
     worst = np.max(np.abs(g - expected))
     ok = worst <= 1e-12
-    return _result("duffing-forcing-terms", "structural", ok, f"max|diff|={worst:.2e}", "<=1e-12")
+    return ok, f"max|diff|={worst:.2e}", "<=1e-12"
 
 
-def check_c_table(tol: float) -> CheckResult:
+def check_c_table(tol: float) -> tuple:
     # published nonzero C^r_{b r' r''} for two variables, degree-two window,
     # in degree>=1 labels; stored table uses full-table ranks (shift by one).
     # The (5, 2, 5, 2) entry is 2, not the printed 1: differentiating the
@@ -270,28 +267,22 @@ def check_c_table(tol: float) -> CheckResult:
     ctab = vq.c_coefficients(2, 2, table)
     expected = {(r + 1, b, rp + 1, rpp + 1): v for r, b, rp, rpp, v in published}
     entries = ctab.entries
-    return _result(
-        "c-coefficients-2var",
-        "structural",
-        entries == expected,
-        f"{len(entries)} entries",
-        f"{len(expected)} published entries",
-    )
+    return entries == expected, f"{len(entries)} entries", f"{len(expected)} published entries"
 
 
-def check_rkf45_scalar(tol: float) -> CheckResult:
+def check_rkf45_scalar(tol: float) -> tuple:
     (z,), _, _ = ode.rkf45(_decay_system(), (1.0,), 0.0, 1.0, ode.adaptive(tol))
     err = abs(z - 0.5)
-    return _result("rkf45-scalar-decay", "rkf", err <= 1e-10, f"|z-0.5|={err:.2e}", "<=1e-10")
+    return err <= 1e-10, f"|z-0.5|={err:.2e}", "<=1e-10"
 
 
-def check_rkf45_2var(tol: float) -> CheckResult:
+def check_rkf45_2var(tol: float) -> tuple:
     (z1, z2), _, _ = ode.rkf45(_two_var_system(), (1.0, 2.0), 0.0, 1.0, ode.adaptive(tol))
     err = max(abs(z1 - 0.5), abs(z2 - 8.0))
-    return _result("rkf45-2var-decay", "rkf", err <= 1e-10, f"max err={err:.2e}", "<=1e-10")
+    return err <= 1e-10, f"max err={err:.2e}", "<=1e-10"
 
 
-def check_frame_conversion_orbit(tol: float) -> CheckResult:
+def check_frame_conversion_orbit(tol: float) -> tuple:
     # one period of the (q, p)-frame flow, started at the frame image of the
     # scaled-run start (.3, .4) with omega = 2
     omega = 2.0
@@ -304,10 +295,10 @@ def check_frame_conversion_orbit(tol: float) -> CheckResult:
     err = max(abs(state[0] - expected[0]), abs(state[1] - expected[1]))
     ok = err <= 1e-5
     observed = f"(q,p)=({state[0]:.7f}, {state[1]:.7f}) err={err:.2e}"
-    return _result("frame-conversion-orbit", "rkf", ok, observed, f"~{expected} (<=1e-5)")
+    return ok, observed, f"~{expected} (<=1e-5)"
 
 
-def check_unstable_fixed_point(tol: float) -> CheckResult:
+def check_unstable_fixed_point(tol: float) -> tuple:
     exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 25.0, 1.285), tol)
     guess = np.array([1.26082, 2.05452])
     point, multipliers = duf.fixed_point_newton(exact, guess, tol=1e-9)
@@ -315,38 +306,41 @@ def check_unstable_fixed_point(tol: float) -> CheckResult:
     unstable = bool(np.max(np.abs(multipliers)) > 1.0)
     ok = dist <= 1e-3 and unstable
     observed = f"point={point.tolist()} dist={dist:.2e} |mult|max={np.max(np.abs(multipliers)):.4f}"
-    return _result("unstable-fixed-point", "rkf", ok, observed, "within 1e-3, one |mult|>1")
+    return ok, observed, "within 1e-3, one |mult|>1"
 
 
-CHECKS: list[tuple[str, Callable[[float], CheckResult]]] = [
-    ("rank-formula", check_giorgilli_ranks),
-    ("table-size", check_table_sizes),
-    ("gamma-row-17", check_gamma_row),
-    ("two-var-labeling", check_two_var_rows),
-    ("box-tables", check_boxes),
-    ("coordinatewise-ops", check_vector_combination),
-    ("product-at-rank-8", check_product_dot),
-    ("replacement-rule", check_replacement_rule),
-    ("taylor-rule-1var", check_taylor_rule_1var),
-    ("taylor-rule-2var", check_taylor_rule_2var),
-    ("rk4-scalar-decay", check_rk4_scalar),
-    ("rk4-jet-1var", check_rk4_jet_1var),
-    ("rk4-jet-2var", check_rk4_jet_2var),
-    ("duffing-rk4-map", check_duffing_rk4_map),
-    ("duffing-forcing-terms", check_duffing_forcing),
-    ("c-coefficients-2var", check_c_table),
-    ("rkf45-scalar-decay", check_rkf45_scalar),
-    ("rkf45-2var-decay", check_rkf45_2var),
-    ("frame-conversion-orbit", check_frame_conversion_orbit),
-    ("unstable-fixed-point", check_unstable_fixed_point),
+CHECKS: list[tuple[str, str, Callable[[float], tuple]]] = [
+    ("rank-formula", "structural", check_giorgilli_ranks),
+    ("table-size", "structural", check_table_sizes),
+    ("gamma-row-17", "structural", check_gamma_row),
+    ("two-var-labeling", "structural", check_two_var_rows),
+    ("box-tables", "structural", check_boxes),
+    ("coordinatewise-ops", "structural", check_vector_combination),
+    ("product-at-rank-8", "structural", check_product_dot),
+    ("replacement-rule", "structural", check_replacement_rule),
+    ("taylor-rule-1var", "structural", check_taylor_rule_1var),
+    ("taylor-rule-2var", "structural", check_taylor_rule_2var),
+    ("rk4-scalar-decay", "structural", check_rk4_scalar),
+    ("rk4-jet-1var", "structural", check_rk4_jet_1var),
+    ("rk4-jet-2var", "structural", check_rk4_jet_2var),
+    ("duffing-rk4-map", "structural", check_duffing_rk4_map),
+    ("duffing-forcing-terms", "structural", check_duffing_forcing),
+    ("c-coefficients-2var", "structural", check_c_table),
+    ("rkf45-scalar-decay", "rkf", check_rkf45_scalar),
+    ("rkf45-2var-decay", "rkf", check_rkf45_2var),
+    ("frame-conversion-orbit", "rkf", check_frame_conversion_orbit),
+    ("unstable-fixed-point", "rkf", check_unstable_fixed_point),
 ]
 
 
 def run_checks(tol: float = 1e-12, names: list[str] | None = None) -> list[CheckResult]:
     """Run every check, or the named ones; an unknown name raises ``ValueError``."""
-    if names is None:
-        return [fn(tol) for _, fn in CHECKS]
-    unknown = sorted(set(names) - {name for name, _ in CHECKS})
+    unknown = sorted(set(names or ()) - {name for name, _, _ in CHECKS})
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
-    return [fn(tol) for name, fn in CHECKS if name in names]
+    results = []
+    for name, kind, check in CHECKS:
+        if names is None or name in names:
+            ok, observed, expected = check(tol)
+            results.append(CheckResult(name, kind, bool(ok), str(observed), str(expected)))
+    return results

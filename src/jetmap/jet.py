@@ -110,20 +110,12 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return _new(self.table, self.coeffs / float(other))
-        return NotImplemented  # jet-by-jet division is out of scope
-
     def __pow__(self, n):
         if isinstance(n, (int, np.integer)):
             return power(self, int(n))
         return NotImplemented
 
     # -- evaluation -------------------------------------------------------
-
-    def __call__(self, x: Sequence[float]) -> float:
-        return self.evaluate(x)
 
     def evaluate(self, x: Sequence[float]) -> float:
         """Value of the underlying polynomial at the point x (length m)."""

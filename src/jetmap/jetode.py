@@ -28,9 +28,11 @@ kinds, picked by the caller's tuple:
   per stage.
 
 Both kinds read one tableau and combine their error estimates in one
-helper.  The caller's tuple, of the system's ``dim`` components or
-refused with ``ValueError``, is read once at entry and returned once at
-exit, as floats or as jets that each own a frozen copy of their row.
+helper.  An attempt, from a given stage on, forms the candidate and returns
+its error, None for a tableau without error rows (RK4's).  The caller's
+tuple, of the system's ``dim`` components or refused with ``ValueError``,
+is read once at entry and returned once at exit, as floats or as jets that
+each own a frozen copy of their row.
 
 The adaptive method is the Dormand-Prince 8(5,3) pair (Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.5 and II.10), reached as :func:`rkf45`.  Its
@@ -520,18 +522,15 @@ class _Floats:
         kernel = _float_kernel(tableau, m, source)
         self.kernel = kernel if source is None else kernel(*rhs.constants)
 
-    def attempt(self, t: float, h: float, first: int = 0) -> None:
-        """Evaluate the stages from ``first`` on and form the candidate and its error."""
+    def attempt(self, t: float, h: float, first: int = 0) -> float | None:
+        """Evaluate the stages from ``first`` on, form the candidate and return its error."""
         if first == 0:
             k0 = self.rhs(self.y, t)
             if len(k0) != self.m:
                 raise _wrong_length(k0, self.m)
             self.k0 = k0
-        self.new, self.err = self.kernel(self.rhs, self.y, t, h, self.k0)
-
-    def error(self) -> float:
-        """The error of the last attempt, weighed as :func:`_error_norm` does."""
-        return self.err
+        self.new, err = self.kernel(self.rhs, self.y, t, h, self.k0)
+        return err
 
     def advance(self) -> bool:
         """Take the candidate as the state; False when it is not finite."""
@@ -571,26 +570,27 @@ class _Jets:
         self.arg = np.empty(self.m * self.table.L)
         self.args = tuple(_new_jet(self.table, row) for row in self.arg.reshape(self.shape))
 
-    def attempt(self, t: float, h: float, first: int = 0) -> None:
-        """Fill the stage rows ``yk[1:]`` from stage ``first`` on and form the candidate.
+    def attempt(self, t: float, h: float, first: int = 0) -> float | None:
+        """Fill the stage rows ``yk[1:]`` from stage ``first`` on; return the candidate's error.
 
         Row i of ``coef`` is ``(1, h a[i, 0], ..., h a[i, i-1], 0, ...)``, so
         stage i's argument ``y + h sum_j a[i, j] k_j`` is one dot over
-        ``yk[:i + 1]``, written into ``arg`` under the jets of ``args``.
+        ``yk[:i + 1]``, written into ``arg`` under the jets of ``args``.  The
+        error is :func:`_error_norm`'s, None for a tableau without error rows.
         """
         yk, coef, c, arg, args = self.yk, self.coef, self.tableau.c, self.arg, self.args
         np.multiply(self.tableau.array[:, 1:], h, out=coef[:, 1:])
         stage_rows = yk.reshape(len(yk), *self.shape)
-        for i in range(first, len(c)):
+        s = len(c)
+        for i in range(first, s):
             np.dot(coef[i, : i + 1], yk[: i + 1], out=arg)
             store_rows(stage_rows[i + 1], self.rhs(args, t + c[i] * h), self.table)
-        self.new = coef[len(c)] @ yk
-
-    def error(self) -> float:
-        s = len(self.tableau.c)
+        self.new = coef[s] @ yk
+        if len(coef) == s + 1:
+            return None
         # a non-finite stage reaches both estimates or the candidate, through
         # the stages after it and 0 * inf = NaN in the dots
-        return _error_norm(self.coef[s + 1 :, 1:], self.yk[1:], self.yk[0], self.new)
+        return _error_norm(coef[s + 1 :, 1:], yk[1:], yk[0], self.new)
 
     def advance(self) -> bool:
         self.yk[0] = self.new
@@ -802,10 +802,11 @@ def rkf45(
     state, the same weights taken component by component), the 5th- and
     3rd-order estimates' max norms with each entry weighed by
     ``1 + max(|y|, |y8|)``, combined, is at most ``cfg.tol``; the 8th-order
-    candidate y8 is the one propagated.  An attempt whose stages or estimates
-    are not finite has an infinite error and is rejected.  Stage 0, f at the
-    state, is evaluated once per accepted state and reused by the attempts
-    that follow a rejection, so a run evaluates the right side
+    candidate y8 is the one propagated.  Each attempt forms its candidate and
+    returns that error; one whose stages or estimates are not finite has an
+    infinite error and is rejected.  Stage 0, f at the state, is evaluated
+    once per accepted state and reused by the attempts that follow a
+    rejection, so a run evaluates the right side
     ``11 * attempts + accepted`` times: as many calls, except on a float
     state with an :func:`expression_system`, which is called only for
     stage 0 and written into the other stages.  The final step is clamped
@@ -825,7 +826,7 @@ def rkf45(
     h = span
     tol, inf = cfg.tol, math.inf
     state = _marching_state(system, state0, _DOP)
-    attempt, error, advance = state.attempt, state.error, state.advance
+    attempt, advance = state.attempt, state.advance
     n_accepted = n_rejected = 0
     h_lo, h_hi = inf, 0.0
     t = t0
@@ -841,9 +842,8 @@ def rkf45(
             last_step = h >= rest
 
             try:
-                attempt(t, h, 1 if have_stage0 else 0)
+                err = attempt(t, h, 1 if have_stage0 else 0)
                 have_stage0 = True
-                err = error()
             except OverflowError:
                 err = inf
             finite = err < inf

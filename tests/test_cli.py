@@ -127,13 +127,41 @@ def test_expand_deterministic_output(tmp_path, rk4_expand_config):
 
 
 def test_expand_without_out_writes_the_file_bytes_to_stdout(tmp_path, rk4_expand_config, capsys):
-    # both runs print the design endpoint and the step counts first
+    # only the --out run prints the design endpoint and the step counts
     out = tmp_path / "map.json"
     assert run_cli(["expand", "--config", rk4_expand_config, "--out", out]) == 0
     report = capsys.readouterr().out.splitlines(keepends=True)
-    assert report[2] == f"wrote order-3 map to {out}\n"
+    assert report[0].startswith("design endpoint after one period: (")
+    assert report[1].startswith("integration steps: 100 accepted, 0 rejected")
+    assert report[2:] == [f"wrote order-3 map to {out}\n"]
     assert run_cli(["expand", "--config", rk4_expand_config]) == 0
-    assert capsys.readouterr().out == "".join(report[:2]) + out.read_text()
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_scan_reads_a_map_that_expand_wrote_to_stdout(tmp_path, small_map_file, capsys):
+    # `jetmap expand > map.json` makes a map file that scans as the --out one does
+    argv = ["expand", "--beta", 0.1, "--eps", 0.15, "--expansion", "0.0,0.0,0.5",
+            "--order", 2, "--tol", 1e-10]
+    capsys.readouterr()
+    assert run_cli(argv) == 0
+    piped = tmp_path / "piped.json"
+    piped.write_text(capsys.readouterr().out)
+    csvs = []
+    for map_file in (small_map_file, piped):
+        cfg = {"scan": {"source": "taylor", "beta": 0.1, "eps": 0.15, "omega_start": 1.99,
+                        "omega_stop": 2.01, "omega_step": 0.01, "transient": 50, "record": 4,
+                        "map_file": str(map_file)}}
+        path, out = tmp_path / "scan.json", tmp_path / f"{map_file.stem}.csv"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["scan", "--config", path, "--out", out]) == cli.EXIT_OK
+        csvs.append([line for line in out.read_text().splitlines() if "map_file" not in line])
+    assert csvs[0] == csvs[1] and len(csvs[0]) > 13
+
+
+def test_an_unreadable_config_is_an_io_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run_cli(["expand", "--config", missing]) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith(f"i/o error: cannot read config {missing}: ")
 
 
 def test_expand_flag_overrides_config(tmp_path, rk4_expand_config):

@@ -35,7 +35,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         duf.DuffingParams(0.1, 1.0, 0.0)
     params = duf.DuffingParams(0.1, 1.5, 2.0)
-    assert params.sigma == 0.5
     assert params.period == pytest.approx(math.pi)
 
 
@@ -406,6 +405,32 @@ def test_iterate_map_refuses_an_escape_radius_that_is_not_positive(radius):
 def test_iterate_map_refuses_a_negative_count():
     with pytest.raises(ValueError, match="iteration count must be >= 0, got -3"):
         duf.iterate_map(_toy_identity_map(), (0.2, -0.1), 0.0, -3)
+
+
+def _oscillator_map():
+    """A map of two states and no lifted parameter: not a stroboscopic Duffing map."""
+    system = ode.expression_system(("q", "p"), "t", ("p", "-q"))
+    return vq.forward_solve(system, (0.0, 0.0), 0.0, 1.0, mi.build_table(2, 2), ode.fixed_step(4))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: duf.iterate_map(_oscillator_map(), (0.0, 0.0), 0.0, 1),
+         "expected a 2-variable map with one lifted parameter"),
+        (lambda: duf.iterate_map(_toy_identity_map(), (0.0, 0.0, 0.0), 0.0, 1),
+         "expected a 2-component deviation, got shape (3,)"),
+        (lambda: duf.fixed_point_newton(_toy_identity_map(), (0.0, 0.0), k=0),
+         "period must be >= 1, got 0"),
+        (lambda: duf.fixed_point_newton(_toy_identity_map(), (0.0, 0.0, 0.0)),
+         "expected a 2-component guess, got shape (3,)"),
+    ],
+    ids=["not-two-plus-one", "deviation-shape", "period", "guess-shape"],
+)
+def test_map_iteration_and_newton_refusals(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_iterate_map_escape():

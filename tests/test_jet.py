@@ -192,6 +192,28 @@ def test_taylor_rule_matches_analytic_derivatives():
     assert out.coeffs[5] == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda t: jt.Jet(t, [1.0, 2.0]), ValueError,
+         "expected 3 coefficients for (m=1, p=2), got shape (2,)"),
+        (lambda t: setattr(jt.constant(t, 1.0), "coeffs", None), AttributeError,
+         "Jet is immutable"),
+        (lambda t: jt.constant(t, 1.0).evaluate([1.0, 2.0]), ValueError,
+         "expected 1 coordinates, got (2,)"),
+        (lambda t: jt.polyval_on_jets(lambda: 1.0, []), ValueError,
+         "need at least one jet argument"),
+        (lambda t: jt.polyval_on_jets(lambda z: "z", [jt.variable(t, 1)]), TypeError,
+         "expression returned <class 'str'>, expected a Jet or scalar"),
+    ],
+    ids=["coefficient-count", "attribute", "coordinate-count", "no-jets", "not-a-jet"],
+)
+def test_jet_refusals(t12, call, error, message):
+    with pytest.raises(error) as refused:
+        call(t12)
+    assert str(refused.value) == message
+
+
 def test_polyval_identity_and_scalar(t12):
     z = jt.constant(t12, 2.0) + jt.variable(t12, 1)
     assert jt.polyval_on_jets(lambda u: u, [z]) == z

@@ -28,6 +28,12 @@ def test_rank_published_values():
     assert mi.rank((1, 2, 1)) == 28
 
 
+def test_rank_refuses_a_negative_exponent():
+    with pytest.raises(ValueError) as refused:
+        mi.rank((1, -1, 0))
+    assert str(refused.value) == "exponents must be non-negative, got (1, -1, 0)"
+
+
 def test_rank_defined_beyond_table_degree():
     # rank is a closed formula; degree 7 exponents rank fine without a table.
     # (7,0,0) leads its degree block, right after the full degree-6 listing
@@ -177,6 +183,10 @@ def test_box_pair_cap_is_checked_before_any_box(monkeypatch):
 def test_variable_rank():
     table = mi.build_table(3, 2)
     assert [table.variable_rank(a) for a in (1, 2, 3)] == [2, 3, 4]
+    for a in (0, 4):
+        with pytest.raises(IndexError) as refused:
+            table.variable_rank(a)
+        assert str(refused.value) == f"variable index {a} outside [1, 3]"
     with pytest.raises(ValueError):
         mi.build_table(2, 0).variable_rank(1)
 

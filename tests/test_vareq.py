@@ -587,6 +587,40 @@ def test_taylor_map_evaluate_and_jacobian():
     assert np.max(np.abs(jac - fd)) < 1e-7
 
 
+def _oscillator():
+    return ode.expression_system(("q", "p"), "t", ("p", "-q"))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda t22, t32: vq.expand_rhs(_oscillator(), (0.0, 0.0), 0.0, t32),
+         "system dim 2, table m 3, design point length 2 must all agree"),
+        (lambda t22, t32: vq.expand_rhs(_oscillator(), (0.0,), 0.0, t22),
+         "system dim 2, table m 2, design point length 1 must all agree"),
+        (lambda t22, t32: vq.TaylorMap(t22, 0.0, 1.0, (0.0, 0.0), (jt.constant(t22, 0.0),)),
+         "need 2 rows, got 1"),
+        (lambda t22, t32: vq.TaylorMap(t22, 0.0, 1.0, (0.0,), jt.state_about(t22, (0.0, 0.0))),
+         "expansion point length must match variable count"),
+        (lambda t22, t32: vq.TaylorMap(t22, 0.0, 1.0, (0.0, 0.0), jt.state_about(t22, (0.0, 0.0)))
+         .final_state([0.0]), "expected 2 deviations, got (1,)"),
+        (lambda t22, t32: vq.forward_solve(_oscillator(), (0.0, 0.0, 0.0), 0.0, 1.0, t32,
+                                           ode.fixed_step(4)),
+         "table has m=3, system has dim=2"),
+        (lambda t22, t32: vq.backward_solve(_oscillator(), (0.0, 0.0, 0.0), 0.0, 1.0, t32,
+                                            ode.adaptive(1e-9)),
+         "table has m=3, system has dim=2"),
+        (lambda t22, t32: vq.c_coefficients(2, 3, t22), "table is (m=2, p=2), asked for (2, 3)"),
+    ],
+    ids=["table-m", "point-length", "row-count", "expansion-length", "deviation-length",
+         "forward-dim", "backward-dim", "c-table-shape"],
+)
+def test_vareq_refuses_disagreeing_sizes(call, message):
+    with pytest.raises(ValueError) as refused:
+        call(mi.build_table(2, 2), mi.build_table(3, 2))
+    assert str(refused.value) == message
+
+
 def test_liouville_determinant_duffing():
     # phase-area contraction over one period depends only on beta and sigma
     for beta, sigma in ((0.1, 0.5), (0.1, 0.8), (0.05, 1.0)):
