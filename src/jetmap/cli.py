@@ -34,10 +34,6 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _load_config(path: str | None, section: str) -> dict:
     if path is None:
         return {}
@@ -47,12 +43,12 @@ def _load_config(path: str | None, section: str) -> dict:
     except OSError as err:
         raise OSError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path} is not valid JSON: {err}") from err
+        raise ValueError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+        raise ValueError(f"config {path} must be a JSON object")
     section_data = data.get(section, {})
     if not isinstance(section_data, dict):
-        raise ConfigError(f"config section {section!r} must be an object")
+        raise ValueError(f"config section {section!r} must be an object")
     return dict(section_data)
 
 
@@ -69,7 +65,7 @@ def _merge(file_cfg: dict, defaults: dict, args: argparse.Namespace) -> dict:
 
 def _object(opts, name: str) -> dict:
     if not isinstance(opts, dict):
-        raise ConfigError(f"{name} settings must be an object")
+        raise ValueError(f"{name} settings must be an object")
     return opts
 
 
@@ -78,10 +74,10 @@ def _fill(opts, defaults: dict, name: str) -> dict:
     and whose values each have the kind of their default (see :func:`_same_kind`)."""
     unknown = set(_object(opts, name)) - set(defaults)
     if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}; allowed: {sorted(defaults)}")
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}; allowed: {sorted(defaults)}")
     for key, value in opts.items():
         if not _same_kind(value, defaults[key], key):
-            raise ConfigError(
+            raise ValueError(
                 f"{name} key {key!r} cannot be {json.dumps(value)}; "
                 f"its default is {json.dumps(defaults[key])}"
             )
@@ -140,7 +136,7 @@ def _integrator_config(opts) -> tuple[dict, ode.IntegratorConfig]:
     the config it sets: ns RK4 steps over the period, or the adaptive pair at tol."""
     mode = _object(opts, "integrator").get("mode", "adaptive")
     if mode not in ("fixed", "adaptive"):
-        raise ConfigError(f"integrator mode must be 'fixed' or 'adaptive', got {mode!r}")
+        raise ValueError(f"integrator mode must be 'fixed' or 'adaptive', got {mode!r}")
     opts = _fill(opts, _INTEGRATOR_DEFAULTS[mode], "integrator")
     if mode == "fixed":
         return opts, ode.fixed_step(int(opts["ns"]))
@@ -153,7 +149,7 @@ def _integrator_config(opts) -> tuple[dict, ode.IntegratorConfig]:
 def cmd_table(args) -> int:
     cfg = _merge(_load_config(args.config, "table"), {"m": None, "p": None, "out": None}, args)
     if cfg["m"] is None or cfg["p"] is None:
-        raise ConfigError("table needs m and p")
+        raise ValueError("table needs m and p")
     table = mi.build_table(int(cfg["m"]), int(cfg["p"]))
     lines = _config_header_lines("table", {"m": table.m, "p": table.p})
     lines.extend(table.rows_csv())
@@ -186,7 +182,7 @@ def cmd_expand(args) -> int:
     cfg = _merge(_load_config(args.config, "expand"), _EXPAND_DEFAULTS, args)
     cfg["integrator"], integrator = _integrator_config(cfg["integrator"])
     if cfg["system"] != "duffing":
-        raise ConfigError(f"system must be 'duffing', got {cfg['system']!r}")
+        raise ValueError(f"system must be 'duffing', got {cfg['system']!r}")
     tmap = duf.stroboscopic_taylor_map(
         beta=float(cfg["beta"]),
         eps=float(cfg["eps"]),
@@ -253,15 +249,15 @@ def _omega_grid(cfg) -> np.ndarray:
         float(cfg["omega_step"]),
     )
     if not np.all(np.isfinite([start, stop, step])):
-        raise ConfigError("omega_start, omega_stop and omega_step must be finite")
+        raise ValueError("omega_start, omega_stop and omega_step must be finite")
     if step == 0:
-        raise ConfigError("omega_step must be nonzero")
+        raise ValueError("omega_step must be nonzero")
     # clamped before rounding: the quotient can overflow to +-inf
     n = int(round(min(max((stop - start) / step, -1.0), float(MAX_OMEGAS))))
     if n < 0:
-        raise ConfigError("omega range and step disagree in direction")
+        raise ValueError("omega range and step disagree in direction")
     if n >= MAX_OMEGAS:
-        raise ConfigError(f"omega grid would hold more than {MAX_OMEGAS} values; widen omega_step")
+        raise ValueError(f"omega grid would hold more than {MAX_OMEGAS} values; widen omega_step")
     return start + step * np.arange(n + 1)
 
 
@@ -269,15 +265,25 @@ def _map_source(cfg):
     if cfg["source"] == "exact":
         return "exact"
     if cfg["source"] != "taylor":
-        raise ConfigError(f"source must be 'exact' or 'taylor', got {cfg['source']!r}")
+        raise ValueError(f"source must be 'exact' or 'taylor', got {cfg['source']!r}")
     if cfg["map_file"]:
+        path = cfg["map_file"]
         try:
-            with open(cfg["map_file"], "r", encoding="utf-8") as fh:
-                return vq.taylor_map_from_dict(json.load(fh))
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            tmap = vq.taylor_map_from_dict(data)
+            # the output records cfg's beta and eps: a map built with others is refused
+            built = data.get("config", {})
+            for key in ("beta", "eps"):
+                if key in built and built[key] != cfg[key]:
+                    raise ValueError(
+                        f"map file {path} was built with {key}={built[key]!r}, not {cfg[key]!r}"
+                    )
+            return tmap
         except OSError as err:
             raise OSError(f"cannot read map file: {err}") from err
         except (KeyError, TypeError) as err:
-            raise ConfigError(f"map file {cfg['map_file']} is not a serialized map: {err}") from err
+            raise ValueError(f"map file {path} is not a serialized map: {err}") from err
     opts = cfg["map"]
     return duf.stroboscopic_taylor_map(
         beta=float(cfg["beta"]),
@@ -293,19 +299,22 @@ def cmd_scan(args) -> int:
     cfg = _merge(_load_config(args.config, "scan"), _SCAN_DEFAULTS, args)
     cfg["map"] = _fill(cfg["map"], _SCAN_DEFAULTS["map"], "map")
     if cfg["out"] is None:
-        raise ConfigError("scan needs an output path (--out)")
+        raise ValueError("scan needs an output path (--out)")
     grid = _omega_grid(cfg)
+    transient, record, radius = int(cfg["transient"]), int(cfg["record"]), float(cfg["escape_radius"])
+    # refused before the map is built or loaded
+    duf._orbit_inputs(grid, transient, record, cfg["seed"], radius, cfg["seed_policy"])
     result = duf.feigenbaum_scan(
         _map_source(cfg),
         beta=float(cfg["beta"]),
         eps=float(cfg["eps"]),
         omega_grid=grid,
-        transient=int(cfg["transient"]),
-        record=int(cfg["record"]),
+        transient=transient,
+        record=record,
         seed_policy=cfg["seed_policy"],
         seed=cfg["seed"],
         tol=float(cfg["tol"]),
-        escape_radius=float(cfg["escape_radius"]),
+        escape_radius=radius,
     )
     lines = _config_header_lines("scan", {k: cfg[k] for k in sorted(cfg) if k != "out"})
     lines.append("omega,index,q,p")
@@ -325,7 +334,7 @@ def cmd_scan(args) -> int:
     sampled = sum(1 for block in result.samples if len(block))
     # an escaped omega stepped up to its escape either way
     uncut = sum(
-        int(cfg["transient"]) + int(cfg["record"]) if len(block) else applied
+        transient + record if len(block) else applied
         for block, applied in zip(result.samples, result.applications)
     )
     print(
@@ -346,17 +355,21 @@ def cmd_attract(args) -> int:
     cfg = _merge(_load_config(args.config, "attract"), _ATTRACT_DEFAULTS, args)
     cfg["map"] = _fill(cfg["map"], _SCAN_DEFAULTS["map"], "map")
     if cfg["out"] is None:
-        raise ConfigError("attract needs an output path (--out)")
+        raise ValueError("attract needs an output path (--out)")
+    omega, transient, count = float(cfg["omega"]), int(cfg["transient"]), int(cfg["count"])
+    radius = float(cfg["escape_radius"])
+    # refused before the map is built or loaded
+    duf._orbit_inputs([omega], transient, count, cfg["seed"], radius)
     samples = duf.attractor_sample(
         _map_source(cfg),
         beta=float(cfg["beta"]),
         eps=float(cfg["eps"]),
-        omega=float(cfg["omega"]),
-        transient=int(cfg["transient"]),
-        count=int(cfg["count"]),
+        omega=omega,
+        transient=transient,
+        count=count,
         seed=cfg["seed"],
         tol=float(cfg["tol"]),
-        escape_radius=float(cfg["escape_radius"]),
+        escape_radius=radius,
     )
     lines = _config_header_lines("attract", {k: cfg[k] for k in sorted(cfg) if k != "out"})
     lines.append("q,p")
@@ -459,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if stop.code == 0 else EXIT_CONFIG
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (ode.DivergenceError, ode.StiffnessError, duf.EscapeError,

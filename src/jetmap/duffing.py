@@ -651,27 +651,45 @@ def _map_factory(map_source: str | TaylorMap, beta: float, eps: float, tol: floa
 
 
 def _orbit_inputs(
-    omegas: list, transient: int, record: int, seed: Sequence[float] | None, escape_radius: float
-) -> tuple[float, float]:
-    """Refuse what no orbit can run on, before any omega runs.
+    omega_grid: Sequence[float],
+    transient: int,
+    record: int,
+    seed: Sequence[float] | None,
+    escape_radius: float,
+    seed_policy: str = "continue",
+) -> tuple[list, tuple[float, float]]:
+    """Refuse what no orbit can run on, before any map is built or any omega runs.
 
-    Returns ``seed`` as a pair of Python floats, (0, 0) when it is None.
+    Returns the grid as a list of Python floats, and ``seed`` as a pair of
+    Python floats, (0, 0) when it is None.  Python floats: an np.float64
+    omega would make every stage value of an exact orbit a numpy scalar
+    through omega * tau.
     """
+    omegas = np.asarray(list(omega_grid), dtype=np.float64)
+    if omegas.size == 0:
+        raise ValueError("omega grid is empty")
+    steps = np.diff(omegas)
+    # either direction is allowed: downward sweeps expose hysteresis
+    if omegas.size > 1 and not (np.all(steps > 0) or np.all(steps < 0)):
+        raise ValueError("omega grid must be strictly monotonic")
+    if seed_policy not in ("continue", "fixed"):
+        raise ValueError(f"seed_policy must be 'continue' or 'fixed', got {seed_policy!r}")
     if transient < 1 or record < 1:
         raise ValueError(f"transient and sample count must be >= 1, got {transient}, {record}")
-    for omega in omegas:
+    grid = omegas.tolist()
+    for omega in grid:
         if not 0.0 < omega < math.inf:
             raise ValueError(f"driving frequency must be finite and > 0, got {omega!r}")
     radius = _trust_radius(escape_radius)
     if seed is None:
-        return 0.0, 0.0
+        return grid, (0.0, 0.0)
     pair = tuple(float(v) for v in seed)
     if len(pair) != 2 or not all(map(math.isfinite, pair)):
         raise ValueError(f"seed must be two finite numbers, got {list(pair)}")
     # the test iterate_map applies to its start, and _orbit to every iterate
     if not math.hypot(*pair) <= radius:
         raise ValueError(f"seed {list(pair)} lies outside escape_radius {escape_radius!r}")
-    return pair
+    return grid, pair
 
 
 def _run_poly(map_at, omega, state, transient, record, escape_radius):
@@ -718,19 +736,7 @@ def feigenbaum_scan(
     an escape radius that is not > 0, or, for the exact map, a ``tol`` that
     is not finite and > 0.
     """
-    omegas = np.asarray(list(omega_grid), dtype=np.float64)
-    if omegas.size == 0:
-        raise ValueError("omega grid is empty")
-    steps = np.diff(omegas)
-    # either direction is allowed: downward sweeps expose hysteresis
-    if omegas.size > 1 and not (np.all(steps > 0) or np.all(steps < 0)):
-        raise ValueError("omega grid must be strictly monotonic")
-    if seed_policy not in ("continue", "fixed"):
-        raise ValueError(f"seed_policy must be 'continue' or 'fixed', got {seed_policy!r}")
-    # Python floats: an np.float64 omega would make every stage value of an
-    # exact orbit a numpy scalar through omega * tau
-    grid = omegas.tolist()
-    seed = _orbit_inputs(grid, transient, record, seed, escape_radius)
+    grid, seed = _orbit_inputs(omega_grid, transient, record, seed, escape_radius, seed_policy)
     map_at = _map_factory(map_source, beta, eps, tol)
 
     samples, failures, applications, cycles = [], [], [], []
@@ -751,7 +757,7 @@ def feigenbaum_scan(
         applications.append(applied)
         cycles.append(closed)
 
-    return ScanResult(omegas, samples, failures, applications, cycles)
+    return ScanResult(np.array(grid), samples, failures, applications, cycles)
 
 
 def attractor_sample(
@@ -771,10 +777,7 @@ def attractor_sample(
     inputs.  Raises the :class:`EscapeError` of the escaping orbit, which
     carries the step of the escape as :func:`iterate_map`'s does.
     """
-    # a Python float: an np.float64 omega would make every stage value of an
-    # exact orbit a numpy scalar through omega * tau
-    omega = float(omega)
-    seed = _orbit_inputs([omega], transient, count, seed, escape_radius)
+    (omega,), seed = _orbit_inputs([omega], transient, count, seed, escape_radius)
     map_at = _map_factory(map_source, beta, eps, tol)
     return _run_poly(map_at, omega, seed, transient, count, escape_radius)[0]
 

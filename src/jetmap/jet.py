@@ -15,7 +15,7 @@ what lets one numerical integrator propagate whole Taylor maps.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -215,26 +215,6 @@ def power(u: Jet, n: int) -> Jet:
     for _ in range(n - 1):
         out = prod(u, out)
     return out
-
-
-def polyval_on_jets(expr: Callable[..., object], args: Sequence[Jet]) -> Jet:
-    """Evaluate a polynomial callable with jet arguments.
-
-    ``expr`` may use +, -, scalar *, jet *, and integer ** only; operator
-    overloading substitutes the jet operations, so the result is the jet of
-    the expression.  A scalar result (constant expression) is promoted.
-    """
-    if not args:
-        raise ValueError("need at least one jet argument")
-    table = args[0].table
-    for u in args[1:]:
-        args[0]._check_companion(u)
-    out = expr(*args)
-    if isinstance(out, Jet):
-        return out
-    if isinstance(out, _SCALARS):
-        return constant(table, float(out))
-    raise TypeError(f"expression returned {type(out)!r}, expected a Jet or scalar")
 
 
 # -- serialization ----------------------------------------------------------

@@ -320,12 +320,14 @@ class _Tableau:
     array: np.ndarray
 
 
-def _tableau(a: np.ndarray, b: np.ndarray, c: Sequence[float], *error_rows) -> _Tableau:
+def _tableau(a: list, b: np.ndarray, c: Sequence[float], *error_rows) -> _Tableau:
+    """The tableau whose stage row i holds the i weights ``a[i]``, zero-padded."""
     s = len(b)
-    rows = np.vstack([a, b, *error_rows])
+    rows = [*a, b, *error_rows]
     array = np.zeros((len(rows), s + 1))
     array[: s + 1, 0] = 1.0
-    array[:, 1:] = rows
+    for i, row in enumerate(rows):
+        array[i, 1 : len(row) + 1] = row
     return _Tableau(tuple(c), array)
 
 
@@ -612,7 +614,7 @@ def _marching_state(system: OdeSystem, state0: Sequence, tableau: _Tableau):
 # -- fixed-step RK4 ----------------------------------------------------------
 
 _RK4_C = (0.0, 1 / 2, 1 / 2, 1.0)
-_RK4_A = np.diag([1 / 2, 1 / 2, 1.0], k=-1)
+_RK4_A = [[], [1 / 2], [0.0, 1 / 2], [0.0, 0.0, 1.0]]
 _RK4_B = np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6])
 _RK4 = _tableau(_RK4_A, _RK4_B, _RK4_C)
 
@@ -648,14 +650,6 @@ def rk4(
 # -- adaptive Dormand-Prince 8(5,3) -----------------------------------------------
 
 
-def _lower_triangular(rows: Sequence[Sequence[float]]) -> np.ndarray:
-    """The square stage matrix whose row i starts with ``rows[i]``."""
-    a = np.zeros((len(rows), len(rows)))
-    for i, row in enumerate(rows):
-        a[i, : len(row)] = row
-    return a
-
-
 # the Dormand-Prince 8(5,3) pair: Hairer, Norsett & Wanner, *Solving ODEs I*,
 # II.5 and II.10, with the constants of Hairer's dop853.f.  Twelve stages make
 # the 8th-order step; the 5th- and 3rd-order error estimates use the same
@@ -674,57 +668,55 @@ _DOP_C = (
     0.857142857142857142857142857142,
     1.0,
 )
-_DOP_A = _lower_triangular(
+_DOP_A = [
+    [],
+    [5.26001519587677318785587544488e-2],
+    [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
+    [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2],
     [
-        [],
-        [5.26001519587677318785587544488e-2],
-        [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2],
-        [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2],
-        [
-            2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
-            9.24834003261792003115737966543e-1,
-        ],
-        [
-            3.7037037037037037037037037037e-2, 0.0, 0.0,
-            1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1,
-        ],
-        [
-            3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
-            6.02165389804559606850219397283e-2, -1.7578125e-2,
-        ],
-        [
-            3.70920001185047927108779319836e-2, 0.0, 0.0,
-            1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
-            -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3,
-        ],
-        [
-            6.24110958716075717114429577812e-1, 0.0, 0.0,
-            -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
-            2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
-            -4.34898841810699588477366255144e1,
-        ],
-        [
-            4.77662536438264365890433908527e-1, 0.0, 0.0,
-            -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
-            2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
-            -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2,
-        ],
-        [
-            -9.3714243008598732571704021658e-1, 0.0, 0.0,
-            5.18637242884406370830023853209, 1.09143734899672957818500254654,
-            -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
-            2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
-            -3.0467644718982195003823669022,
-        ],
-        [
-            2.27331014751653820792359768449, 0.0, 0.0,
-            -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
-            -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
-            -2.85899827713502369474065508674, -8.87285693353062954433549289258,
-            1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1,
-        ],
-    ]
-)
+        2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+        9.24834003261792003115737966543e-1,
+    ],
+    [
+        3.7037037037037037037037037037e-2, 0.0, 0.0,
+        1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1,
+    ],
+    [
+        3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+        6.02165389804559606850219397283e-2, -1.7578125e-2,
+    ],
+    [
+        3.70920001185047927108779319836e-2, 0.0, 0.0,
+        1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+        -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3,
+    ],
+    [
+        6.24110958716075717114429577812e-1, 0.0, 0.0,
+        -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+        2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+        -4.34898841810699588477366255144e1,
+    ],
+    [
+        4.77662536438264365890433908527e-1, 0.0, 0.0,
+        -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+        2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+        -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2,
+    ],
+    [
+        -9.3714243008598732571704021658e-1, 0.0, 0.0,
+        5.18637242884406370830023853209, 1.09143734899672957818500254654,
+        -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+        2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+        -3.0467644718982195003823669022,
+    ],
+    [
+        2.27331014751653820792359768449, 0.0, 0.0,
+        -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+        -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+        -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+        1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1,
+    ],
+]
 # 8th-order weights; f at the 8th-order result is the next step's stage 0
 _DOP_B = np.array(
     [
@@ -757,7 +749,7 @@ _DOP_E = np.array(
     ]
 )
 # the stage rows, the 8th-order step and the two error rows
-_DOP = _tableau(_DOP_A, _DOP_B, _DOP_C, _DOP_E)
+_DOP = _tableau(_DOP_A, _DOP_B, _DOP_C, *_DOP_E)
 
 # step-size controller (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4):
 # h grows by safety * (tol / err)^(1/8), clamped to [_MIN_SHRINK, _MAX_GROW],

@@ -372,8 +372,11 @@ def test_malformed_map_file(tmp_path):
         lambda data: data["rows"][0]["coeffs"][0].update(r=99),
         lambda data: data["rows"][0]["coeffs"][0].update(exponents=[1, 0, 0]),
         lambda data: data["design_endpoint"].__setitem__(0, 0.25),
+        # the scan's header would record a beta or eps the map was not built with
+        lambda data: data["config"].update(beta=0.5),
+        lambda data: data["config"].update(eps=3.0),
     ],
-    ids=["rank 0", "rank 99", "exponents", "design endpoint"],
+    ids=["rank 0", "rank 99", "exponents", "design endpoint", "beta", "eps"],
 )
 def test_a_map_file_off_its_table_is_a_config_error(tmp_path, small_map_file, spoil, capsys):
     data = json.loads(small_map_file.read_text())
@@ -809,6 +812,23 @@ _REFUSED_CONFIGS = {
     "map-file-unreadable": (["scan", "--out", "out"], {"scan": {"map_file": "missing.json"}},
                             cli.EXIT_IO, "cannot read map file"),
     "scan-without-out": (["scan"], {}, cli.EXIT_CONFIG, "scan needs an output path (--out)"),
+    # orbit inputs are refused before the default order-8 map is built
+    "scan-seed-policy-unknown": (["scan", "--out", "out"], {"scan": {"seed_policy": "bogus"}},
+                                 cli.EXIT_CONFIG,
+                                 "seed_policy must be 'continue' or 'fixed', got 'bogus'"),
+    "scan-transient-zero": (["scan", "--out", "out"], {"scan": {"transient": 0}}, cli.EXIT_CONFIG,
+                            "transient and sample count must be >= 1"),
+    "scan-omega-negative": (["scan", "--out", "out"], {"scan": {"omega_start": -0.01}},
+                            cli.EXIT_CONFIG, "driving frequency must be finite and > 0"),
+    "scan-seed-outside-radius": (["scan", "--out", "out"], {"scan": {"seed": [20, 0]}},
+                                 cli.EXIT_CONFIG, "seed [20.0, 0.0] lies outside escape_radius"),
+    "attract-omega-zero": (["attract", "--out", "out", "--omega", "0"], {}, cli.EXIT_CONFIG,
+                           "driving frequency must be finite and > 0, got 0.0"),
+    "attract-count-zero": (["attract", "--out", "out", "--count", "0"], {}, cli.EXIT_CONFIG,
+                           "transient and sample count must be >= 1"),
+    "attract-escape-radius-negative": (["attract", "--out", "out"],
+                                       {"attract": {"escape_radius": -1}}, cli.EXIT_CONFIG,
+                                       "escape_radius must be > 0, got -1.0"),
 }
 
 
@@ -894,12 +914,21 @@ def test_verify_list(capsys):
 def test_verify_structural_subset_passes(capsys):
     code = run_cli(
         ["verify", "--only", "rank-formula", "table-size", "box-tables",
-         "replacement-rule", "taylor-rule-2var", "duffing-forcing-terms",
-         "c-coefficients-2var", "rk4-scalar-decay"]
+         "coordinatewise-ops", "replacement-rule", "taylor-rule-1var", "taylor-rule-2var",
+         "duffing-forcing-terms", "c-coefficients-2var", "rk4-scalar-decay"]
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert out.count("PASS") == 8 and "FAIL" not in out
+    assert out.count("PASS") == 10 and "FAIL" not in out
+    lines = out.splitlines()
+    for name, observed, expected in [
+        ("coordinatewise-ops", "[0.9, 1.2, 1.5000000000000002]", "[0.9, 1.2, 1.5]"),
+        ("replacement-rule", "[2.0, 0.0, 3.0]", "[2.0, 0.0, 3.0]"),
+        ("taylor-rule-1var", "[57.0, 26.0, 3.0]", "[57.0, 26.0, 3.0]"),
+        ("taylor-rule-2var", "[899.0, 98.0, 134.0, 4.0, 5.0, 6.0]",
+         "[899.0, 98.0, 134.0, 4.0, 5.0, 6.0]"),
+    ]:
+        assert f"PASS {name} [structural] observed={observed} expected={expected}" in lines
 
 
 @pytest.mark.parametrize(

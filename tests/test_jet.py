@@ -138,8 +138,7 @@ def test_evaluate(t12):
     table = mi.build_table(2, 2)
     g = jt.constant(table, 7.0) + jt.variable(table, 1)
     h = jt.constant(table, 8.0) + jt.variable(table, 2)
-    F = lambda z1, z2: 1 + 2 * z1 + 3 * z2 + 4 * z1 * z1 + 5 * z1 * z2 + 6 * z2 * z2
-    out = jt.polyval_on_jets(F, [g, h])
+    out = 1 + 2 * g + 3 * h + 4 * g * g + 5 * g * h + 6 * h * h
     assert out.evaluate([0.0, 0.0]) == pytest.approx(899.0)
 
 
@@ -162,7 +161,7 @@ def test_eval_product_homomorphism(seed):
 
 def test_taylor_rule_one_variable(t12):
     shifted = jt.constant(t12, 4.0) + jt.variable(t12, 1)
-    out = jt.polyval_on_jets(lambda z: 1 + 2 * z + 3 * z * z, [shifted])
+    out = 1 + 2 * shifted + 3 * shifted * shifted
     assert np.array_equal(out.coeffs, [57, 26, 3])
 
 
@@ -170,10 +169,7 @@ def test_taylor_rule_two_variables():
     table = mi.build_table(2, 2)
     g = jt.constant(table, 7.0) + jt.variable(table, 1)
     h = jt.constant(table, 8.0) + jt.variable(table, 2)
-    out = jt.polyval_on_jets(
-        lambda z1, z2: 1 + 2 * z1 + 3 * z2 + 4 * z1 * z1 + 5 * z1 * z2 + 6 * z2 * z2,
-        [g, h],
-    )
+    out = 1 + 2 * g + 3 * h + 4 * g * g + 5 * g * h + 6 * h * h
     assert np.array_equal(out.coeffs, [899, 98, 134, 4, 5, 6])
 
 
@@ -182,8 +178,7 @@ def test_taylor_rule_matches_analytic_derivatives():
     table = mi.build_table(2, 2)
     g = jt.constant(table, 7.0) + jt.variable(table, 1)
     h = jt.constant(table, 8.0) + jt.variable(table, 2)
-    F = lambda z1, z2: 1 + 2 * z1 + 3 * z2 + 4 * z1 * z1 + 5 * z1 * z2 + 6 * z2 * z2
-    out = jt.polyval_on_jets(F, [g, h])
+    out = 1 + 2 * g + 3 * h + 4 * g * g + 5 * g * h + 6 * h * h
     # d/dz1 = 2 + 8 z1 + 5 z2 -> 63 at (7,8); d/dz2 = 3 + 5 z1 + 12 z2 -> 134
     assert out.coeffs[1] == pytest.approx(2 + 8 * 7 + 5 * 8)
     assert out.coeffs[2] == pytest.approx(3 + 5 * 7 + 12 * 8)
@@ -201,23 +196,13 @@ def test_taylor_rule_matches_analytic_derivatives():
          "Jet is immutable"),
         (lambda t: jt.constant(t, 1.0).evaluate([1.0, 2.0]), ValueError,
          "expected 1 coordinates, got (2,)"),
-        (lambda t: jt.polyval_on_jets(lambda: 1.0, []), ValueError,
-         "need at least one jet argument"),
-        (lambda t: jt.polyval_on_jets(lambda z: "z", [jt.variable(t, 1)]), TypeError,
-         "expression returned <class 'str'>, expected a Jet or scalar"),
     ],
-    ids=["coefficient-count", "attribute", "coordinate-count", "no-jets", "not-a-jet"],
+    ids=["coefficient-count", "attribute", "coordinate-count"],
 )
 def test_jet_refusals(t12, call, error, message):
     with pytest.raises(error) as refused:
         call(t12)
     assert str(refused.value) == message
-
-
-def test_polyval_identity_and_scalar(t12):
-    z = jt.constant(t12, 2.0) + jt.variable(t12, 1)
-    assert jt.polyval_on_jets(lambda u: u, [z]) == z
-    assert jt.polyval_on_jets(lambda u: 7, [z]) == jt.constant(t12, 7.0)
 
 
 def test_state_about():
