@@ -5,9 +5,10 @@ sections are named after the subcommands.  A flag's dest is the config key it
 sets, and a flag given overrides the file; ``expand --tol`` sets only
 ``integrator.tol``.  Each subcommand takes only the flags it reads.  The
 nested ``map`` and ``integrator`` objects are filled from their defaults, so
-every output embeds the fully resolved configuration, filled objects included
-(CSV header comments / a JSON field), and identical configurations produce
-byte-identical outputs.
+every output embeds the resolved configuration, filled objects included (CSV
+header comments / a JSON field); scan and attract headers record only the
+settings the run read.  Identical configurations produce byte-identical
+outputs.
 
 Exit codes: 0 success (``--help`` too), 1 configuration or usage error (a bad
 flag value, an unknown flag, a missing subcommand), 2 numeric divergence or
@@ -84,26 +85,22 @@ def _fill(opts, defaults: dict, name: str) -> dict:
     return {**defaults, **opts}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # keys whose null default stands for a file path; every other null default
 # stands for an integer the command requires (table's m and p)
 _PATH_KEYS = ("out", "map_file")
 
 
 def _same_kind(value, default, key: str) -> bool:
-    """A bool or an integer where the default is one, a number where it is a
+    """An integer where the default is one, a number where it is a
     float, a list of numbers where it is a list, and null or, where the
     default is null, a path string for the path keys and an integer for the
     rest.  A JSON integer reads as an int, and no other value does."""
-    if type(default) in (bool, int):
-        return type(value) is type(default)
+    if type(default) is int:
+        return type(value) is int
     if isinstance(default, float):
-        return _is_number(value)
+        return vq._is_number(value)
     if isinstance(default, list):
-        return isinstance(value, list) and all(_is_number(v) for v in value)
+        return isinstance(value, list) and all(vq._is_number(v) for v in value)
     if default is None:
         return value is None or (isinstance(value, str) if key in _PATH_KEYS else type(value) is int)
     return True
@@ -173,7 +170,6 @@ _EXPAND_DEFAULTS = {
     "order": 3,
     "method": "forward",
     "integrator": _INTEGRATOR_DEFAULTS["adaptive"],
-    "suppress_zeros": False,
     "out": None,
 }
 
@@ -191,7 +187,7 @@ def cmd_expand(args) -> int:
         cfg=integrator,
         method=cfg["method"],
     )
-    payload = vq.taylor_map_to_dict(tmap, suppress_zeros=bool(cfg["suppress_zeros"]))
+    payload = vq.taylor_map_to_dict(tmap)
     payload["config"] = {k: cfg[k] for k in sorted(cfg) if k != "out"}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if not cfg["out"]:
@@ -282,7 +278,7 @@ def _map_source(cfg):
             return tmap
         except OSError as err:
             raise OSError(f"cannot read map file: {err}") from err
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, OverflowError) as err:
             raise ValueError(f"map file {path} is not a serialized map: {err}") from err
     opts = cfg["map"]
     return duf.stroboscopic_taylor_map(
@@ -293,6 +289,16 @@ def _map_source(cfg):
         cfg=ode.adaptive(float(opts["tol"])),
         method=opts["method"],
     )
+
+
+def _read_settings(cfg: dict) -> dict:
+    """The settings a scan or attract run read: the exact source reads no map or
+    map_file, the Taylor source no tol, and a map_file stands in for map."""
+    if cfg["source"] == "exact":
+        unread = ("out", "map", "map_file")
+    else:
+        unread = ("out", "tol", "map") if cfg["map_file"] else ("out", "tol")
+    return {k: v for k, v in cfg.items() if k not in unread}
 
 
 def cmd_scan(args) -> int:
@@ -316,7 +322,7 @@ def cmd_scan(args) -> int:
         tol=float(cfg["tol"]),
         escape_radius=radius,
     )
-    lines = _config_header_lines("scan", {k: cfg[k] for k in sorted(cfg) if k != "out"})
+    lines = _config_header_lines("scan", _read_settings(cfg))
     lines.append("omega,index,q,p")
     rows_written = 0
     for omega, block in zip(result.omegas.tolist(), result.samples):
@@ -371,7 +377,7 @@ def cmd_attract(args) -> int:
         tol=float(cfg["tol"]),
         escape_radius=radius,
     )
-    lines = _config_header_lines("attract", {k: cfg[k] for k in sorted(cfg) if k != "out"})
+    lines = _config_header_lines("attract", _read_settings(cfg))
     lines.append("q,p")
     for q, p in samples.tolist():
         lines.append(f"{q!r},{p!r}")

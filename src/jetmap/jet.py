@@ -115,15 +115,6 @@ class Jet:
             return power(self, int(n))
         return NotImplemented
 
-    # -- evaluation -------------------------------------------------------
-
-    def evaluate(self, x: Sequence[float]) -> float:
-        """Value of the underlying polynomial at the point x (length m)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.table.m,):
-            raise ValueError(f"expected {self.table.m} coordinates, got {x.shape}")
-        return float(self.coeffs @ monomial_values(self.table, x))
-
 
 def _new(table: MonomialTable, coeffs: np.ndarray) -> Jet:
     """Jet over a float64 (L,) buffer the caller hands over: frozen, not copied.
@@ -215,41 +206,3 @@ def power(u: Jet, n: int) -> Jet:
     for _ in range(n - 1):
         out = prod(u, out)
     return out
-
-
-# -- serialization ----------------------------------------------------------
-
-
-def jet_to_dict(u: Jet, suppress_zeros: bool = False) -> dict:
-    """JSON-ready dict {m, p, coeffs: [{r, exponents, value}]}."""
-    entries = []
-    for i, value in enumerate(u.coeffs):
-        if suppress_zeros and value == 0.0:
-            continue
-        entries.append(
-            {
-                "r": i + 1,
-                "exponents": [int(j) for j in u.table.exponents[i]],
-                "value": float(value),
-            }
-        )
-    return {"m": u.table.m, "p": u.table.p, "coeffs": entries}
-
-
-def jet_from_dict(table: MonomialTable, data: dict) -> Jet:
-    """Jet of a :func:`jet_to_dict` dict; missing ranks read 0, entries off ``table`` raise."""
-    if data["m"] != table.m or data["p"] != table.p:
-        raise TableMismatchError(
-            f"serialized jet is (m={data['m']}, p={data['p']}), "
-            f"table is (m={table.m}, p={table.p})"
-        )
-    entries = data["coeffs"]
-    ranks = [entry["r"] for entry in entries]
-    if len(set(ranks)) < len(ranks) or not all(type(r) is int and 1 <= r <= table.L for r in ranks):
-        raise ValueError(f"coefficient ranks must be distinct integers in [1, {table.L}]")
-    rows = np.array(ranks, dtype=np.intp) - 1
-    if [entry["exponents"] for entry in entries] != table.exponents[rows].tolist():
-        raise ValueError("coefficient exponents differ from their ranks' table rows")
-    coeffs = np.zeros(table.L)
-    coeffs[rows] = [entry["value"] for entry in entries]
-    return Jet(table, coeffs)

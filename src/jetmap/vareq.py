@@ -25,14 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import monoidx
-from .jet import (
-    Jet,
-    _new as _new_jet,
-    jet_from_dict,
-    jet_to_dict,
-    monomial_values,
-    state_about,
-)
+from .jet import Jet, _new as _new_jet, monomial_values, state_about
 from .jetode import IntegratorConfig, OdeSystem, StepStats, integrate, store_rows
 from .monoidx import MonomialTable
 
@@ -143,12 +136,13 @@ class TaylorMap:
         return self.coefficient_matrix() @ monomial_values(self.table, dev)
 
 
-def taylor_map_to_dict(tmap: TaylorMap, suppress_zeros: bool = False) -> dict:
-    """JSON-ready description of a TaylorMap."""
-    rows = [
-        {"var": a + 1, "coeffs": jet_to_dict(row, suppress_zeros)["coeffs"]}
-        for a, row in enumerate(tmap.rows)
-    ]
+def taylor_map_to_dict(tmap: TaylorMap) -> dict:
+    """JSON-ready description of a TaylorMap; each row lists every rank's ``{r, exponents, value}``."""
+    rows = []
+    for a, row in enumerate(tmap.rows):
+        pairs = zip(tmap.table.exponents.tolist(), row.coeffs.tolist())
+        entries = [{"r": r, "exponents": e, "value": v} for r, (e, v) in enumerate(pairs, start=1)]
+        rows.append({"var": a + 1, "coeffs": entries})
     return {
         "m_dynamical": tmap.m_dynamical,
         "n_params": tmap.n_params,
@@ -162,20 +156,40 @@ def taylor_map_to_dict(tmap: TaylorMap, suppress_zeros: bool = False) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _read_row(table: MonomialTable, entries: list) -> Jet:
+    """Jet of one row's entries; missing ranks read 0, entries off ``table`` and non-numbers raise."""
+    ranks = [entry["r"] for entry in entries]
+    if len(set(ranks)) < len(ranks) or not all(type(r) is int and 1 <= r <= table.L for r in ranks):
+        raise ValueError(f"coefficient ranks must be distinct integers in [1, {table.L}]")
+    index = np.array(ranks, dtype=np.intp) - 1
+    if [entry["exponents"] for entry in entries] != table.exponents[index].tolist():
+        raise ValueError("coefficient exponents differ from their ranks' table rows")
+    values = [entry["value"] for entry in entries]
+    if not all(_is_number(v) for v in values):
+        raise ValueError("coefficient values must be numbers")
+    coeffs = np.zeros(table.L)
+    coeffs[index] = values
+    return _new_jet(table, coeffs)
+
+
 def taylor_map_from_dict(data: dict) -> TaylorMap:
-    """TaylorMap of a :func:`taylor_map_to_dict` dict, refused unless its endpoint is its rows'."""
+    """TaylorMap of a :func:`taylor_map_to_dict` dict, refused unless its expansion point is m
+    finite numbers, its rows are on the table and its endpoint is their constants."""
     # through the module, so that a wrapper put on monoidx.build_table sees it
     table = monoidx.build_table(data["m_dynamical"] + data["n_params"], data["p"])
-    rows = [
-        jet_from_dict(table, {"m": table.m, "p": table.p, "coeffs": row["coeffs"]})
-        for row in data["rows"]
-    ]
+    point = data["expansion_point"]
+    if type(point) is not list or not all(_is_number(v) and np.isfinite(v) for v in point):
+        raise ValueError(f"expansion_point must be {table.m} finite numbers, got {point!r}")
     tmap = TaylorMap(
         table=table,
         t_i=float(data["t_i"]),
         t_f=float(data["t_f"]),
-        expansion_point=tuple(data["expansion_point"]),
-        rows=tuple(rows),
+        expansion_point=tuple(point),
+        rows=tuple(_read_row(table, row["coeffs"]) for row in data["rows"]),
         n_params=int(data["n_params"]),
         diagnostics=tuple(StepStats(**stats) for stats in data.get("diagnostics", ())),
     )

@@ -8,9 +8,10 @@ lifted systems, a frame-tagged phase point, a Runge-Kutta attempt on
 floats by ``sum`` over tableau rows, the folded polynomial map and its
 Jacobian by a Horner loop, the exact map's Jacobian by an order-1 jet
 integration, the (q, p) Duffing right side as a hand-written closure, the
-scaled Duffing right side with every product made at every call, and the
+scaled Duffing right side with every product made at every call, the
 backward route with a right side that stacks its state and makes new jets
-for every expansion.  None of them is used by the package itself.
+for every expansion, and a jet's value at a point by its monomial values.
+None of them is used by the package itself.
 """
 
 import math
@@ -22,7 +23,7 @@ import numpy as np
 
 from jetmap import duffing as duf
 from jetmap import vareq
-from jetmap.jet import Jet, constant, state_about
+from jetmap.jet import Jet, constant, monomial_values, state_about
 from jetmap.jetode import OdeSystem, adaptive, integrate
 from jetmap.monoidx import MonomialTable, build_table, rank
 from jetmap.vareq import CCoefficientTable, TaylorMap, c_coefficients, expand_rhs, forward_solve
@@ -479,3 +480,11 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
         )
 
     return lift_parameters(core, 2, (sigma,))
+
+
+# -- jet values -------------------------------------------------------------------
+
+
+def evaluate(u: Jet, x) -> float:
+    """Value of the polynomial ``u`` at the point ``x`` (length m)."""
+    return float(u.coeffs @ monomial_values(u.table, np.asarray(x, dtype=np.float64)))

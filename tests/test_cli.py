@@ -174,10 +174,13 @@ def test_expand_bad_expansion():
     assert run_cli(["expand", "--expansion", "0.3,0.4"]) == cli.EXIT_CONFIG
 
 
-def test_unknown_config_key(tmp_path):
+def test_unknown_config_key(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"expand": {"unknown_knob": 1}}))
-    assert run_cli(["expand", "--config", path]) == cli.EXIT_CONFIG
+    # expand takes no suppress_zeros: it writes every map dense
+    for key, value in (("unknown_knob", 1), ("suppress_zeros", False)):
+        path.write_text(json.dumps({"expand": {key: value}}))
+        assert run_cli(["expand", "--config", path]) == cli.EXIT_CONFIG
+        assert f"config error: unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -227,6 +230,7 @@ def test_unknown_map_key_is_refused(tmp_path, capsys, command):
         ("expand", {"order": 1, "out": 1}, "'out'"),
         ("scan", {"map_file": 3}, "'map_file'"),
         ("expand", {"order": 2.5}, "'order'"),
+        # not a key of expand, so refused whatever its value
         ("expand", {"suppress_zeros": "no"}, "'suppress_zeros'"),
         ("expand", {"suppress_zeros": 0}, "'suppress_zeros'"),
         ("expand", {"integrator": {"mode": "fixed", "ns": 10.5}}, "integrator key 'ns'"),
@@ -238,9 +242,9 @@ def test_unknown_map_key_is_refused(tmp_path, capsys, command):
     ],
 )
 def test_wrong_kind_of_config_value_is_a_config_error(tmp_path, capsys, command, cfg, key):
-    # null, lists and objects where a number belongs, a fraction where an
-    # integer belongs and anything but a bool where a bool belongs are
-    # refused where the settings are resolved, before anything runs
+    # null, lists and objects where a number belongs and a fraction where an
+    # integer belongs are refused where the settings are resolved, before
+    # anything runs
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({command: cfg}))
     out = tmp_path / "out"
@@ -375,8 +379,17 @@ def test_malformed_map_file(tmp_path):
         # the scan's header would record a beta or eps the map was not built with
         lambda data: data["config"].update(beta=0.5),
         lambda data: data["config"].update(eps=3.0),
+        # would fail at the first omega with a TypeError
+        lambda data: data["expansion_point"].__setitem__(2, "x"),
+        lambda data: data["expansion_point"].__setitem__(2, None),
+        # would load as 1.5 and 1.0
+        lambda data: data["rows"][0]["coeffs"][1].update(value="1.5"),
+        lambda data: data["rows"][0]["coeffs"][1].update(value=True),
+        # would escape as an OverflowError
+        lambda data: data["rows"][0]["coeffs"][1].update(value=10**400),
     ],
-    ids=["rank 0", "rank 99", "exponents", "design endpoint", "beta", "eps"],
+    ids=["rank 0", "rank 99", "exponents", "design endpoint", "beta", "eps",
+         "expansion string", "expansion null", "value string", "value bool", "value too large"],
 )
 def test_a_map_file_off_its_table_is_a_config_error(tmp_path, small_map_file, spoil, capsys):
     data = json.loads(small_map_file.read_text())
@@ -544,6 +557,35 @@ def test_partial_map_is_recorded_filled(tmp_path, command):
         outputs.append(out.read_text())
     assert f"# map={json.dumps(filled, sort_keys=True)}" in outputs[0].splitlines()
     assert outputs[0] == outputs[1]
+
+
+# per case, the settings beside the orbit's and the keys each command's
+# header records besides its orbit keys: the exact source reads no map, the
+# Taylor source no tol, and a map file stands in for the map object
+_SOURCE_CASES = {
+    "exact": ({"source": "exact", "tol": 1e-4, "map": _PARTIAL_MAP}, ["tol"]),
+    "taylor-map-file": ({"map": _PARTIAL_MAP}, ["map_file"]),
+    "taylor-map": ({"map": _PARTIAL_MAP}, ["map", "map_file"]),
+}
+_ORBIT_KEYS = {
+    "scan": ["beta", "eps", "escape_radius", "omega_start", "omega_step", "omega_stop",
+             "record", "seed", "seed_policy", "source", "transient"],
+    "attract": ["beta", "count", "eps", "escape_radius", "omega", "seed", "source", "transient"],
+}
+
+
+@pytest.mark.parametrize("case", list(_SOURCE_CASES))
+@pytest.mark.parametrize("command", ["scan", "attract"])
+def test_header_records_only_the_settings_the_run_read(tmp_path, small_map_file, command, case):
+    settings, keys = _SOURCE_CASES[case]
+    if case == "taylor-map-file":
+        settings = {**settings, "map_file": str(small_map_file)}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({command: {**_ORBIT_CONFIGS[command], **settings}}))
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--config", path, "--out", out]) == 0
+    header = [line[2:].partition("=")[0] for line in out.read_text().splitlines() if line[0] == "#"]
+    assert header == ["command", *sorted(_ORBIT_KEYS[command] + keys)]
 
 
 @pytest.mark.parametrize(

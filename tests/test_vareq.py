@@ -1,5 +1,6 @@
 """Variational-equation tests: forcing terms, C table, forward/backward maps."""
 
+import json
 import math
 
 import numpy as np
@@ -640,8 +641,57 @@ def test_taylor_map_serialization_round_trip():
         assert np.array_equal(back.rows[a].coeffs, tmap.rows[a].coeffs)
     assert back.expansion_point == tmap.expansion_point
     assert back.design_endpoint == tmap.design_endpoint
-    sparse = vq.taylor_map_to_dict(tmap, suppress_zeros=True)
-    assert vq.taylor_map_from_dict(sparse).rows[2] == tmap.rows[2]
+    # every rank, written dense
+    assert [len(row["coeffs"]) for row in data["rows"]] == [tmap.table.L] * 3
+    first = {"r": 1, "exponents": [0, 0, 0], "value": tmap.design_endpoint[0]}
+    assert data["rows"][0]["coeffs"][0] == first
+    # missing ranks, in any order, read 0
+    sparse = vq.taylor_map_to_dict(tmap)
+    for row in sparse["rows"]:
+        row["coeffs"] = [entry for entry in reversed(row["coeffs"]) if entry["value"] != 0.0]
+    assert len(sparse["rows"][2]["coeffs"]) == 2  # sigma's row: sigma + dsigma
+    assert np.array_equal(
+        vq.taylor_map_from_dict(sparse).coefficient_matrix(), back.coefficient_matrix()
+    )
+
+
+def _small_map_dict(table, row) -> dict:
+    """A map file over ``table`` whose every row is ``row``."""
+    rows = tuple(jt.Jet(table, row) for _ in range(table.m))
+    point = (0.0,) * table.m
+    return vq.taylor_map_to_dict(vq.TaylorMap(table, 0.0, 1.0, point, rows))
+
+
+@pytest.mark.parametrize(
+    "entry, change",
+    [
+        (0, {"r": 0}),  # would write the last coefficient
+        (0, {"r": 99}),
+        (0, {"r": 7}),  # L + 1
+        (0, {"r": 1.0}),
+        (0, {"r": "1"}),
+        (1, {"r": True}),  # a bool is not a rank
+        (1, {"r": 1, "exponents": [0, 0]}),  # rank 1 twice
+        (1, {"exponents": [1, 0]}),
+        (1, {"exponents": [1, 0, 0]}),
+        (2, {"exponents": [2]}),
+    ],
+)
+def test_map_reader_refuses_entries_off_the_table(entry, change):
+    table = mi.build_table(2, 2)
+    data = _small_map_dict(table, [1.0, 0.0, -0.5, 0.0, 3.0, 0.0])
+    # ranks 1, 3 and 5 of six
+    data["rows"][0]["coeffs"] = [e for e in data["rows"][0]["coeffs"] if e["value"] != 0.0]
+    data["rows"][0]["coeffs"][entry].update(change)
+    with pytest.raises(ValueError, match="^coefficient"):
+        vq.taylor_map_from_dict(data)
+
+
+def test_map_file_value_precision_round_trip():
+    table = mi.build_table(1, 2)
+    coeffs = [1 / 3, np.pi, -2.0 ** -45]
+    back = vq.taylor_map_from_dict(json.loads(json.dumps(_small_map_dict(table, coeffs))))
+    assert np.array_equal(back.rows[0].coeffs, coeffs)
 
 
 def test_taylor_map_endpoint_is_the_rows_constants():
