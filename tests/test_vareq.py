@@ -641,18 +641,6 @@ def test_taylor_map_serialization_round_trip():
         assert np.array_equal(back.rows[a].coeffs, tmap.rows[a].coeffs)
     assert back.expansion_point == tmap.expansion_point
     assert back.design_endpoint == tmap.design_endpoint
-    # every rank, written dense
-    assert [len(row["coeffs"]) for row in data["rows"]] == [tmap.table.L] * 3
-    first = {"r": 1, "exponents": [0, 0, 0], "value": tmap.design_endpoint[0]}
-    assert data["rows"][0]["coeffs"][0] == first
-    # missing ranks, in any order, read 0
-    sparse = vq.taylor_map_to_dict(tmap)
-    for row in sparse["rows"]:
-        row["coeffs"] = [entry for entry in reversed(row["coeffs"]) if entry["value"] != 0.0]
-    assert len(sparse["rows"][2]["coeffs"]) == 2  # sigma's row: sigma + dsigma
-    assert np.array_equal(
-        vq.taylor_map_from_dict(sparse).coefficient_matrix(), back.coefficient_matrix()
-    )
 
 
 def _small_map_dict(table, row) -> dict:
@@ -660,6 +648,24 @@ def _small_map_dict(table, row) -> dict:
     rows = tuple(jt.Jet(table, row) for _ in range(table.m))
     point = (0.0,) * table.m
     return vq.taylor_map_to_dict(vq.TaylorMap(table, 0.0, 1.0, point, rows))
+
+
+def test_map_rows_round_trip_dense_or_sparse_in_any_order():
+    table = mi.build_table(2, 2)
+    u = jt.Jet(table, [1.0, 0.0, -0.5, 0.0, 3.0, 0.0])
+    data = _small_map_dict(table, u.coeffs)
+    # every rank, written dense
+    assert [len(row["coeffs"]) for row in data["rows"]] == [table.L] * 2
+    assert data["rows"][0]["coeffs"][0] == {"r": 1, "exponents": [0, 0], "value": 1.0}
+    assert vq.taylor_map_from_dict(data).rows[0] == u
+    # missing ranks, in any order, read 0
+    for row in data["rows"]:
+        row["coeffs"] = [entry for entry in reversed(row["coeffs"]) if entry["value"] != 0.0]
+    assert len(data["rows"][0]["coeffs"]) == 3
+    assert vq.taylor_map_from_dict(data).rows == (u, u)
+    data["rows"][1]["coeffs"] = []
+    data["design_endpoint"] = [1.0, 0.0]
+    assert vq.taylor_map_from_dict(data).rows[1] == jt.constant(table, 0.0)
 
 
 @pytest.mark.parametrize(
