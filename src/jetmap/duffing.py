@@ -141,47 +141,58 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
     ``sigma`` argument is not read.  When all three are jets over one
     table, as the forward march's stage views and the backward route's
     expansions are, the right side works on their coefficient arrays
-    through :func:`~jetmap.jet.prod_coeffs` and returns one ``(3, L)``
-    float64 array with sigma's row zero; on floats, or a tuple that mixes
-    jets and floats, it evaluates the same expression through the operators
-    and returns a tuple.
+    through the product kernel :func:`~jetmap.jet.box_sums` and returns a
+    ``(3, L)`` float64 array with sigma's row zero; on floats, or a tuple
+    that mixes jets and floats, it evaluates the same expression through
+    the operators and returns a tuple.
 
-    sigma's derivative is zero, so the array form keeps sigma's two
-    products, ``s**2`` and ``s * s**2``, for the last sigma seen: 4
-    truncated products per evaluation instead of 6.  The memo is keyed on
-    sigma's table and coefficient bytes, not on the jet, since a march and
-    a backward run hand over the same jets at every stage and expansion,
-    rewritten in place; it holds only arrays it made, never the jets it
-    was given.  Both forms keep the expression's operands in its order,
-    each product's included, so every result is the full expression's, bit
-    for bit.
+    The array form gathers each operand once per evaluation: z1 through
+    ``flat_box`` and ``flat_box_rev``, z2 and z1 * z1 through
+    ``flat_box_rev``.  sigma's derivative is zero, so it keeps, for the
+    last sigma seen, ``s[flat_box]``, ``(s**2)[flat_box]``, ``s * s**2``
+    and the table's :func:`~jetmap.jet.segments`: 4 truncated products per
+    evaluation instead of 6.  The memo is keyed on sigma's table and coefficient
+    bytes, not on the jet, since a march and a backward run hand over the
+    same jets at every stage and expansion, rewritten in place; it holds
+    only arrays it made, never the jets it was given.  It also holds the
+    returned array, which every evaluation at that sigma rewrites: a caller
+    that keeps a return past the next call must copy it, as the march's
+    and the expansion's :func:`~jetmap.jetode.store_rows` do.  Both forms
+    keep the expression's operands in its order, each product's included,
+    and row 1 is formed in place as ``((m2beta * P1 - P2) - P4) - (eps sin
+    t) * s**3``, the expression's grouping, so every result is the full
+    expression's, bit for bit.
     """
     m2beta = -2.0 * beta
     sin = math.sin
-    # (key, s**2, s**3) of the last sigma jet seen, as coefficient arrays
-    memo = (None, None, None)
+    # (key, s[flat_box], s**2[flat_box], s**3, segment index, returned rows)
+    # of the last sigma jet seen
+    memo = (None,) * 6
 
     def rhs(state, t):
         nonlocal memo
         z1, z2, s = state
         if type(z1) is type(z2) is type(s) is Jet and z1.table is s.table is z2.table:
             table, a, b, c = s.table, z1.coeffs, z2.coeffs, s.coeffs
-            prod = jet.prod_coeffs
+            box, rev = table.flat_box, table.flat_box_rev
+            kernel = jet.box_sums
             key = (table, c.tobytes())
             # one read of the memo: a call that replaces it leaves ours whole
             hit = memo
             if key != hit[0]:
-                s2 = prod(table, c, c)
-                hit = memo = (key, s2, prod(table, c, s2))
-            _, s2, s3 = hit
-            rows = np.zeros((3, table.L))
+                seg = jet.segments(table)
+                c_box = c[box]
+                s2 = kernel(c_box, c[rev], seg)
+                s3 = kernel(c_box, s2[rev], seg)
+                hit = memo = (key, c_box, s2[box], s3, seg, np.zeros((3, table.L)))
+            _, c_box, s2_box, s3, seg, rows = hit
+            a_box, a_rev = a[box], a[rev]
             rows[0] = b
-            rows[1] = (
-                m2beta * prod(table, c, b)
-                - prod(table, s2, a)
-                - prod(table, a, prod(table, a, a))
-                - (eps * sin(t)) * s3
-            )
+            row = rows[1]
+            np.multiply(m2beta, kernel(c_box, b[rev], seg), out=row)
+            row -= kernel(s2_box, a_rev, seg)
+            row -= kernel(a_box, kernel(a_box, a_rev, seg)[rev], seg)
+            row -= (eps * sin(t)) * s3
             return rows
         s2 = s**2
         return (z2, m2beta * (s * z2) - s2 * z1 - z1**3 - (eps * sin(t)) * (s * s2), 0.0)

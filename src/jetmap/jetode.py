@@ -24,8 +24,9 @@ kinds, picked by the caller's tuple:
   coefficient row (1, h a_i) over that array, and the error norm and the
   finiteness test single numpy expressions over every coefficient of every
   component.  Each stage argument is written into one buffer made with
-  the march, under one tuple of jets made with it too: no jet is made
-  per stage.
+  the march, under one tuple of jets made with it too, and every array
+  view an attempt reads is made with the march: no jet and no view is
+  made per stage.
 
 Both kinds read one tableau and combine their error estimates in one
 helper.  An attempt, from a given stage on, forms the candidate and returns
@@ -555,8 +556,13 @@ class _Jets:
     before the first right side.
 
     ``arg`` holds the stage argument, and ``args``, the right side's tuple,
-    read-only jets over its rows: both are made here, once per march, and
-    every stage writes ``arg`` and hands over ``args`` again.
+    read-only jets over its rows.  They and every view an attempt reads are
+    made here, once per march: for each stage i the coefficient row's
+    prefix ``coef[i, :i + 1]``, the rows ``yk[:i + 1]`` it weighs, the
+    stage's own row of ``yk`` as (m, L) and ``c_i``; and the scaled weights
+    ``coef[:, 1:]``, the final row ``coef[s]``, the error rows
+    ``coef[s + 1:, 1:]`` and the state and stage rows ``yk[0]`` and
+    ``yk[1:]``.  Every stage writes ``arg`` and hands over ``args`` again.
     """
 
     def __init__(self, system: OdeSystem, state0: Sequence, tableau: _Tableau):
@@ -564,11 +570,21 @@ class _Jets:
         self.m = len(state0)
         self.table = next(z.table for z in state0 if isinstance(z, Jet))
         self.shape = (self.m, self.table.L)
-        self.tableau = tableau
-        self.coef = tableau.array.copy()
+        s = len(tableau.c)
+        self.weights = tableau.array[:, 1:]
+        coef = tableau.array.copy()
+        self.scaled = coef[:, 1:]
+        self.final = coef[s]
+        self.errors = coef[s + 1 :, 1:] if len(coef) > s + 1 else None
         # row 0 the state, rows 1.. the stages
-        self.yk = np.empty((len(tableau.c) + 1, self.m * self.table.L))
-        store_rows(self.yk[0].reshape(self.shape), state0, self.table)
+        self.yk = yk = np.empty((s + 1, self.m * self.table.L))
+        self.y, self.k = yk[0], yk[1:]
+        stage_rows = yk.reshape(s + 1, *self.shape)
+        self.stages = [
+            (coef[i, : i + 1], yk[: i + 1], stage_rows[i + 1], c_i)
+            for i, c_i in enumerate(tableau.c)
+        ]
+        store_rows(stage_rows[0], state0, self.table)
         self.arg = np.empty(self.m * self.table.L)
         self.args = tuple(_new_jet(self.table, row) for row in self.arg.reshape(self.shape))
 
@@ -580,27 +596,25 @@ class _Jets:
         ``yk[:i + 1]``, written into ``arg`` under the jets of ``args``.  The
         error is :func:`_error_norm`'s, None for a tableau without error rows.
         """
-        yk, coef, c, arg, args = self.yk, self.coef, self.tableau.c, self.arg, self.args
-        np.multiply(self.tableau.array[:, 1:], h, out=coef[:, 1:])
-        stage_rows = yk.reshape(len(yk), *self.shape)
-        s = len(c)
-        for i in range(first, s):
-            np.dot(coef[i, : i + 1], yk[: i + 1], out=arg)
-            store_rows(stage_rows[i + 1], self.rhs(args, t + c[i] * h), self.table)
-        self.new = coef[s] @ yk
-        if len(coef) == s + 1:
+        rhs, table, yk, arg, args = self.rhs, self.table, self.yk, self.arg, self.args
+        np.multiply(self.weights, h, out=self.scaled)
+        for row, prefix, stage, c_i in self.stages[first:]:
+            np.dot(row, prefix, out=arg)
+            store_rows(stage, rhs(args, t + c_i * h), table)
+        self.new = self.final @ yk
+        if self.errors is None:
             return None
         # a non-finite stage reaches both estimates or the candidate, through
         # the stages after it and 0 * inf = NaN in the dots
-        return _error_norm(coef[s + 1 :, 1:], yk[1:], yk[0], self.new)
+        return _error_norm(self.errors, self.k, self.y, self.new)
 
     def advance(self) -> bool:
-        self.yk[0] = self.new
+        self.y[...] = self.new
         return bool(np.isfinite(self.new).all())
 
     def result(self) -> State:
         """The caller's tuple: jets that each own a frozen copy of their row."""
-        return tuple(_new_jet(self.table, row.copy()) for row in self.yk[0].reshape(self.shape))
+        return tuple(_new_jet(self.table, row.copy()) for row in self.y.reshape(self.shape))
 
 
 def _marching_state(system: OdeSystem, state0: Sequence, tableau: _Tableau):

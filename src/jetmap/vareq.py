@@ -161,7 +161,8 @@ def _is_number(value) -> bool:
 
 
 def _read_row(table: MonomialTable, entries: list) -> Jet:
-    """Jet of one row's entries; missing ranks read 0, entries off ``table`` and non-numbers raise."""
+    """Jet of one row's entries; missing ranks read 0, entries off ``table`` and values that are
+    not finite numbers raise."""
     ranks = [entry["r"] for entry in entries]
     if len(set(ranks)) < len(ranks) or not all(type(r) is int and 1 <= r <= table.L for r in ranks):
         raise ValueError(f"coefficient ranks must be distinct integers in [1, {table.L}]")
@@ -173,24 +174,33 @@ def _read_row(table: MonomialTable, entries: list) -> Jet:
         raise ValueError("coefficient values must be numbers")
     coeffs = np.zeros(table.L)
     coeffs[index] = values
+    if not np.isfinite(coeffs).all():
+        raise ValueError("coefficient values must be finite")
     return _new_jet(table, coeffs)
 
 
 def taylor_map_from_dict(data: dict) -> TaylorMap:
-    """TaylorMap of a :func:`taylor_map_to_dict` dict, refused unless its expansion point is m
-    finite numbers, its rows are on the table and its endpoint is their constants."""
+    """TaylorMap of a :func:`taylor_map_to_dict` dict, refused unless ``m_dynamical``,
+    ``n_params`` and ``p`` are integers, ``t_i``, ``t_f`` and the m coordinates of its expansion
+    point finite numbers, its rows on the table and its endpoint their constants."""
+    sizes = [data[key] for key in ("m_dynamical", "n_params", "p")]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in sizes):
+        raise ValueError(f"m_dynamical, n_params and p must be integers, got {sizes!r}")
+    times = [data["t_i"], data["t_f"]]
+    if not all(_is_number(v) and np.isfinite(v) for v in times):
+        raise ValueError(f"t_i and t_f must be finite numbers, got {times!r}")
     # through the module, so that a wrapper put on monoidx.build_table sees it
-    table = monoidx.build_table(data["m_dynamical"] + data["n_params"], data["p"])
+    table = monoidx.build_table(sizes[0] + sizes[1], sizes[2])
     point = data["expansion_point"]
     if type(point) is not list or not all(_is_number(v) and np.isfinite(v) for v in point):
         raise ValueError(f"expansion_point must be {table.m} finite numbers, got {point!r}")
     tmap = TaylorMap(
         table=table,
-        t_i=float(data["t_i"]),
-        t_f=float(data["t_f"]),
+        t_i=float(times[0]),
+        t_f=float(times[1]),
         expansion_point=tuple(point),
         rows=tuple(_read_row(table, row["coeffs"]) for row in data["rows"]),
-        n_params=int(data["n_params"]),
+        n_params=sizes[1],
         diagnostics=tuple(StepStats(**stats) for stats in data.get("diagnostics", ())),
     )
     if list(tmap.design_endpoint) != data["design_endpoint"]:

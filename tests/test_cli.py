@@ -387,9 +387,16 @@ def test_malformed_map_file(tmp_path):
         lambda data: data["rows"][0]["coeffs"][1].update(value=True),
         # would escape as an OverflowError
         lambda data: data["rows"][0]["coeffs"][1].update(value=10**400),
+        # would make every omega diverge, a numeric failure
+        lambda data: data["rows"][0]["coeffs"][1].update(value=math.nan),
+        # would load as 6.2, as 1 (beside m_dynamical 2) and as inf
+        lambda data: data.update(t_f="6.2"),
+        lambda data: data.update(n_params=True),
+        lambda data: data.update(t_i=math.inf),
     ],
     ids=["rank 0", "rank 99", "exponents", "design endpoint", "beta", "eps",
-         "expansion string", "expansion null", "value string", "value bool", "value too large"],
+         "expansion string", "expansion null", "value string", "value bool", "value too large",
+         "value nan", "t_f string", "n_params bool", "t_i infinite"],
 )
 def test_a_map_file_off_its_table_is_a_config_error(tmp_path, small_map_file, spoil, capsys):
     data = json.loads(small_map_file.read_text())

@@ -175,6 +175,23 @@ def test_scaled_rhs_maps_match_the_full_expression(method, p, cfg):
     assert _map_bits(tmap) == _map_bits(want)
 
 
+@pytest.mark.parametrize("solve", [vq.forward_solve, vq.backward_solve], ids=["forward", "backward"])
+def test_builds_leave_every_array_of_their_table_unchanged(solve):
+    # the product kernel sums over the writable copy jet.segments holds,
+    # not over the table's own read-only seg_starts; a build writes neither
+    table = mi.build_table(3, 3)
+    arrays = [name for name in vars(table) if isinstance(getattr(table, name), np.ndarray)]
+    before = {name: getattr(table, name).tobytes() for name in arrays}
+    segments = jt.segments(table)
+    solve(duf.duffing_scaled_rhs(0.1, 1.5, 0.5), (0.3, 0.4, 0.5), 0.0, duf.TWO_PI, table,
+          ode.adaptive(1e-10))
+    assert len(arrays) == 5
+    assert {name: getattr(table, name).tobytes() for name in arrays} == before
+    assert not any(getattr(table, name).flags.writeable for name in arrays)
+    assert jt.segments(table) is segments
+    assert segments.tobytes() == before["seg_starts"]
+
+
 def test_scaled_rhs_scalar_run_matches_the_full_expression():
     runs = [
         ode.integrate(system, (0.3, 0.4, 0.5), 0.0, duf.TWO_PI, ode.adaptive(1e-10))
@@ -190,13 +207,13 @@ def test_scaled_rhs_makes_sigmas_products_once_per_sigma(monkeypatch):
     # for a fresh jet of the same value too; a new sigma pays 6 again.  Jet
     # products and the right side's array products all run the one kernel
     calls = []
-    prod_coeffs = jt.prod_coeffs
+    box_sums = jt.box_sums
 
-    def counted(table, a, b):
+    def counted(left, right, seg):
         calls.append(1)
-        return prod_coeffs(table, a, b)
+        return box_sums(left, right, seg)
 
-    monkeypatch.setattr(jt, "prod_coeffs", counted)
+    monkeypatch.setattr(jt, "box_sums", counted)
     table = mi.build_table(3, 3)
     rhs = duf.duffing_scaled_rhs(0.1, 1.5, 0.5).rhs
     counts = []
@@ -216,17 +233,25 @@ def _sigma_cases():
     # operands are swapped sum their terms in another order and differ
     dense = np.random.default_rng(19).normal(size=(4, table.L))
     d1, d2, ds, ds_bumped = (Jet(table, row) for row in dense)
+    # at order 8 a box segment holds up to 48 pairs, which numpy sums in
+    # unrolled blocks of 8: a swapped or regrouped operand moves more bits
+    table8 = mi.build_table(3, 8)
+    dense8 = np.random.default_rng(23).normal(size=(4, table8.L))
+    e1, e2, es, es_bumped = (Jet(table8, row) for row in dense8)
     # at these z the sign of sigma**3 decides the sign of the zero result,
     # so reusing 0.0's products for -0.0, or -0.0's for 0.0, moves a bit
     return [
         [(0.0, 1.0, 0.0), (0.0, -1.0, -0.0), (0.0, 1.0, 0.0)],
         [(z1, z2, s), (z1, z2, Jet(table, bumped)), (z1, z2, s)],
         [(d1, d2, ds), (d1, d2, ds_bumped), (d1, d2, ds)],
+        [(e1, e2, es), (e1, e2, es_bumped), (e1, e2, es)],
     ]
 
 
 @pytest.mark.parametrize(
-    "states", _sigma_cases(), ids=["float-signed-zero", "jet-one-coefficient", "jet-dense"]
+    "states",
+    _sigma_cases(),
+    ids=["float-signed-zero", "jet-one-coefficient", "jet-dense", "jet-dense-p8"],
 )
 def test_scaled_rhs_memo_is_keyed_on_sigmas_bits(states):
     # sigma 0.0 then -0.0 differ only in sign, two sigma jets only in one
