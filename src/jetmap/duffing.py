@@ -150,22 +150,23 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
     ``flat_box`` and ``flat_box_rev``, z2 and z1 * z1 through
     ``flat_box_rev``.  sigma's derivative is zero, so it keeps, for the
     last sigma seen, ``s[flat_box]``, ``(s**2)[flat_box]``, ``s * s**2``
-    and the table's :func:`~jetmap.jet.segments`: 4 truncated products per
-    evaluation instead of 6.  The memo is keyed on sigma's table and coefficient
-    bytes, not on the jet, since a march and a backward run hand over the
-    same jets at every stage and expansion, rewritten in place; it holds
-    only arrays it made, never the jets it was given.  It also holds the
-    returned array, which every evaluation at that sigma rewrites: a caller
-    that keeps a return past the next call must copy it, as the march's
-    and the expansion's :func:`~jetmap.jetode.store_rows` do.  Both forms
-    keep the expression's operands in its order, each product's included,
-    and row 1 is formed in place as ``((m2beta * P1 - P2) - P4) - (eps sin
-    t) * s**3``, the expression's grouping, so every result is the full
+    and a writable copy of the table's ``seg_starts`` for its products to
+    sum over: 4 truncated products per evaluation instead of 6.  The memo
+    is keyed on sigma's table and coefficient bytes, not on the jet, since
+    a march and a backward run hand over the same jets at every stage and
+    expansion, rewritten in place; it holds only arrays it made, never the
+    jets it was given.  It also holds the returned array, which every
+    evaluation at that sigma rewrites: a caller that keeps a return past
+    the next call must copy it, as the march's and the expansion's
+    :func:`~jetmap.jetode.store_rows` do.  Both forms keep the
+    expression's operands in its order, each product's included, and row 1
+    is formed in place as ``((m2beta * P1 - P2) - P4) - (eps sin t) *
+    s**3``, the expression's grouping, so every result is the full
     expression's, bit for bit.
     """
     m2beta = -2.0 * beta
     sin = math.sin
-    # (key, s[flat_box], s**2[flat_box], s**3, segment index, returned rows)
+    # (key, s[flat_box], s**2[flat_box], s**3, seg_starts copy, returned rows)
     # of the last sigma jet seen
     memo = (None,) * 6
 
@@ -180,7 +181,7 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
             # one read of the memo: a call that replaces it leaves ours whole
             hit = memo
             if key != hit[0]:
-                seg = jet.segments(table)
+                seg = table.seg_starts.copy()
                 c_box = c[box]
                 s2 = kernel(c_box, c[rev], seg)
                 s3 = kernel(c_box, s2[rev], seg)

@@ -17,6 +17,7 @@ truncated polynomial multiplication into a sequence of dot products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 from typing import Iterator, Sequence
 
@@ -146,11 +147,12 @@ def build_table(m: int, p: int) -> MonomialTable:
     exponents = np.array(rows, dtype=np.int64)
     degrees = exponents.sum(axis=1)
 
-    box = [np.flatnonzero(np.all(exponents <= exponents[k], axis=1)) for k in range(L)]
-    flat_box = np.concatenate(box)  # each segment ascending by construction
+    # a box is every divisor of its monomial, each looked up by its exponents
+    row = {e: r for r, e in enumerate(rows)}
+    box = [np.sort([row[d] for d in product(*(range(j + 1) for j in e))]) for e in rows]
+    flat_box = np.concatenate(box)
     flat_box_rev = np.concatenate([b[::-1] for b in box])
-    sizes = np.array([b.size for b in box])
-    seg_starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    seg_starts = np.concatenate(([0], np.cumsum([b.size for b in box])[:-1]))
 
     for arr in (exponents, degrees, flat_box, flat_box_rev, seg_starts):
         arr.setflags(write=False)

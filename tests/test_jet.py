@@ -84,10 +84,9 @@ def test_prod_matches_brute_force(m, p, seed):
     u = rng.normal(size=table.L) * (rng.random(size=table.L) < 0.6)
     v = rng.normal(size=table.L) * (rng.random(size=table.L) < 0.6)
     expected = brute_force_product(table, u, v)
-    # the jet product and the array kernel under it
-    for w in (jt.prod(jt.Jet(table, u), jt.Jet(table, v)).coeffs, jt.prod_coeffs(table, u, v)):
-        assert w.shape == (table.L,)
-        assert np.max(np.abs(w - expected)) <= 1e-14 * max(1, np.abs(expected).max())
+    w = jt.prod(jt.Jet(table, u), jt.Jet(table, v)).coeffs
+    assert w.shape == (table.L,)
+    assert np.max(np.abs(w - expected)) <= 1e-14 * max(1, np.abs(expected).max())
 
 
 @pytest.mark.parametrize("m,p,seed", [(2, 3, 10), (3, 3, 11)])

@@ -122,7 +122,7 @@ def test_box_of_constant_is_trivial():
         assert list(mi.box(table, 1)) == [1]
 
 
-@pytest.mark.parametrize("m,p", [(1, 5), (2, 4), (3, 4)])
+@pytest.mark.parametrize("m,p", [(1, 5), (2, 4), (3, 4), (5, 3)])
 def test_box_membership_and_complement_pairing(m, p):
     table = mi.build_table(m, p)
     for k in range(1, table.L + 1):

@@ -622,16 +622,6 @@ def test_vareq_refuses_disagreeing_sizes(call, message):
     assert str(refused.value) == message
 
 
-def test_liouville_determinant_duffing():
-    # phase-area contraction over one period depends only on beta and sigma
-    for beta, sigma in ((0.1, 0.5), (0.1, 0.8), (0.05, 1.0)):
-        tmap = duf.stroboscopic_taylor_map(
-            beta, 1.5, (0.3, 0.4, sigma), p=2, cfg=ode.adaptive(1e-12)
-        )
-        det = np.linalg.det(linear_matrix(tmap))
-        assert det == pytest.approx(math.exp(-4 * math.pi * beta * sigma), abs=1e-8)
-
-
 def test_taylor_map_serialization_round_trip():
     tmap = duf.stroboscopic_taylor_map(0.1, 1.5, (0.3, 0.4, 0.5), p=2, cfg=ode.adaptive(1e-10))
     data = vq.taylor_map_to_dict(tmap)
