@@ -85,12 +85,24 @@ class DuffingParams:
             raise ValueError(f"damping must be finite and >= 0, got {self.beta}")
         if not 0 <= self.eps < math.inf:
             raise ValueError(f"driving strength must be finite and >= 0, got {self.eps}")
-        if not 0 < self.omega < math.inf:
-            raise ValueError(f"driving frequency must be finite and > 0, got {self.omega}")
+        _check_frequency(self.omega)
 
     @property
     def period(self) -> float:
         return TWO_PI / self.omega
+
+
+def _check_frequency(omega: float) -> None:
+    """Refuse a driving frequency that is not finite and > 0, or whose period is not finite.
+
+    Below about 1.7e-308 the period 2 pi / omega overflows to inf, and no
+    integration can span it.
+    """
+    # written so that NaN fails each test
+    if not 0 < omega < math.inf:
+        raise ValueError(f"driving frequency must be finite and > 0, got {omega}")
+    if not TWO_PI / omega < math.inf:
+        raise ValueError(f"driving frequency {omega} has a period 2 pi / omega that is not finite")
 
 
 # -- coordinate frames --------------------------------------------------------
@@ -217,9 +229,22 @@ class ExactStroboscopicMap:
     params: DuffingParams
     tol: float = 1e-12
 
+    # each built at the map's first use and kept for every later period;
+    # duffing_rhs is looked up in this module then, so a patch on it applies
+    @cached_property
+    def _system(self) -> OdeSystem:
+        return duffing_rhs(self.params)
+
+    @cached_property
+    def _variational(self) -> OdeSystem:
+        return _qp_system(self.params, ("q", "p", "a", "b", "c", "d"), _QP + _JACOBIAN)
+
+    @cached_property
+    def _cfg(self) -> IntegratorConfig:
+        return adaptive(self.tol)
+
     def __call__(self, point: Sequence[float]) -> tuple[float, float]:
-        cfg = adaptive(self.tol)
-        return integrate(duffing_rhs(self.params), tuple(point), 0.0, self.params.period, cfg)[0]
+        return integrate(self._system, tuple(point), 0.0, self.params.period, self._cfg)[0]
 
     def linearize(self, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """The image of ``point`` and the 2 x 2 Jacobian of the map there.
@@ -232,9 +257,9 @@ class ExactStroboscopicMap:
         """
         if len(point) != 2:
             raise ValueError(f"got {len(point)} components, expected 2")
-        system = _qp_system(self.params, ("q", "p", "a", "b", "c", "d"), _QP + _JACOBIAN)
-        cfg = adaptive(self.tol)
-        state = integrate(system, (*point, 1.0, 0.0, 0.0, 1.0), 0.0, self.params.period, cfg)[0]
+        state = integrate(
+            self._variational, (*point, 1.0, 0.0, 0.0, 1.0), 0.0, self.params.period, self._cfg
+        )[0]
         return np.array(state[:2]), np.array(state[2:]).reshape(2, 2)
 
     def to_qp(self, iterates: np.ndarray, omega: float) -> np.ndarray:
@@ -690,8 +715,7 @@ def _orbit_inputs(
         raise ValueError(f"transient and sample count must be >= 1, got {transient}, {record}")
     grid = omegas.tolist()
     for omega in grid:
-        if not 0.0 < omega < math.inf:
-            raise ValueError(f"driving frequency must be finite and > 0, got {omega!r}")
+        _check_frequency(omega)
     radius = _trust_radius(escape_radius)
     if seed is None:
         return grid, (0.0, 0.0)
@@ -743,10 +767,10 @@ def feigenbaum_scan(
     the cycle; the samples are the same as if it had stepped on.
 
     Raises ``ValueError`` before any omega runs for a grid that is empty,
-    not strictly monotonic, or holds an omega that is not finite and > 0, a
-    seed that is not two finite numbers or lies outside the escape radius,
-    an escape radius that is not > 0, or, for the exact map, a ``tol`` that
-    is not finite and > 0.
+    not strictly monotonic, or holds an omega that is not finite and > 0 or
+    whose period 2 pi / omega is not finite, a seed that is not two finite
+    numbers or lies outside the escape radius, an escape radius that is not
+    > 0, or, for the exact map, a ``tol`` that is not finite and > 0.
     """
     grid, seed = _orbit_inputs(omega_grid, transient, record, seed, escape_radius, seed_policy)
     map_at = _map_factory(map_source, beta, eps, tol)

@@ -1,23 +1,28 @@
 """Runge-Kutta integration generic over scalar and jet-valued states.
 
-:func:`rk4` and :func:`rkf45` each run one controller loop, which owns the
-step size, acceptance, the step budget and divergence, over one of two state
-kinds, picked by the caller's tuple:
+:func:`rk4` and :func:`rkf45` each run one step loop, which owns the step
+size, acceptance, the step budget and divergence.  It is written once, as
+the source template :func:`_march_source`, and compiled per state kind into
+one function, the march, cached with the kind's key.  The caller's tuple
+picks the kind:
 
-* a state of m Python floats (:class:`_Floats`) is stepped by one function
-  per tableau, m and right-side source, compiled on first use
-  (:func:`_float_kernel`), which keeps components and stage values in
-  locals and writes every stage argument, the step and the error estimates
-  out as sums over the tableau's rows with its constants inlined: no numpy
-  call and no loop per stage, so a scalar run's bits do not depend on the
-  BLAS.  The sums run left to right from 0.0 on every Python version, as
-  ``sum`` of floats does on 3.11; from 3.12 ``sum`` is compensated, so a
-  run there differs in the last bits from one that sums with it.  A row's
-  zero weights share one product per attempt, ``0.0 * k_a * k_b * ...``,
-  which is a zero, and so changes no sum, while every stage is finite, and
-  NaN, as the zero terms it replaces were, once one is not.  A right side
-  made by :func:`expression_system` is written into every stage after the
-  first as its expressions, with no call; any other right side is called;
+* a state of m Python floats is marched by one function per tableau, m and
+  right-side source (:func:`_float_kernel`), which holds the whole loop:
+  stage 0, the later stages, the candidate, both error estimates and the
+  controller, with every component, stage value and count in a local.  It
+  writes every stage argument, the step and the error estimates out as
+  sums over the tableau's rows with its constants inlined, and ``abs`` and
+  ``max`` as conditional expressions: no numpy call, no loop per stage and
+  no call per attempt but the right side's, so a scalar run's bits do not
+  depend on the BLAS.  The sums run left to right from 0.0 on every Python
+  version, as ``sum`` of floats does on 3.11; from 3.12 ``sum`` is
+  compensated, so a run there differs in the last bits from one that sums
+  with it.  A row's zero weights share one product per attempt, ``0.0 *
+  k_a * k_b * ...``, which is a zero, and so changes no sum, while every
+  stage is finite, and NaN, as the zero terms it replaces were, once one is
+  not.  A right side made by :func:`expression_system` is written into
+  every stage as its expressions, with no call; any other right side is
+  called;
 * a state of m :class:`~jetmap.jet.Jet` rows over one shared table
   (:class:`_Jets`) is one ``(m, L)`` float64 array, the state row above the
   stage rows, so each stage argument and the step are one dot of a
@@ -26,14 +31,14 @@ kinds, picked by the caller's tuple:
   component.  Each stage argument is written into one buffer made with
   the march, under one tuple of jets made with it too, and every array
   view an attempt reads is made with the march: no jet and no view is
-  made per stage.
+  made per stage.  Its march (:func:`_jet_kernel`) calls the state's
+  methods for stage 0, an attempt and taking the candidate.
 
-Both kinds read one tableau and combine their error estimates in one
-helper.  An attempt, from a given stage on, forms the candidate and returns
-its error, None for a tableau without error rows (RK4's).  The caller's
-tuple, of the system's ``dim`` components or refused with ``ValueError``,
-is read once at entry and returned once at exit, as floats or as jets that
-each own a frozen copy of their row.
+Both kinds read one tableau and weigh and combine their error estimates as
+:func:`_error_norm` does.  The caller's tuple, of the system's ``dim``
+components or refused with ``ValueError``, is read once at entry and
+returned once at exit, as floats or as jets that each own a frozen copy of
+their row.
 
 The adaptive method is the Dormand-Prince 8(5,3) pair (Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.5 and II.10), reached as :func:`rkf45`.  Its
@@ -234,7 +239,7 @@ def expression_system(
     and each system calls it with its constants, which become closure
     cells: making a system compiles nothing after the first.  The callable
     carries its source and constants, so on float states the integrator
-    writes the expressions into its compiled attempt instead of calling
+    writes the expressions into its compiled march instead of calling
     them (see :func:`_float_kernel`).  A wrapper around it, as made by
     ``dataclasses.replace(system, rhs=...)``, carries neither and is called
     at every stage.
@@ -302,7 +307,7 @@ class StepStats:
     h_max: float = 0.0
 
 
-# -- the two state kinds ----------------------------------------------------------
+# -- the marches: one step loop, generated per state kind ---------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,11 +319,16 @@ class _Tableau:
     stages and the step) and 0 in the error rows, so the columns after it,
     scaled by h, make one attempt's coefficients over ``(y, k_0, ...,
     k_{s-1})``.  :func:`_float_kernel` reads the same rows without that
-    column.  A tableau hashes by identity, so it keys that function's cache.
+    column.  A tableau hashes by identity, so it keys the kernels' caches.
     """
 
     c: tuple
     array: np.ndarray
+
+    @property
+    def adaptive(self) -> bool:
+        """True when the tableau has error rows, so that its march controls the step."""
+        return len(self.array) > len(self.c) + 1
 
 
 def _tableau(a: list, b: np.ndarray, c: Sequence[float], *error_rows) -> _Tableau:
@@ -330,20 +340,6 @@ def _tableau(a: list, b: np.ndarray, c: Sequence[float], *error_rows) -> _Tablea
     for i, row in enumerate(rows):
         array[i, 1 : len(row) + 1] = row
     return _Tableau(tuple(c), array)
-
-
-def _combined_error(e5: float, e3: float) -> float:
-    """One error from the max norms E5 and E3 of the 5th- and 3rd-order estimates.
-
-    ``E5^2 / sqrt(E5^2 + 0.01 E3^2)`` (HNW II.10 and dop853.f), which is E5
-    when E3 vanishes and 0 when E5 does.  A non-finite norm counts as an
-    infinite error.
-    """
-    if not (math.isfinite(e5) and math.isfinite(e3)):
-        return math.inf
-    if e5 == 0.0:
-        return 0.0
-    return e5 * (e5 / math.hypot(e5, 0.1 * e3))
 
 
 def _error_norm(
@@ -358,39 +354,189 @@ def _error_norm(
     ``atol + rtol |y|`` weights (Hairer, Norsett & Wanner, *Solving ODEs I*,
     II.4) with atol = rtol, so a single ``tol`` serves both.  E5 and E3 are
     the max of the weighed entries over every coefficient of every component,
-    combined by :func:`_combined_error`.  Combining the norms, not the
-    entries, keeps one estimate passing through zero in one entry from
-    setting the step.  NaN from overflowing entries reaches the norms, and
-    counts as an infinite error.
+    combined as ``E5^2 / sqrt(E5^2 + 0.01 E3^2)`` (HNW II.10 and dop853.f),
+    which is E5 when E3 vanishes and 0 when E5 does.  Combining the norms,
+    not the entries, keeps one estimate passing through zero in one entry
+    from setting the step.  NaN from overflowing entries reaches the norms,
+    and a norm that is not finite is an infinite error.
+    :func:`_float_kernel` writes the same error out component by component.
     """
     scale = np.maximum(np.abs(y), np.abs(y8))
     scale += 1.0
     e = np.abs(weights @ k)
     e /= scale
     e5, e3 = e.max(axis=1).tolist()
-    return _combined_error(e5, e3)
+    if not (math.isfinite(e5) and math.isfinite(e3)):
+        return math.inf
+    if e5 == 0.0:
+        return 0.0
+    return e5 * (e5 / math.hypot(e5, 0.1 * e3))
 
 
 def _wrong_length(values, m: int) -> ValueError:
     return ValueError(f"got {len(values)} components, expected {m}")
 
 
+# step-size controller (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4):
+# h grows by safety * (tol / err)^(1/8), clamped to [_MIN_SHRINK, _MAX_GROW],
+# and not at all on the step after a rejection.  Levers measured in its place
+# did not pay (attempts of the order-3, order-8 and order-2 backward Duffing
+# builds at tol 1e-9, 141/218/270 here, and of the 348 exact periods of the
+# 3-omega scan at tol 1e-6, 14,451 here, on float states as on the array
+# state they used to share): dop853.f's PI term with beta 0.04
+# took 134/204/264 but 15,145; safety 0.8 took 133/207/264 but 14,903; a
+# growth cap of 2 left the builds alone and took 14,493.  Of the exact map's
+# 13 rejections per period (30 periods at omega 1.2554), 2 shrink the
+# whole-span first step and 10 come right after an accepted step: there the
+# h^8 model set h for an error of 0.9^8 tol = 0.43 tol, never at the growth
+# cap, and the error read a median 3.7 tol (quartiles 2.8 and 5.4).  The
+# accepted step's 2-entry estimate read low, passing near zero, which no
+# controller on past errors foresees
+_SAFETY = 0.9
+_MIN_SHRINK = 0.1
+_MAX_GROW = 5.0
+# a step below this fraction of the span means the problem is stiff
+_H_MIN_FRAC = 1e-12
+# step attempts per run: a tol beneath the error estimate's round-off floor
+# stalls instead of underflowing h.  One exact Duffing period (eps 25, omega
+# 1.285) takes 859 + 28 attempts at tol 1e-18, but 294,029 + 74,152 at 1e-20
+# (39 s), within reach of the cap: below the floor the estimate is noise
+_MAX_STEPS = 500_000
+
+
+def _march_source(
+    tableau: _Tableau, start: list, stage0: list, attempt: list, take: list, finite: str, result: str
+) -> list:
+    """``march``, the step loop of :func:`rk4` or :func:`rkf45`, as lines of a ``_make``.
+
+    A state kind fills the slots.  ``start``, ``stage0``, ``attempt`` and
+    ``take`` are statements: ``start`` runs once on the state ``_y`` as the
+    march gets it; ``stage0`` evaluates stage 0 at the state and ``_t``;
+    ``attempt`` the later stages and the candidate at step ``_h``, and, for
+    an adaptive tableau, sets ``_err``, the candidate's error; ``take``
+    makes the candidate the state.  ``finite`` is an expression, true when
+    the state just taken is finite, and ``result`` the state as the caller
+    gets it.
+
+    For an adaptive tableau, ``march(_y, _t0, _tf, _tol, _max_steps)`` is
+    :func:`rkf45`'s controller, with stage 0 kept for the attempts after a
+    rejection; an ``OverflowError`` in an attempt is an infinite error.  The
+    controller's constants are written in as literals; the step budget is an
+    argument, so that the caller reads ``_MAX_STEPS`` at each call.  For
+    another, ``march(_y, _t0, _h, _ns)`` takes ns steps of h, and an
+    ``OverflowError`` is a :class:`DivergenceError`.  Both return ``(state,
+    t, StepStats)``.
+    """
+
+    def at(depth: int, lines: list) -> list:
+        return [" " * depth + line for line in lines]
+
+    if not tableau.adaptive:
+        return [
+            "    def march(_y, _t0, _h, _ns):",
+            *at(8, start),
+            "        _inf, _t = _INF, _t0",
+            "        for _i in range(1, _ns + 1):",
+            "            try:",
+            *at(16, stage0 + attempt),
+            "            except OverflowError as _error:",
+            '                raise _DivergenceError(f"float overflow during step {_i} (t={_t})", '
+            "_i, _t) from _error",
+            "            _t = _t0 + _i * _h",
+            *at(12, take),
+            f"            if not ({finite}):",
+            '                raise _DivergenceError(f"non-finite state after step {_i} (t={_t})", '
+            "_i, _t)",
+            f"        return {result}, _t, _StepStats(_ns, 0, _h, _h)",
+        ]
+    return [
+        "    def march(_y, _t0, _tf, _tol, _max_steps):",
+        *at(8, start),
+        "        _inf, _t, _h = _INF, _t0, _tf - _t0",
+        f"        _h_min = {_H_MIN_FRAC!r} * _h",
+        "        _accepted = _rejected = 0",
+        "        _h_lo, _h_hi = _inf, 0.0",
+        "        _have_stage0 = _after_rejection = False",
+        "        while _t < _tf:",
+        "            _rest = _tf - _t",
+        "            if _h > _rest:",
+        "                _h = _rest",
+        "            _last_step = _h >= _rest",
+        "            try:",
+        "                if not _have_stage0:",
+        *at(20, stage0),
+        *at(16, attempt),
+        "                _have_stage0 = True",
+        "            except OverflowError:",
+        "                _err = _inf",
+        "            _ok = _err <= _tol",
+        "            if _ok:",
+        *at(16, take),
+        f"                if not ({finite}):",
+        '                    raise _DivergenceError(f"non-finite state near t={_t}", _accepted, _t)',
+        "                _accepted += 1",
+        "                if _h < _h_lo:",
+        "                    _h_lo = _h",
+        "                if _h > _h_hi:",
+        "                    _h_hi = _h",
+        "                _t = _tf if _last_step else _t + _h",
+        "                _have_stage0 = False",
+        "            else:",
+        "                _rejected += 1",
+        "            if not _err > 0.0:",
+        f"                _factor = {_MAX_GROW!r}",
+        "            elif _err < _inf:",
+        f"                _factor = {_SAFETY!r} * (_tol / _err) ** 0.125",
+        f"                if _factor < {_MIN_SHRINK!r}:",
+        f"                    _factor = {_MIN_SHRINK!r}",
+        f"                elif _factor > {_MAX_GROW!r}:",
+        f"                    _factor = {_MAX_GROW!r}",
+        "            else:",
+        f"                _factor = {_MIN_SHRINK!r}",
+        "            if _after_rejection and _factor > 1.0:",
+        "                _factor = 1.0",
+        "            _h *= _factor",
+        "            _after_rejection = not _ok",
+        "            if _t < _tf and _h < _h_min:",
+        "                if not _err < _inf:",
+        '                    raise _DivergenceError(f"step collapsed below {_h_min} at t={_t} '
+        'chasing non-finite stages", _accepted, _t)',
+        '                raise _StiffnessError(f"step size {_h} fell below minimum {_h_min} at '
+        't={_t} ({_accepted} accepted, {_rejected} rejected)")',
+        "            if _accepted + _rejected > _max_steps:",
+        '                raise _StiffnessError(f"exceeded {_max_steps} steps at t={_t} of {_tf}; '
+        'the tolerance {_tol} appears unattainable for this state")',
+        f"        return {result}, _t, _StepStats(_accepted, _rejected, _h_lo, _h_hi)",
+    ]
+
+
+def _compile_make(lines: list, label: str) -> Callable:
+    """The ``_make`` that ``lines`` define, compiled under ``label``."""
+    namespace = {
+        "_DivergenceError": DivergenceError, "_StiffnessError": StiffnessError,
+        "_StepStats": StepStats, "_wrong_length": _wrong_length, "_INF": math.inf,
+        "_hypot": math.hypot, **_FUNCTIONS,
+    }
+    exec(compile("\n".join(lines), label, "exec"), namespace)
+    return namespace["_make"]
+
+
 @cache
 def _float_kernel(tableau: _Tableau, m: int, source: _Expressions | None = None) -> Callable:
-    """One attempt on m Python floats, compiled as straight-line code for ``tableau``.
+    """The march of m Python floats for ``tableau``, compiled as straight-line code.
 
-    The attempt takes ``(rhs, y, t, h, k0)``, with k0 the right side at
-    ``(y, t)``, and returns ``(candidate, error)``, the error None for a
-    tableau without error rows.  Components and stage values are locals
-    (``_y0``, ``_k3_1``, ...), and each sum over a tableau row is written
-    out with the row's constants as literals: stage i's argument is
-    ``_y_c + _h * (0.0 + a_i0 * _k0_c + ... + a_i,i-1 * _k{i-1}_c)``, and
-    the candidate and the two estimates are the same sums over b and the
-    error rows.  Each sum runs left to right from 0.0, which is what
-    ``sum`` over the row does on Python 3.11 (from 3.12 ``sum``
-    compensates, and differs in the last bits).  The estimates are weighed
-    as :func:`_error_norm` weighs them and combined by
-    :func:`_combined_error`; a NaN among them is an infinite error.
+    :func:`_march_source`'s loop with every attempt written out in it.
+    Components and stage values are locals (``_y0``, ``_k3_1``, ...), and
+    each sum over a tableau row is written out with the row's constants as
+    literals: stage i's argument is ``_y_c + _h * (0.0 + a_i0 * _k0_c + ...
+    + a_i,i-1 * _k{i-1}_c)``, and the candidate and the two estimates are
+    the same sums over b and the error rows.  Each sum runs left to right
+    from 0.0, which is what ``sum`` over the row does on Python 3.11 (from
+    3.12 ``sum`` compensates, and differs in the last bits).  The estimates
+    are weighed and combined as :func:`_error_norm` does, with ``abs`` and
+    ``max`` written as conditional expressions; a NaN among them is an
+    infinite error.  The march makes no call but the right side's, where it
+    has one, and ``hypot``.
 
     A row's zero weights make one term, ``0.0 * k_a * k_b * ...`` over their
     stages, standing where the first of them stood.  Each such product is
@@ -403,26 +549,26 @@ def _float_kernel(tableau: _Tableau, m: int, source: _Expressions | None = None)
     not finite the product is NaN, as ``0 * inf`` made the sum NaN before,
     so the attempt still fails.
 
-    Without ``source`` each later stage calls ``rhs`` on a tuple, and a
-    result of the wrong length is refused at the stage that returns it.
-    With the source of an :func:`expression_system` of m states, stage i
-    assigns its arguments to the state names and ``t + c_i * h`` to the
+    Without ``source`` each stage calls ``_rhs`` on a tuple, and a result
+    of the wrong length is refused at the stage that returns it.  With the
+    source of an :func:`expression_system` of m states, each stage, stage 0
+    included, assigns its arguments to the state names and its time to the
     time name and writes the expressions into ``_k{i}_c``: no call, no
     tuple and no length check (the count was checked when the system was
     made).  The operations are those of the right side's own code, in its
     order, so both give the same bits.  The kernel's own names start with
     an underscore, which the system's names may not.
 
-    Returns the attempt; given a source, a function of the system's
-    constants, in the source's order, that returns the attempt with them
-    bound as closure cells, so that one source compiles once for every
-    set of constants.  Cached on ``(tableau, m, source)``.
+    Returns ``_make(_rhs)``, or given a source ``_make(*constants)``, in
+    the source's order, which returns the march with them bound as closure
+    cells, so that one source compiles once for every set of constants.
+    Cached on ``(tableau, m, source)``.
     """
     c, rows = tableau.c, tableau.array[:, 1:].tolist()
     s = len(c)
     comps = range(m)
     body = _expression_code(source) if source is not None else None
-    lines = [f"def _make({', '.join(source.constants) if source else ''}):"]
+    attempt: list = []
     # the indices of a row's zero weights -> the name of their product
     products: dict = {}
 
@@ -436,7 +582,7 @@ def _float_kernel(tableau: _Tableau, m: int, source: _Expressions | None = None)
             name = products[zeros] = f"_z{len(products)}_"
             for j in comps:
                 factor = f"{head}{j}" if head else "0.0"
-                lines.append(f"        {name}{j} = {factor} * _k{zeros[-1]}_{j}")
+                attempt.append(f"{name}{j} = {factor} * _k{zeros[-1]}_{j}")
         return products[zeros]
 
     def row_sum(row, j: int) -> str:
@@ -452,96 +598,71 @@ def _float_kernel(tableau: _Tableau, m: int, source: _Expressions | None = None)
     def sums(row) -> list:
         return [f"_y{j} + _h * ({row_sum(row, j)})" for j in comps]
 
-    lines += [
-        "    def attempt(_rhs, _y, _t, _h, _k0):",
-        f"        {names('_y')}= _y",
-        f"        {names('_k0_')}= _k0",
-    ]
-    for i in range(1, s):
-        args, time = sums(rows[i][:i]), f"_t + {c[i]!r} * _h"
+    def stage(i: int, args: list, time: str) -> list:
         if body is None:
-            stage = [
+            return [
                 f"_f = _rhs(({''.join(f'{a}, ' for a in args)}), {time})",
                 f"if len(_f) != {m}:",
                 f"    raise _wrong_length(_f, {m})",
                 f"{names(f'_k{i}_')}= _f",
             ]
-        else:
-            stage = [
-                *(f"{name} = {a}" for name, a in zip(source.states, args)),
-                f"{source.time} = {time}",
-                *(f"_k{i}_{j} = {body[j]}" for j in comps),
-            ]
-        lines += [f"        {line}" for line in stage]
+        return [
+            *(f"{name} = {a}" for name, a in zip(source.states, args)),
+            f"{source.time} = {time}",
+            *(f"_k{i}_{j} = {body[j]}" for j in comps),
+        ]
+
+    for i in range(1, s):
+        args = sums(rows[i][:i])
+        attempt += stage(i, args, f"_t + {c[i]!r} * _h")
     step = sums(rows[s])
-    lines += [f"        _n{j} = {step[j]}" for j in comps]
-    candidate = f"({names('_n')})"
-    if len(rows) == s + 1:
-        lines.append(f"        return {candidate}, None")
-    else:
+    attempt += [f"_n{j} = {step[j]}" for j in comps]
+    if tableau.adaptive:
         w5, w3 = rows[s + 1 :]
         for j in comps:
             e5, e3 = row_sum(w5, j), row_sum(w3, j)
-            # max keeps its first argument's NaN, so a NaN candidate reaches d5
-            lines += [
-                f"        _scale = 1.0 + _max(_abs(_n{j}), _abs(_y{j}))",
-                f"        _d5_{j} = _abs(_h * ({e5})) / _scale",
-                f"        _d3_{j} = _abs(_h * ({e3})) / _scale",
+            # abs and max as conditional expressions; max keeps its first
+            # argument's NaN, so a NaN candidate reaches d5
+            attempt += [
+                f"_a = -_n{j} if _n{j} < 0.0 else _n{j}",
+                f"_b = -_y{j} if _y{j} < 0.0 else _y{j}",
+                "_scale = 1.0 + (_b if _b > _a else _a)",
+                f"_e = _h * ({e5})",
+                f"_d5_{j} = (-_e if _e < 0.0 else _e) / _scale",
+                f"_e = _h * ({e3})",
+                f"_d3_{j} = (-_e if _e < 0.0 else _e) / _scale",
             ]
         nan = " or ".join(f"_d5_{j} != _d5_{j} or _d3_{j} != _d3_{j}" for j in comps)
-        e5, e3 = (f"_max(0.0, {names(d)})" for d in ("_d5_", "_d3_"))
-        lines += [
-            f"        if {nan}:",
-            f"            return {candidate}, _inf",
-            f"        return {candidate}, _combined_error({e5}, {e3})",
+        # the max norms as max(0.0, d_0, d_1, ...) takes them
+        norms = []
+        for e, d in (("_e5", "_d5_"), ("_e3", "_d3_")):
+            norms.append(f"{e} = {d}0 if {d}0 > 0.0 else 0.0")
+            norms += [f"{e} = {d}{j} if {d}{j} > {e} else {e}" for j in comps[1:]]
+        attempt += [
+            f"if {nan}:",
+            "    _err = _inf",
+            "else:",
+            *(f"    {line}" for line in norms),
+            "    if _e5 < _inf and _e3 < _inf:",
+            "        _err = 0.0 if _e5 == 0.0 else _e5 * (_e5 / _hypot(_e5, 0.1 * _e3))",
+            "    else:",
+            "        _err = _inf",
         ]
-    lines.append("    return attempt")
-    namespace = {
-        "_wrong_length": _wrong_length, "_combined_error": _combined_error, "_inf": math.inf,
-        "_abs": abs, "_max": max, **_FUNCTIONS,
-    }
-    label = f"<jetode attempt, {s} stages, m={m}{', expressions' if source else ''}>"
-    exec(compile("\n".join(lines), label, "exec"), namespace)
-    return namespace["_make"] if source else namespace["_make"]()
-
-
-class _Floats:
-    """A state of m Python floats, stepped by one compiled function per tableau, m and source.
-
-    Stage 0, f at the state, is evaluated here and kept for the attempts
-    after a rejection; :func:`_float_kernel`, cached on ``(tableau, m,
-    source)``, makes every later stage, the candidate and the error of one
-    attempt.  A right side made by :func:`expression_system` is written into
-    that function and its constants are bound to it here; any other right
-    side is called at every stage.  No numpy call is made per stage, and the
-    right side sees Python floats for as long as it returns them.
-    """
-
-    def __init__(self, system: OdeSystem, state0: Sequence, tableau: _Tableau):
-        self.rhs = rhs = system.rhs
-        self.m = m = len(state0)
-        self.y = tuple(float(v) for v in state0)
-        source = getattr(rhs, "expressions", None)
-        kernel = _float_kernel(tableau, m, source)
-        self.kernel = kernel if source is None else kernel(*rhs.constants)
-
-    def attempt(self, t: float, h: float, first: int = 0) -> float | None:
-        """Evaluate the stages from ``first`` on, form the candidate and return its error."""
-        if first == 0:
-            k0 = self.rhs(self.y, t)
-            if len(k0) != self.m:
-                raise _wrong_length(k0, self.m)
-            self.k0 = k0
-        self.new, err = self.kernel(self.rhs, self.y, t, h, self.k0)
-        return err
-
-    def advance(self) -> bool:
-        """Take the candidate as the state; False when it is not finite."""
-        self.y = self.new
-        return all(map(math.isfinite, self.y))
-
-    def result(self) -> State:
-        return self.y
+    lines = [
+        f"def _make({', '.join(source.constants) if source else '_rhs'}):",
+        *_march_source(
+            tableau,
+            [f"{names('_y')}= _y"],
+            stage(0, [f"_y{j}" for j in comps], "_t"),
+            attempt,
+            [f"_y{j} = _n{j}" for j in comps],
+            " and ".join(f"-_inf < _y{j} < _inf" for j in comps),
+            f"({names('_y')})",
+        ),
+        "    return march",
+    ]
+    label = f"<jetode march, {s} stages, m={m}{', expressions' if source else ''}>"
+    return _compile_make(lines, label)
 
 
 class _Jets:
@@ -563,6 +684,8 @@ class _Jets:
     ``coef[:, 1:]``, the final row ``coef[s]``, the error rows
     ``coef[s + 1:, 1:]`` and the state and stage rows ``yk[0]`` and
     ``yk[1:]``.  Every stage writes ``arg`` and hands over ``args`` again.
+    :func:`_jet_kernel`'s march calls :meth:`stage0`, :meth:`attempt` and
+    :meth:`advance`.
     """
 
     def __init__(self, system: OdeSystem, state0: Sequence, tableau: _Tableau):
@@ -575,7 +698,7 @@ class _Jets:
         coef = tableau.array.copy()
         self.scaled = coef[:, 1:]
         self.final = coef[s]
-        self.errors = coef[s + 1 :, 1:] if len(coef) > s + 1 else None
+        self.errors = coef[s + 1 :, 1:] if tableau.adaptive else None
         # row 0 the state, rows 1.. the stages
         self.yk = yk = np.empty((s + 1, self.m * self.table.L))
         self.y, self.k = yk[0], yk[1:]
@@ -588,8 +711,14 @@ class _Jets:
         self.arg = np.empty(self.m * self.table.L)
         self.args = tuple(_new_jet(self.table, row) for row in self.arg.reshape(self.shape))
 
-    def attempt(self, t: float, h: float, first: int = 0) -> float | None:
-        """Fill the stage rows ``yk[1:]`` from stage ``first`` on; return the candidate's error.
+    def stage0(self, t: float) -> None:
+        """Fill stage 0's row with f at the state and ``t``."""
+        row, prefix, stage, _ = self.stages[0]
+        np.dot(row, prefix, out=self.arg)
+        store_rows(stage, self.rhs(self.args, t), self.table)
+
+    def attempt(self, t: float, h: float) -> float | None:
+        """Fill the stage rows after stage 0; return the candidate's error.
 
         Row i of ``coef`` is ``(1, h a[i, 0], ..., h a[i, i-1], 0, ...)``, so
         stage i's argument ``y + h sum_j a[i, j] k_j`` is one dot over
@@ -598,7 +727,7 @@ class _Jets:
         """
         rhs, table, yk, arg, args = self.rhs, self.table, self.yk, self.arg, self.args
         np.multiply(self.weights, h, out=self.scaled)
-        for row, prefix, stage, c_i in self.stages[first:]:
+        for row, prefix, stage, c_i in self.stages[1:]:
             np.dot(row, prefix, out=arg)
             store_rows(stage, rhs(args, t + c_i * h), table)
         self.new = self.final @ yk
@@ -609,6 +738,7 @@ class _Jets:
         return _error_norm(self.errors, self.k, self.y, self.new)
 
     def advance(self) -> bool:
+        """Take the candidate as the state; False when it is not finite."""
         self.y[...] = self.new
         return bool(np.isfinite(self.new).all())
 
@@ -617,12 +747,61 @@ class _Jets:
         return tuple(_new_jet(self.table, row.copy()) for row in self.y.reshape(self.shape))
 
 
-def _marching_state(system: OdeSystem, state0: Sequence, tableau: _Tableau):
-    """The state kind of ``state0``: jets if any component is one, else floats."""
+@cache
+def _jet_kernel(tableau: _Tableau) -> Callable:
+    """The march of a :class:`_Jets` state for ``tableau``, compiled on first use.
+
+    :func:`_march_source`'s loop with the state's methods in its slots; the
+    march takes the ``_Jets`` as its state.  Cached on the tableau.
+    """
+    lines = [
+        "def _make():",
+        *_march_source(
+            tableau,
+            ["_stage0, _attempt, _advance = _y.stage0, _y.attempt, _y.advance"],
+            ["_stage0(_t)"],
+            ["_err = _attempt(_t, _h)"],
+            [],
+            "_advance()",
+            "_y.result()",
+        ),
+        "    return march",
+    ]
+    return _compile_make(lines, f"<jetode march, {len(tableau.c)} stages, jets>")()
+
+
+def _march(system: OdeSystem, state0: Sequence, tableau: _Tableau) -> tuple[Callable, object]:
+    """The march of ``state0``'s kind for ``tableau``, and the state it starts from.
+
+    A state of other than ``dim`` components is refused with ``ValueError``
+    before anything compiles.  Jets, if any component is one, march as a
+    :class:`_Jets` in :func:`_jet_kernel`'s march.  Floats march as a tuple
+    of Python floats in :func:`_float_kernel`'s, which is made with the
+    system's constants when its right side carries an expression source,
+    and with the right side itself otherwise.
+    """
     if len(state0) != system.dim:
         raise _wrong_length(state0, system.dim)
-    kind = _Jets if any(isinstance(z, Jet) for z in state0) else _Floats
-    return kind(system, state0, tableau)
+    if any(isinstance(z, Jet) for z in state0):
+        return _jet_kernel(tableau), _Jets(system, state0, tableau)
+    rhs = system.rhs
+    source = getattr(rhs, "expressions", None)
+    make = _float_kernel(tableau, len(state0), source)
+    march = make(rhs) if source is None else make(*rhs.constants)
+    return march, tuple(float(v) for v in state0)
+
+
+def _span(t0: float, tf: float) -> tuple[float, float]:
+    """t0 and tf as Python floats, once both are finite and tf > t0; else ``ValueError``.
+
+    Python floats: a numpy scalar here would make every stage time one.
+    """
+    t0, tf = float(t0), float(tf)
+    if not (math.isfinite(t0) and math.isfinite(tf)):
+        raise ValueError(f"need a finite span, got t0={t0}, tf={tf}")
+    if not tf > t0:
+        raise ValueError(f"need tf > t0, got t0={t0}, tf={tf}")
+    return t0, tf
 
 
 # -- fixed-step RK4 ----------------------------------------------------------
@@ -640,25 +819,18 @@ def rk4(
     tf: float,
     cfg: IntegratorConfig,
 ) -> tuple[State, float, StepStats]:
-    """Classic fourth-order Runge-Kutta: ``cfg.ns`` steps of ``(tf - t0) / ns``."""
+    """Classic fourth-order Runge-Kutta: ``cfg.ns`` steps of ``(tf - t0) / ns``.
+
+    The steps run in the state kind's generated march (see
+    :func:`_march_source`).  A span that is not finite, or with tf <= t0,
+    raises ``ValueError``.
+    """
     if cfg.mode != "fixed":
         raise ValueError("rk4 requires a fixed-mode config")
-    if not tf > t0:
-        raise ValueError(f"need tf > t0, got t0={t0}, tf={tf}")
-    t0, tf = float(t0), float(tf)
-    h = (tf - t0) / cfg.ns
-    state = _marching_state(system, state0, _RK4)
-    t = t0
+    t0, tf = _span(t0, tf)
+    march, y = _march(system, state0, _RK4)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, cfg.ns + 1):
-            try:
-                state.attempt(t, h)
-            except OverflowError as err:
-                raise DivergenceError(f"float overflow during step {i} (t={t})", i, t) from err
-            t = t0 + i * h
-            if not state.advance():
-                raise DivergenceError(f"non-finite state after step {i} (t={t})", i, t)
-    return state.result(), t, StepStats(accepted=cfg.ns, h_min=h, h_max=h)
+        return march(y, t0, (tf - t0) / cfg.ns, cfg.ns)
 
 
 # -- adaptive Dormand-Prince 8(5,3) -----------------------------------------------
@@ -765,32 +937,6 @@ _DOP_E = np.array(
 # the stage rows, the 8th-order step and the two error rows
 _DOP = _tableau(_DOP_A, _DOP_B, _DOP_C, *_DOP_E)
 
-# step-size controller (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4):
-# h grows by safety * (tol / err)^(1/8), clamped to [_MIN_SHRINK, _MAX_GROW],
-# and not at all on the step after a rejection.  Levers measured in its place
-# did not pay (attempts of the order-3, order-8 and order-2 backward Duffing
-# builds at tol 1e-9, 141/218/270 here, and of the 348 exact periods of the
-# 3-omega scan at tol 1e-6, 14,451 here, on float states as on the array
-# state they used to share): dop853.f's PI term with beta 0.04
-# took 134/204/264 but 15,145; safety 0.8 took 133/207/264 but 14,903; a
-# growth cap of 2 left the builds alone and took 14,493.  Of the exact map's
-# 13 rejections per period (30 periods at omega 1.2554), 2 shrink the
-# whole-span first step and 10 come right after an accepted step: there the
-# h^8 model set h for an error of 0.9^8 tol = 0.43 tol, never at the growth
-# cap, and the error read a median 3.7 tol (quartiles 2.8 and 5.4).  The
-# accepted step's 2-entry estimate read low, passing near zero, which no
-# controller on past errors foresees
-_SAFETY = 0.9
-_MIN_SHRINK = 0.1
-_MAX_GROW = 5.0
-# a step below this fraction of the span means the problem is stiff
-_H_MIN_FRAC = 1e-12
-# step attempts per run: a tol beneath the error estimate's round-off floor
-# stalls instead of underflowing h.  One exact Duffing period (eps 25, omega
-# 1.285) takes 859 + 28 attempts at tol 1e-18, but 294,029 + 74,152 at 1e-20
-# (39 s), within reach of the cap: below the floor the estimate is noise
-_MAX_STEPS = 500_000
-
 
 def rkf45(
     system: OdeSystem,
@@ -809,90 +955,27 @@ def rkf45(
     3rd-order estimates' max norms with each entry weighed by
     ``1 + max(|y|, |y8|)``, combined, is at most ``cfg.tol``; the 8th-order
     candidate y8 is the one propagated.  Each attempt forms its candidate and
-    returns that error; one whose stages or estimates are not finite has an
-    infinite error and is rejected.  Stage 0, f at the state, is evaluated
-    once per accepted state and reused by the attempts that follow a
-    rejection, so a run evaluates the right side
-    ``11 * attempts + accepted`` times: as many calls, except on a float
-    state with an :func:`expression_system`, which is called only for
-    stage 0 and written into the other stages.  The final step is clamped
-    so that integration ends at exactly ``tf``.  The loop keeps its counts,
-    its range of h and the state's methods in locals and makes the
-    :class:`StepStats` once, at the end.
+    its error; one whose stages or estimates are not finite has an infinite
+    error and is rejected.  Stage 0, f at the state, is evaluated once per
+    accepted state and reused by the attempts that follow a rejection, so a
+    run evaluates the right side ``11 * attempts + accepted`` times: as many
+    calls, except on a float state with an :func:`expression_system`,
+    whose expressions are written into every stage and never called.  The
+    final step is clamped so that integration ends at exactly ``tf``.
+
+    The whole run is one call of the state kind's march (see
+    :func:`_march_source`), which keeps its counts and its range of h in
+    locals and makes the :class:`StepStats` once, at the end; it takes the
+    step budget ``_MAX_STEPS`` as this call reads it.  A span that is not
+    finite, or with tf <= t0, raises ``ValueError`` before any attempt.
     """
     if cfg.mode != "adaptive":
         raise ValueError("rkf45 requires an adaptive-mode config")
-    if not tf > t0:
-        raise ValueError(f"need tf > t0, got t0={t0}, tf={tf}")
-
-    # Python floats: a numpy scalar here would make every stage time one
-    t0, tf = float(t0), float(tf)
-    span = tf - t0
-    h_min = _H_MIN_FRAC * span
-    h = span
-    tol, inf = cfg.tol, math.inf
-    state = _marching_state(system, state0, _DOP)
-    attempt, advance = state.attempt, state.advance
-    n_accepted = n_rejected = 0
-    h_lo, h_hi = inf, 0.0
-    t = t0
-    have_stage0 = False
-    after_rejection = False
-
-    # overflow shows up as a non-finite error estimate or state, handled below
+    t0, tf = _span(t0, tf)
+    march, y = _march(system, state0, _DOP)
+    # overflow shows up as a non-finite error estimate or state, handled there
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < tf:
-            rest = tf - t
-            if h > rest:
-                h = rest
-            last_step = h >= rest
-
-            try:
-                err = attempt(t, h, 1 if have_stage0 else 0)
-                have_stage0 = True
-            except OverflowError:
-                err = inf
-            finite = err < inf
-
-            accepted = err <= tol
-            if accepted:
-                if not advance():
-                    raise DivergenceError(f"non-finite state near t={t}", n_accepted, t)
-                n_accepted += 1
-                if h < h_lo:
-                    h_lo = h
-                if h > h_hi:
-                    h_hi = h
-                t = tf if last_step else t + h
-                have_stage0 = False
-            else:
-                n_rejected += 1
-
-            if err > 0.0:
-                factor = _SAFETY * (tol / err) ** 0.125 if finite else _MIN_SHRINK
-                factor = min(max(factor, _MIN_SHRINK), _MAX_GROW)
-            else:
-                factor = _MAX_GROW
-            h *= min(factor, 1.0) if after_rejection else factor
-            after_rejection = not accepted
-
-            if t < tf and h < h_min:
-                if not finite:
-                    raise DivergenceError(
-                        f"step collapsed below {h_min} at t={t} chasing non-finite stages",
-                        n_accepted,
-                        t,
-                    )
-                raise StiffnessError(
-                    f"step size {h} fell below minimum {h_min} at t={t} "
-                    f"({n_accepted} accepted, {n_rejected} rejected)"
-                )
-            if n_accepted + n_rejected > _MAX_STEPS:
-                raise StiffnessError(
-                    f"exceeded {_MAX_STEPS} steps at t={t} of {tf}; the "
-                    f"tolerance {tol} appears unattainable for this state"
-                )
-    return state.result(), t, StepStats(n_accepted, n_rejected, h_lo, h_hi)
+        return march(y, t0, tf, cfg.tol, _MAX_STEPS)
 
 
 def integrate(

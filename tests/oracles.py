@@ -5,7 +5,8 @@ coefficient derivatives by jet composition, the C-table by a rank loop and
 its contraction by ``np.add.at``, a central-difference Jacobian, a map's
 linear block, parameter lifting and a parameter-freezing wrapper for
 lifted systems, a frame-tagged phase point, a Runge-Kutta attempt on
-floats by ``sum`` over tableau rows, the folded polynomial map and its
+floats by ``sum`` over tableau rows and the fixed and adaptive step loops
+around it as Python loops, the folded polynomial map and its
 Jacobian by a Horner loop, the exact map's Jacobian by an order-1 jet
 integration, the (q, p) Duffing right side as a hand-written closure, the
 scaled Duffing right side with every product made at every call, the
@@ -24,6 +25,7 @@ import numpy as np
 from jetmap import duffing as duf
 from jetmap import vareq
 from jetmap.jet import Jet, constant, monomial_values, state_about
+from jetmap import jetode
 from jetmap.jetode import OdeSystem, adaptive, integrate
 from jetmap.monoidx import MonomialTable, build_table, rank
 from jetmap.vareq import CCoefficientTable, TaylorMap, c_coefficients, expand_rhs, forward_solve
@@ -364,6 +366,84 @@ def float_attempt(tableau, rhs, y: tuple, t: float, h: float, k0) -> tuple:
         return new, math.inf
     # E5^2 / sqrt(E5^2 + 0.01 E3^2), HNW II.10
     return new, 0.0 if e5 == 0.0 else e5 * (e5 / math.hypot(e5, 0.1 * e3))
+
+
+def float_march(tableau, rhs, y, t0: float, tf: float, cfg) -> tuple:
+    """jetode's step loops on floats, as Python loops around :func:`float_attempt`.
+
+    In fixed mode, ``cfg.ns`` steps of ``(tf - t0) / ns`` as ``rk4`` takes
+    them; in adaptive mode the controller of ``rkf45`` with ``jetode``'s
+    constants: the whole span as the first trial step, the last step
+    clamped to end at tf, stage 0 kept for the attempts after a rejection,
+    an ``OverflowError`` as an infinite error, growth by ``safety * (tol /
+    err)^(1/8)`` clamped to [min shrink, max grow] and capped at 1 after a
+    rejection, and the minimum step and the step budget.  Returns ``(state,
+    t, StepStats)``, or raises the error, with the message, that
+    ``jetode``'s generated march must raise.
+    """
+    y = tuple(float(v) for v in y)
+    t0, tf = float(t0), float(tf)
+    if cfg.mode == "fixed":
+        h = (tf - t0) / cfg.ns
+        t = t0
+        for i in range(1, cfg.ns + 1):
+            try:
+                y, _ = float_attempt(tableau, rhs, y, t, h, rhs(y, t))
+            except OverflowError as err:
+                raise jetode.DivergenceError(f"float overflow during step {i} (t={t})", i, t) from err
+            t = t0 + i * h
+            if not all(map(math.isfinite, y)):
+                raise jetode.DivergenceError(f"non-finite state after step {i} (t={t})", i, t)
+        return y, t, jetode.StepStats(cfg.ns, 0, h, h)
+    tol, span = cfg.tol, tf - t0
+    h_min, h = jetode._H_MIN_FRAC * span, span
+    accepted = rejected = 0
+    h_lo, h_hi = math.inf, 0.0
+    t, k0, after_rejection = t0, None, False
+    while t < tf:
+        h = min(h, tf - t)
+        last_step = h >= tf - t
+        try:
+            if k0 is None:
+                k0 = rhs(y, t)
+            new, err = float_attempt(tableau, rhs, y, t, h, k0)
+        except OverflowError:
+            err = math.inf
+        ok = err <= tol
+        if ok:
+            y = new
+            if not all(map(math.isfinite, y)):
+                raise jetode.DivergenceError(f"non-finite state near t={t}", accepted, t)
+            accepted += 1
+            h_lo, h_hi = min(h_lo, h), max(h_hi, h)
+            t = tf if last_step else t + h
+            k0 = None
+        else:
+            rejected += 1
+        if err == 0.0:
+            factor = jetode._MAX_GROW
+        elif err == math.inf:
+            factor = jetode._MIN_SHRINK
+        else:
+            factor = jetode._SAFETY * (tol / err) ** 0.125
+            factor = min(max(factor, jetode._MIN_SHRINK), jetode._MAX_GROW)
+        h *= min(factor, 1.0) if after_rejection else factor
+        after_rejection = not ok
+        if t < tf and h < h_min:
+            if err == math.inf:
+                raise jetode.DivergenceError(
+                    f"step collapsed below {h_min} at t={t} chasing non-finite stages", accepted, t
+                )
+            raise jetode.StiffnessError(
+                f"step size {h} fell below minimum {h_min} at t={t} "
+                f"({accepted} accepted, {rejected} rejected)"
+            )
+        if accepted + rejected > jetode._MAX_STEPS:
+            raise jetode.StiffnessError(
+                f"exceeded {jetode._MAX_STEPS} steps at t={t} of {tf}; the "
+                f"tolerance {tol} appears unattainable for this state"
+            )
+    return y, t, jetode.StepStats(accepted, rejected, h_lo, h_hi)
 
 
 # -- folded polynomial map -----------------------------------------------------------

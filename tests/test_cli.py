@@ -869,6 +869,11 @@ _REFUSED_CONFIGS = {
                             "transient and sample count must be >= 1"),
     "scan-omega-negative": (["scan", "--out", "out"], {"scan": {"omega_start": -0.01}},
                             cli.EXIT_CONFIG, "driving frequency must be finite and > 0"),
+    # 2 pi / 1e-320 overflows: the exact orbit's span would be inf
+    "scan-exact-omega-period-not-finite": (["scan", "--out", "out", "--source", "exact",
+                                            "--omega-start", 1e-320], {}, cli.EXIT_CONFIG,
+                                           "driving frequency 1e-320 has a period 2 pi / omega "
+                                           "that is not finite"),
     "scan-seed-outside-radius": (["scan", "--out", "out"], {"scan": {"seed": [20, 0]}},
                                  cli.EXIT_CONFIG, "seed [20.0, 0.0] lies outside escape_radius"),
     "attract-omega-zero": (["attract", "--out", "out", "--omega", "0"], {}, cli.EXIT_CONFIG,

@@ -34,6 +34,9 @@ def test_params_validation():
         duf.DuffingParams(0.1, -1.0, 1.0)
     with pytest.raises(ValueError):
         duf.DuffingParams(0.1, 1.0, 0.0)
+    # the period 2 pi / omega overflows: no integration can span it
+    with pytest.raises(ValueError, match="driving frequency 1e-320 has a period"):
+        duf.DuffingParams(0.1, 1.0, 1e-320)
     params = duf.DuffingParams(0.1, 1.5, 2.0)
     assert params.period == pytest.approx(math.pi)
 
@@ -987,6 +990,47 @@ def test_exact_scan_compiles_the_dop853_attempt_once(monkeypatch):
     source = duf.duffing_rhs(duf.DuffingParams(0.1, 25.0, 1.3)).rhs.expressions
     ode._float_kernel(ode._DOP, 2, source)
     assert ode._float_kernel.cache_info().misses == 1
+
+
+def test_one_exact_period_keeps_its_bits():
+    # one period of the float march and of the exact Jacobian, pinned as
+    # literals: scalar bits depend neither on the BLAS nor on the Python
+    # version, so these hold on every version the suite runs on
+    params = duf.DuffingParams(0.1, 25.0, 1.2902)
+    state, t, stats = ode.rkf45(
+        duf.duffing_rhs(params), (FP_Q, FP_P), 0.0, params.period, ode.adaptive(1e-6)
+    )
+    assert state == (1.4126355609164025, 1.989730426481235)
+    assert t == 4.86993125653355 == params.period
+    assert stats == ode.StepStats(29, 13, 0.08295607008744978, 0.26675510415582626)
+    image, jac = duf.ExactStroboscopicMap(params, tol=1e-6).linearize((FP_Q, FP_P))
+    assert image.tolist() == [1.4126364177484827, 1.989730327817175]
+    assert jac.tolist() == [
+        [-1.649954767142003, 1.091571084701206],
+        [0.17927791822350647, -0.34744541513474025],
+    ]
+
+
+def test_exact_map_builds_its_systems_once(monkeypatch):
+    # the (q, p) system and its variational one are built at the map's first
+    # use of each, and every later period reuses them
+    built = []
+    expression_system = duf.expression_system
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return expression_system(*args, **kwargs)
+
+    monkeypatch.setattr(duf, "expression_system", counted)
+    exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 25.0, FP_OMEGA), tol=1e-6)
+    assert built == []
+    point = (FP_Q, FP_P)
+    for _ in range(3):
+        point = exact(point)
+    assert built == [("q", "p")]
+    for _ in range(2):
+        exact.linearize(point)
+    assert built == [("q", "p"), ("q", "p", "a", "b", "c", "d")]
 
 
 def test_exact_map_jacobian_determinant_abel():

@@ -12,7 +12,7 @@ from jetmap import jetode as ode
 from jetmap import monoidx as mi
 from jetmap import vareq as vq
 
-from oracles import float_attempt
+from oracles import float_march
 
 
 def decay_system():
@@ -150,7 +150,7 @@ def test_rkf45_divergence():
         ode.rkf45(blow_up, (1.0,), 0.0, 2.0, ode.adaptive(1e-10))
 
 
-@pytest.mark.parametrize("jets", [False, True], ids=["floats", "jets"])
+@pytest.mark.parametrize("kind", ["floats", "jets", "called"])
 @pytest.mark.parametrize(
     "rhs, start, message",
     [
@@ -164,9 +164,13 @@ def test_rkf45_divergence():
     ],
     ids=["collapse", "accepted-overflow"],
 )
-def test_rkf45_divergence_names_its_step_and_time(rhs, start, message, jets):
+def test_rkf45_divergence_names_its_step_and_time(rhs, start, message, kind):
+    # on floats the expression system's march writes the expression in, and
+    # a plain lambda around it is called at every stage
     system = ode.expression_system(("x",), "t", (rhs,))
-    state0 = jt.state_about(mi.build_table(1, 2), [start]) if jets else (start,)
+    if kind == "called":
+        system = ode.OdeSystem(dim=1, rhs=lambda s, t, f=system.rhs: f(s, t))
+    state0 = jt.state_about(mi.build_table(1, 2), [start]) if kind == "jets" else (start,)
     with pytest.raises(ode.DivergenceError) as info:
         ode.rkf45(system, state0, 0.0, 2.0 * math.pi, ode.adaptive(1e-12))
     assert (str(info.value), info.value.step, info.value.t) == (message, 0, 0.0)
@@ -433,9 +437,29 @@ def test_rk4_spans_an_interval_that_ns_does_not_divide():
 
 
 def test_step_budget_guard_names_the_budget(monkeypatch):
+    # the march is compiled once, and takes the budget at every call: on a
+    # called right side and on an expression system's written-in one
+    decay = ode.expression_system(("z",), "t", ("-2.0 * t * z**2",))
+    for system in (decay_system(), decay):
+        ode.rkf45(system, (1.0,), 0.0, 1.0, ode.adaptive(1e-12))
     monkeypatch.setattr(ode, "_MAX_STEPS", 5)
-    with pytest.raises(ode.StiffnessError, match="exceeded 5 steps"):
-        ode.rkf45(decay_system(), (1.0,), 0.0, 1.0, ode.adaptive(1e-12))
+    for system in (decay_system(), decay):
+        with pytest.raises(ode.StiffnessError, match="exceeded 5 steps"):
+            ode.rkf45(system, (1.0,), 0.0, 1.0, ode.adaptive(1e-12))
+
+
+@pytest.mark.parametrize("t0, tf", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (math.nan, 1.0)])
+@pytest.mark.parametrize("march", ["rk4", "rkf45"])
+def test_a_span_that_is_not_finite_is_refused_before_any_attempt(march, t0, tf):
+    # rkf45 on z' = -z up to inf used to run the whole step budget on NaN
+    # attempts and blame the tolerance, and rk4 to report a divergence
+    def rhs(s, t):
+        raise AssertionError("the right side ran")
+
+    run, cfg = (ode.rk4, ode.fixed_step(10)) if march == "rk4" else (ode.rkf45, ode.adaptive(1e-6))
+    for state0 in ((1.0,), jt.state_about(mi.build_table(1, 2), [1.0])):
+        with pytest.raises(ValueError, match="need a finite span"):
+            run(ode.OdeSystem(dim=1, rhs=rhs), state0, t0, tf, cfg)
 
 
 @pytest.mark.parametrize("march", ["rk4", "rkf45"])
@@ -643,7 +667,7 @@ def test_step_stats_have_slots_and_round_trip():
     assert ode.StepStats(**d) == stats
 
 
-# -- the compiled float attempt -----------------------------------------------------
+# -- the compiled float march -------------------------------------------------------
 
 
 def quadratic_rhs(m: int, rng):
@@ -665,11 +689,38 @@ def bits(result):
     return [v.hex() for v in new], None if err is None else err.hex()
 
 
+# the config that marches on each tableau: rk4 in 3 steps, rkf45 at 1e-9
+MARCH_CONFIGS = {"_RK4": ode.fixed_step(3), "_DOP": ode.adaptive(1e-9)}
+
+
+def march_bits(run, *args):
+    """The bits of a march's state and time and its steps, or its error and message."""
+    try:
+        state, t, stats = run(*args)
+    except (ode.DivergenceError, ode.StiffnessError) as err:
+        return type(err), str(err)
+    return [v.hex() for v in state], t.hex(), stats
+
+
+def assert_march_matches_the_oracle(name, make_rhs, y, t0, tf):
+    """The generated march of ``make_rhs()`` against the oracle's loop, bit for bit.
+
+    Each march gets its own right side, so one that counts its calls sees
+    both runs alike.
+    """
+    tableau, cfg = getattr(ode, name), MARCH_CONFIGS[name]
+    got = march_bits(ode.integrate, ode.OdeSystem(dim=len(y), rhs=make_rhs()), y, t0, tf, cfg)
+    want = march_bits(float_march, tableau, make_rhs(), y, t0, tf, cfg)
+    assert got == want
+    return got
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("name", ["_RK4", "_DOP"])
 def test_compiled_attempt_matches_the_sum_oracle_bit_for_bit(name, m):
-    tableau = getattr(ode, name)
-    attempt = ode._float_kernel(tableau, m)
+    # every attempt of the march, and the loop around it, against the same
+    # loop in Python around the sum oracle: the same state and time bits and
+    # the same steps, and the same h bits on the adaptive march
     rng = np.random.default_rng(m)
     rhs = quadratic_rhs(m, rng)
     runs = [
@@ -681,34 +732,36 @@ def test_compiled_attempt_matches_the_sum_oracle_bit_for_bit(name, m):
     # every stage value -0.0: only the leading 0.0 of each sum makes the
     # stage arguments +0.0, as sum's integer start does
     cases.append((lambda s, t: tuple(0.5 * v for v in s), (-0.0,) * m, 0.0, 0.5))
+    rejected = 0
     for rhs, y, t, h in cases:
-        k0 = rhs(y, t)
-        assert bits(attempt(rhs, y, t, h, k0)) == bits(float_attempt(tableau, rhs, y, t, h, k0))
+        got = assert_march_matches_the_oracle(name, lambda: rhs, y, t, t + h)
+        rejected += got[2].rejected
+    if name == "_DOP":
+        assert rejected > 0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("name", ["_RK4", "_DOP"])
 def test_compiled_attempt_carries_an_infinite_stage(name, m):
-    # stage 1 returns inf in component 0 and ignores the state: DOP853
-    # weighs stage 1 by 0 in the step and both estimates, so the inf reaches
-    # them only as 0 * inf = NaN, and the error is infinite
-    tableau = getattr(ode, name)
-
+    # stage 1 of the first attempt returns inf in component 0 and ignores
+    # the state: DOP853 weighs stage 1 by 0 in the step and both estimates,
+    # so the inf reaches them only as 0 * inf = NaN, the error is infinite
+    # and the attempt is rejected; RK4's step weighs it by 1/3 and ends the
+    # march at step 1
     def rhs_factory():
         calls = [0]
 
         def rhs(s, t):
             calls[0] += 1
-            return (math.inf if calls[0] == 1 else 1.0,) + s[1:]
+            return (math.inf if calls[0] == 2 else 1.0,) + s[1:]
 
         return rhs
 
-    y, k0 = (0.5,) * m, (1.0,) + (0.5,) * (m - 1)
-    got = ode._float_kernel(tableau, m)(rhs_factory(), y, 0.0, 0.25, k0)
-    assert bits(got) == bits(float_attempt(tableau, rhs_factory(), y, 0.0, 0.25, k0))
-    assert not math.isfinite(got[0][0])
+    got = assert_march_matches_the_oracle(name, rhs_factory, (0.5,) * m, 0.0, 0.25)
     if name == "_DOP":
-        assert got[1] == math.inf
+        assert got[2].rejected >= 1 and all(math.isfinite(float.fromhex(v)) for v in got[0])
+    else:
+        assert got == (ode.DivergenceError, f"non-finite state after step 1 (t={0.25 / 3})")
 
 
 # -- right sides from expressions ---------------------------------------------------
@@ -727,17 +780,12 @@ def quadratic_expressions(m: int, rng) -> ode.OdeSystem:
     return ode.expression_system([f"x{j}" for j in range(m)], "t", expressions, **constants)
 
 
-def inlined_attempt(tableau, system):
-    rhs = system.rhs
-    return ode._float_kernel(tableau, system.dim, rhs.expressions)(*rhs.constants)
-
-
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("name", ["_RK4", "_DOP"])
 def test_inlined_attempt_matches_the_sum_oracle_bit_for_bit(name, m):
     # the oracle calls the expression system's callable at every stage; the
-    # inlined attempt writes its expressions into the stages
-    tableau = getattr(ode, name)
+    # march writes its expressions into every stage, stage 0 included
+    tableau, cfg = getattr(ode, name), MARCH_CONFIGS[name]
     rng = np.random.default_rng(10 + m)
     system = quadratic_expressions(m, rng)
     runs = [
@@ -752,14 +800,14 @@ def test_inlined_attempt_matches_the_sum_oracle_bit_for_bit(name, m):
         [f"x{j}" for j in range(m)], "t", [f"0.5 * x{j}" for j in range(m)]
     )
     cases.append((halving, (-0.0,) * m, 0.0, 0.5))
+    ode._float_kernel.cache_clear()
     for system, y, t, h in cases:
-        rhs = system.rhs
-        k0 = rhs(y, t)
-        got = inlined_attempt(tableau, system)(rhs, y, t, h, k0)
-        assert bits(got) == bits(float_attempt(tableau, rhs, y, t, h, k0))
+        got = march_bits(ode.integrate, system, y, t, t + h, cfg)
+        assert got == march_bits(float_march, tableau, system.rhs, y, t, t + h, cfg)
         if (y, t, h) in overflowing:
-            assert not all(map(math.isfinite, got[0]))
-            assert got[1] in (None, math.inf)
+            assert got[0] is ode.DivergenceError
+    # the two systems' marches, and no march that calls a right side
+    assert ode._float_kernel.cache_info().currsize == 2
 
 
 def test_a_wrapped_expression_right_side_is_called_at_every_stage():
