@@ -169,8 +169,10 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
     expansion, rewritten in place; it holds only arrays it made, never the
     jets it was given.  It also holds the returned array, which every
     evaluation at that sigma rewrites: a caller that keeps a return past
-    the next call must copy it, as the march's and the expansion's
-    :func:`~jetmap.jetode.store_rows` do.  Both forms keep the
+    the next call must copy it, as the march's
+    :func:`~jetmap.jetode.store_rows` and :func:`~jetmap.vareq.expand_rhs`
+    do, while the backward route's expansion hands it on as it is and reads
+    it before the next.  Both forms keep the
     expression's operands in its order, each product's included, and row 1
     is formed in place as ``((m2beta * P1 - P2) - P4) - (eps sin t) *
     s**3``, the expression's grouping, so every result is the full

@@ -53,7 +53,11 @@ every entry for ``tol`` in its own scale.
 The right side receives a tuple: Python floats for a scalar state; for a jet
 state, the same tuple of read-only ``Jet`` views at every stage of a march,
 over the stage argument that the next stage rewrites.  A right side that
-keeps one of them past its return must copy its ``coeffs``.  It returns the
+keeps one of them past its return must copy its ``coeffs``.  Those jets are
+the consecutive rows of one ``(m, L)`` float64 stage array, which
+:func:`stage_array` returns as a read-only view: a right side that works on
+the whole state as one array reads it once per march, and does not stack
+the jets at every stage.  It returns the
 m derivatives as floats, or, on a jet state, as what :func:`store_rows`
 takes, which is read before the next stage; any other number of components
 is refused with ``ValueError``.
@@ -100,8 +104,8 @@ class OdeSystem:
     ``rhs(state, t)`` receives a tuple of ``dim`` components and returns the
     ``dim`` derivatives (see the module docstring for their types).  On a
     jet march the components are read-only views that the next stage
-    rewrites: a right side that keeps one past its return copies its
-    ``coeffs``.  It must
+    rewrites, the rows of one array (:func:`stage_array`): a right side
+    that keeps one past its return copies its ``coeffs``.  It must
     be polynomial in the state components (with arbitrary time-dependent
     scalar coefficients) so that the same callable works on floats and on
     jets.  Lifted parameters, if any, occupy the
@@ -117,6 +121,38 @@ class OdeSystem:
             raise ValueError(f"system dimension must be >= 1, got {self.dim}")
         if not 0 <= self.n_params <= self.dim:
             raise ValueError(f"n_params={self.n_params} outside [0, {self.dim}]")
+
+
+def stage_array(state: Sequence) -> np.ndarray:
+    """The ``(m, L)`` array whose rows are the jets of ``state``, as a read-only view.
+
+    A jet march hands its right side one tuple of m jets over one table,
+    the rows of its stage array in order (see the module docstring), so the
+    view shows every stage's argument as the march writes it.  Jets that
+    are not such rows, as jets over buffers of their own are, raise
+    ``ValueError``.
+    """
+    if not state or not all(type(z) is Jet for z in state):
+        raise ValueError("a stage array is read off a tuple of jets")
+    table = state[0].table
+    base = state[0].coeffs.base
+    if not (
+        isinstance(base, np.ndarray)
+        and base.dtype == np.float64
+        and base.size == len(state) * table.L
+        and base.flags.c_contiguous
+    ):
+        raise ValueError("the jets are not the rows of one (m, L) float64 array")
+    rows = base.reshape(len(state), table.L)
+    for z, row in zip(state, rows):
+        if (
+            z.table is not table
+            or z.coeffs.__array_interface__["data"][0] != row.__array_interface__["data"][0]
+            or z.coeffs.strides != row.strides
+        ):
+            raise ValueError("the jets are not the rows of one (m, L) float64 array")
+    rows.setflags(write=False)
+    return rows
 
 
 def store_rows(dst: np.ndarray, values, table: MonomialTable) -> None:
@@ -400,7 +436,10 @@ _H_MIN_FRAC = 1e-12
 # step attempts per run: a tol beneath the error estimate's round-off floor
 # stalls instead of underflowing h.  One exact Duffing period (eps 25, omega
 # 1.285) takes 859 + 28 attempts at tol 1e-18, but 294,029 + 74,152 at 1e-20
-# (39 s), within reach of the cap: below the floor the estimate is noise
+# (39 s), within reach of the cap: below the floor the estimate is noise.  A
+# span too long for the budget at the steps it allows ends here too (an exact
+# period at omega 1e-6 is 6.3e6 long), so the message states the budget, t
+# of tf, the counts and h, and names no cause
 _MAX_STEPS = 500_000
 
 
@@ -504,8 +543,8 @@ def _march_source(
         '                raise _StiffnessError(f"step size {_h} fell below minimum {_h_min} at '
         't={_t} ({_accepted} accepted, {_rejected} rejected)")',
         "            if _accepted + _rejected > _max_steps:",
-        '                raise _StiffnessError(f"exceeded {_max_steps} steps at t={_t} of {_tf}; '
-        'the tolerance {_tol} appears unattainable for this state")',
+        '                raise _StiffnessError(f"exceeded {_max_steps} steps at t={_t} of {_tf} '
+        '({_accepted} accepted, {_rejected} rejected, step size {_h})")',
         f"        return {result}, _t, _StepStats(_accepted, _rejected, _h_lo, _h_hi)",
     ]
 
@@ -677,7 +716,8 @@ class _Jets:
     before the first right side.
 
     ``arg`` holds the stage argument, and ``args``, the right side's tuple,
-    read-only jets over its rows.  They and every view an attempt reads are
+    read-only jets over its rows in order, which :func:`stage_array` reads
+    back as one ``(m, L)`` view.  They and every view an attempt reads are
     made here, once per march: for each stage i the coefficient row's
     prefix ``coef[i, :i + 1]``, the rows ``yk[:i + 1]`` it weighs, the
     stage's own row of ``yk`` as (m, L) and ``c_i``; and the scaled weights

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import monoidx
 from .jet import Jet, _new as _new_jet, monomial_values, state_about
-from .jetode import IntegratorConfig, OdeSystem, StepStats, integrate, store_rows
+from .jetode import IntegratorConfig, OdeSystem, StepStats, integrate, stage_array, store_rows
 from .monoidx import MonomialTable
 
 
@@ -37,22 +37,29 @@ def _expansion(system: OdeSystem, table: MonomialTable):
     """``expand(zd, t) -> g`` for ``system`` on buffers made once.
 
     The factory owns the identity jets ``zd_a + x_a``, read-only views over
-    the rows of one ``np.eye(m, L, k=1)`` buffer, and the array ``g`` it
-    returns.  Each call writes ``zd`` into the buffer's column 0, hands the
-    right side those same jets and stores its return into ``g`` through
-    :func:`~jetmap.jetode.store_rows`, which refuses what it cannot store.
-    ``g[:, 0]`` is the design value f(zd, t), and the other columns are the
-    forcing terms.  So the next call rewrites the jets the right side got
-    and the array it returned.
+    the rows of one ``np.eye(m, L, k=1)`` buffer.  Each call writes ``zd``
+    into the buffer's column 0 and hands the right side those same jets.
+    A return that is an ``(m, L)`` float64 array, as the Duffing right
+    side's array form is, comes back as it is; any other is stored into an
+    array the factory owns through :func:`~jetmap.jetode.store_rows`, which
+    refuses what it cannot store.  ``g[:, 0]`` is the design value f(zd,
+    t), and the other columns are the forcing terms.  ``g`` is read-only to
+    the caller and holds until the next call, which rewrites the jets the
+    right side got and may rewrite ``g``, as the Duffing memo's array is
+    rewritten by its next evaluation.
     """
     # x_a has rank a + 1 (MonomialTable.variable_rank)
     about = np.eye(table.m, table.L, k=1)
     state = tuple(_new_jet(table, row) for row in about)
-    g = np.empty((table.m, table.L))
+    shape = (table.m, table.L)
+    g = np.empty(shape)
 
     def expand(zd, t: float) -> np.ndarray:
         about[:, 0] = zd
-        store_rows(g, system.rhs(state, t), table)
+        f = system.rhs(state, t)
+        if isinstance(f, np.ndarray) and f.shape == shape and f.dtype == np.float64:
+            return f
+        store_rows(g, f, table)
         return g
 
     return expand
@@ -67,15 +74,17 @@ def expand_rhs(
     is the coefficient of the rank-r monomial in the deviation expansion of
     ``f_a`` (column 0, the constant, is zeroed: forcing terms have degree
     one or more).  Each call makes its own :func:`_expansion`, so the right
-    side gets read-only jets that no other call shares, and the caller owns
-    the arrays returned.
+    side gets read-only jets that no other call shares, and copies what the
+    expansion hands back, which may be the right side's own array (the
+    Duffing right side rewrites its array at its next evaluation), so the
+    caller owns the arrays returned.
     """
     if len(zd) != system.dim or table.m != system.dim:
         raise ValueError(
             f"system dim {system.dim}, table m {table.m}, design point "
             f"length {len(zd)} must all agree"
         )
-    g = _expansion(system, table)(zd, t)
+    g = _expansion(system, table)(zd, t).copy()
     fvals = g[:, 0].copy()
     g[:, 0] = 0.0
     return fvals, g
@@ -336,13 +345,22 @@ def backward_solve(
     orbit rides in the jet state and gets that accuracy from the
     coefficients' step sequence.
 
-    The run makes one :func:`_expansion` of ``system``, and one buffer it
-    reads each stage's coefficients into, so the system's right side gets
-    the same read-only jets at every expansion, rewritten in place; like a
-    jet march's (see :mod:`~jetmap.jetode`), a right side that keeps one
-    past its return must copy its ``coeffs``.  Each expansion's column 0,
-    f at the design point, drives the design orbit; the contraction reads
-    only the other columns, the forcing terms.
+    The coefficient march's right side copies no array.  It reads the
+    stage's coefficients through the march's own stage array
+    (:func:`~jetmap.jetode.stage_array`, called again only when the march
+    hands over another tuple), and makes one :func:`_expansion` of
+    ``system``, so the system's right side gets the same read-only jets at
+    every expansion, rewritten in place; like a jet march's (see
+    :mod:`~jetmap.jetode`), a right side that keeps one past its return
+    must copy its ``coeffs``.  The expansion's return, the system's own
+    array where it returns one, is read before the next expansion: its
+    column 0, f at the design point, drives the design orbit, and the
+    contraction reads the other columns, the forcing terms, of the
+    dynamical rows only.  :class:`~jetmap.jetode.OdeSystem` holds the
+    trailing ``n_params`` rows' derivatives at zero, so the C entries that
+    read them add terms of ±0 to sums that start at +0.0, which change no
+    bit; the contraction runs on a :class:`CCoefficientTable` without them
+    (18 of 54 entries at (3, 2), 2,838 of 8,514 at (3, 8)).
     """
     if table.m != system.dim:
         raise ValueError(f"table has m={table.m}, system has dim={system.dim}")
@@ -351,19 +369,21 @@ def backward_solve(
     endpoint_state, _, design_stats = integrate(system, scalar_state0, t_i, t_f, design_cfg)
     endpoint = tuple(float(v) for v in endpoint_state)
 
-    ctab = c_coefficients(table.m, table.p, table)
+    full = c_coefficients(table.m, table.p, table)
+    # the entries whose b is a dynamical row, in their order
+    keep = full.idx_g < (table.m - system.n_params) * table.L
+    ctab = replace(full, idx_out=full.idx_out[keep], idx_g=full.idx_g[keep], values=full.values[keep])
     amat = np.empty((table.L, table.L))
     expand = _expansion(system, table)
-    h_flat = np.empty(table.m * table.L)
-    h = h_flat.reshape(table.m, table.L)
-    zd = h[:, 0]
+    held = h = None
     span = t_f - t_i
 
     def reversed_rhs(state: tuple, s: float):
+        nonlocal held, h
+        if state is not held:
+            h, held = stage_array(state), state
         # s runs 0 -> span while the physical time runs t_f -> t_i
-        tbar = t_f - s
-        np.concatenate([component.coeffs for component in state], out=h_flat)
-        g = expand(zd, tbar)
+        g = expand(h[:, 0], t_f - s)
         ctab.contraction_matrix(g, amat)
         dh = h @ amat.T  # -(d/dtbar) h, negated once more by ds = -dtbar
         dh[:, 0] = -g[:, 0]

@@ -440,8 +440,8 @@ def float_march(tableau, rhs, y, t0: float, tf: float, cfg) -> tuple:
             )
         if accepted + rejected > jetode._MAX_STEPS:
             raise jetode.StiffnessError(
-                f"exceeded {jetode._MAX_STEPS} steps at t={t} of {tf}; the "
-                f"tolerance {tol} appears unattainable for this state"
+                f"exceeded {jetode._MAX_STEPS} steps at t={t} of {tf} "
+                f"({accepted} accepted, {rejected} rejected, step size {h})"
             )
     return y, t, jetode.StepStats(accepted, rejected, h_lo, h_hi)
 

@@ -117,3 +117,22 @@ def test_the_benchmark_calls_keep_their_forms():
         ref_map = vareq.taylor_map_from_dict(data)
         written = vareq.taylor_map_to_dict(ref_map)
         assert written == {"diagnostics": [], **{k: v for k, v in data.items() if k != "config"}}
+
+
+def test_a_backward_build_contracts_through_the_traced_method_once_per_right_side(monkeypatch):
+    # the tracer's vareq.contraction_matrix span counts calls of the class
+    # attribute; every right side of the coefficient march must make one
+    calls = []
+    contraction_matrix = vareq.CCoefficientTable.contraction_matrix
+
+    def counted(self, g, out):
+        calls.append(None)
+        return contraction_matrix(self, g, out)
+
+    monkeypatch.setattr(vareq.CCoefficientTable, "contraction_matrix", counted)
+    tmap = duf.stroboscopic_taylor_map(
+        0.1, 1.5, [0.3, 0.4, 0.5], 2, ode.adaptive(1e-9), method="backward"
+    )
+    _, coefficients = tmap.diagnostics
+    attempts = coefficients.accepted + coefficients.rejected
+    assert len(calls) == 11 * attempts + coefficients.accepted > 0

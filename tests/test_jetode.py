@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -440,12 +441,35 @@ def test_step_budget_guard_names_the_budget(monkeypatch):
     # the march is compiled once, and takes the budget at every call: on a
     # called right side and on an expression system's written-in one
     decay = ode.expression_system(("z",), "t", ("-2.0 * t * z**2",))
+    cfg = ode.adaptive(1e-12)
     for system in (decay_system(), decay):
-        ode.rkf45(system, (1.0,), 0.0, 1.0, ode.adaptive(1e-12))
+        ode.rkf45(system, (1.0,), 0.0, 1.0, cfg)
     monkeypatch.setattr(ode, "_MAX_STEPS", 5)
     for system in (decay_system(), decay):
         with pytest.raises(ode.StiffnessError, match="exceeded 5 steps"):
-            ode.rkf45(system, (1.0,), 0.0, 1.0, ode.adaptive(1e-12))
+            ode.rkf45(system, (1.0,), 0.0, 1.0, cfg)
+    # a budget one attempt short of a whole run's stops it before its last
+    # step, which is always accepted: the message states the budget, t of
+    # tf, the counts so far and the step size
+    for state0 in ((1.0,), jt.state_about(mi.build_table(1, 3), [1.0])):
+        monkeypatch.setattr(ode, "_MAX_STEPS", 500_000)
+        _, _, stats = ode.rkf45(decay_system(), state0, 0.0, 1.0, cfg)
+        budget = stats.accepted + stats.rejected - 2
+        monkeypatch.setattr(ode, "_MAX_STEPS", budget)
+        with pytest.raises(ode.StiffnessError) as caught:
+            ode.rkf45(decay_system(), state0, 0.0, 1.0, cfg)
+        message = str(caught.value)
+        t, tf, accepted, rejected, h = re.fullmatch(
+            rf"exceeded {budget} steps at t=(\S+) of (\S+) "
+            r"\((\d+) accepted, (\d+) rejected, step size (\S+)\)",
+            message,
+        ).groups()
+        assert (int(accepted), int(rejected)) == (stats.accepted - 1, stats.rejected)
+        assert 0.0 < float(t) < float(tf) == 1.0 and float(h) > 0.0
+        if state0 == (1.0,):
+            # the float oracle's loop raises the same message
+            want = march_bits(float_march, ode._DOP, decay_system().rhs, state0, 0.0, 1.0, cfg)
+            assert want == (ode.StiffnessError, message)
 
 
 @pytest.mark.parametrize("t0, tf", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan), (math.nan, 1.0)])
@@ -501,16 +525,24 @@ def test_a_jet_march_hands_every_stage_the_same_read_only_jets(march):
 
     def spying(seen):
         def spy(s, t):
+            # the jets are the rows of one stage array, which stage_array
+            # returns as a read-only view of every stage's argument
+            if not seen:
+                arrays.append(ode.stage_array(s))
             seen.append(s)
+            matches.append(np.array_equal(arrays[-1], np.stack([z.coeffs for z in s])))
             return rhs(s, t)
 
         return ode.OdeSystem(dim=2, rhs=spy)
 
     def copying(s, t):
-        return rhs(tuple(jt.Jet(table, z.coeffs) for z in s), t)
+        copies = tuple(jt.Jet(table, z.coeffs) for z in s)
+        with pytest.raises(ValueError):
+            ode.stage_array(copies)
+        return rhs(copies, t)
 
     state0 = jt.state_about(table, [1.0, 0.5])
-    first, second = [], []
+    first, second, arrays, matches = [], [], [], []
     state, _, _ = run(spying(first), state0, 0.0, 0.5, cfg)
     run(spying(second), state0, 0.0, 0.5, cfg)
     # one tuple per march, handed to every stage
@@ -521,6 +553,15 @@ def test_a_jet_march_hands_every_stage_the_same_read_only_jets(march):
     assert all(type(z) is jt.Jet and not z.coeffs.flags.writeable for z in views)
     assert not any(np.shares_memory(u.coeffs, v.coeffs) for u in first[0] for v in second[0])
     assert not any(np.shares_memory(z.coeffs, v.coeffs) for z in state for v in views)
+    assert all(matches) and len(matches) == len(first) + len(second)
+    for seen, array in zip((first, second), arrays):
+        assert array.shape == (2, table.L) and array.dtype == np.float64
+        assert not array.flags.writeable
+        assert all(np.shares_memory(z.coeffs, row) for z, row in zip(seen[0], array))
+    # rows out of order, rows of two arrays and floats are refused too
+    for refused in (first[0][::-1], (first[0][0], second[0][1]), (1.0, 0.5), ()):
+        with pytest.raises(ValueError):
+            ode.stage_array(refused)
     # a right side that copies its inputs first sees the same values
     copied, _, _ = run(ode.OdeSystem(dim=2, rhs=copying), state0, 0.0, 0.5, cfg)
     assert [z.coeffs.tobytes() for z in copied] == [z.coeffs.tobytes() for z in state]

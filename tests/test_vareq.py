@@ -103,6 +103,17 @@ def test_expand_rhs_refuses_a_return_of_the_wrong_count_or_shape(t33):
             vq.expand_rhs(ode.OdeSystem(dim=3, rhs=wrong), (0.3, 0.4, 0.5), 0.7, t33)
 
 
+def test_expand_rhs_returns_arrays_that_the_next_call_leaves_alone(t33):
+    # the Duffing right side returns its memo's own array, which its next
+    # evaluation at the same sigma rewrites; expand_rhs hands back copies
+    system = duf.duffing_scaled_rhs(0.1, 1.5, sigma=0.5)
+    fvals, g = vq.expand_rhs(system, (0.3, 0.4, 0.5), 0.7, t33)
+    kept = fvals.tobytes(), g.tobytes()
+    other = vq.expand_rhs(system, (-0.2, 0.9, 0.5), 1.9, t33)
+    assert (fvals.tobytes(), g.tobytes()) == kept
+    assert not any(np.shares_memory(u, v) for u in (fvals, g) for v in other)
+
+
 def test_expand_rhs_forcing_matches_sympy_oracle(t33):
     # independent derivation: sympy expansion of f(zd + zeta) in the deviations
     sympy = pytest.importorskip("sympy")
@@ -424,19 +435,28 @@ def _forced_pair():
     return ode.OdeSystem(dim=2, rhs=lambda s, t: (s[1], -(s[0] ** 3) + math.sin(t) * s[1]))
 
 
+def _lifted_logistic():
+    """z' = a z - z^2 with the rate a lifted: a jet and a number on jets."""
+    return ode.OdeSystem(dim=2, rhs=lambda s, t: (s[1] * s[0] - s[0] ** 2, 0.0), n_params=1)
+
+
 @pytest.mark.parametrize(
     "system, zd0, p, t_f",
     [
         (duf.duffing_scaled_rhs(0.1, 1.5, sigma=0.5), (0.3, 0.4, 0.5), 2, duf.TWO_PI),
         (duf.duffing_scaled_rhs(0.1, 1.5, sigma=0.5), (0.3, 0.4, 0.5), 4, duf.TWO_PI),
         (_forced_pair(), (0.6, -0.2), 3, 2.0),
+        (_lifted_logistic(), (0.4, 1.3), 6, 1.5),
     ],
-    ids=["duffing-p2", "duffing-p4", "pair-p3"],
+    ids=["duffing-p2", "duffing-p4", "pair-p3", "logistic-lifted-p6"],
 )
 def test_backward_solve_matches_the_stacking_oracle_byte_for_byte(system, zd0, p, t_f):
-    # one expansion and one state buffer per run give the maps, endpoints
-    # and step statistics of a right side that stacks its state and makes
-    # new jets for every expansion
+    # one expansion per run, the march's own stage array, the right side's
+    # own return and a contraction without the parameter rows' entries give
+    # the maps, endpoints and step statistics of a right side that stacks
+    # its state, makes new jets for every expansion and contracts every
+    # entry (the logistic case returns a jet and a number, so its
+    # expansion goes through store_rows)
     table, cfg = mi.build_table(len(zd0), p), ode.adaptive(1e-10)
     got = vq.backward_solve(system, zd0, 0.0, t_f, table, cfg)
     want = backward_solve_stacked(system, zd0, 0.0, t_f, table, cfg)
