@@ -298,12 +298,14 @@ class IntegratorConfig:
     component of a jet state, every component of a scalar one), each entry
     weighed by ``1 + max(|y|, |y8|)``, combined into one error as in HNW
     II.10, so ``tol`` serves as both the absolute and the relative tolerance
-    (see :func:`_error_norm`).  At tol 1e-9 the order-3 Duffing map build takes
-    113 accepted and 28 rejected steps (1,664 right-side calls), the order-8
-    build 185 and 33 (2,583).  An adaptive ``tol`` must be finite and > 0,
-    or ``ValueError`` is raised: at NaN no step is accepted and a run ends
-    only at the step budget, and at inf every step is, the first being the
-    whole span.
+    (see :func:`_error_norm`).  After an accepted step h grows by the PI
+    factor of dop853.f, which also weighs the previous accepted step's error,
+    and after a rejected one by the error alone (see ``_SAFETY``).  At tol
+    1e-9 the order-3 Duffing map build takes 117 accepted and 12 rejected
+    steps (1,536 right-side calls), the order-8 build 193 and 10 (2,426).
+    An adaptive ``tol`` must be finite and > 0, or ``ValueError`` is raised:
+    at NaN no step is accepted and a run ends only at the step budget, and
+    at inf every step is, the first being the whole span.
 
     The first trial step is the whole span, so a quadrature-exact problem is
     done in one accepted step.  The starting-step rule of HNW II.4 (dop853's
@@ -413,33 +415,43 @@ def _wrong_length(values, m: int) -> ValueError:
     return ValueError(f"got {len(values)} components, expected {m}")
 
 
-# step-size controller (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4):
-# h grows by safety * (tol / err)^(1/8), clamped to [_MIN_SHRINK, _MAX_GROW],
-# and not at all on the step after a rejection.  Levers measured in its place
-# did not pay (attempts of the order-3, order-8 and order-2 backward Duffing
-# builds at tol 1e-9, 141/218/270 here, and of the 348 exact periods of the
-# 3-omega scan at tol 1e-6, 14,451 here, on float states as on the array
-# state they used to share): dop853.f's PI term with beta 0.04
-# took 134/204/264 but 15,145; safety 0.8 took 133/207/264 but 14,903; a
-# growth cap of 2 left the builds alone and took 14,493.  Of the exact map's
-# 13 rejections per period (30 periods at omega 1.2554), 2 shrink the
-# whole-span first step and 10 come right after an accepted step: there the
-# h^8 model set h for an error of 0.9^8 tol = 0.43 tol, never at the growth
-# cap, and the error read a median 3.7 tol (quartiles 2.8 and 5.4).  The
-# accepted step's 2-entry estimate read low, passing near zero, which no
-# controller on past errors foresees
+# step-size controller (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4, and
+# dop853.f): after an accepted step h grows by the PI factor (Gustafsson, *ACM
+# TOMS* 17, 1991, dop853.f's "Lund stabilisation", beta = _PI_BETA)
+#     safety * (tol / err)^(1/8 - 0.2 beta) * (err_prev / tol)^beta,
+# where err_prev is the last accepted step's error floored at _PI_FLOOR * tol,
+# and tol before the first; after a rejected one by safety * (tol / err)^(1/8).
+# Either is clamped to [_MIN_SHRINK, _MAX_GROW], and capped at 1 on the step
+# after a rejection.  Most rejections come right after an accepted step whose
+# estimate read low (it passed near zero), and the PI term slows the growth
+# that follows a small error.  Attempts of the order-3, order-8 and order-2
+# backward Duffing builds at tol 1e-9, and of the 348 exact periods of the
+# 3-omega scan at tol 1e-6 at grid offsets 0 and 4, on float states as on jet
+# ones: the I controller (without the PI term) took 141/218/270 and
+# 14,586/14,451, this one 129/203/262 and 14,351/14,260 (142,195 against
+# 145,184 over the ten offsets), and its maps lie closer to a tol-1e-13 map.
+# Against the I controller, safety 0.8 took 133/207/264 but 14,903 and a
+# growth cap of 2 left the builds alone and took 14,493 (offset 4).  Over 30
+# exact periods at omega 1.2554 it rejects 322 of 1,254 attempts (the I
+# controller 398 of 1,296): 30 whole-span first steps and 228 right after an
+# accepted step (295)
 _SAFETY = 0.9
 _MIN_SHRINK = 0.1
 _MAX_GROW = 5.0
+_PI_BETA = 0.04
+_PI_EXPONENT = 1 / 8 - 0.2 * _PI_BETA
+_PI_FLOOR = 1e-4
 # a step below this fraction of the span means the problem is stiff
 _H_MIN_FRAC = 1e-12
 # step attempts per run: a tol beneath the error estimate's round-off floor
-# stalls instead of underflowing h.  One exact Duffing period (eps 25, omega
-# 1.285) takes 859 + 28 attempts at tol 1e-18, but 294,029 + 74,152 at 1e-20
-# (39 s), within reach of the cap: below the floor the estimate is noise.  A
-# span too long for the budget at the steps it allows ends here too (an exact
-# period at omega 1e-6 is 6.3e6 long), so the message states the budget, t
-# of tf, the counts and h, and names no cause
+# can stall instead of underflowing h.  One exact Duffing period (eps 25,
+# omega 1.285) took 294,029 + 74,152 attempts at tol 1e-20 (39 s), within
+# reach of the cap, while the two estimates were combined entry by entry; it
+# now takes 873 + 6 at tol 1e-18 and 1,554 + 22 at 1e-20.  A span too long for
+# the budget at the steps it allows ends here too (an exact period at omega
+# 1e-6 is 6.3e6 long), so the message states the budget, t of tf, the counts
+# and h, and names no cause.  Like the minimum step, the budget is tested
+# only before tf: a run whose last attempt is the budget's next one ends
 _MAX_STEPS = 500_000
 
 
@@ -496,6 +508,7 @@ def _march_source(
         "        _accepted = _rejected = 0",
         "        _h_lo, _h_hi = _inf, 0.0",
         "        _have_stage0 = _after_rejection = False",
+        f"        _err_prev, _err_floor = _tol, {_PI_FLOOR!r} * _tol",
         "        while _t < _tf:",
         "            _rest = _tf - _t",
         "            if _h > _rest:",
@@ -524,17 +537,23 @@ def _march_source(
         "                _rejected += 1",
         "            if not _err > 0.0:",
         f"                _factor = {_MAX_GROW!r}",
-        "            elif _err < _inf:",
-        f"                _factor = {_SAFETY!r} * (_tol / _err) ** 0.125",
+        "            elif not _err < _inf:",
+        f"                _factor = {_MIN_SHRINK!r}",
+        "            else:",
+        "                if _ok:",
+        f"                    _factor = {_SAFETY!r} * (_tol / _err) ** {_PI_EXPONENT!r} "
+        f"* (_err_prev / _tol) ** {_PI_BETA!r}",
+        "                else:",
+        f"                    _factor = {_SAFETY!r} * (_tol / _err) ** 0.125",
         f"                if _factor < {_MIN_SHRINK!r}:",
         f"                    _factor = {_MIN_SHRINK!r}",
         f"                elif _factor > {_MAX_GROW!r}:",
         f"                    _factor = {_MAX_GROW!r}",
-        "            else:",
-        f"                _factor = {_MIN_SHRINK!r}",
         "            if _after_rejection and _factor > 1.0:",
         "                _factor = 1.0",
         "            _h *= _factor",
+        "            if _ok:",
+        "                _err_prev = _err if _err > _err_floor else _err_floor",
         "            _after_rejection = not _ok",
         "            if _t < _tf and _h < _h_min:",
         "                if not _err < _inf:",
@@ -542,7 +561,7 @@ def _march_source(
         'chasing non-finite stages", _accepted, _t)',
         '                raise _StiffnessError(f"step size {_h} fell below minimum {_h_min} at '
         't={_t} ({_accepted} accepted, {_rejected} rejected)")',
-        "            if _accepted + _rejected > _max_steps:",
+        "            if _t < _tf and _accepted + _rejected > _max_steps:",
         '                raise _StiffnessError(f"exceeded {_max_steps} steps at t={_t} of {_tf} '
         '({_accepted} accepted, {_rejected} rejected, step size {_h})")',
         f"        return {result}, _t, _StepStats(_accepted, _rejected, _h_lo, _h_hi)",

@@ -375,11 +375,15 @@ def float_march(tableau, rhs, y, t0: float, tf: float, cfg) -> tuple:
     them; in adaptive mode the controller of ``rkf45`` with ``jetode``'s
     constants: the whole span as the first trial step, the last step
     clamped to end at tf, stage 0 kept for the attempts after a rejection,
-    an ``OverflowError`` as an infinite error, growth by ``safety * (tol /
-    err)^(1/8)`` clamped to [min shrink, max grow] and capped at 1 after a
-    rejection, and the minimum step and the step budget.  Returns ``(state,
-    t, StepStats)``, or raises the error, with the message, that
-    ``jetode``'s generated march must raise.
+    an ``OverflowError`` as an infinite error, a factor on h of ``safety *
+    (tol / err)^(1/8 - 0.2 beta) * (err_prev / tol)^beta`` after an accepted
+    step and ``safety * (tol / err)^(1/8)`` after a rejected one, clamped to
+    [min shrink, max grow] and capped at 1 after a rejection, where
+    ``err_prev`` is the last accepted step's error floored at ``1e-4 tol``,
+    and ``tol`` before the first, and the minimum step and the step budget,
+    both tested only before tf.  Returns ``(state, t, StepStats)``, or
+    raises the error, with the message, that ``jetode``'s generated march
+    must raise.
     """
     y = tuple(float(v) for v in y)
     t0, tf = float(t0), float(tf)
@@ -400,6 +404,7 @@ def float_march(tableau, rhs, y, t0: float, tf: float, cfg) -> tuple:
     accepted = rejected = 0
     h_lo, h_hi = math.inf, 0.0
     t, k0, after_rejection = t0, None, False
+    err_prev, err_floor = tol, jetode._PI_FLOOR * tol
     while t < tf:
         h = min(h, tf - t)
         last_step = h >= tf - t
@@ -425,9 +430,17 @@ def float_march(tableau, rhs, y, t0: float, tf: float, cfg) -> tuple:
         elif err == math.inf:
             factor = jetode._MIN_SHRINK
         else:
-            factor = jetode._SAFETY * (tol / err) ** 0.125
+            if ok:
+                factor = (
+                    jetode._SAFETY * (tol / err) ** jetode._PI_EXPONENT
+                    * (err_prev / tol) ** jetode._PI_BETA
+                )
+            else:
+                factor = jetode._SAFETY * (tol / err) ** 0.125
             factor = min(max(factor, jetode._MIN_SHRINK), jetode._MAX_GROW)
         h *= min(factor, 1.0) if after_rejection else factor
+        if ok:
+            err_prev = max(err, err_floor)
         after_rejection = not ok
         if t < tf and h < h_min:
             if err == math.inf:
@@ -438,7 +451,7 @@ def float_march(tableau, rhs, y, t0: float, tf: float, cfg) -> tuple:
                 f"step size {h} fell below minimum {h_min} at t={t} "
                 f"({accepted} accepted, {rejected} rejected)"
             )
-        if accepted + rejected > jetode._MAX_STEPS:
+        if t < tf and accepted + rejected > jetode._MAX_STEPS:
             raise jetode.StiffnessError(
                 f"exceeded {jetode._MAX_STEPS} steps at t={t} of {tf} "
                 f"({accepted} accepted, {rejected} rejected, step size {h})"

@@ -411,7 +411,8 @@ def test_non_finite_stage_is_a_rejected_attempt(f, want):
     # the right side returns inf at its 2nd call, stage 1 of the first
     # attempt, which the 8th-order step and both estimates weigh by 0: it
     # reaches them through the stages after it, or, when f ignores the
-    # state, through 0 * inf = NaN, and the attempt is rejected
+    # state, through 0 * inf = NaN, and the attempt is rejected.  After it
+    # z' = -z takes 5 accepted steps and z' = 1 takes 4
     calls = [0]
 
     def rhs(s, t):
@@ -419,7 +420,8 @@ def test_non_finite_stage_is_a_rejected_attempt(f, want):
         return (math.inf if calls[0] == 2 else f(s[0]),)
 
     (y,), t, stats = ode.rkf45(ode.OdeSystem(dim=1, rhs=rhs), (1.0,), 0.0, 1.0, ode.adaptive(1e-9))
-    assert (stats.accepted, stats.rejected, t) == (4, 1, 1.0)
+    accepted = {math.exp(-1.0): 5, 2.0: 4}[want]
+    assert (stats.accepted, stats.rejected, t) == (accepted, 1, 1.0)
     assert y == pytest.approx(want, abs=1e-9)
 
 
@@ -453,7 +455,18 @@ def test_step_budget_guard_names_the_budget(monkeypatch):
     # tf, the counts so far and the step size
     for state0 in ((1.0,), jt.state_about(mi.build_table(1, 3), [1.0])):
         monkeypatch.setattr(ode, "_MAX_STEPS", 500_000)
-        _, _, stats = ode.rkf45(decay_system(), state0, 0.0, 1.0, cfg)
+        state, _, stats = ode.rkf45(decay_system(), state0, 0.0, 1.0, cfg)
+        # a budget of every attempt but the last still lets the run end:
+        # the budget is tested only before tf, as the minimum step is
+        monkeypatch.setattr(ode, "_MAX_STEPS", stats.accepted + stats.rejected - 1)
+        got, t, got_stats = ode.rkf45(decay_system(), state0, 0.0, 1.0, cfg)
+        assert (t, got_stats) == (1.0, stats)
+        assert [np.asarray(getattr(z, "coeffs", z)).tolist() for z in got] == [
+            np.asarray(getattr(z, "coeffs", z)).tolist() for z in state
+        ]
+        if state0 == (1.0,):
+            want = march_bits(float_march, ode._DOP, decay_system().rhs, state0, 0.0, 1.0, cfg)
+            assert want == march_bits(ode.rkf45, decay_system(), state0, 0.0, 1.0, cfg)
         budget = stats.accepted + stats.rejected - 2
         monkeypatch.setattr(ode, "_MAX_STEPS", budget)
         with pytest.raises(ode.StiffnessError) as caught:

@@ -416,6 +416,47 @@ def test_forward_backward_duffing_published_point_order3():
     assert stats.accepted + stats.rejected < 1000
 
 
+@pytest.fixture(scope="module")
+def published_maps():
+    """The order-3 forward and order-2 backward maps at tol 1e-9 about the published point."""
+    z1, z2 = duf.to_scaled(FP_Q, FP_P, FP_OMEGA)
+    expansion = (z1, z2, 1.0 / FP_OMEGA)
+    return expansion, {
+        (p, method): duf.stroboscopic_taylor_map(
+            0.1, 25.0, expansion, p=p, cfg=ode.adaptive(1e-9), method=method
+        )
+        for p, method in ((3, "forward"), (2, "backward"))
+    }
+
+
+def test_published_point_step_counts(published_maps, m8_map):
+    # (accepted, rejected) per integration at tol 1e-9: scalar and jet step
+    # counts depend on no machine, so a change of step control shows here
+    _, maps = published_maps
+    counts = {key: [(s.accepted, s.rejected) for s in tmap.diagnostics] for key, tmap in maps.items()}
+    counts[8, "forward"] = [(s.accepted, s.rejected) for s in m8_map[0].diagnostics]
+    assert counts == {
+        (3, "forward"): [(117, 12)],
+        (8, "forward"): [(193, 10)],
+        # the scalar design run, then the coefficient march
+        (2, "backward"): [(116, 12), (119, 15)],
+    }
+
+
+def test_published_point_maps_keep_their_accuracy(published_maps):
+    # the mixed-relative gap of each map at tol 1e-9 to an order-8 forward
+    # map at tol 1e-13 stays within what the maps of the controller without
+    # the PI term reached, 5.311e-9 and 1.228e-9, so fewer attempts cost no
+    # accuracy
+    expansion, maps = published_maps
+    ref = duf.stroboscopic_taylor_map(0.1, 25.0, expansion, p=8, cfg=ode.adaptive(1e-13))
+    bounds = {(3, "forward"): 5.32e-9, (2, "backward"): 1.23e-9}
+    for key, tmap in maps.items():
+        want = ref.coefficient_matrix()[:, : tmap.table.L]
+        gap = np.max(np.abs(tmap.coefficient_matrix() - want) / (1.0 + np.abs(want)))
+        assert gap <= bounds[key], key
+
+
 def test_backward_parameter_row_is_exact_identity():
     system = duf.duffing_scaled_rhs(0.1, 1.5, sigma=0.5)
     table = mi.build_table(3, 2)
