@@ -17,15 +17,18 @@ sweeps over ``omega`` (Feigenbaum diagrams) and attractor sampling build one
 such map per omega and run its orbit through one kernel, and Newton
 refinement of periodic points runs on ``linearize``, on either map.
 
-Both maps return a pair of Python floats: the exact map the integrator's
-scalar state, the polynomial map its nested Horner evaluation, compiled once
-per map order into one straight-line expression per row whose coefficients
-each omega's fold binds as closure cells.  Orbits run in one compiled
-kernel: each map order writes its Horner step into its own copy, so an
-orbit of the polynomial map makes no Python call per iterate, and one more
-copy calls any other step, the exact map among them.  The kernel keeps
-iterates as float pairs and builds one array of samples at the end, so
-iterating either map makes no numpy call per step.
+The exact map steps each period by the flow's Taylor series in time
+(:class:`~jetmap.jetode.TaylorIntegrator`), whose recurrences are generated
+from the (q, p) expressions, and its Jacobian by the same march over the
+variational system.  Both maps return a pair of Python floats: the exact
+map the integrator's scalar state, the polynomial map its nested Horner
+evaluation, compiled once per map order into one straight-line expression
+per row whose coefficients each omega's fold binds as closure cells.
+Orbits run in one compiled kernel: each map order writes its Horner step
+into its own copy, so an orbit of the polynomial map makes no Python call
+per iterate, and one more copy calls any other step, the exact map among
+them.  The kernel keeps iterates as float pairs and builds one array of
+samples at the end, so iterating either map makes no numpy call per step.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import jet
 from .jet import Jet
-from .jetode import IntegratorConfig, OdeSystem, adaptive, expression_system, integrate
+from .jetode import IntegratorConfig, OdeSystem, TaylorIntegrator, adaptive, expression_system
 from .monoidx import build_table
 from .vareq import TaylorMap, backward_solve, forward_solve
 
@@ -222,6 +225,8 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
 class ExactStroboscopicMap:
     """One-period transfer map of the (q, p) system by direct integration.
 
+    Each period is stepped by its Taylor series in time
+    (:class:`~jetmap.jetode.TaylorIntegrator`, at the order ``tol`` sets).
     Calling the map integrates one scalar orbit, the path scans take, and
     returns the integrator's pair of Python floats.
     :meth:`linearize` integrates the variational equation beside the orbit
@@ -231,37 +236,32 @@ class ExactStroboscopicMap:
     params: DuffingParams
     tol: float = 1e-12
 
-    # each built at the map's first use and kept for every later period;
-    # duffing_rhs is looked up in this module then, so a patch on it applies
+    # each built at the map's first use and kept for every later period, from
+    # the expressions themselves: the Taylor integrator steps an expression
+    # system's source, which a wrapper put on duffing_rhs would not carry
     @cached_property
-    def _system(self) -> OdeSystem:
-        return duffing_rhs(self.params)
+    def _flow(self) -> TaylorIntegrator:
+        return TaylorIntegrator(_qp_system(self.params, ("q", "p"), _QP), self.tol)
 
     @cached_property
-    def _variational(self) -> OdeSystem:
-        return _qp_system(self.params, ("q", "p", "a", "b", "c", "d"), _QP + _JACOBIAN)
-
-    @cached_property
-    def _cfg(self) -> IntegratorConfig:
-        return adaptive(self.tol)
+    def _variational_flow(self) -> TaylorIntegrator:
+        system = _qp_system(self.params, ("q", "p", "a", "b", "c", "d"), _QP + _JACOBIAN)
+        return TaylorIntegrator(system, self.tol)
 
     def __call__(self, point: Sequence[float]) -> tuple[float, float]:
-        return integrate(self._system, tuple(point), 0.0, self.params.period, self._cfg)[0]
+        return self._flow(point, 0.0, self.params.period)[0]
 
     def linearize(self, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """The image of ``point`` and the 2 x 2 Jacobian of the map there.
 
         One float integration over a period of (q, p) and its Jacobian J
-        from ``(point, I)``, six states in the integrator's compiled attempt:
-        J at the end is the map's Jacobian, with the integrator's error and
-        no differencing step.  Step control weighs J's entries as it weighs
-        (q, p)'s.
+        from ``(point, I)``, six states in one Taylor march: J at the end is
+        the map's Jacobian, with the integrator's error and no differencing
+        step.  The step size weighs J's coefficients as it weighs (q, p)'s.
         """
         if len(point) != 2:
             raise ValueError(f"got {len(point)} components, expected 2")
-        state = integrate(
-            self._variational, (*point, 1.0, 0.0, 0.0, 1.0), 0.0, self.params.period, self._cfg
-        )[0]
+        state = self._variational_flow((*point, 1.0, 0.0, 0.0, 1.0), 0.0, self.params.period)[0]
         return np.array(state[:2]), np.array(state[2:]).reshape(2, 2)
 
     def to_qp(self, iterates: np.ndarray, omega: float) -> np.ndarray:
@@ -429,10 +429,8 @@ class _Poly2Map:
     compiles anything.  It makes no numpy call and no loop, and returns a
     pair of Python floats.  An orbit does not call it: it runs in the
     fold's orbit kernel ``_kernel``, bound to the same coefficients with the
-    same expressions written in.  On the order-8 map an orbit takes 3.2 us
-    per iterate (4.0 us when the kernel called the step), a step 3.4 us and
-    a fold about 50 us, the factory call included, on a 2-core VM; the
-    order's first fold compiles the step and the kernel for 2 ms.
+    same expressions written in, so an orbit makes no Python call per
+    iterate.
     :meth:`linearize` takes its image from the same step, so Newton's fixed
     points are fixed points of the map that scans apply, and its Jacobian
     from the two partial derivatives, order p - 1 blocks bound to that

@@ -1,4 +1,5 @@
-"""Runge-Kutta integration generic over scalar and jet-valued states.
+"""Runge-Kutta integration generic over scalar and jet-valued states, and a
+Taylor-series integrator for expression systems on floats.
 
 :func:`rk4` and :func:`rkf45` each run one step loop, which owns the step
 size, acceptance, the step budget and divergence.  It is written once, as
@@ -65,6 +66,15 @@ Integrating a state of jets initialized as ``center + x_a`` yields the
 Taylor expansion of the flow about ``center``.
 :func:`expression_system` makes a right side from one expression string
 per component, which runs the same operations on floats and on jets.
+
+:class:`TaylorIntegrator` steps such a system on floats by its Taylor series
+in time instead, at an order set by the tolerance.  The coefficients come
+from recurrences generated from the expressions' syntax trees, compiled
+into straight-line code once per source and order; the step size comes
+from the last two coefficients, so no step is rejected.  Its bits, as the
+float march's, depend neither on the BLAS nor on the Python version.  The
+exact stroboscopic map of :mod:`jetmap.duffing` runs on it; the jet
+marches, and everything else adaptive, run on the Dormand-Prince pair.
 """
 
 from __future__ import annotations
@@ -276,9 +286,11 @@ def expression_system(
     cells: making a system compiles nothing after the first.  The callable
     carries its source and constants, so on float states the integrator
     writes the expressions into its compiled march instead of calling
-    them (see :func:`_float_kernel`).  A wrapper around it, as made by
-    ``dataclasses.replace(system, rhs=...)``, carries neither and is called
-    at every stage.
+    them (see :func:`_float_kernel`), and :class:`TaylorIntegrator`
+    generates its recurrences from them.  A wrapper around it, as made by
+    ``dataclasses.replace(system, rhs=...)``, carries neither: the
+    Runge-Kutta marches call it at every stage, and the Taylor integrator
+    refuses it.
     """
     source = _Expressions(tuple(state_names), time_name, tuple(expressions), tuple(constants))
     values = tuple(constants.values())
@@ -300,20 +312,15 @@ class IntegratorConfig:
     II.10, so ``tol`` serves as both the absolute and the relative tolerance
     (see :func:`_error_norm`).  After an accepted step h grows by the PI
     factor of dop853.f, which also weighs the previous accepted step's error,
-    and after a rejected one by the error alone (see ``_SAFETY``).  At tol
-    1e-9 the order-3 Duffing map build takes 117 accepted and 12 rejected
-    steps (1,536 right-side calls), the order-8 build 193 and 10 (2,426).
+    and after a rejected one by the error alone (see ``_SAFETY``).
     An adaptive ``tol`` must be finite and > 0, or ``ValueError`` is raised:
     at NaN no step is accepted and a run ends only at the step budget, and
     at inf every step is, the first being the whole span.
 
     The first trial step is the whole span, so a quadrature-exact problem is
     done in one accepted step.  The starting-step rule of HNW II.4 (dop853's
-    ``hinit``) was measured in its place, when the two estimates were still
-    combined entry by entry, and did not pay where the work is:
-    the order-3 Duffing map build at tol 1e-9 took 2,085 -> 2,165 right-side
-    calls and the order-8 build 3,817 -> 3,887, while one exact period at
-    tol 1e-6 took 549 -> 517.
+    ``hinit``) took more right-side calls on the map builds when it was
+    measured in its place (see CHANGES.md).
     """
 
     mode: str = "adaptive"
@@ -573,7 +580,7 @@ def _compile_make(lines: list, label: str) -> Callable:
     namespace = {
         "_DivergenceError": DivergenceError, "_StiffnessError": StiffnessError,
         "_StepStats": StepStats, "_wrong_length": _wrong_length, "_INF": math.inf,
-        "_hypot": math.hypot, **_FUNCTIONS,
+        "_hypot": math.hypot, "_sin": math.sin, "_cos": math.cos, **_FUNCTIONS,
     }
     exec(compile("\n".join(lines), label, "exec"), namespace)
     return namespace["_make"]
@@ -1050,3 +1057,325 @@ def integrate(
     ``jetode.rkf45`` sees every adaptive run.
     """
     return (rk4 if cfg.mode == "fixed" else rkf45)(system, state0, t0, tf, cfg)
+
+
+# -- the Taylor march of an expression system ----------------------------------------
+
+# the Taylor march's order is one formula of tol, round(0.6 (-ln tol) + 4):
+# 12 at tol 1e-6, 16 at 1e-9 and 21 at 1e-12.  Best of 7 runs of 30 periods
+# at omega 1.2902 (beta 0.1, eps 25) from the published point, orders 8-26
+# on a 2-core VM, the fastest order was 13, 17 and 20 for (q, p) and 13, 16
+# and 21 for the six-state variational system; at the rule's order either
+# system ran within 4% of its fastest.  The step is limited by the series'
+# radius of convergence (h reaches at most about 0.24 there at every tol), so
+# past the optimum a higher order buys fewer steps than it costs.
+# _TAYLOR_MAX_ORDER is the rule's order at tol 2**-52: a smaller tol is met
+# by smaller steps at that order, which bounds the generated code, whose
+# products grow with the square of the order
+_TAYLOR_MAX_ORDER = 26
+# the step is _TAYLOR_SAFETY times the largest that makes the last two terms
+# of the series tol in the scale (1 + max |y|); over the same 30 periods at
+# omega 1.2902 and 1.2554, order 12 at tol 1e-6, safety 0.8 / 0.9 / 0.95 /
+# 1.0 took 38 / 34 / 32 / 30 steps per period with a worst per-period error
+# of 1.9e-7 / 4.9e-7 / 1.3e-6 / 2.4e-6 at omega 1.2902, where DOP853 at the
+# same tol errs by 1.5e-6
+_TAYLOR_SAFETY = 0.9
+
+
+def _taylor_order(tol: float) -> int:
+    """The order of the Taylor march at ``tol`` (see ``_TAYLOR_MAX_ORDER``)."""
+    return max(2, min(_TAYLOR_MAX_ORDER, round(0.6 * -math.log(tol) + 4)))
+
+
+def _lower(source: _Expressions) -> tuple[dict, dict, list]:
+    """The series nodes of ``source``'s expressions, equal ones shared.
+
+    Returns ``(hoisted, nodes, outputs)``.  A value is ``("s", prefix)``, a
+    series whose coefficient k is the local ``prefix + str(k)`` (state j's
+    prefix is ``_y{j}_``, node i's ``_v{i}_``), or ``("c", name)``, a
+    constant: a subtree that reads no state and not the time.  ``hoisted``
+    maps the code of each constant that is not a name to the local
+    ``_make`` computes it in, once per set of constants; ``nodes`` maps
+    each node, in the order made, operands first, to its prefix: ``("neg",
+    x)``, ``("add", x, y)``, ``("sub", x, y)``, ``("mul", x, y)`` (a Cauchy
+    product when both are series) and ``("sin", a, argument)``, the sine of
+    the affine ``argument`` of slope ``a`` in time; ``outputs`` holds each
+    expression's series.  ``u**n`` is ``u * (u * ...)``, as
+    :func:`~jetmap.jet.power` makes it, so equal subexpressions, ``q**2``
+    and the ``q * q`` inside ``q**3`` among them, are one node.  Any other
+    form raises ``ValueError``.
+    """
+    _expression_code(source)
+    states = {name: ("s", f"_y{j}_") for j, name in enumerate(source.states)}
+    reads = {*source.states, source.time}
+    hoisted: dict = {}
+    nodes: dict = {}
+
+    def refuse(tree, why: str):
+        return ValueError(f"the Taylor integrator cannot step {ast.unparse(tree)!r}: {why}")
+
+    def constant(code: str) -> tuple:
+        if not code.isidentifier():
+            code = hoisted.setdefault(code, f"_c{len(hoisted)}")
+        return ("c", code)
+
+    def node(*key) -> tuple:
+        return ("s", nodes.setdefault(key, f"_v{len(nodes)}_"))
+
+    def free(tree, names) -> bool:
+        return not any(isinstance(n, ast.Name) and n.id in names for n in ast.walk(tree))
+
+    def slope(tree) -> str | None:
+        """The code of d(tree)/d(time) for an affine ``tree``; None for no time."""
+        if free(tree, {source.time}):
+            return None
+        if isinstance(tree, ast.Name):
+            return "1.0"
+        if isinstance(tree, ast.UnaryOp) and isinstance(tree.op, ast.USub):
+            return f"-({slope(tree.operand)})"
+        if isinstance(tree, ast.BinOp) and isinstance(tree.op, (ast.Add, ast.Sub)):
+            left, right = slope(tree.left), slope(tree.right)
+            sign = "+" if isinstance(tree.op, ast.Add) else "-"
+            if right is None:
+                return left
+            if left is None:
+                return right if sign == "+" else f"-({right})"
+            return f"({left}) {sign} ({right})"
+        if isinstance(tree, ast.BinOp) and isinstance(tree.op, ast.Mult):
+            left, right = slope(tree.left), slope(tree.right)
+            if left is None or right is None:
+                factor = ast.unparse(tree.left if left is None else tree.right)
+                rate = right if left is None else left
+                return factor if rate == "1.0" else f"({factor}) * ({rate})"
+        raise refuse(tree, "a sine's argument must be affine in the time")
+
+    def lower(tree) -> tuple:
+        if free(tree, reads):
+            return constant(ast.unparse(tree))
+        if isinstance(tree, ast.Name):
+            if tree.id in states:
+                return states[tree.id]
+            raise refuse(tree, "the time may appear only in a sine's argument")
+        if isinstance(tree, ast.UnaryOp) and isinstance(tree.op, ast.USub):
+            return node("neg", lower(tree.operand))
+        if isinstance(tree, ast.BinOp) and isinstance(tree.op, ast.Pow):
+            n = tree.right
+            if not (
+                isinstance(n, ast.Constant) and type(n.value) is int and n.value >= 1
+            ):
+                raise refuse(tree, "a series is raised only to an integer power >= 1")
+            base = out = lower(tree.left)
+            for _ in range(n.value - 1):
+                out = node("mul", base, out)
+            return out
+        if isinstance(tree, ast.BinOp) and isinstance(tree.op, (ast.Add, ast.Sub, ast.Mult)):
+            left, right = lower(tree.left), lower(tree.right)
+            if isinstance(tree.op, ast.Mult):
+                return node("mul", left, right)
+            if left[0] == right[0] == "s":
+                return node("add" if isinstance(tree.op, ast.Add) else "sub", left, right)
+            raise refuse(tree, "a constant is not added to a series")
+        if (
+            isinstance(tree, ast.Call)
+            and isinstance(tree.func, ast.Name)
+            and tree.func.id == "sin"
+            and len(tree.args) == 1
+            and not tree.keywords
+        ):
+            (arg,) = tree.args
+            if not free(arg, source.states):
+                raise refuse(tree, "a sine reads only the time and constants")
+            return node("sin", constant(slope(arg)), ast.unparse(arg))
+        raise refuse(tree, "not a sum, product, integer power or sine of the time")
+
+    outputs = []
+    for text in source.expressions:
+        tree = ast.parse(text, mode="eval").body
+        value = lower(tree)
+        if value[0] != "s":
+            raise refuse(tree, "a constant derivative")
+        outputs.append(value)
+    return hoisted, nodes, outputs
+
+
+@cache
+def _taylor_kernel(source: _Expressions, order: int) -> Callable:
+    """``_make(*constants)``, the Taylor march of order ``order`` for ``source``.
+
+    Straight-line code from :func:`_lower`'s nodes, as :func:`_float_kernel`
+    writes its march: every coefficient is a local (``_y{j}_{k}``,
+    ``_v{i}_{k}``), and each step writes orders 0 to N - 1 out in turn, every
+    node at order k and then each state's coefficient k + 1, its
+    expression's coefficient k times ``1 / (k + 1)`` as a literal.  A
+    product of two series is its Cauchy sum ``0.0 + x_0 * y_k + x_1 *
+    y_{k-1} + ...``, left to right from 0.0, so the bits depend neither on
+    the BLAS nor on the Python version; a sine of ``a t + b`` makes one
+    ``sin`` and one ``cos`` of its argument at the step's start and, for k
+    >= 1, the coefficient ``sin(theta + k pi / 2) a^k / k!`` as one of
+    ``cos``, ``-sin`` and ``-cos`` times a^k / k!.  Each constant factor
+    that is not a name, and each a^k / k! (made as (a^(k-1) / (k-1)!) * a /
+    k), is computed in ``_make``, once per set of constants, and read by the
+    march as a closure cell.
+
+    The march ``march(_y, _t0, _tf, _tol, _max_steps)`` returns ``(state,
+    t, StepStats)`` with no rejected step.  Each step's h is
+    ``_TAYLOR_SAFETY`` times the smaller of ``(tol (1 + max |y|) / max_j
+    |c_k,j|)^(1/k)`` for k = N - 1 and N (Jorba & Zou, *Exp. Math.* 14,
+    2005, section 3.2; infinite when both are zero), with ``max |y|`` over
+    the state at the step's start, and the last step is clamped to end at
+    tf exactly.  Each state is summed by Horner's rule.  A top coefficient
+    that is not finite raises :class:`DivergenceError` before the step, as
+    a state that is not finite after it and an ``OverflowError`` do; an h
+    below ``_H_MIN_FRAC`` of the span short of tf raises
+    :class:`StiffnessError`, as more steps than ``_max_steps`` do, tested
+    only before tf.  Cached on ``(source, order)``.
+    """
+    hoisted, nodes, outputs = _lower(source)
+    comps = range(len(source.states))
+    n = order
+    sines = [(name, key) for key, name in nodes.items() if key[0] == "sin"]
+
+    def at(value: tuple, k: int) -> str:
+        kind, text = value
+        return f"{text}{k}" if kind == "s" else text
+
+    make = [f"{name} = {code}" for code, name in hoisted.items()]
+    for name, (_, (_, a), _) in sines:
+        make.append(f"{name}g1 = {a}")
+        make += [f"{name}g{k} = {name}g{k - 1} * {a} / {k}" for k in range(2, n)]
+
+    step = [f"{source.time} = _t"] if sines else []
+    for name, (_, _, arg) in sines:
+        step += [f"_th = {arg}", f"{name}0 = _sin(_th)", f"{name}c = _cos(_th)"]
+    quarter = ("{0}0", "{0}c", "-{0}0", "-{0}c")
+    for k in range(n):
+        for key, name in nodes.items():
+            op, x = key[0], key[1]
+            if op == "sin":
+                if k:
+                    step.append(f"{name}{k} = {quarter[k % 4].format(name)} * {name}g{k}")
+                continue
+            if op == "neg":
+                value = f"-{at(x, k)}"
+            elif op in ("add", "sub"):
+                value = f"{at(x, k)} {'+' if op == 'add' else '-'} {at(key[2], k)}"
+            elif x[0] == key[2][0] == "s":
+                value = " + ".join(
+                    ["0.0", *(f"{x[1]}{i} * {key[2][1]}{k - i}" for i in range(k + 1))]
+                )
+            else:
+                value = f"{at(x, k)} * {at(key[2], k)}"
+            step.append(f"{name}{k} = {value}")
+        for j, out in enumerate(outputs):
+            step.append(f"_y{j}_{k + 1} = {at(out, k)}" + (f" * {1 / (k + 1)!r}" if k else ""))
+
+    def norm(var: str, k: int) -> list:
+        lines = []
+        for j in comps:
+            lines += [f"_a = _y{j}_{k}", "_a = -_a if _a < 0.0 else _a"]
+            lines.append(f"{var} = _a" if j == 0 else f"{var} = _a if _a > {var} else {var}")
+        return lines
+
+    def horner(j: int) -> str:
+        text = f"_y{j}_{n}"
+        for k in range(n - 1, -1, -1):
+            text = f"({text}) * _h + _y{j}_{k}"
+        return text
+
+    state = "".join(f"_y{j}_0, " for j in comps)
+    step += [
+        *norm("_ny", 0),
+        *norm("_m1", n - 1),
+        *norm("_m2", n),
+        "if not (_m1 < _inf and _m2 < _inf):",
+        '    raise _DivergenceError(f"non-finite Taylor coefficients at t={_t}", _steps, _t)',
+        "_bound = _tol * (1.0 + _ny)",
+        "_h = _inf",
+        "if _m1 > 0.0:",
+        f"    _h = (_bound / _m1) ** {1 / (n - 1)!r}",
+        "if _m2 > 0.0:",
+        f"    _r = (_bound / _m2) ** {1 / n!r}",
+        "    if _r < _h:",
+        "        _h = _r",
+        f"_h = {_TAYLOR_SAFETY!r} * _h",
+        "_rest = _tf - _t",
+        "_last = _h >= _rest",
+        "if _last:",
+        "    _h = _rest",
+        "elif _h < _h_min:",
+        '    raise _StiffnessError(f"step size {_h} fell below minimum {_h_min} at t={_t} '
+        '({_steps} steps)")',
+        *(f"_y{j}_0 = {horner(j)}" for j in comps),
+    ]
+    lines = [
+        f"def _make({', '.join(source.constants)}):",
+        *(f"    {line}" for line in make),
+        "    def march(_y, _t0, _tf, _tol, _max_steps):",
+        f"        {state}= _y",
+        "        _inf, _t = _INF, _t0",
+        f"        _h_min = {_H_MIN_FRAC!r} * (_tf - _t0)",
+        "        _steps = 0",
+        "        _h_lo, _h_hi = _inf, 0.0",
+        "        while _t < _tf:",
+        "            try:",
+        *(f"                {line}" for line in step),
+        "            except OverflowError as _error:",
+        '                raise _DivergenceError(f"float overflow near t={_t}", _steps, _t) '
+        "from _error",
+        "            if not ({}):".format(" and ".join(f"-_inf < _y{j}_0 < _inf" for j in comps)),
+        '                raise _DivergenceError(f"non-finite state near t={_t}", _steps, _t)',
+        "            _steps += 1",
+        "            if _h < _h_lo:",
+        "                _h_lo = _h",
+        "            if _h > _h_hi:",
+        "                _h_hi = _h",
+        "            _t = _tf if _last else _t + _h",
+        "            if _t < _tf and _steps > _max_steps:",
+        '                raise _StiffnessError(f"exceeded {_max_steps} steps at t={_t} of {_tf} '
+        '({_steps} accepted, 0 rejected, step size {_h})")',
+        f"        return ({state}), _t, _StepStats(_steps, 0, _h_lo, _h_hi)",
+        "    return march",
+    ]
+    return _compile_make(lines, f"<jetode Taylor march, order {n}>")
+
+
+class TaylorIntegrator:
+    """A float integrator that steps an expression system by its Taylor series in time.
+
+    The flow is analytic in time, so each step sums the solution's own
+    Taylor series, of order ``N = _taylor_order(tol)``, whose coefficients
+    come from recurrences generated from the expressions (Jorba & Zou,
+    *Exp. Math.* 14, 2005; see :func:`_lower` and :func:`_taylor_kernel`).
+    The step size is set from the last two coefficients, so no step is
+    rejected.  ``system`` must be made by :func:`expression_system`, from
+    sums, differences and negations of series, products of series with
+    series or constants, integer powers ``u**n`` (n >= 1) and sines of an
+    affine function of the time with constant coefficients; anything else,
+    a right side without expressions, and a ``tol`` that is not finite and
+    > 0 raise ``ValueError`` here, before any step.  Making one compiles
+    nothing after the first for its source and order, and binds the
+    system's constants.
+
+    ``integrator(state0, t0, tf)`` steps the ``dim`` floats of ``state0``
+    from t0 to tf and returns ``(state, t, StepStats)``: a tuple of Python
+    floats, t equal to tf, and the step count with ``rejected == 0``.  A
+    state of another length, or a span that is not finite or has tf <= t0,
+    raises ``ValueError`` before any step; failures raise as
+    :func:`_taylor_kernel` says, the step budget being ``_MAX_STEPS`` as
+    this call reads it.
+    """
+
+    def __init__(self, system: OdeSystem, tol: float):
+        source = getattr(system.rhs, "expressions", None)
+        if source is None:
+            raise ValueError("the Taylor integrator steps an expression_system's right side")
+        self.tol = float(adaptive(tol).tol)
+        self.order = _taylor_order(self.tol)
+        self.dim = system.dim
+        self._march = _taylor_kernel(source, self.order)(*system.rhs.constants)
+
+    def __call__(self, state0: Sequence, t0: float, tf: float) -> tuple[State, float, StepStats]:
+        if len(state0) != self.dim:
+            raise _wrong_length(state0, self.dim)
+        t0, tf = _span(t0, tf)
+        return self._march(tuple(float(v) for v in state0), t0, tf, self.tol, _MAX_STEPS)

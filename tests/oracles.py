@@ -6,7 +6,8 @@ its contraction by ``np.add.at``, a central-difference Jacobian, a map's
 linear block, parameter lifting and a parameter-freezing wrapper for
 lifted systems, a frame-tagged phase point, a Runge-Kutta attempt on
 floats by ``sum`` over tableau rows and the fixed and adaptive step loops
-around it as Python loops, the folded polynomial map and its
+around it as Python loops, the Taylor march of an expression system by
+lazily made series, the folded polynomial map and its
 Jacobian by a Horner loop, the exact map's Jacobian by an order-1 jet
 integration, the (q, p) Duffing right side as a hand-written closure, the
 scaled Duffing right side with every product made at every call, the
@@ -457,6 +458,143 @@ def float_march(tableau, rhs, y, t0: float, tf: float, cfg) -> tuple:
                 f"({accepted} accepted, {rejected} rejected, step size {h})"
             )
     return y, t, jetode.StepStats(accepted, rejected, h_lo, h_hi)
+
+
+# -- Taylor march ---------------------------------------------------------------------
+
+
+class _Series:
+    """A Taylor series in time whose coefficient k is made at its first read.
+
+    The operators make the recurrences of ``jetode``'s Taylor march, each
+    coefficient k from its operands' coefficients 0..k: a sum or difference
+    term by term; a product of two series as the Cauchy sum from 0.0, i = 0
+    first; a number times a series term by term, on the side it stands;
+    ``u**n`` as ``u * (u * (... * u))``, as ``jet.power`` makes it.  A
+    number added to a series adds to coefficient 0 only (a sine's argument,
+    ``w * t + f``, needs it).  A state's coefficients are appended by
+    :func:`taylor_march`.
+    """
+
+    def __init__(self, rule=None, coeffs=()):
+        self.rule, self.c = rule, list(coeffs)
+
+    def __getitem__(self, k):
+        while len(self.c) <= k:
+            self.c.append(self.rule(len(self.c)))
+        return self.c[k]
+
+    def __add__(self, other):
+        if not isinstance(other, _Series):
+            return _Series(lambda k: self[k] + (other if k == 0 else 0.0))
+        return _Series(lambda k: self[k] + other[k])
+
+    def __sub__(self, other):
+        return _Series(lambda k: self[k] - other[k])
+
+    def __neg__(self):
+        return _Series(lambda k: -self[k])
+
+    def __mul__(self, other):
+        if not isinstance(other, _Series):
+            return _Series(lambda k: self[k] * other)
+
+        def cauchy(k):
+            total = 0.0
+            for i in range(k + 1):
+                total = total + self[i] * other[k - i]
+            return total
+
+        return _Series(cauchy)
+
+    def __rmul__(self, other):
+        return _Series(lambda k: other * self[k])
+
+    def __pow__(self, n):
+        out = self
+        for _ in range(n - 1):
+            out = self * out
+        return out
+
+
+def _series_sin(theta: _Series) -> _Series:
+    """sin of an affine series: coefficient k is sin(theta_0 + k pi / 2) a^k / k!,
+    a = theta_1, with a^k / k! made as (a^(k-1) / (k-1)!) * a / k."""
+    s, c, a = math.sin(theta[0]), math.cos(theta[0]), theta[1]
+    quarter, scale = (s, c, -s, -c), [1.0, a]
+
+    def coeff(k):
+        if k == 0:
+            return s
+        while len(scale) <= k:
+            scale.append(scale[-1] * a / len(scale))
+        return quarter[k % 4] * scale[k]
+
+    return _Series(coeff)
+
+
+def taylor_march(system: OdeSystem, y, t0: float, tf: float, tol: float) -> tuple:
+    """``jetode.TaylorIntegrator(system, tol)(y, t0, tf)`` as Python loops.
+
+    Each step evaluates the expressions of the ``expression_system`` on
+    :class:`_Series` states, with the time as the series (t, 1, 0, ...) and
+    ``sin`` as :func:`_series_sin`, and appends state j's coefficient k + 1,
+    its expression's coefficient k times 1 / (k + 1), for k below the order
+    ``jetode._taylor_order(tol)``.  The step is ``jetode._TAYLOR_SAFETY``
+    times the smaller of (tol (1 + max |y|) / max_j |c_k,j|)^(1/k) over the
+    last two orders k, the last step clamped to end at tf, and each state
+    sums its series by Horner's rule.  The minimum step and the step budget
+    are tested as the package tests them.  Returns ``(state, t,
+    StepStats)``, or raises the error, with the message, that the
+    generated march must raise.  Finite coefficients only: the package's
+    max over components differs from ``max`` at a NaN.
+    """
+    source, order = system.rhs.expressions, jetode._taylor_order(tol)
+    constants = dict(zip(source.constants, system.rhs.constants))
+    y = [float(v) for v in y]
+    t, tf, steps = float(t0), float(tf), 0
+    h_lo, h_hi = math.inf, 0.0
+    h_min = jetode._H_MIN_FRAC * (tf - t)
+    while t < tf:
+        states = [_Series(coeffs=(v,)) for v in y]
+        names = {
+            **constants,
+            **dict(zip(source.states, states)),
+            source.time: _Series(lambda k: 0.0, (t, 1.0)),
+            "sin": _series_sin,
+        }
+        derivatives = [eval(text, {}, names) for text in source.expressions]
+        for k in range(order):
+            for state, f in zip(states, derivatives):
+                state.c.append(f[k] * (1 / (k + 1)) if k else f[k])
+        top = [max(abs(s.c[k]) for s in states) for k in (order - 1, order)]
+        if not all(v < math.inf for v in top):
+            raise jetode.DivergenceError(f"non-finite Taylor coefficients at t={t}", steps, t)
+        bound = tol * (1.0 + max(abs(v) for v in y))
+        h = math.inf
+        for k, size in zip((order - 1, order), top):
+            if size > 0.0:
+                h = min(h, (bound / size) ** (1 / k))
+        h = jetode._TAYLOR_SAFETY * h
+        last = h >= tf - t
+        if last:
+            h = tf - t
+        elif h < h_min:
+            raise jetode.StiffnessError(
+                f"step size {h} fell below minimum {h_min} at t={t} ({steps} steps)"
+            )
+        y = [reduce(lambda acc, c: acc * h + c, reversed(s.c[:-1]), s.c[-1]) for s in states]
+        if not all(map(math.isfinite, y)):
+            raise jetode.DivergenceError(f"non-finite state near t={t}", steps, t)
+        steps += 1
+        h_lo, h_hi = min(h_lo, h), max(h_hi, h)
+        t = tf if last else t + h
+        if t < tf and steps > jetode._MAX_STEPS:
+            raise jetode.StiffnessError(
+                f"exceeded {jetode._MAX_STEPS} steps at t={t} of {tf} "
+                f"({steps} accepted, 0 rejected, step size {h})"
+            )
+    return tuple(y), t, jetode.StepStats(steps, 0, h_lo, h_hi)
 
 
 # -- folded polynomial map -----------------------------------------------------------

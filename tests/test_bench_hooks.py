@@ -136,3 +136,14 @@ def test_a_backward_build_contracts_through_the_traced_method_once_per_right_sid
     _, coefficients = tmap.diagnostics
     attempts = coefficients.accepted + coefficients.rejected
     assert len(calls) == 11 * attempts + coefficients.accepted > 0
+
+
+def test_an_exact_scan_runs_under_the_tracer():
+    # the tracer wraps duffing_rhs's right side, which then carries no
+    # expressions; the exact map builds its Taylor marches from the source
+    # itself, so a traced scan runs, with its periods on the traced span
+    tracer = _load_tracer().Tracer(run_id="test")
+    with tracer.install():
+        result = duf.feigenbaum_scan("exact", 0.1, 1.5, [1.0, 2.0], transient=3, record=2, tol=1e-6)
+    assert not result.failures
+    assert tracer.count("duffing.exact_map") == sum(result.applications) > 0

@@ -675,25 +675,40 @@ def test_bad_orbit_inputs_are_refused_before_any_omega_runs(
 
 
 @pytest.fixture()
-def rkf45_runs(monkeypatch):
-    """A list that gets one entry per adaptive integration run from here on."""
+def integration_runs(monkeypatch):
+    """A list that gets one entry per adaptive integration run from here on:
+    each DOP853 run and each Taylor march of the exact map."""
     from jetmap import jetode as ode
 
     runs = []
-    rkf45 = ode.rkf45
+    rkf45, taylor = ode.rkf45, ode.TaylorIntegrator.__call__
 
     def counted(*args, **kwargs):
         runs.append(1)
         return rkf45(*args, **kwargs)
 
+    def counted_taylor(*args, **kwargs):
+        runs.append(1)
+        return taylor(*args, **kwargs)
+
     monkeypatch.setattr(ode, "rkf45", counted)
+    monkeypatch.setattr(ode.TaylorIntegrator, "__call__", counted_taylor)
     return runs
+
+
+def test_the_run_counter_sees_both_integrators(integration_runs):
+    from jetmap import duffing as duf
+    from jetmap import jetode as ode
+
+    duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 1.5, 2.0), tol=1e-6)((0.1, 0.2))
+    ode.rkf45(duf.duffing_rhs(duf.DuffingParams(0.1, 1.5, 2.0)), (0.1, 0.2), 0.0, 1.0, ode.adaptive(1e-6))
+    assert integration_runs == [1, 1]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["expand", "scan", "attract"])
 def test_a_tol_that_is_not_finite_is_refused_before_any_integration(
-    tmp_path, capsys, rkf45_runs, command, tol
+    tmp_path, capsys, integration_runs, command, tol
 ):
     # a NaN tol used to run the whole step budget and an infinite one to
     # take the period in one step; both end as config errors, integrating
@@ -708,7 +723,7 @@ def test_a_tol_that_is_not_finite_is_refused_before_any_integration(
     assert run_cli(argv) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "0 < tol < inf" in err
-    assert rkf45_runs == [] and not out.exists()
+    assert integration_runs == [] and not out.exists()
 
 
 _NON_FINITE_INPUTS = {
@@ -719,7 +734,7 @@ _NON_FINITE_INPUTS = {
 }
 
 
-def _refused_before_any_integration(tmp_path, capsys, rkf45_runs, argv, expand=None) -> str:
+def _refused_before_any_integration(tmp_path, capsys, integration_runs, argv, expand=None) -> str:
     """Run argv, assert a config error that integrated and wrote nothing; return stderr."""
     out = tmp_path / "out"
     # the file keeps the scan case's grid small and holds an expand case's section
@@ -728,18 +743,18 @@ def _refused_before_any_integration(tmp_path, capsys, rkf45_runs, argv, expand=N
     assert run_cli(argv + ["--config", path, "--out", out]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
-    assert rkf45_runs == [] and not out.exists()
+    assert integration_runs == [] and not out.exists()
     return err
 
 
 @pytest.mark.parametrize("case", list(_NON_FINITE_INPUTS))
 def test_a_non_finite_model_input_is_refused_before_any_integration(
-    tmp_path, capsys, rkf45_runs, case
+    tmp_path, capsys, integration_runs, case
 ):
     # each used to integrate until the step collapsed on non-finite stages
     # and exit 2; now each is a config error that integrates nothing
     argv = _NON_FINITE_INPUTS[case]
-    assert "finite" in _refused_before_any_integration(tmp_path, capsys, rkf45_runs, argv)
+    assert "finite" in _refused_before_any_integration(tmp_path, capsys, integration_runs, argv)
 
 
 _NEGATIVE_INPUTS = {
@@ -751,13 +766,13 @@ _NEGATIVE_INPUTS = {
 
 @pytest.mark.parametrize("case", list(_NEGATIVE_INPUTS))
 def test_a_negative_model_input_is_refused_before_any_integration(
-    tmp_path, capsys, rkf45_runs, case
+    tmp_path, capsys, integration_runs, case
 ):
     # a Taylor map took a negative beta or eps: expand wrote the map and a
     # Taylor scan ran until its orbits escaped, while the exact scan refused
     # it; now every route refuses it as DuffingParams does
     argv = _NEGATIVE_INPUTS[case]
-    assert ">= 0" in _refused_before_any_integration(tmp_path, capsys, rkf45_runs, argv)
+    assert ">= 0" in _refused_before_any_integration(tmp_path, capsys, integration_runs, argv)
 
 
 @pytest.mark.parametrize(
@@ -769,10 +784,10 @@ def test_a_negative_model_input_is_refused_before_any_integration(
     ],
     ids=["zero-system", "bad-method", "two-entry-expansion"],
 )
-def test_expand_refuses_before_any_integration(tmp_path, capsys, rkf45_runs, expand, message):
+def test_expand_refuses_before_any_integration(tmp_path, capsys, integration_runs, expand, message):
     # expand builds the Duffing map alone; the map builder refuses a method
     # or an expansion it cannot take before it integrates anything
-    err = _refused_before_any_integration(tmp_path, capsys, rkf45_runs, ["expand"], expand)
+    err = _refused_before_any_integration(tmp_path, capsys, integration_runs, ["expand"], expand)
     assert message in err
 
 
@@ -829,8 +844,11 @@ def test_io_error_exit_code(tmp_path):
          "orbit escaped at iterate 4"),
         (["expand", "--eps", 1e300, "--order", 2], {},
          "step collapsed below 6.283185307179586e-12 at t=0.0 chasing non-finite stages"),
+        # the exact map's first period overflows its Taylor coefficients
+        (["scan", "--source", "exact", "--eps", 1e300], {"scan": _ORBIT_CONFIGS["scan"]},
+         "non-finite Taylor coefficients at t=0.0"),
     ],
-    ids=["attract-escapes", "expand-diverges"],
+    ids=["attract-escapes", "expand-diverges", "scan-exact-diverges"],
 )
 def test_a_numeric_failure_exits_2_and_writes_nothing(tmp_path, capsys, argv, config, message):
     path = tmp_path / "cfg.json"
@@ -888,7 +906,7 @@ _REFUSED_CONFIGS = {
 
 @pytest.mark.parametrize("case", list(_REFUSED_CONFIGS))
 def test_a_refused_config_integrates_and_writes_nothing(
-    tmp_path, capsys, monkeypatch, rkf45_runs, case
+    tmp_path, capsys, monkeypatch, integration_runs, case
 ):
     argv, config, code, message = _REFUSED_CONFIGS[case]
     monkeypatch.chdir(tmp_path)
@@ -897,7 +915,7 @@ def test_a_refused_config_integrates_and_writes_nothing(
     err = capsys.readouterr().err
     prefix = "config error: " if code == cli.EXIT_CONFIG else "i/o error: "
     assert err.startswith(prefix) and message in err
-    assert rkf45_runs == [] and os.listdir() == ["cfg.json"]
+    assert integration_runs == [] and os.listdir() == ["cfg.json"]
 
 
 def test_scan_exact_small_driving_single_cluster(tmp_path):

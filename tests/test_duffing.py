@@ -18,7 +18,7 @@ from jetmap.jet import Jet, state_about
 
 from conftest import FP_OMEGA, FP_P, FP_Q
 from oracles import PhasePoint, central_difference_jacobian, horner_loop_linearize, horner_triangle
-from oracles import jet_linearize
+from oracles import jet_linearize, taylor_march
 from oracles import duffing_rhs as closure_rhs
 from oracles import duffing_scaled_rhs as full_scaled_rhs
 
@@ -611,9 +611,9 @@ def test_cycle_cut_polynomial_map_with_continuation(m8_map):
 
 def test_cycle_cut_exact_map_closes():
     # the orbit settles on a fixed point and wanders over its last bits until
-    # an iterate repeats; where that happens (application 303 on one numpy
-    # build) moves with the order in which the integrator's dots sum, so the
-    # window leaves room for it and the count is not pinned
+    # an iterate repeats; where that happens (application 89 of the Taylor
+    # march) moves with any change to the map's last bits, so the window
+    # leaves room for it and the count is not pinned
     exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 1.5, 1.5), tol=1e-5)
     final, applied, closed = _assert_cut_is_exact(exact, np.zeros(2), 700, 16)
     assert closed
@@ -944,34 +944,34 @@ def test_float_and_jet_kernels_agree_on_one_exact_period():
 
 
 def test_exact_scan_runs_on_python_floats(monkeypatch):
-    # an np.float64 omega from the grid would turn every stage value of the
-    # exact orbit into a numpy scalar through omega * tau
+    # an np.float64 omega from the grid would turn every coefficient of the
+    # exact orbit into a numpy scalar through omega * tau: the constants the
+    # Taylor march binds, the states, span and images it sees are floats
     seen = set()
-    duffing_rhs = duf.duffing_rhs
+    init, call = ode.TaylorIntegrator.__init__, ode.TaylorIntegrator.__call__
 
-    def spied(params):
-        seen.add(type(params.omega))
-        system = duffing_rhs(params)
+    def spied_init(self, system, tol):
+        seen.update(type(v) for v in system.rhs.constants)
+        init(self, system, tol)
 
-        def rhs(s, t):
-            out = system.rhs(s, t)
-            seen.update(type(v) for v in (*s, t, *out))
-            return out
+    def spied_call(self, state0, t0, tf):
+        state, t, stats = call(self, state0, t0, tf)
+        seen.update(type(v) for v in (*state0, t0, tf, *state, t))
+        return state, t, stats
 
-        return ode.OdeSystem(dim=2, rhs=rhs)
-
-    monkeypatch.setattr(duf, "duffing_rhs", spied)
+    monkeypatch.setattr(ode.TaylorIntegrator, "__init__", spied_init)
+    monkeypatch.setattr(ode.TaylorIntegrator, "__call__", spied_call)
     grid = np.array([1.27, 1.271])
     result = duf.feigenbaum_scan("exact", 0.1, 25.0, grid, transient=2, record=2, tol=1e-6)
     assert [len(s) for s in result.samples] == [2, 2]
     assert seen == {float}
 
 
-def test_exact_scan_compiles_the_dop853_attempt_once(monkeypatch):
-    # the compiled attempt is cached on the tableau, m and the right side's
-    # expression source: every period of every omega reuses the one made
-    # for the first
-    ode._float_kernel.cache_clear()
+def test_exact_scan_compiles_the_taylor_march_once(monkeypatch):
+    # the Taylor march is cached on the expression source and the order:
+    # every period of every omega reuses the one made for the first, and
+    # each map binds its own constants to it
+    ode._taylor_kernel.cache_clear()
     periods = []
     call = duf.ExactStroboscopicMap.__call__
 
@@ -985,17 +985,19 @@ def test_exact_scan_compiles_the_dop853_attempt_once(monkeypatch):
     )
     assert [len(s) for s in result.samples] == [2, 2, 2]
     assert len(periods) == 15
-    assert ode._float_kernel.cache_info().misses == 1
-    # the one attempt is the tableau's at m = 2 for the (q, p) source
+    assert ode._taylor_kernel.cache_info().misses == 1
+    # the one march is the (q, p) source's at tol 1e-6's order, 12
     source = duf.duffing_rhs(duf.DuffingParams(0.1, 25.0, 1.3)).rhs.expressions
-    ode._float_kernel(ode._DOP, 2, source)
-    assert ode._float_kernel.cache_info().misses == 1
+    ode._taylor_kernel(source, 12)
+    assert ode._taylor_kernel.cache_info().misses == 1
 
 
 def test_one_exact_period_keeps_its_bits():
-    # one period of the float march and of the exact Jacobian, pinned as
-    # literals: scalar bits depend neither on the BLAS nor on the Python
-    # version, so these hold on every version the suite runs on
+    # one period of the DOP853 float march, and one of the exact map and of
+    # its Jacobian by the Taylor march, pinned as literals (the Taylor ones
+    # are :func:`oracles.taylor_march`'s): scalar bits depend neither on the
+    # BLAS nor on the Python version, so these hold on every version the
+    # suite runs on
     params = duf.DuffingParams(0.1, 25.0, 1.2902)
     state, t, stats = ode.rkf45(
         duf.duffing_rhs(params), (FP_Q, FP_P), 0.0, params.period, ode.adaptive(1e-6)
@@ -1003,12 +1005,72 @@ def test_one_exact_period_keeps_its_bits():
     assert state == (1.4126347807757242, 1.989731168845492)
     assert t == 4.86993125653355 == params.period
     assert stats == ode.StepStats(29, 6, 0.09895566778223337, 0.29771638319254956)
-    image, jac = duf.ExactStroboscopicMap(params, tol=1e-6).linearize((FP_Q, FP_P))
-    assert image.tolist() == [1.4126361151158584, 1.9897304418370656]
+    exact = duf.ExactStroboscopicMap(params, tol=1e-6)
+    assert exact((FP_Q, FP_P)) == (1.4126359817342886, 1.989730404805874)
+    assert exact._flow((FP_Q, FP_P), 0.0, params.period) == (
+        (1.4126359817342886, 1.989730404805874),
+        4.86993125653355,
+        ode.StepStats(34, 0, 0.029647519823066126, 0.23926432703396275),
+    )
+    image, jac = exact.linearize((FP_Q, FP_P))
+    assert image.tolist() == [1.4126362296024788, 1.98973054433878]
     assert jac.tolist() == [
-        [-1.6499557547003414, 1.0915718299764623],
-        [0.17927685397853063, -0.3474446241832431],
+        [-1.6499559473038625, 1.0915714643764325],
+        [0.1792777990504839, -0.3474452700040144],
     ]
+
+
+@pytest.mark.parametrize("omega", [1.2902, 1.2554, 2.0])
+def test_exact_map_runs_the_series_oracle_bit_for_bit(omega):
+    # both Taylor marches of the map, (q, p) and the six-state variational
+    # system, against the loops of oracles.taylor_march: state, t and steps
+    params = duf.DuffingParams(0.1, 25.0, omega)
+    variational = duf._qp_system(params, ("q", "p", "a", "b", "c", "d"), duf._QP + duf._JACOBIAN)
+    for tol in (1e-4, 1e-6, 1e-9, 1e-12):
+        exact = duf.ExactStroboscopicMap(params, tol)
+        for point in ((FP_Q, FP_P), (-0.3, 0.1)):
+            for march, system, start in (
+                (exact._flow, duf.duffing_rhs(params), point),
+                (exact._variational_flow, variational, (*point, 1.0, 0.0, 0.0, 1.0)),
+            ):
+                got = march(start, 0.0, params.period)
+                want = taylor_march(system, start, 0.0, params.period, tol)
+                assert [v.hex() for v in got[0]] == [v.hex() for v in want[0]]
+                assert got[1:] == want[1:] and got[2].rejected == 0
+
+
+def test_exact_map_errs_no_more_than_dop853_over_30_periods():
+    # the Taylor step rule has no error estimate to reject a step with, so
+    # its accuracy is pinned against an oracle: along 30 periods of the
+    # orbit from the published point, by DOP853 at tol 1e-14, the worst
+    # one-period error of the map at each tol is no larger than DOP853's
+    for omega in (1.2902, 1.2554):
+        params = duf.DuffingParams(0.1, 25.0, omega)
+        system, starts, images = duf.duffing_rhs(params), [(FP_Q, FP_P)], []
+        for _ in range(30):
+            images.append(ode.rkf45(system, starts[-1], 0.0, params.period, ode.adaptive(1e-14))[0])
+            starts.append(images[-1])
+        for tol in (1e-6, 1e-9, 1e-12):
+            exact, cfg = duf.ExactStroboscopicMap(params, tol), ode.adaptive(tol)
+            errors = [0.0, 0.0]
+            for start, want in zip(starts, images):
+                for i, got in enumerate(
+                    (exact(start), ode.rkf45(system, start, 0.0, params.period, cfg)[0])
+                ):
+                    errors[i] = max(errors[i], *(abs(a - b) for a, b in zip(got, want)))
+            taylor, dop853 = errors
+            assert 0.0 < taylor <= dop853, (omega, tol, taylor, dop853)
+
+
+@pytest.mark.parametrize("start", [(1e30, 0.0), (0.0, 1e30), (math.nan, 0.0)])
+def test_exact_map_ends_a_blown_up_start_in_an_error(start):
+    # coefficients that overflow end the run at once, in a DivergenceError
+    # or a StiffnessError, and never leave it looping at h = 0
+    for tol in (1e-6, 1e-12):
+        exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 25.0, 1.2902), tol)
+        for step in (exact, exact.linearize):
+            with pytest.raises((ode.DivergenceError, ode.StiffnessError), match="t=0.0"):
+                step(start)
 
 
 def test_exact_map_builds_its_systems_once(monkeypatch):
@@ -1069,54 +1131,53 @@ def test_newton_exact_multiplier_accuracy(k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_newton_exact_iteration_makes_k_float_integrations(monkeypatch, k):
     # an unreachable tolerance runs exactly max_iter iterations, each of k
-    # integrations of (q, p) and the Jacobian as six floats, and none on jets
+    # Taylor marches of (q, p) and the Jacobian as six floats, none on jets
+    # and no DOP853 run
     calls = []
-    rkf45 = ode.rkf45
+    call, rkf45 = ode.TaylorIntegrator.__call__, ode.rkf45
 
-    def counted(system, state0, *args, **kwargs):
-        calls.append((system.dim, [type(v) for v in state0].count(Jet)))
-        return rkf45(system, state0, *args, **kwargs)
+    def counted(self, state0, *args):
+        calls.append((self.dim, [type(v) for v in state0].count(Jet)))
+        return call(self, state0, *args)
 
-    monkeypatch.setattr(ode, "rkf45", counted)
+    def refused(*args, **kwargs):
+        raise AssertionError("the exact map ran DOP853")
+
+    monkeypatch.setattr(ode.TaylorIntegrator, "__call__", counted)
+    monkeypatch.setattr(ode, "rkf45", refused)
     exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 1.5, 2.0), tol=1e-6)
     with pytest.raises(duf.NewtonConvergenceError):
         duf.fixed_point_newton(exact, (0.3, 0.4), k=k, tol=0.0, max_iter=3)
     assert calls == [(6, 0)] * (3 * k)
 
 
-def test_exact_map_linearize_matches_the_order_1_jet_route(monkeypatch):
-    # six floats take the steps the order-1 jet took, since step control
-    # weighs the same entries, and land on its image and Jacobian to round-off
-    stats = []
-    rkf45 = ode.rkf45
-
-    def counted(*args, **kwargs):
-        out = rkf45(*args, **kwargs)
-        stats.append(out[2])
-        return out
-
-    monkeypatch.setattr(ode, "rkf45", counted)
+def test_exact_map_linearize_matches_the_order_1_jet_route():
+    # six floats in the Taylor march land on the image and Jacobian of an
+    # order-1 jet marched by DOP853 at tol 1e-13, within the map's tol in
+    # the mixed-relative measure (worst measured: 1.05 tol at 1e-6, 0.10 tol
+    # at 1e-9 and 0.21 tol at 1e-12); the two no longer take the same steps
     cases = [(0.1, 25.0, 1.2902), (0.1, 25.0, 1.26), (0.1, 1.5, 2.0), (0.05, 5.5, 1.0)]
-    for (beta, eps, omega), tol in itertools.product(cases, (1e-6, 1e-9, 1e-12)):
-        exact = duf.ExactStroboscopicMap(duf.DuffingParams(beta, eps, omega), tol)
+    for beta, eps, omega in cases:
+        params = duf.DuffingParams(beta, eps, omega)
+        reference = duf.ExactStroboscopicMap(params, 1e-13)
         for point in ((0.5, 0.5), (FP_Q, FP_P), (-0.3, 0.1)):
-            image, jac = exact.linearize(point)
-            new = stats[-1]
-            want, want_jac, old = jet_linearize(exact, point)
-            assert (new.accepted, new.rejected) == (old.accepted, old.rejected)
-            for got, ref in ((image, want), (jac, want_jac)):
-                assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-12
+            want, want_jac, _ = jet_linearize(reference, point)
+            for tol in (1e-6, 1e-9, 1e-12):
+                image, jac = duf.ExactStroboscopicMap(params, tol).linearize(point)
+                for got, ref in ((image, want), (jac, want_jac)):
+                    assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 2.0 * tol
 
 
 @pytest.mark.parametrize("point", [(0.3,), (0.3, 0.4, 0.5)])
 def test_exact_map_refuses_a_point_of_another_length(point):
-    # the count is refused before any attempt compiles for it
-    ode._float_kernel.cache_clear()
+    # the count is refused before any step, and no march is made for it:
+    # the one compiled is the (q, p) source's, made at the map's first call
+    ode._taylor_kernel.cache_clear()
     exact = duf.ExactStroboscopicMap(duf.DuffingParams(0.1, 1.5, 2.0), tol=1e-6)
     for step in (exact, exact.linearize):
         with pytest.raises(ValueError, match=f"got {len(point)} components, expected 2"):
             step(point)
-    assert ode._float_kernel.cache_info().currsize == 0
+    assert ode._taylor_kernel.cache_info().currsize == 1
 
 
 def test_exact_map_linearize_matches_central_differences():
@@ -1128,11 +1189,15 @@ def test_exact_map_linearize_matches_central_differences():
 
 
 def test_exact_map_linearize_determinant_abel():
-    for beta, eps, omega in ((0.1, 1.5, 2.0), (0.1, 25.0, 1.2902), (0.05, 5.5, 1.0)):
-        exact = duf.ExactStroboscopicMap(duf.DuffingParams(beta, eps, omega), tol=1e-12)
+    # Liouville: det DF = exp(-4 pi beta / omega) everywhere, a free check of
+    # the Jacobian the Taylor march makes; the worst error measured over
+    # these cases is 0.056 tol at 1e-6, 0.033 tol at 1e-9, 0.019 tol at 1e-12
+    cases = ((0.1, 1.5, 2.0), (0.1, 25.0, 1.2902), (0.05, 5.5, 1.0))
+    for (beta, eps, omega), tol in itertools.product(cases, (1e-6, 1e-9, 1e-12)):
+        exact = duf.ExactStroboscopicMap(duf.DuffingParams(beta, eps, omega), tol=tol)
         _, jac = exact.linearize(duf.to_qp(0.3, 0.4, omega))
         assert np.linalg.det(jac) == pytest.approx(
-            math.exp(-4 * math.pi * beta / omega), abs=1e-8
+            math.exp(-4 * math.pi * beta / omega), abs=0.1 * tol
         )
 
 

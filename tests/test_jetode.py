@@ -1,6 +1,7 @@
 """Integrator tests: published runs, convergence order, scalar/jet consistency."""
 
 import dataclasses
+import itertools
 import math
 import re
 import warnings
@@ -13,7 +14,7 @@ from jetmap import jetode as ode
 from jetmap import monoidx as mi
 from jetmap import vareq as vq
 
-from oracles import float_march
+from oracles import float_march, taylor_march
 
 
 def decay_system():
@@ -940,3 +941,127 @@ def test_adaptive_refuses_a_tol_that_is_not_finite_and_positive(tol):
         ode.adaptive(tol)
     with pytest.raises(ValueError):
         ode.IntegratorConfig(mode="adaptive", tol=tol)
+
+
+# -- the Taylor march ------------------------------------------------------------------
+
+# q'' + 2 b q' + q = e sin(w t), and the same forcing with a phase f
+_FORCED = {"b": 0.1, "e": 0.7, "w": 1.3, "f": 0.4}
+_FORCING = {"e*sin(w*t)": 0.0, "e*sin(w*t + f)": _FORCED["f"]}
+
+
+def _forced_oscillator(forcing: str) -> ode.OdeSystem:
+    constants = {k: v for k, v in _FORCED.items() if k != "f" or "f" in forcing}
+    return ode.expression_system(("q", "p"), "t", ("p", f"-q - 2*b*p + {forcing}"), **constants)
+
+
+def _forced_oscillator_solution(q0: float, p0: float, t: float, f: float) -> tuple:
+    """The closed form: the steady response A sin + B cos of (w t + f) plus the
+    decaying free oscillation that meets (q0, p0) at t = 0."""
+    b, e, w = _FORCED["b"], _FORCED["e"], _FORCED["w"]
+    d = (1.0 - w * w) ** 2 + (2.0 * b * w) ** 2
+    a_s, a_c = e * (1.0 - w * w) / d, -2.0 * b * w * e / d
+    nu = math.sqrt(1.0 - b * b)
+    c1 = q0 - (a_s * math.sin(f) + a_c * math.cos(f))
+    c2 = (p0 + b * c1 - w * (a_s * math.cos(f) - a_c * math.sin(f))) / nu
+    decay, phase = math.exp(-b * t), w * t + f
+    q = decay * (c1 * math.cos(nu * t) + c2 * math.sin(nu * t))
+    p = decay * ((nu * c2 - b * c1) * math.cos(nu * t) - (b * c2 + nu * c1) * math.sin(nu * t))
+    q += a_s * math.sin(phase) + a_c * math.cos(phase)
+    p += w * (a_s * math.cos(phase) - a_c * math.sin(phase))
+    return q, p
+
+
+@pytest.mark.parametrize("forcing", list(_FORCING))
+def test_taylor_march_meets_the_forced_damped_oscillator(forcing):
+    # within 0.1 tol in the weight 1 + |y| (worst measured: 0.032 tol), over
+    # 1 and 10 time units; the march is the series oracle's bit for bit
+    # with numpy scalars for tol, state and span, it returns Python floats
+    system = _forced_oscillator(forcing)
+    for tol in (1e-6, 1e-9, 1e-12):
+        march = ode.TaylorIntegrator(system, np.float64(tol))
+        for (q0, p0), tf in itertools.product(((0.5, -0.3), (0.0, 0.0), (2.0, 1.0)), (1.0, 10.0)):
+            state, t, stats = march(np.array([q0, p0]), np.float64(0.0), np.float64(tf))
+            want = _forced_oscillator_solution(q0, p0, tf, _FORCING[forcing])
+            assert [type(v) for v in (*state, t)] == [float, float, float]
+            assert t == tf and stats.rejected == 0 and stats.accepted >= 1
+            assert max(abs(a - b) / (1.0 + abs(b)) for a, b in zip(state, want)) <= 0.1 * tol
+            assert march_bits(march, (q0, p0), 0.0, tf) == march_bits(
+                taylor_march, system, (q0, p0), 0.0, tf, tol
+            )
+
+
+@pytest.mark.parametrize(
+    "expression",
+    ["sin(q)", "q / 2.0", "p / q", "t * q", "sin(t * t)", "t", "q ** 0.5",
+     "q ** 0", "q ** k", "1.0 + q", "w", "-w", "sin(w)"],
+)
+def test_taylor_march_refuses_what_it_cannot_step(expression):
+    # a right side the generator has no recurrence for is refused when the
+    # integrator is made, before any step
+    system = ode.expression_system(("q", "p"), "t", ("p", expression), w=1.3, k=2)
+    with pytest.raises(ValueError, match="the Taylor integrator cannot step"):
+        ode.TaylorIntegrator(system, 1e-6)
+
+
+def test_taylor_march_refuses_before_any_step():
+    # a right side with no expressions, a tol that is not finite and > 0, a
+    # state of another length and a span that is not finite with tf > t0 are
+    # refused before the march runs
+    system = _forced_oscillator("e*sin(w*t)")
+    with pytest.raises(ValueError, match="steps an expression_system"):
+        ode.TaylorIntegrator(pair_system(), 1e-6)
+    for tol in (math.nan, math.inf, 0.0, -1e-9):
+        with pytest.raises(ValueError, match="0 < tol < inf"):
+            ode.TaylorIntegrator(system, tol)
+    march = ode.TaylorIntegrator(system, 1e-6)
+    for state0 in ((1.0,), (1.0, 2.0, 3.0)):
+        with pytest.raises(ValueError, match=f"got {len(state0)} components, expected 2"):
+            march(state0, 0.0, 1.0)
+    for t0, tf in ((0.0, math.inf), (math.nan, 1.0), (1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="need"):
+            march((1.0, 0.0), t0, tf)
+
+
+def test_taylor_march_shares_equal_subexpressions():
+    # the variational system's q**2 is the q * q inside q**3: one product
+    # node each for q * q, q * (q * q), 3.0 * (q * q) and its products with
+    # a and b, and the sine once
+    source = ode.expression_system(
+        ("q", "p", "a", "b"), "t",
+        ("p", "-q - q**3 + e * sin(w * t)", "-a - 3.0 * q**2 * a", "-b - 3.0 * q**2 * b"),
+        e=1.0, w=1.0,
+    ).rhs.expressions
+    _, nodes, _ = ode._lower(source)
+    products = [key for key in nodes if key[0] == "mul" and key[1][0] == key[2][0] == "s"]
+    assert len(products) == 4
+    assert sum(key[0] == "sin" for key in nodes) == 1
+
+
+def test_taylor_march_budget_and_step_floor(monkeypatch):
+    # the budget is tested only before tf, as DOP853's is, and the march
+    # takes it at each call; a step below _H_MIN_FRAC of the span ends the run
+    system = _forced_oscillator("e*sin(w*t)")
+    march = ode.TaylorIntegrator(system, 1e-9)
+    state, t, stats = march((0.5, -0.3), 0.0, 10.0)
+    monkeypatch.setattr(ode, "_MAX_STEPS", stats.accepted - 1)
+    assert march((0.5, -0.3), 0.0, 10.0) == (state, t, stats)
+    budget = stats.accepted - 2
+    monkeypatch.setattr(ode, "_MAX_STEPS", budget)
+    with pytest.raises(ode.StiffnessError) as caught:
+        march((0.5, -0.3), 0.0, 10.0)
+    assert re.fullmatch(
+        rf"exceeded {budget} steps at t=\S+ of 10.0 "
+        rf"\({budget + 1} accepted, 0 rejected, step size \S+\)",
+        str(caught.value),
+    )
+    assert march_bits(taylor_march, system, (0.5, -0.3), 0.0, 10.0, 1e-9) == (
+        ode.StiffnessError, str(caught.value)
+    )
+    stiff = ode.expression_system(("q", "p"), "t", ("p", "-q - q**3"))
+    with pytest.raises(ode.StiffnessError) as caught:
+        ode.TaylorIntegrator(stiff, 1e-9)((0.0, 1e30), 0.0, 10.0)
+    assert re.fullmatch(r"step size \S+ fell below minimum 1e-11 at t=0.0 \(0 steps\)", str(caught.value))
+    assert march_bits(taylor_march, stiff, (0.0, 1e30), 0.0, 10.0, 1e-9) == (
+        ode.StiffnessError, str(caught.value)
+    )
