@@ -135,9 +135,9 @@ _JACOBIAN = ("c", "d", "m2beta * c - a - 3.0 * q**2 * a", "m2beta * d - b - 3.0 
 def duffing_rhs(params: DuffingParams) -> OdeSystem:
     """First-order pair in the (q, p) frame; period 2 pi / omega in tau.
 
-    An :func:`~jetmap.jetode.expression_system`, so an exact period on
-    floats runs with the expression written into the integrator's compiled
-    attempt.
+    An :func:`~jetmap.jetode.expression_system` of the expressions that
+    :class:`ExactStroboscopicMap` steps by its Taylor series; its right side
+    runs on floats and on jets alike.
     """
     return _qp_system(params, ("q", "p"), _QP)
 

@@ -7,23 +7,18 @@ the source template :func:`_march_source`, and compiled per state kind into
 one function, the march, cached with the kind's key.  The caller's tuple
 picks the kind:
 
-* a state of m Python floats is marched by one function per tableau, m and
-  right-side source (:func:`_float_kernel`), which holds the whole loop:
-  stage 0, the later stages, the candidate, both error estimates and the
-  controller, with every component, stage value and count in a local.  It
-  writes every stage argument, the step and the error estimates out as
-  sums over the tableau's rows with its constants inlined, and ``abs`` and
-  ``max`` as conditional expressions: no numpy call, no loop per stage and
-  no call per attempt but the right side's, so a scalar run's bits do not
-  depend on the BLAS.  The sums run left to right from 0.0 on every Python
-  version, as ``sum`` of floats does on 3.11; from 3.12 ``sum`` is
-  compensated, so a run there differs in the last bits from one that sums
-  with it.  A row's zero weights share one product per attempt, ``0.0 *
-  k_a * k_b * ...``, which is a zero, and so changes no sum, while every
-  stage is finite, and NaN, as the zero terms it replaces were, once one is
-  not.  A right side made by :func:`expression_system` is written into
-  every stage as its expressions, with no call; any other right side is
-  called;
+* a state of m Python floats is marched by one function per tableau and m
+  (:func:`_float_kernel`), which holds the whole loop: stage 0, the later
+  stages, the candidate, both error estimates and the controller, with
+  every component, stage value and count in a local.  It writes every
+  stage argument, the step and the error estimates out as sums over the
+  tableau's rows with its constants inlined, zero weights included, and
+  ``abs`` and ``max`` as conditional expressions: no numpy call, no loop
+  per stage and no call but the right side's, once per stage, so a scalar
+  run's bits do not depend on the BLAS.  The sums run left to right from
+  0.0 on every Python version, as ``sum`` of floats does on 3.11; from
+  3.12 ``sum`` is compensated, so a run there differs in the last bits
+  from one that sums with it;
 * a state of m :class:`~jetmap.jet.Jet` rows over one shared table
   (:class:`_Jets`) is one ``(m, L)`` float64 array, the state row above the
   stage rows, so each stage argument and the step are one dot of a
@@ -82,6 +77,7 @@ from __future__ import annotations
 import ast
 import keyword
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Sequence
@@ -283,14 +279,13 @@ def expression_system(
     ``rhs(state, t)`` is compiled once per source (names, expressions and
     the constants' names) into a factory, cached by :func:`_rhs_factory`,
     and each system calls it with its constants, which become closure
-    cells: making a system compiles nothing after the first.  The callable
-    carries its source and constants, so on float states the integrator
-    writes the expressions into its compiled march instead of calling
-    them (see :func:`_float_kernel`), and :class:`TaylorIntegrator`
-    generates its recurrences from them.  A wrapper around it, as made by
-    ``dataclasses.replace(system, rhs=...)``, carries neither: the
-    Runge-Kutta marches call it at every stage, and the Taylor integrator
-    refuses it.
+    cells: making a system compiles nothing after the first.  The
+    Runge-Kutta marches call it at every stage, as any right side.  It
+    carries its source and constants as ``rhs.expressions`` and
+    ``rhs.constants``, from which :class:`TaylorIntegrator` generates its
+    recurrences; a wrapper around it, as made by
+    ``dataclasses.replace(system, rhs=...)``, carries neither, and the
+    Taylor integrator refuses it.
     """
     source = _Expressions(tuple(state_names), time_name, tuple(expressions), tuple(constants))
     values = tuple(constants.values())
@@ -315,7 +310,9 @@ class IntegratorConfig:
     and after a rejected one by the error alone (see ``_SAFETY``).
     An adaptive ``tol`` must be finite and > 0, or ``ValueError`` is raised:
     at NaN no step is accepted and a run ends only at the step budget, and
-    at inf every step is, the first being the whole span.
+    at inf every step is, the first being the whole span.  A non-integer
+    ``ns`` raises ``ValueError``; both are kept as ``int(ns)`` and
+    ``float(tol)``, so no numpy scalar reaches a march.
 
     The first trial step is the whole span, so a quadrature-exact problem is
     done in one accepted step.  The starting-step rule of HNW II.4 (dop853's
@@ -330,6 +327,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.mode not in ("fixed", "adaptive"):
             raise ValueError(f"mode must be 'fixed' or 'adaptive', got {self.mode!r}")
+        if type(self.ns) is bool or not isinstance(self.ns, numbers.Integral):
+            raise ValueError(f"ns must be an integer, got {self.ns!r}")
+        object.__setattr__(self, "ns", int(self.ns))
+        object.__setattr__(self, "tol", float(self.tol))
         if self.mode == "fixed" and self.ns < 1:
             raise ValueError("fixed mode needs ns >= 1")
         if self.mode == "adaptive" and not 0.0 < self.tol < math.inf:
@@ -587,101 +588,48 @@ def _compile_make(lines: list, label: str) -> Callable:
 
 
 @cache
-def _float_kernel(tableau: _Tableau, m: int, source: _Expressions | None = None) -> Callable:
+def _float_kernel(tableau: _Tableau, m: int) -> Callable:
     """The march of m Python floats for ``tableau``, compiled as straight-line code.
 
-    :func:`_march_source`'s loop with every attempt written out in it.
-    Components and stage values are locals (``_y0``, ``_k3_1``, ...), and
-    each sum over a tableau row is written out with the row's constants as
-    literals: stage i's argument is ``_y_c + _h * (0.0 + a_i0 * _k0_c + ...
-    + a_i,i-1 * _k{i-1}_c)``, and the candidate and the two estimates are
-    the same sums over b and the error rows.  Each sum runs left to right
-    from 0.0, which is what ``sum`` over the row does on Python 3.11 (from
-    3.12 ``sum`` compensates, and differs in the last bits).  The estimates
-    are weighed and combined as :func:`_error_norm` does, with ``abs`` and
-    ``max`` written as conditional expressions; a NaN among them is an
-    infinite error.  The march makes no call but the right side's, where it
-    has one, and ``hypot``.
+    :func:`_march_source`'s loop with every attempt written out in it (see
+    the module docstring).  Components and stage values are locals
+    (``_y0``, ``_k3_1``, ...); stage i's argument is ``_y_c + _h * (0.0 +
+    a_i0 * _k0_c + ... + a_i,i-1 * _k{i-1}_c)`` with every weight a
+    literal, zeros included, so a stage that is not finite makes each sum
+    that weighs it NaN.  The candidate and the two estimates are the same
+    sums over b and the error rows, and the estimates are weighed and
+    combined as :func:`_error_norm` does, a NaN among them being an
+    infinite error.  Each stage calls ``_rhs`` on a tuple, and a result of
+    the wrong length is refused at the stage that returns it.
 
-    A row's zero weights make one term, ``0.0 * k_a * k_b * ...`` over their
-    stages, standing where the first of them stood.  Each such product is
-    made once per attempt from the product over its prefix, so DOP853's
-    zeros cost 4 multiplies per component (``0.0 * k1``, then ``* k2``,
-    ``* k3``, ``* k4``) where one term per zero cost 28 multiplies and 28
-    additions.  The bits are the same: with every stage finite the product
-    is a zero, and a zero added to a partial sum that starts at +0.0 (which
-    such a sum never leaves for -0.0) changes nothing; with a stage that is
-    not finite the product is NaN, as ``0 * inf`` made the sum NaN before,
-    so the attempt still fails.
-
-    Without ``source`` each stage calls ``_rhs`` on a tuple, and a result
-    of the wrong length is refused at the stage that returns it.  With the
-    source of an :func:`expression_system` of m states, each stage, stage 0
-    included, assigns its arguments to the state names and its time to the
-    time name and writes the expressions into ``_k{i}_c``: no call, no
-    tuple and no length check (the count was checked when the system was
-    made).  The operations are those of the right side's own code, in its
-    order, so both give the same bits.  The kernel's own names start with
-    an underscore, which the system's names may not.
-
-    Returns ``_make(_rhs)``, or given a source ``_make(*constants)``, in
-    the source's order, which returns the march with them bound as closure
-    cells, so that one source compiles once for every set of constants.
-    Cached on ``(tableau, m, source)``.
+    Returns ``_make(_rhs)``, which returns the march with the right side
+    bound as a closure cell.  Cached on ``(tableau, m)``.
     """
     c, rows = tableau.c, tableau.array[:, 1:].tolist()
     s = len(c)
     comps = range(m)
-    body = _expression_code(source) if source is not None else None
-    attempt: list = []
-    # the indices of a row's zero weights -> the name of their product
-    products: dict = {}
 
     def names(prefix: str) -> str:
         return "".join(f"{prefix}{j}, " for j in comps)
 
-    def product(zeros: tuple) -> str:
-        """The name of ``0.0 * k_a * k_b * ...`` over ``zeros``, made at its first use."""
-        if zeros not in products:
-            head = product(zeros[:-1]) if len(zeros) > 1 else None
-            name = products[zeros] = f"_z{len(products)}_"
-            for j in comps:
-                factor = f"{head}{j}" if head else "0.0"
-                attempt.append(f"{name}{j} = {factor} * _k{zeros[-1]}_{j}")
-        return products[zeros]
-
     def row_sum(row, j: int) -> str:
-        zeros = tuple(i for i, a in enumerate(row) if a == 0.0)
-        terms = ["0.0"]
-        for i, a in enumerate(row):
-            if a != 0.0:
-                terms.append(f"{a!r} * _k{i}_{j}")
-            elif i == zeros[0]:
-                terms.append(f"{product(zeros)}{j}")
-        return " + ".join(terms)
+        return " + ".join(["0.0", *(f"{a!r} * _k{i}_{j}" for i, a in enumerate(row))])
 
     def sums(row) -> list:
         return [f"_y{j} + _h * ({row_sum(row, j)})" for j in comps]
 
     def stage(i: int, args: list, time: str) -> list:
-        if body is None:
-            return [
-                f"_f = _rhs(({''.join(f'{a}, ' for a in args)}), {time})",
-                f"if len(_f) != {m}:",
-                f"    raise _wrong_length(_f, {m})",
-                f"{names(f'_k{i}_')}= _f",
-            ]
         return [
-            *(f"{name} = {a}" for name, a in zip(source.states, args)),
-            f"{source.time} = {time}",
-            *(f"_k{i}_{j} = {body[j]}" for j in comps),
+            f"_f = _rhs(({''.join(f'{a}, ' for a in args)}), {time})",
+            f"if len(_f) != {m}:",
+            f"    raise _wrong_length(_f, {m})",
+            f"{names(f'_k{i}_')}= _f",
         ]
 
+    attempt: list = []
     for i in range(1, s):
-        args = sums(rows[i][:i])
-        attempt += stage(i, args, f"_t + {c[i]!r} * _h")
-    step = sums(rows[s])
-    attempt += [f"_n{j} = {step[j]}" for j in comps]
+        attempt += stage(i, sums(rows[i][:i]), f"_t + {c[i]!r} * _h")
+    attempt += [f"_n{j} = {n}" for j, n in enumerate(sums(rows[s]))]
     if tableau.adaptive:
         w5, w3 = rows[s + 1 :]
         for j in comps:
@@ -714,7 +662,7 @@ def _float_kernel(tableau: _Tableau, m: int, source: _Expressions | None = None)
             "        _err = _inf",
         ]
     lines = [
-        f"def _make({', '.join(source.constants) if source else '_rhs'}):",
+        "def _make(_rhs):",
         *_march_source(
             tableau,
             [f"{names('_y')}= _y"],
@@ -726,8 +674,7 @@ def _float_kernel(tableau: _Tableau, m: int, source: _Expressions | None = None)
         ),
         "    return march",
     ]
-    label = f"<jetode march, {s} stages, m={m}{', expressions' if source else ''}>"
-    return _compile_make(lines, label)
+    return _compile_make(lines, f"<jetode march, {s} stages, m={m}>")
 
 
 class _Jets:
@@ -841,19 +788,14 @@ def _march(system: OdeSystem, state0: Sequence, tableau: _Tableau) -> tuple[Call
 
     A state of other than ``dim`` components is refused with ``ValueError``
     before anything compiles.  Jets, if any component is one, march as a
-    :class:`_Jets` in :func:`_jet_kernel`'s march.  Floats march as a tuple
-    of Python floats in :func:`_float_kernel`'s, which is made with the
-    system's constants when its right side carries an expression source,
-    and with the right side itself otherwise.
+    :class:`_Jets` in :func:`_jet_kernel`'s march; floats as a tuple of
+    Python floats in :func:`_float_kernel`'s, made with the right side.
     """
     if len(state0) != system.dim:
         raise _wrong_length(state0, system.dim)
     if any(isinstance(z, Jet) for z in state0):
         return _jet_kernel(tableau), _Jets(system, state0, tableau)
-    rhs = system.rhs
-    source = getattr(rhs, "expressions", None)
-    make = _float_kernel(tableau, len(state0), source)
-    march = make(rhs) if source is None else make(*rhs.constants)
+    march = _float_kernel(tableau, len(state0))(system.rhs)
     return march, tuple(float(v) for v in state0)
 
 
@@ -1024,10 +966,8 @@ def rkf45(
     its error; one whose stages or estimates are not finite has an infinite
     error and is rejected.  Stage 0, f at the state, is evaluated once per
     accepted state and reused by the attempts that follow a rejection, so a
-    run evaluates the right side ``11 * attempts + accepted`` times: as many
-    calls, except on a float state with an :func:`expression_system`,
-    whose expressions are written into every stage and never called.  The
-    final step is clamped so that integration ends at exactly ``tf``.
+    run calls the right side ``11 * attempts + accepted`` times.  The final
+    step is clamped so that integration ends at exactly ``tf``.
 
     The whole run is one call of the state kind's march (see
     :func:`_march_source`), which keeps its counts and its range of h in
@@ -1369,7 +1309,7 @@ class TaylorIntegrator:
         source = getattr(system.rhs, "expressions", None)
         if source is None:
             raise ValueError("the Taylor integrator steps an expression_system's right side")
-        self.tol = float(adaptive(tol).tol)
+        self.tol = adaptive(tol).tol
         self.order = _taylor_order(self.tol)
         self.dim = system.dim
         self._march = _taylor_kernel(source, self.order)(*system.rhs.constants)

@@ -673,9 +673,8 @@ def jet_linearize(exact, point) -> tuple:
 def duffing_rhs(params) -> OdeSystem:
     """``duffing.duffing_rhs`` as a hand-written closure, which carries no source.
 
-    The package's right side is an expression system, written into the
-    compiled float attempt; this one is called at every stage, and its
-    values, on floats and on jets, and its runs must be the package's bit
+    The package's right side is an expression system; its values, on
+    floats and on jets, and its Runge-Kutta runs must be this closure's bit
     for bit.
     """
     beta, eps, omega = params.beta, params.eps, params.omega

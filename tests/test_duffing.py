@@ -108,8 +108,9 @@ def test_duffing_rhs_values_match_the_closure_on_floats_and_jets(params):
 @pytest.mark.parametrize("params", _QP_PARAMS)
 @pytest.mark.parametrize("tol", [1e-6, 1e-12])
 def test_exact_period_matches_the_called_closure(params, tol):
-    # the expressions written into the compiled attempt step as the closure
-    # called at every stage does: the same state, bits and step counts
+    # the expression system's compiled right side and the hand-written
+    # closure, each called at every stage of the float march, step alike:
+    # the same state, bits and step counts
     runs = [
         ode.rkf45(system, (0.5, -0.25), 0.0, params.period, ode.adaptive(tol))
         for system in (duf.duffing_rhs(params), closure_rhs(params))

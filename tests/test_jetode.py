@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -167,8 +168,8 @@ def test_rkf45_divergence():
     ids=["collapse", "accepted-overflow"],
 )
 def test_rkf45_divergence_names_its_step_and_time(rhs, start, message, kind):
-    # on floats the expression system's march writes the expression in, and
-    # a plain lambda around it is called at every stage
+    # on floats the expression system's callable, and a plain lambda around
+    # it, fail alike at the stage that overflows
     system = ode.expression_system(("x",), "t", (rhs,))
     if kind == "called":
         system = ode.OdeSystem(dim=1, rhs=lambda s, t, f=system.rhs: f(s, t))
@@ -442,7 +443,7 @@ def test_rk4_spans_an_interval_that_ns_does_not_divide():
 
 def test_step_budget_guard_names_the_budget(monkeypatch):
     # the march is compiled once, and takes the budget at every call: on a
-    # called right side and on an expression system's written-in one
+    # hand-written right side and on an expression system's
     decay = ode.expression_system(("z",), "t", ("-2.0 * t * z**2",))
     cfg = ode.adaptive(1e-12)
     for system in (decay_system(), decay):
@@ -838,8 +839,9 @@ def quadratic_expressions(m: int, rng) -> ode.OdeSystem:
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("name", ["_RK4", "_DOP"])
 def test_inlined_attempt_matches_the_sum_oracle_bit_for_bit(name, m):
-    # the oracle calls the expression system's callable at every stage; the
-    # march writes its expressions into every stage, stage 0 included
+    # the oracle and the march both call the expression system's callable
+    # at every stage, stage 0 included, so an overflow inside it, at stage 0
+    # or at stage 1, and the -0.0 starts reach both alike
     tableau, cfg = getattr(ode, name), MARCH_CONFIGS[name]
     rng = np.random.default_rng(10 + m)
     system = quadratic_expressions(m, rng)
@@ -861,34 +863,38 @@ def test_inlined_attempt_matches_the_sum_oracle_bit_for_bit(name, m):
         assert got == march_bits(float_march, tableau, system.rhs, y, t, t + h, cfg)
         if (y, t, h) in overflowing:
             assert got[0] is ode.DivergenceError
-    # the two systems' marches, and no march that calls a right side
-    assert ode._float_kernel.cache_info().currsize == 2
+    # one march for the tableau and m, whichever systems ran on it
+    assert ode._float_kernel.cache_info().currsize == 1
 
 
 def test_a_wrapped_expression_right_side_is_called_at_every_stage():
-    # dataclasses.replace gives a callable without a source: the call path,
-    # which makes 11 calls per attempt and one stage 0 per accepted state
+    # dataclasses.replace gives a callable without a source; with one or
+    # without, the march makes 11 calls of the system's code per attempt and
+    # one stage 0 per accepted state, counted by a profile hook, and both
+    # systems run on one march
     system = ode.expression_system(
         ("q", "p"), "t", ("p", "m2beta * p - q - q**3 + eps * sin(t)"), m2beta=-0.2, eps=25.0
     )
-    calls = []
-
-    def counted(state, t):
-        calls.append(t)
-        return system.rhs(state, t)
-
-    wrapped = dataclasses.replace(system, rhs=counted)
+    wrapped = dataclasses.replace(system, rhs=lambda state, t: system.rhs(state, t))
     ode._float_kernel.cache_clear()
-    state, _, stats = ode.rkf45(wrapped, (0.5, 0.5), 0.0, 2 * math.pi, ode.adaptive(1e-6))
-    assert stats.rejected > 0
-    assert len(calls) == 11 * (stats.accepted + stats.rejected) + stats.accepted
+    runs = []
+    for each in (wrapped, system):
+        calls = []
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code is system.rhs.__code__:
+                calls.append(event)
+
+        sys.setprofile(profile)
+        try:
+            state, _, stats = ode.rkf45(each, (0.5, 0.5), 0.0, 2 * math.pi, ode.adaptive(1e-6))
+        finally:
+            sys.setprofile(None)
+        assert stats.rejected > 0
+        assert len(calls) == 11 * (stats.accepted + stats.rejected) + stats.accepted
+        runs.append((bits((state, None)), stats))
+    assert runs[0] == runs[1]
     assert ode._float_kernel.cache_info().misses == 1
-    want, _, want_stats = ode.rkf45(system, (0.5, 0.5), 0.0, 2 * math.pi, ode.adaptive(1e-6))
-    assert bits((state, None)) == bits((want, None)) and stats == want_stats
-    # the unwrapped run wrote the expressions into an attempt of its own
-    assert ode._float_kernel.cache_info().misses == 2
-    ode._float_kernel(ode._DOP, 2, system.rhs.expressions)
-    assert ode._float_kernel.cache_info().misses == 2
 
 
 @pytest.mark.parametrize(
@@ -941,6 +947,41 @@ def test_adaptive_refuses_a_tol_that_is_not_finite_and_positive(tol):
         ode.adaptive(tol)
     with pytest.raises(ValueError):
         ode.IntegratorConfig(mode="adaptive", tol=tol)
+
+
+def _typed(run) -> tuple:
+    """A march's state, t and step counts as bits, each with its type."""
+    state, t, stats = run
+    values = [z.coeffs if isinstance(z, jt.Jet) else z for z in state]
+    values += [t, *dataclasses.astuple(stats)]
+    return tuple((type(v), v.tobytes() if isinstance(v, np.ndarray) else repr(v)) for v in values)
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float64])
+def test_a_numpy_tol_marches_as_its_python_float(kind):
+    # a numpy scalar tol must not reach the controller's arithmetic, where
+    # float32 would take other steps and float64 make numpy scalars of h
+    # and the state
+    system = ode.expression_system(("q", "p"), "t", ("p", "-q - q**3 + 0.3 * sin(t)"))
+    tol = kind(1e-9)
+    assert type(ode.adaptive(tol).tol) is float
+    jets = jt.state_about(mi.build_table(2, 2), [0.5, -0.25])
+    for state0 in ((0.5, -0.25), jets):
+        got, want = (
+            _typed(ode.rkf45(system, state0, 0.0, 2.0, ode.adaptive(t))) for t in (tol, float(tol))
+        )
+        assert got == want
+
+
+def test_a_fixed_step_count_is_an_integer():
+    system = ode.expression_system(("q", "p"), "t", ("p", "-q"))
+    cfg = ode.fixed_step(np.int64(4))
+    assert type(cfg.ns) is int
+    got, want = (_typed(ode.rk4(system, (1.0, 0.0), 0.0, 1.0, c)) for c in (cfg, ode.fixed_step(4)))
+    assert got == want
+    for ns in (2.5, "4", True, None):
+        with pytest.raises(ValueError, match="ns must be an integer"):
+            ode.fixed_step(ns)
 
 
 # -- the Taylor march ------------------------------------------------------------------
