@@ -161,15 +161,18 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
     that mixes jets and floats, it evaluates the same expression through
     the operators and returns a tuple.
 
-    The array form gathers each operand once per evaluation: z1 through
-    ``flat_box`` and ``flat_box_rev``, z2 and z1 * z1 through
+    The expression is ``(m2beta * s) * z2 - z1 * (z1 * z1 + s**2) - (eps
+    * sin(t)) * (s * s**2)``, the cubic nested as Horner nests it: 5
+    truncated products, 2 of them in sigma alone.  The array form gathers
+    each operand once per evaluation, 4 gathers for the other 3: z1 through
+    ``flat_box`` and ``flat_box_rev``, z2 and ``z1 * z1 + s**2`` through
     ``flat_box_rev``.  sigma's derivative is zero, so it keeps, for the
-    last sigma seen, ``s[flat_box]``, ``(s**2)[flat_box]``, ``s * s**2``
-    and a writable copy of the table's ``seg_starts`` for its products to
-    sum over: 4 truncated products per evaluation instead of 6.  The memo
-    is keyed on sigma's table and coefficient bytes, not on the jet, since
-    a march and a backward run hand over the same jets at every stage and
-    expansion, rewritten in place; it holds only arrays it made, never the
+    last sigma seen, ``(m2beta * s)[flat_box]``, ``s**2`` ungathered,
+    ``s * s**2`` and a writable copy of the table's ``seg_starts`` for its
+    products to sum over: 3 products per evaluation, 5 at a new sigma.  The
+    memo is keyed on sigma's table and coefficient bytes, not on the jet,
+    since a march and a backward run hand over the same jets at every stage
+    and expansion, rewritten in place; it holds only arrays it made, never the
     jets it was given.  It also holds the returned array, which every
     evaluation at that sigma rewrites: a caller that keeps a return past
     the next call must copy it, as the march's
@@ -177,14 +180,14 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
     do, while the backward route's expansion hands it on as it is and reads
     it before the next.  Both forms keep the
     expression's operands in its order, each product's included, and row 1
-    is formed in place as ``((m2beta * P1 - P2) - P4) - (eps sin t) *
-    s**3``, the expression's grouping, so every result is the full
-    expression's, bit for bit.
+    is formed in place as ``w = z1 * z1; w += s**2``, then ``(m2beta * s)
+    * z2 - z1 * w``, then ``-= (eps sin t) * s**3``, the expression's
+    grouping, so every result is the full expression's, bit for bit.
     """
     m2beta = -2.0 * beta
     sin = math.sin
-    # (key, s[flat_box], s**2[flat_box], s**3, seg_starts copy, returned rows)
-    # of the last sigma jet seen
+    # (key, (m2beta * s)[flat_box], s**2, s**3, seg_starts copy, returned
+    # rows) of the last sigma jet seen
     memo = (None,) * 6
 
     def rhs(state, t):
@@ -202,18 +205,18 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
                 c_box = c[box]
                 s2 = kernel(c_box, c[rev], seg)
                 s3 = kernel(c_box, s2[rev], seg)
-                hit = memo = (key, c_box, s2[box], s3, seg, np.zeros((3, table.L)))
-            _, c_box, s2_box, s3, seg, rows = hit
-            a_box, a_rev = a[box], a[rev]
+                hit = memo = (key, (c * m2beta)[box], s2, s3, seg, np.zeros((3, table.L)))
+            _, ms_box, s2, s3, seg, rows = hit
+            a_box = a[box]
             rows[0] = b
+            w = kernel(a_box, a[rev], seg)
+            w += s2
             row = rows[1]
-            np.multiply(m2beta, kernel(c_box, b[rev], seg), out=row)
-            row -= kernel(s2_box, a_rev, seg)
-            row -= kernel(a_box, kernel(a_box, a_rev, seg)[rev], seg)
+            np.subtract(kernel(ms_box, b[rev], seg), kernel(a_box, w[rev], seg), out=row)
             row -= (eps * sin(t)) * s3
             return rows
         s2 = s**2
-        return (z2, m2beta * (s * z2) - s2 * z1 - z1**3 - (eps * sin(t)) * (s * s2), 0.0)
+        return (z2, (m2beta * s) * z2 - z1 * (z1 * z1 + s2) - (eps * sin(t)) * (s * s2), 0.0)
 
     return OdeSystem(dim=3, rhs=rhs, n_params=1)
 

@@ -693,7 +693,7 @@ def duffing_rhs(params) -> OdeSystem:
 def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
     """``duffing.duffing_scaled_rhs`` with every product made at every call.
 
-    Six truncated products per evaluation on jets, sigma's two among them,
+    Five truncated products per evaluation on jets, sigma's two among them,
     each made through the jet operators, and the lifted tuple return of
     ``lift_parameters``.  The package keeps sigma's products for the last
     sigma seen and works on coefficient arrays; its maps, step statistics
@@ -706,7 +706,7 @@ def duffing_scaled_rhs(beta: float, eps: float, sigma: float) -> OdeSystem:
         s2 = s**2
         return (
             z2,
-            -2.0 * beta * (s * z2) - s2 * z1 - z1**3 - (eps * math.sin(t)) * (s * s2),
+            (-2.0 * beta * s) * z2 - z1 * (z1 * z1 + s2) - (eps * math.sin(t)) * (s * s2),
         )
 
     return lift_parameters(core, 2, (sigma,))

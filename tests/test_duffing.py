@@ -205,8 +205,8 @@ def test_scaled_rhs_scalar_run_matches_the_full_expression():
 
 
 def test_scaled_rhs_makes_sigmas_products_once_per_sigma(monkeypatch):
-    # 6 truncated products on the first evaluation at a sigma, 4 after it,
-    # for a fresh jet of the same value too; a new sigma pays 6 again.  Jet
+    # 5 truncated products on the first evaluation at a sigma, 3 after it,
+    # for a fresh jet of the same value too; a new sigma pays 5 again.  Jet
     # products and the right side's array products all run the one kernel
     calls = []
     box_sums = jt.box_sums
@@ -223,7 +223,7 @@ def test_scaled_rhs_makes_sigmas_products_once_per_sigma(monkeypatch):
         calls.clear()
         rhs(state_about(table, center), 0.7)
         counts.append(len(calls))
-    assert counts == [6, 4, 4, 6]
+    assert counts == [5, 3, 3, 5]
 
 
 def _sigma_cases():

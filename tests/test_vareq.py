@@ -115,7 +115,10 @@ def test_expand_rhs_returns_arrays_that_the_next_call_leaves_alone(t33):
 
 
 def test_expand_rhs_forcing_matches_sympy_oracle(t33):
-    # independent derivation: sympy expansion of f(zd + zeta) in the deviations
+    # independent derivation: sympy expansion of f(zd + zeta) in the deviations,
+    # in the textbook form; its constant term checks the design value of the
+    # jet branch and the value of the float branch, which share no expression
+    # with it
     sympy = pytest.importorskip("sympy")
     beta, eps, s_val = 0.1, 1.5, math.sin(0.7)
     zd = (0.3, 0.4, 0.5)
@@ -129,7 +132,10 @@ def test_expand_rhs_forcing_matches_sympy_oracle(t33):
     )
     poly = sympy.Poly(sympy.expand(f2), *z)
     system = duf.duffing_scaled_rhs(beta, eps, sigma=zd[2])
-    _, g = vq.expand_rhs(system, zd, 0.7, t33)
+    fvals, g = vq.expand_rhs(system, zd, 0.7, t33)
+    value = float(poly.coeff_monomial(1))
+    assert fvals[1] == pytest.approx(value, abs=1e-12)
+    assert system.rhs(zd, 0.7)[1] == pytest.approx(value, abs=1e-12)
     for r in range(2, t33.L + 1):
         exponents = t33.unrank(r)
         expected = float(poly.coeff_monomial(z[0] ** exponents[0] * z[1] ** exponents[1] * z[2] ** exponents[2]))
